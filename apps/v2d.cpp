@@ -7,8 +7,7 @@
 ///   ./v2d --list-problems
 ///   ./v2d --problem gaussian-pulse --steps 20
 ///   ./v2d --problem sedov-radhydro --nx1 48 --nx2 48 --steps 15
-///   ./v2d --problem hotspot-absorber --steps 10 --checkpoint run.h5l \
-///         --checkpoint-every 5
+///   ./v2d --problem hotspot-absorber --steps 10 --checkpoint run.h5l --checkpoint-every 5
 ///   ./v2d --problem hotspot-absorber --steps 20 --restart run.h5l
 ///   ./v2d --farm jobs.txt --host-threads 8
 ///

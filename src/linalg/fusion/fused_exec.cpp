@@ -234,8 +234,8 @@ void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
       const std::uint64_t key =
           (1ull << 63) | (static_cast<std::uint64_t>(it->second.id) << 56) |
           (bind.n & 0x00ff'ffff'ffff'ffffULL);
-      ctx.add_counts(ctx.memo_counts(
-          key, [&] { return group_counts(g, bind.n, ctx.lanes()); }));
+      ctx.record_memo(key,
+                      [&] { return group_counts(g, bind.n, ctx.lanes()); });
       it->second.fn(bind);
     } else {
       run_interpret(ctx, g, bind);

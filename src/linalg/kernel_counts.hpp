@@ -59,8 +59,7 @@ inline void record_analytic(vla::Context& ctx, KernelShape shape,
                             std::uint64_t n) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(shape) << 56) | (n & 0x00ff'ffff'ffff'ffffULL);
-  ctx.add_counts(ctx.memo_counts(
-      key, [&] { return analytic_counts(shape, n, ctx.lanes()); }));
+  ctx.record_memo(key, [&] { return analytic_counts(shape, n, ctx.lanes()); });
 }
 
 }  // namespace v2d::linalg

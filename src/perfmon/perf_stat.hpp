@@ -26,7 +26,10 @@ std::string format_perf_stat(const PerfStatResult& r);
 /// fast path's recording overhead): every native-mode kernel call is one
 /// probe; misses are the distinct (shape, n) formulas evaluated.  Snapshot
 /// with `MemoCacheStats::of(ctx.vctx)`; bench runs report it so recording
-/// overhead regressions are visible next to the timing numbers.
+/// overhead regressions are visible next to the timing numbers.  Misses
+/// are visible at once; a fork's hits become visible when that fork
+/// flushes its recording (take_counts, so every commit) or is destroyed,
+/// so snapshot after the forks of interest have committed or joined.
 struct MemoCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -37,8 +40,9 @@ struct MemoCacheStats {
                     : 0.0;
   }
 
-  /// Snapshot the counters of a context (and all its forks).  Templated so
-  /// perfmon needs no dependency on the VLA layer.
+  /// Snapshot the counters of a context (its own hits included) and of
+  /// every fork that has flushed.  Templated so perfmon needs no
+  /// dependency on the VLA layer.
   template <typename Context>
   static MemoCacheStats of(const Context& ctx) {
     return {ctx.memo_hits(), ctx.memo_misses()};

@@ -87,15 +87,18 @@ struct KernelCounts {
 
   std::uint64_t bytes_moved() const { return bytes_read + bytes_written; }
 
-  KernelCounts& operator+=(const KernelCounts& o) {
+  KernelCounts& operator+=(const KernelCounts& o) { return add(o, 1); }
+
+  /// Add `times` copies of `o` — exact, since every field is an integer.
+  KernelCounts& add(const KernelCounts& o, std::uint64_t times) {
     for (std::size_t i = 0; i < kNumOpClasses; ++i) {
-      instr[i] += o.instr[i];
-      lanes[i] += o.lanes[i];
+      instr[i] += times * o.instr[i];
+      lanes[i] += times * o.lanes[i];
     }
-    bytes_read += o.bytes_read;
-    bytes_written += o.bytes_written;
-    elements += o.elements;
-    calls += o.calls;
+    bytes_read += times * o.bytes_read;
+    bytes_written += times * o.bytes_written;
+    elements += times * o.elements;
+    calls += times * o.calls;
     return *this;
   }
 

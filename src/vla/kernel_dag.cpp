@@ -33,7 +33,8 @@ KernelDag DagRecorder::take(std::string key) {
 std::string DagRecorder::slot(const void* p) {
   auto it = names_.find(p);
   if (it != names_.end()) return it->second;
-  const std::string name = "v" + std::to_string(names_.size());
+  std::string name = "v";
+  name += std::to_string(names_.size());
   names_.emplace(p, name);
   return name;
 }

@@ -24,6 +24,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/isa.hpp"
 #include "support/error.hpp"
@@ -73,7 +74,8 @@ inline std::atomic<std::uint64_t>& process_misses() {
 /// session contexts alike.  Per-family counters (Context::memo_hits /
 /// memo_misses) only see their own fork family, which made the totals a
 /// per-run report; long-lived multi-session processes (the farm) want the
-/// process-wide view, so every memo probe bumps these as well.
+/// process-wide view, so every memo probe is counted here as well (a hit
+/// once the probing context flushes its recording or is destroyed).
 inline std::uint64_t process_memo_hits() {
   return detail::process_hits().load(std::memory_order_relaxed);
 }
@@ -130,6 +132,33 @@ public:
         count_cache_(std::make_shared<CountCache>()),
         dag_store_(std::make_shared<DagStore>()) {}
 
+  /// A copy gets the source's recording (with any pending run flushed)
+  /// but none of its unfolded memo hits, so no probe is counted twice; a
+  /// move takes the hits along.
+  Context(const Context& o)
+      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts()),
+        count_cache_(o.count_cache_), dag_store_(o.dag_store_) {}
+  Context(Context&& o) noexcept
+      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts_),
+        count_cache_(std::move(o.count_cache_)),
+        dag_store_(std::move(o.dag_store_)),
+        front_(std::exchange(o.front_, {})),
+        run_(std::exchange(o.run_, 0)), hits_(std::exchange(o.hits_, 0)) {}
+  /// The overwritten context's unfolded hits go to its own family first.
+  Context& operator=(Context o) noexcept {
+    fold_hits();
+    arch_ = o.arch_;
+    mode_ = o.mode_;
+    counts_ = o.counts_;
+    count_cache_ = std::move(o.count_cache_);
+    dag_store_ = std::move(o.dag_store_);
+    front_ = std::exchange(o.front_, {});
+    run_ = std::exchange(o.run_, 0);
+    hits_ = std::exchange(o.hits_, 0);
+    return *this;
+  }
+  ~Context() { fold_hits(); }
+
   unsigned lanes() const { return arch_.lanes(); }
   const VectorArch& arch() const { return arch_; }
 
@@ -152,20 +181,21 @@ public:
   /// True when kernels should take the native raw-pointer fast path.
   bool native() const { return mode_ == VlaExecMode::Native; }
 
-  /// Fold a pre-computed recording (an analytic fast-path formula) into the
-  /// accumulated counts.  Entries must carry calls == elements == 0; those
-  /// fields belong to ExecContext::commit.
-  void add_counts(const sim::KernelCounts& c) { counts_ += c; }
-
   /// Memoized analytic-count lookup.  `key` identifies (kernel shape, n);
   /// the factory runs once per distinct key and its result is cached for
-  /// the lifetime of this Context *and all its forks*, so steady-state
-  /// solver iterations pay a single hash probe per kernel call instead of
-  /// per-op recording.  The cache is read-mostly and shared across the
-  /// fork family; a shared_mutex makes concurrent rank tasks safe.  A
-  /// duplicate concurrent miss just recomputes the same deterministic
-  /// value, and returned references stay valid because unordered_map
-  /// never relocates elements.
+  /// the lifetime of this Context *and all its forks*.  The cache is
+  /// shared across the fork family and guarded by a shared_mutex, so
+  /// concurrent rank tasks are safe; returned references stay valid
+  /// because unordered_map never relocates elements.
+  ///
+  /// Each context keeps a one-entry front (the last key and a pointer to
+  /// its cached counts), so a run of same-key calls probes the shared map
+  /// once and then takes no lock and writes no shared atomic.  Every call
+  /// is still one logical probe: a miss when it inserted the key (the
+  /// loser of a concurrent miss counts a hit), a hit otherwise.  Misses
+  /// reach the family and process counters at once; hits are counted in
+  /// this context and folded in when it flushes its recording
+  /// (take_counts) or is destroyed.
   ///
   /// The key space is partitioned by producer so a Context shared across
   /// farm jobs running different --fuse modes can never read a count
@@ -176,31 +206,40 @@ public:
   /// (fusion::GroupProgram::sig) in fixed registration order.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
-    CountCache& cache = *count_cache_;
-    {
-      std::shared_lock<std::shared_mutex> lk(cache.mu);
-      auto it = cache.map.find(key);
-      if (it != cache.map.end()) {
-        cache.hits.fetch_add(1, std::memory_order_relaxed);
-        detail::process_hits().fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
+    if (front_.counts != nullptr && front_.key == key) {
+      ++hits_;
+      return *front_.counts;
     }
-    cache.misses.fetch_add(1, std::memory_order_relaxed);
-    detail::process_misses().fetch_add(1, std::memory_order_relaxed);
-    sim::KernelCounts made = make();
-    std::unique_lock<std::shared_mutex> lk(cache.mu);
-    return cache.map.try_emplace(key, made).first->second;
+    flush_run();
+    front_ = {key, &lookup(key, make)};
+    return *front_.counts;
+  }
+
+  /// Fold the memoized analytic counts for `key` (an analytic fast-path
+  /// formula, with calls == elements == 0; those fields belong to
+  /// ExecContext::commit) into the recording.  A call repeating the
+  /// previous key only lengthens the pending run, which is folded in as
+  /// run × counts (exact: counts are integers) on the next key change or
+  /// when the recording is read.
+  template <typename Factory>
+  void record_memo(std::uint64_t key, Factory&& make) {
+    if (front_.counts != nullptr && front_.key == key) {
+      ++run_;
+      return;
+    }
+    counts_ += memo_counts(key, make);
   }
 
   /// Analytic-count memo cache statistics, accumulated across this context
   /// and all its forks for the lifetime of the fork family.  A steady-state
-  /// native-mode run should be almost all hits; the miss count bounds how
-  /// many distinct (shape, n) formulas were ever evaluated.  Exposed so
+  /// native-mode run should be almost all hits; the miss count is the
+  /// number of distinct (shape, n) formulas ever evaluated.  Hits include
+  /// this context's own unfolded hits, but another fork's only once that
+  /// fork has flushed (take_counts) or been destroyed.  Exposed so
   /// perfmon can report fast-path recording overhead (see
   /// perfmon::MemoCacheStats).
   std::uint64_t memo_hits() const {
-    return count_cache_->hits.load(std::memory_order_relaxed);
+    return count_cache_->hits.load(std::memory_order_relaxed) + hits_ + run_;
   }
   std::uint64_t memo_misses() const {
     return count_cache_->misses.load(std::memory_order_relaxed);
@@ -220,13 +259,18 @@ public:
     counts_.bytes_written += bytes_written;
   }
 
-  /// Take and reset the accumulated recording.
+  /// Take and reset the accumulated recording; also folds this context's
+  /// memo hits into the family and process counters.
   sim::KernelCounts take_counts() {
+    fold_hits();
     sim::KernelCounts out = counts_;
     counts_ = sim::KernelCounts{};
     return out;
   }
-  const sim::KernelCounts& counts() const { return counts_; }
+  const sim::KernelCounts& counts() const {
+    flush_run();
+    return counts_;
+  }
 
   // --- predicate construction -------------------------------------------
   Predicate ptrue() {
@@ -425,11 +469,64 @@ private:
       : arch_(arch), mode_(mode), count_cache_(std::move(cache)),
         dag_store_(std::move(dags)) {}
 
+  // Probe the shared map for `key`, inserting make() on a miss.  Only the
+  // call whose try_emplace inserts counts a miss, so the miss count is the
+  // number of distinct keys at any thread count.
+  template <typename Factory>
+  const sim::KernelCounts& lookup(std::uint64_t key, Factory& make) {
+    CountCache& cache = *count_cache_;
+    {
+      std::shared_lock<std::shared_mutex> lk(cache.mu);
+      const auto it = cache.map.find(key);
+      if (it != cache.map.end()) {
+        ++hits_;
+        return it->second;
+      }
+    }
+    const sim::KernelCounts made = make();
+    std::unique_lock<std::shared_mutex> lk(cache.mu);
+    const auto [it, inserted] = cache.map.try_emplace(key, made);
+    if (inserted) {
+      cache.misses.fetch_add(1, std::memory_order_relaxed);
+      detail::process_misses().fetch_add(1, std::memory_order_relaxed);
+    } else {
+      ++hits_;
+    }
+    return it->second;
+  }
+
+  // Fold the pending run of front-key calls into the recording.
+  void flush_run() const {
+    if (run_ == 0) return;
+    counts_.add(*front_.counts, run_);
+    hits_ += run_;
+    run_ = 0;
+  }
+
+  void fold_hits() {
+    flush_run();
+    if (hits_ == 0) return;
+    count_cache_->hits.fetch_add(hits_, std::memory_order_relaxed);
+    detail::process_hits().fetch_add(hits_, std::memory_order_relaxed);
+    hits_ = 0;
+  }
+
+  // The last memo key this context probed and its entry in the family map.
+  struct Front {
+    std::uint64_t key = 0;
+    const sim::KernelCounts* counts = nullptr;
+  };
+
   VectorArch arch_;
   VlaExecMode mode_ = VlaExecMode::Interpret;
-  sim::KernelCounts counts_;
+  // counts_, run_ and hits_ are mutable so counts() can flush the pending
+  // run; a context is only ever used by one thread at a time.
+  mutable sim::KernelCounts counts_;
   std::shared_ptr<CountCache> count_cache_;
   std::shared_ptr<DagStore> dag_store_;
+  Front front_;
+  mutable std::uint64_t run_ = 0;   ///< record_memo calls pending on front_
+  mutable std::uint64_t hits_ = 0;  ///< memo hits not yet folded
 };
 
 }  // namespace v2d::vla

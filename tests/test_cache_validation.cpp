@@ -114,7 +114,9 @@ TEST(ClassifierVsTrace, MatvecWorkingSetsAcrossTableOneTopologies) {
     const MemLevel level =
         classify_working_set(ws, m, static_cast<std::uint32_t>(sharers));
     EXPECT_NE(level, MemLevel::HBM) << "P=" << p;
-    if (p == 1) EXPECT_EQ(level, MemLevel::L2);
+    if (p == 1) {
+      EXPECT_EQ(level, MemLevel::L2);
+    }
   }
 }
 

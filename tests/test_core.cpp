@@ -84,7 +84,7 @@ TEST(SimulationTest, ProfilerSeesThreeCallSites) {
 
 TEST(SimulationTest, IterationsAreTilingIndependent) {
   int total_ref = -1;
-  for (const auto [px1, px2] : {std::pair{1, 1}, std::pair{4, 2},
+  for (const auto& [px1, px2] : {std::pair{1, 1}, std::pair{4, 2},
                                 std::pair{2, 4}}) {
     RunConfig cfg = small_config();
     cfg.nprx1 = px1;

@@ -234,6 +234,33 @@ TEST(FarmScheduling, SharedRuntimeIsReusedAcrossJobs) {
   EXPECT_GT(sum.steps_per_sec, 0.0);
 }
 
+/// Sessions farmed on several lanes share one memo family per VL; its
+/// totals still count every probe once and every distinct key as one miss.
+TEST(FarmScheduling, MemoTotalsInvariantUnderLaneCount) {
+  core::RunConfig planned = pulse_config();
+  planned.vector_bits = 256;
+  planned.fuse = "plan";
+  core::RunConfig relax;
+  relax.problem = "two-species-relax";
+  relax.nx1 = 24;
+  relax.nx2 = 24;
+  relax.steps = 3;
+  relax.host_threads = 1;
+  for (const int lanes : {1, 3}) {
+    farm::FarmOptions opt;
+    opt.host_threads = lanes;
+    farm::FarmScheduler sched(opt);
+    sched.add({"pulse", pulse_config()});
+    sched.add({"planned", planned});
+    sched.add({"relax", relax});
+    const farm::FarmSummary sum = sched.run();
+    set_host_threads(0);
+    EXPECT_EQ(sum.failed, 0u);
+    EXPECT_EQ(sum.memo_hits + sum.memo_misses, 181152u) << "lanes=" << lanes;
+    EXPECT_EQ(sum.memo_misses, 21u) << "lanes=" << lanes;
+  }
+}
+
 TEST(FarmScheduling, RejectsDuplicateNamesAndSharedCheckpointPaths) {
   farm::FarmScheduler sched;
   core::RunConfig cfg = pulse_config();

@@ -263,12 +263,14 @@ TEST_P(TilingSweep, GhostsAlwaysMatchGlobalField) {
     for (int s = 0; s < 2; ++s) {
       const TileView v = f.view(r, s);
       for (int lj = 0; lj < e.nj; ++lj) {
-        if (e.i0 > 0)
+        if (e.i0 > 0) {
           EXPECT_DOUBLE_EQ(v(-1, lj),
                            s * 1000.0 + (e.i0 - 1) + 24.0 * (e.j0 + lj));
-        if (e.i0 + e.ni < 24)
+        }
+        if (e.i0 + e.ni < 24) {
           EXPECT_DOUBLE_EQ(v(e.ni, lj),
                            s * 1000.0 + (e.i0 + e.ni) + 24.0 * (e.j0 + lj));
+        }
       }
     }
   }

@@ -159,7 +159,7 @@ TEST(PaperShapes, Fig1FiveBandsAtX1Spacing) {
 TEST(PaperShapes, CompactTopologyBeatsStripAtTwenty) {
   // Table I, Np = 20: (5,4) < (10,2) < (20,1) for every compiler.
   double prev = 0.0;
-  for (const auto [px1, px2] :
+  for (const auto& [px1, px2] :
        {std::pair{5, 4}, std::pair{10, 2}, std::pair{20, 1}}) {
     core::RunConfig cfg;
     cfg.nx1 = 200;
@@ -170,7 +170,9 @@ TEST(PaperShapes, CompactTopologyBeatsStripAtTwenty) {
     cfg.compilers = {"cray"};
     core::Simulation sim(cfg);
     sim.run();
-    if (prev > 0.0) EXPECT_GT(sim.elapsed(0), prev) << px1 << "x" << px2;
+    if (prev > 0.0) {
+      EXPECT_GT(sim.elapsed(0), prev) << px1 << "x" << px2;
+    }
     prev = sim.elapsed(0);
   }
 }

@@ -450,7 +450,7 @@ TEST(Solvers, TrajectoryIsTilingIndependent) {
   // The dd-compensated reductions make iteration counts identical for
   // every NPRX1×NPRX2 (the property Table I depends on).
   int iters_ref = -1;
-  for (const auto [px1, px2] :
+  for (const auto& [px1, px2] :
        {std::pair{1, 1}, std::pair{4, 1}, std::pair{2, 2}, std::pair{1, 4}}) {
     Problem prob(16, 16, 2, px1, px2);
     Rng rng(61);

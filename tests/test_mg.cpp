@@ -249,7 +249,7 @@ TEST(MgHierarchy, GalerkinPreservesRowSumsOfConstants) {
 /// Restriction is the exact scaled transpose of prolongation:
 /// ⟨R x, y⟩_coarse = (1/4)·⟨x, P y⟩_fine for every x, y.
 TEST(MgTransfer, RestrictionIsScaledTransposeOfProlongation) {
-  for (const auto [px1, px2] : {std::pair{1, 1}, std::pair{2, 2},
+  for (const auto& [px1, px2] : {std::pair{1, 1}, std::pair{2, 2},
                                 std::pair{4, 1}}) {
     Problem prob(32, 16, 2, px1, px2);
     fill_poisson(prob.A);
@@ -310,7 +310,7 @@ TEST(MgTransfer, ConstantsSurviveInTheInterior) {
 /// exchange the bilinear prolongation depends on).
 TEST(MgTransfer, TilingIndependent) {
   std::vector<double> ref_r, ref_p;
-  for (const auto [px1, px2] : {std::pair{1, 1}, std::pair{2, 2},
+  for (const auto& [px1, px2] : {std::pair{1, 1}, std::pair{2, 2},
                                 std::pair{4, 2}, std::pair{1, 4}}) {
     Problem prob(32, 32, 1, px1, px2);
     fill_poisson(prob.A);
@@ -410,7 +410,7 @@ TEST(MgVcycle, VariableCoefficientsAndTwoSpecies) {
 /// the invariant the whole execution-pricing methodology rests on.
 TEST(MgVcycle, TilingIndependentApplication) {
   std::vector<double> ref;
-  for (const auto [px1, px2] :
+  for (const auto& [px1, px2] :
        {std::pair{1, 1}, std::pair{2, 2}, std::pair{4, 1}}) {
     Problem prob(32, 32, 1, px1, px2);
     fill_poisson(prob.A, 0.4);
@@ -438,7 +438,7 @@ TEST(MgVcycle, TilingIndependentApplication) {
 TEST(MgVcycle, ApplicationIsStateless) {
   Problem prob(32, 32, 1);
   fill_poisson(prob.A, 0.4);
-  for (const auto [pre, post] :
+  for (const auto& [pre, post] :
        {std::pair{2, 2}, std::pair{0, 2}, std::pair{2, 0}}) {
     ExecContext ctx;
     mg::MgOptions opt;

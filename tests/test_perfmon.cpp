@@ -138,7 +138,7 @@ TEST(Timers, WallTimerMeasuresSomething) {
   WallTimer t;
   t.start();
   volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x += i;
+  for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(t.stop(), 0.0);
   EXPECT_THROW(t.stop(), Error);  // not running anymore
 }

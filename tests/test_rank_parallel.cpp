@@ -24,6 +24,7 @@
 #include "grid/grid2d.hpp"
 #include "linalg/dist_vector.hpp"
 #include "linalg/exec_context.hpp"
+#include "perfmon/perf_stat.hpp"
 #include "sim_capture.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -163,6 +164,26 @@ TEST(RankParallelTest, InterpretModeBitIdenticalAcrossHostThreads) {
   const SimCapture serial = run_config(pulse_config(1, "interpret", 1));
   const SimCapture par = run_config(pulse_config(4, "interpret", 1));
   testutil::expect_captures_identical(serial, par, "interpret@4");
+}
+
+/// Every native row call is one memo probe, a hit or a miss, at any thread
+/// count: one gaussian-pulse 200x100 step on the paper's 5x4 tiling makes
+/// 1,766,000 probes of 9 distinct keys.  Batching runs of same-key calls
+/// must leave both totals exactly as they are.
+TEST(RankParallelTest, MemoProbeTotalsInvariantUnderThreadCount) {
+  for (const int threads : {1, 4}) {
+    core::RunConfig cfg;
+    cfg.nprx1 = 5;
+    cfg.nprx2 = 4;
+    cfg.steps = 1;
+    cfg.host_threads = threads;
+    core::Simulation sim(cfg);
+    (void)sim.drive_step();
+    const auto memo = perfmon::MemoCacheStats::of(sim.context().vctx);
+    EXPECT_EQ(memo.probes(), 1766000u) << "threads=" << threads;
+    EXPECT_EQ(memo.misses, 9u) << "threads=" << threads;
+  }
+  set_host_threads(0);
 }
 
 // --- host scheduler (--host-sched graph) --------------------------------------

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <latch>
+#include <thread>
 #include <vector>
 
 #include "core/v2d.hpp"
@@ -48,8 +50,9 @@ void expect_counts_equal(const sim::KernelCounts& interp,
 void expect_bits_equal(const std::vector<double>& a,
                        const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
-  if (!a.empty())
+  if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
 }
 
 /// Parameterized over (vector bits, length): all five architectural VL
@@ -295,6 +298,88 @@ TEST(FastPathCache, DistinctShapesWithSameLengthDoNotCollide) {
   EXPECT_EQ(
       after_dprod.instr[static_cast<std::size_t>(sim::OpClass::StoreContig)],
       0u);
+}
+
+/// Keys A A B A B B record exactly the sum of the six analytic recordings,
+/// however the calls fall into runs, whether the recording is read with
+/// counts() after every call or taken once at the end.
+TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
+  const KernelShape shapes[] = {KernelShape::Daxpy,      KernelShape::Daxpy,
+                                KernelShape::StencilRow, KernelShape::Daxpy,
+                                KernelShape::StencilRow, KernelShape::StencilRow};
+  const auto n_of = [](KernelShape s) {
+    return s == KernelShape::Daxpy ? std::uint64_t{100} : std::uint64_t{37};
+  };
+  sim::KernelCounts expected;
+  for (const KernelShape s : shapes) expected += analytic_counts(s, n_of(s), 8);
+
+  Context batched(VectorArch(512), VlaExecMode::Native);
+  for (const KernelShape s : shapes) record_analytic(batched, s, n_of(s));
+  EXPECT_EQ(batched.counts(), expected);
+  EXPECT_EQ(batched.take_counts(), expected);
+  EXPECT_EQ(batched.memo_misses(), 2u);
+  EXPECT_EQ(batched.memo_hits(), 4u);
+
+  Context stepwise(VectorArch(512), VlaExecMode::Native);
+  sim::KernelCounts so_far;
+  for (const KernelShape s : shapes) {
+    record_analytic(stepwise, s, n_of(s));
+    so_far += analytic_counts(s, n_of(s), 8);
+    EXPECT_EQ(stepwise.counts(), so_far);
+  }
+  EXPECT_EQ(stepwise.take_counts(), expected);
+  EXPECT_EQ(stepwise.memo_hits() + stepwise.memo_misses(), 6u);
+}
+
+/// A copy carries the recording but none of the unfolded hits; a move
+/// carries both.  Every hit reaches the family and process counters once.
+TEST(FastPathCache, CopiesAndMovesNeverFoldHitsTwice) {
+  const std::uint64_t process0 = vla::process_memo_hits();
+  Context ctx(VectorArch(512), VlaExecMode::Native);
+  record_analytic(ctx, KernelShape::Daxpy, 100);  // miss
+  record_analytic(ctx, KernelShape::Daxpy, 100);  // hit 1, pending in ctx
+  {
+    Context copy(ctx);
+    EXPECT_EQ(copy.counts(), ctx.counts());
+    record_analytic(copy, KernelShape::Daxpy, 100);  // hit 2, pending in copy
+    Context moved(std::move(copy));                  // hit 2 moves along
+    Context assigned = ctx.fork();
+    record_analytic(assigned, KernelShape::Daxpy, 100);  // hit 3
+    assigned = moved;  // hit 3 folds; hit 2 stays with `moved`
+    record_analytic(assigned, KernelShape::Daxpy, 100);  // hit 4
+    assigned = std::move(moved);  // hit 4 folds; hit 2 moves in
+  }
+  EXPECT_EQ(ctx.memo_hits(), 4u);
+  (void)ctx.take_counts();
+  EXPECT_EQ(ctx.memo_hits(), 4u);
+  EXPECT_EQ(ctx.memo_misses(), 1u);
+  EXPECT_EQ(vla::process_memo_hits() - process0, 4u);
+}
+
+/// N forks on N threads all miss one fresh key before any inserts it:
+/// only the insertion counts a miss, the others count hits.
+TEST(FastPathCache, ConcurrentMissOfOneKeyCountsOnce) {
+  constexpr int kThreads = 4;
+  Context proto(VectorArch(512), VlaExecMode::Native);
+  std::latch all_missed(kThreads);
+  const auto make = [&] {
+    all_missed.arrive_and_wait();
+    return analytic_counts(KernelShape::Daxpy, 1000, 8);
+  };
+  std::vector<sim::KernelCounts> recorded(kThreads);
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        Context c = proto.fork();
+        c.record_memo(0x2a, make);
+        recorded[t] = c.take_counts();
+      });
+  }
+  EXPECT_EQ(proto.memo_misses(), 1u);
+  EXPECT_EQ(proto.memo_hits(), kThreads - 1u);
+  for (const auto& c : recorded)
+    EXPECT_EQ(c, analytic_counts(KernelShape::Daxpy, 1000, 8));
 }
 
 /// End-to-end: a full radiation step prices identically and produces the
