@@ -32,7 +32,6 @@
 #include "scenario/registry.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
-#include "support/task_graph.hpp"
 #include "support/units.hpp"
 #include "vla/vla.hpp"
 
@@ -205,10 +204,6 @@ int main(int argc, char** argv) {
 
     std::cout << "\nscenario check (analytic error / conservation drift): "
               << sim.analytic_error() << '\n';
-    if (cfg.host_sched == "graph")
-      std::cout << perfmon::format_host_sched(
-                       perfmon::HostSchedStats::of(task_graph::stats()))
-                << '\n';
     if (!cfg.checkpoint_path.empty())
       std::cout << "checkpoint written to " << cfg.checkpoint_path << '\n';
     if (!sim.recovery().empty()) {

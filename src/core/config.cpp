@@ -60,10 +60,6 @@ void RunConfig::register_options(Options& opt) {
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
           "| on (hand-written one-pass composites) | plan (planner-generated "
           "fused groups; see src/linalg/fusion/)");
-  opt.add("host-sched", "barrier",
-          "host execution scheduler: barrier (fork/join pool per kernel) | "
-          "graph (dependency-scheduled task graph with halo/compute "
-          "overlap); results are bit-identical in both modes");
   opt.add_flag("dump-fusion-plan",
                "print the built-in fusion plans and every captured "
                "solver-iteration kernel DAG after the run (host-only debug)");
@@ -134,8 +130,6 @@ RunConfig RunConfig::from_options(const Options& opt) {
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
-  c.host_sched = opt.get("host-sched");
-  (void)linalg::host_sched_from_name(c.host_sched);  // validate early
   c.dump_fusion_plan = opt.get_bool("dump-fusion-plan");
   c.checkpoint_path = opt.get("checkpoint");
   c.checkpoint_every = static_cast<int>(opt.get_int("checkpoint-every"));

@@ -74,15 +74,6 @@ struct RunConfig {
   /// numerics; on/plan move fewer bytes, so host time and simulated
   /// cycles drop.
   std::string fuse = "off";
-  /// Host execution scheduler for rank-parallel regions: "barrier"
-  /// (default) forks and joins the pool at every kernel; "graph" runs
-  /// solver regions as a dependency-scheduled task graph on resident
-  /// workers — per-rank kernel chains, halo packing overlapped with
-  /// interior compute (see src/support/task_graph.hpp).  Purely a host
-  /// wall-clock knob: results, recordings, ledgers and simulated clocks
-  /// are bit-identical in both modes.  Pinned in checkpoints like --fuse
-  /// so a restarted run records the configuration it was priced under.
-  std::string host_sched = "barrier";
   /// Print the built-in fusion plans and every captured kernel DAG after
   /// the run.  Host-only debug output — prices nothing, so not pinned in
   /// checkpoints.

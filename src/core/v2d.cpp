@@ -148,7 +148,6 @@ std::vector<std::pair<std::string, std::string>> pinned_knobs(
       {"mg_max_direct_zones", std::to_string(cfg.mg_max_direct_zones)},
       {"vector_bits", std::to_string(cfg.vector_bits)},
       {"fuse", cfg.fuse},
-      {"host_sched", cfg.host_sched},
       {"solver_fallbacks", join(cfg.solver_fallbacks)},
   };
 }
@@ -177,7 +176,6 @@ Simulation::Simulation(const RunConfig& cfg, sim::MachineSpec machine,
     ctx_ = linalg::ExecContext(vla::VectorArch(cfg.vector_bits), em_.get(),
                                exec_mode, fuse_mode);
   }
-  ctx_.sched = linalg::host_sched_from_name(cfg.host_sched);
 
   scenario::ProblemSetup setup;
   setup.cfg = &cfg_;

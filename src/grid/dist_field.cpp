@@ -1,9 +1,7 @@
 #include "grid/dist_field.hpp"
 
 #include <algorithm>
-#include <array>
 
-#include "support/task_graph.hpp"
 #include "support/thread_pool.hpp"
 
 namespace v2d::grid {
@@ -68,21 +66,18 @@ const TileView DistField::view(int rank, int s) const {
 }
 
 double DistField::gget(int s, int gi, int gj) const {
-  task_graph::sync_current();  // direct reads join any chained writers
   const int r = dec_->owner(gi, gj);
   const TileExtent& e = dec_->extent(r);
   return view(r, s)(gi - e.i0, gj - e.j0);
 }
 
 void DistField::gset(int s, int gi, int gj, double v) {
-  task_graph::sync_current();
   const int r = dec_->owner(gi, gj);
   const TileExtent& e = dec_->extent(r);
   view(r, s)(gi - e.i0, gj - e.j0) = v;
 }
 
 void DistField::fill(double v) {
-  task_graph::sync_current();
   for (auto& buf : data_) std::fill(buf.begin(), buf.end(), v);
 }
 
@@ -147,37 +142,6 @@ std::vector<mpisim::Transfer> DistField::exchange_ghosts() {
   return concat(per_rank);
 }
 
-std::vector<mpisim::Transfer> DistField::ghost_transfer_plan() const {
-  const auto& topo = dec_->topology();
-  std::vector<mpisim::Transfer> out;
-  for (int r = 0; r < dec_->nranks(); ++r) {
-    const TileExtent& e = dec_->extent(r);
-    for (int d = 0; d < mpisim::kNumDirs; ++d) {
-      const auto dir = static_cast<Dir>(d);
-      const auto nb = topo.neighbor(r, dir);
-      if (!nb) continue;
-      const bool x1_dir = dir == Dir::West || dir == Dir::East;
-      const auto strip = static_cast<std::uint64_t>(x1_dir ? e.nj : e.ni);
-      out.push_back(
-          mpisim::Transfer{*nb, r, strip * ns_ * ng_ * sizeof(double), x1_dir});
-    }
-  }
-  return out;
-}
-
-void DistField::copy_halo(int rank, bool x1_dirs) {
-  const auto& topo = dec_->topology();
-  const TileExtent& e = dec_->extent(rank);
-  const std::array<Dir, 2> dirs =
-      x1_dirs ? std::array<Dir, 2>{Dir::West, Dir::East}
-              : std::array<Dir, 2>{Dir::South, Dir::North};
-  for (const auto dir : dirs) {
-    const auto nb = topo.neighbor(rank, dir);
-    if (!nb) continue;
-    (void)copy_halo_strip(rank, *nb, dir, 0, x1_dirs ? e.nj : e.ni);
-  }
-}
-
 std::vector<mpisim::Transfer> DistField::exchange_ghosts_full() {
   const auto& topo = dec_->topology();
   std::vector<std::vector<mpisim::Transfer>> phase1(
@@ -219,53 +183,11 @@ std::vector<mpisim::Transfer> DistField::exchange_ghosts_full() {
   return transfers;
 }
 
-std::vector<mpisim::Transfer> DistField::ghost_transfer_plan_full() const {
-  const auto& topo = dec_->topology();
-  std::vector<mpisim::Transfer> out;
-  // Phase 1: x1-direction columns over the interior rows.
-  for (int r = 0; r < dec_->nranks(); ++r) {
-    const TileExtent& e = dec_->extent(r);
-    for (const auto dir : {Dir::West, Dir::East}) {
-      const auto nb = topo.neighbor(r, dir);
-      if (!nb) continue;
-      out.push_back(mpisim::Transfer{
-          *nb, r,
-          static_cast<std::uint64_t>(e.nj) * ns_ * ng_ * sizeof(double),
-          /*strided=*/true});
-    }
-  }
-  // Phase 2: x2-direction rows over the padded width (corners ride along).
-  for (int r = 0; r < dec_->nranks(); ++r) {
-    const TileExtent& e = dec_->extent(r);
-    for (const auto dir : {Dir::South, Dir::North}) {
-      const auto nb = topo.neighbor(r, dir);
-      if (!nb) continue;
-      out.push_back(mpisim::Transfer{
-          *nb, r,
-          static_cast<std::uint64_t>(e.ni + 2 * ng_) * ns_ * ng_ *
-              sizeof(double),
-          /*strided=*/false});
-    }
-  }
-  return out;
-}
-
-void DistField::copy_halo_full_x2(int rank) {
-  const auto& topo = dec_->topology();
-  const TileExtent& e = dec_->extent(rank);
-  for (const auto dir : {Dir::South, Dir::North}) {
-    const auto nb = topo.neighbor(rank, dir);
-    if (!nb) continue;
-    (void)copy_halo_strip(rank, *nb, dir, -ng_, e.ni + ng_);
-  }
-}
-
 void DistField::apply_bc(BcKind bc) {
   // Rank-parallel: each rank writes only its own boundary ghosts; the
   // periodic wrap-around reads other tiles' interiors, which stay
   // untouched during the sweep.  The x1 pass runs before the x2 pass so
-  // domain-edge corner ghosts source from already-filled x1 ghosts —
-  // exactly the order the overlap tasks reproduce per rank.
+  // domain-edge corner ghosts source from already-filled x1 ghosts.
   par_ranks(*dec_, [&](int r) {
     apply_bc_dir(bc, r, /*x1_dirs=*/true);
     apply_bc_dir(bc, r, /*x1_dirs=*/false);

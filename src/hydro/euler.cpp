@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "support/error.hpp"
-#include "support/task_graph.hpp"
 
 namespace v2d::hydro {
 
@@ -72,20 +71,6 @@ void HydroSolver::reflect_rank(grid::DistField& f, int r) const {
     for (int li = -1; li <= e.ni; ++li) m2(li, -1) = -m2(li, 0);
   if (e.j0 + e.nj == grid_->nx2())
     for (int li = -1; li <= e.ni; ++li) m2(li, e.nj) = -m2(li, e.nj - 1);
-}
-
-void HydroSolver::fill_ghosts_rank(grid::DistField& f, int r) const {
-  // Per-rank serialization of fill_ghosts: copies read only neighbour
-  // interiors (pristine before any update task runs) and the Neumann
-  // BC / reflecting fixup read and write only this rank's own tile, so
-  // the per-rank interleaving writes exactly the ghost values the
-  // all-ranks phases do.  The x1 passes precede the x2 passes so the
-  // domain-edge corner ghosts source from already-filled x1 ghosts.
-  f.copy_halo(r, /*x1_dirs=*/true);
-  f.copy_halo(r, /*x1_dirs=*/false);
-  f.apply_bc_dir(grid::BcKind::Neumann0, r, /*x1_dirs=*/true);
-  f.apply_bc_dir(grid::BcKind::Neumann0, r, /*x1_dirs=*/false);
-  if (bc_ == HydroBc::Reflecting) reflect_rank(f, r);
 }
 
 double HydroSolver::cfl_dt(ExecContext& ctx, const HydroState& state) const {
@@ -167,32 +152,20 @@ Flux hll_flux(const GammaLawEos& eos, const Prim& l, const Prim& r) {
 void HydroSolver::sweep(ExecContext& ctx, HydroState& state, double dt,
                         int direction) {
   grid::DistField& f = state.field();
-  task_graph::Session* ses = task_graph::current();
-  const bool overlap = ses != nullptr && !task_graph::in_task();
-  if (overlap) {
-    // Graph mode: price the exchange up front — the Transfer list is
-    // analytically identical to the one fill_ghosts' copies imply, and
-    // the collective is a join node draining any chained predecessors —
-    // then run the ghost fill as per-rank overlap tasks below.
-    ctx.exchange(f.ghost_transfer_plan());
-  } else {
-    fill_ghosts(ctx, state);
-  }
+  fill_ghosts(ctx, state);
   const double dx = direction == 0 ? grid_->dx1() : grid_->dx2();
   const double lambda = dt / dx;
 
-  // Update pencils [plo, phi) of rank r (row pencils for x1, column
-  // pencils for x2).  A pencil reads only its own cells plus the two
-  // sweep-direction ghosts and carries the left-face flux in a register,
-  // so any split over pencils computes exactly the zone values of the
-  // full sweep.
-  grid::DistField* fp = &f;
-  auto pencils = [this, fp, direction, lambda](int r, int plo, int phi) {
+  // Rank tiles are disjoint and ghosts were filled above, so the sweeps
+  // of all simulated ranks run concurrently on the host pool.  Each row
+  // pencil (x1) or column pencil (x2) carries its left-face flux in a
+  // register.
+  linalg::par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec_->extent(r);
-    grid::TileView rho = fp->view(r, kRho);
-    grid::TileView m1 = fp->view(r, kMom1);
-    grid::TileView m2 = fp->view(r, kMom2);
-    grid::TileView en = fp->view(r, kEner);
+    grid::TileView rho = f.view(r, kRho);
+    grid::TileView m1 = f.view(r, kMom1);
+    grid::TileView m2 = f.view(r, kMom2);
+    grid::TileView en = f.view(r, kEner);
 
     auto prim_at = [&](int li, int lj) {
       const double d = rho(li, lj);
@@ -213,7 +186,8 @@ void HydroSolver::sweep(ExecContext& ctx, HydroState& state, double dt,
     // Fluxes are computed per pencil and applied immediately; a one-face
     // flux buffer carries the left face.
     const int nzone = direction == 0 ? e.ni : e.nj;
-    for (int pencil = plo; pencil < phi; ++pencil) {
+    const int npencil = direction == 0 ? e.nj : e.ni;
+    for (int pencil = 0; pencil < npencil; ++pencil) {
       auto zone = [&](int k) {
         return direction == 0 ? std::pair{k, pencil} : std::pair{pencil, k};
       };
@@ -243,103 +217,16 @@ void HydroSolver::sweep(ExecContext& ctx, HydroState& state, double dt,
         left = right;
       }
     }
-  };
-  auto finish = [this](ExecContext& rctx, int r) {
-    const grid::TileExtent& e = dec_->extent(r);
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj;
     // ~90 flops/zone (one HLL flux per face + update), ~14 doubles read,
     // 4 written.
     rctx.commit_synthetic(r, KernelFamily::Hydro, "hydro-sweep", elements, 90,
                           112, 32, elements * 144);
-  };
-
-  if (!overlap) {
-    // Rank tiles are disjoint and ghosts were filled above, so the sweeps
-    // of all simulated ranks run concurrently on the host pool.
-    linalg::par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
-      pencils(r, 0, direction == 0 ? dec_->extent(r).nj : dec_->extent(r).ni);
-      finish(rctx, r);
-    });
-    return;
-  }
-
-  // Graph mode: per rank, ghost fill G_r overlaps the interior pencils of
-  // other ranks.  The sweep updates the field *in place*, and G_q pulls
-  // rank r's interface strips (W/E neighbours read r's edge columns, S/N
-  // neighbours read r's edge rows), so an update task may not touch a
-  // strip until every neighbour that reads it has copied:
-  //
-  //   G_r: halo copies + BC + reflecting fixup (reads only pristine
-  //        neighbour interiors and own cells — no task dependencies)
-  //   B_r: interior pencils 1..np-2, which write every column (x1 sweep)
-  //        or every row (x2 sweep) of their pencils
-  //        — after G_r (own ghosts) and the two sweep-normal-edge readers
-  //          (W/E neighbours' G for the x1 sweep, S/N for the x2 sweep)
-  //   D_r: boundary pencils 0 and np-1 + the rank's commit
-  //        — after B_r (covers B's deps) and the remaining two readers
-  //
-  // so a rank's interior sweep starts as soon as its own ghosts land and
-  // its strip readers are done, while other ranks are still packing.
-  const auto& topo = f.decomp().topology();
-  const int nranks = dec_->nranks();
-  std::vector<task_graph::Session::Task*> ghost(
-      static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r)
-    ghost[static_cast<std::size_t>(r)] =
-        ses->create([this, fp, r] { fill_ghosts_rank(*fp, r); });
-  auto ghost_of = [&](int r, mpisim::Dir dir) -> task_graph::Session::Task* {
-    const auto nb = topo.neighbor(r, dir);
-    return nb ? ghost[static_cast<std::size_t>(*nb)] : nullptr;
-  };
-  for (int r = 0; r < nranks; ++r) {
-    const grid::TileExtent& e = dec_->extent(r);
-    const int np = direction == 0 ? e.nj : e.ni;
-    auto rctx = std::make_shared<ExecContext>(ctx.fork());
-    task_graph::Session::Task* b = nullptr;
-    if (np > 2) {
-      b = ses->create([pencils, r, np] { pencils(r, 1, np - 1); });
-      ses->add_dep(b, ghost[static_cast<std::size_t>(r)]);
-      ses->add_dep(b, ghost_of(r, direction == 0 ? mpisim::Dir::West
-                                                 : mpisim::Dir::South));
-      ses->add_dep(b, ghost_of(r, direction == 0 ? mpisim::Dir::East
-                                                 : mpisim::Dir::North));
-    }
-    auto* d = ses->create([pencils, finish, rctx, r, np] {
-      pencils(r, 0, 1);
-      if (np > 1) pencils(r, np - 1, np);
-      finish(*rctx, r);
-    });
-    if (b != nullptr) {
-      ses->add_dep(d, b);
-    } else {
-      ses->add_dep(d, ghost[static_cast<std::size_t>(r)]);
-      ses->add_dep(d, ghost_of(r, direction == 0 ? mpisim::Dir::West
-                                                 : mpisim::Dir::South));
-      ses->add_dep(d, ghost_of(r, direction == 0 ? mpisim::Dir::East
-                                                 : mpisim::Dir::North));
-    }
-    ses->add_dep(d, ghost_of(r, direction == 0 ? mpisim::Dir::South
-                                               : mpisim::Dir::West));
-    ses->add_dep(d, ghost_of(r, direction == 0 ? mpisim::Dir::North
-                                               : mpisim::Dir::East));
-    if (b != nullptr) ses->submit(b);
-    ses->submit(d);
-  }
-  for (int r = 0; r < nranks; ++r)
-    ses->submit(ghost[static_cast<std::size_t>(r)]);
-  // The overlap is within one directional sweep: drain before returning
-  // so the next sweep (and the caller) sees a fully updated field.
-  ses->sync();
+  });
 }
 
 void HydroSolver::step(ExecContext& ctx, HydroState& state, double dt) {
   V2D_REQUIRE(dt > 0.0, "time step must be positive");
-  // Keep the pool's workers resident across both directional sweeps under
-  // --host-sched graph: each sweep's ghost fill and zone update run as
-  // scheduler stages without re-waking the pool per kernel.  The sweeps
-  // themselves stay ordered (x2 reads x1's output through the exchange
-  // join), so this is a residency win, not a reordering.
-  task_graph::GraphRegion graph(ctx.sched == linalg::HostSched::Graph);
   sweep(ctx, state, dt, 0);
   sweep(ctx, state, dt, 1);
 }

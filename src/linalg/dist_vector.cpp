@@ -35,28 +35,20 @@ std::uint64_t DistVector::working_set(int rank, int arrays) const {
          static_cast<std::uint64_t>(e.ni) * e.nj * sizeof(double);
 }
 
-/// Elementwise rank loops chain under --host-sched graph: the per-rank
-/// tasks of consecutive vector ops run back-to-back on one lane without a
-/// global barrier (see par_ranks_chain).  Deferred tasks own their state:
-/// `op` and `region` are captured by value, and the row lambdas below
-/// capture pointers/scalars explicitly — never stack references.
 template <typename RowOp>
 void DistVector::for_each_row(ExecContext& ctx, KernelFamily family,
                               const std::string& region, int arrays,
                               RowOp&& op) {
-  par_ranks_chain(
-      ctx, field_,
-      [this, family, region, arrays,
-       op = std::forward<RowOp>(op)](int r, ExecContext& rctx) {
-        const grid::TileExtent& e = field_.decomp().extent(r);
-        for (int s = 0; s < ns(); ++s) {
-          for (int lj = 0; lj < e.nj; ++lj) {
-            op(rctx, r, s, lj, static_cast<std::size_t>(e.ni));
-          }
-        }
-        const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns();
-        rctx.commit(r, family, region, elements, working_set(r, arrays));
-      });
+  par_ranks(ctx, field_, [&](int r, ExecContext& rctx) {
+    const grid::TileExtent& e = field_.decomp().extent(r);
+    for (int s = 0; s < ns(); ++s) {
+      for (int lj = 0; lj < e.nj; ++lj) {
+        op(rctx, r, s, lj, static_cast<std::size_t>(e.ni));
+      }
+    }
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns();
+    rctx.commit(r, family, region, elements, working_set(r, arrays));
+  });
 }
 
 void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
@@ -274,12 +266,7 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   std::vector<std::vector<DdAccumulator>> partial(
       static_cast<std::size_t>(nranks),
       std::vector<DdAccumulator>(pairs.size()));
-  // Per-rank partial body, shared by the barrier and pipelined paths.
-  // Every capture outlives the pipelined tasks: wait(combine) below
-  // returns only after all partial tasks (the combine's predecessors)
-  // have executed, so the caller's frame is still live.
-  auto partial_body = [&partial, &first, pairs, fast](int r,
-                                                      ExecContext& rctx) {
+  par_ranks(ctx, first, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = first.field().decomp().extent(r);
     auto& acc = partial[static_cast<std::size_t>(r)];
     for (std::size_t k = 0; k < pairs.size(); ++k) {
@@ -310,40 +297,16 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
                           first.ns() * pairs.size();
     rctx.commit(r, KernelFamily::Dprod, "dprod", elements,
                 first.working_set(r, 2 * static_cast<int>(pairs.size())));
-  };
-  // Rank-ordered compensated merge — identical arithmetic on both paths.
-  std::vector<double> out(pairs.size());
-  auto merge = [&partial, &out, pairs, nranks] {
-    std::vector<DdAccumulator> totals(pairs.size());
-    for (int r = 0; r < nranks; ++r)
-      for (std::size_t k = 0; k < pairs.size(); ++k)
-        totals[k].add(partial[static_cast<std::size_t>(r)][k]);
-    for (std::size_t k = 0; k < pairs.size(); ++k) out[k] = totals[k].value();
-  };
-  task_graph::Session* ses = task_graph::current();
-  if (ses != nullptr && !task_graph::in_task()) {
-    // Pipelined reduction: rank r's partial task chains behind rank r's
-    // previous stage only — no join-all stalling every lane before the
-    // dot.  The single combine task merges the partials in rank order;
-    // only this frame (the scalar's true consumer) waits on it, and the
-    // chain state survives so the caller's next per-rank stages submit
-    // behind the partial tasks.  Waiting on the combine also guarantees
-    // every rank's Dprod commit above is priced before the allreduce, so
-    // the collective stream matches the barrier path exactly.
-    linalg::ExecContext* ctxp = &ctx;
-    ses->chain_stage(chain_domain(first), nranks,
-                     [ctxp, partial_body](int r) {
-                       ExecContext rctx = ctxp->fork();
-                       partial_body(r, rctx);
-                     });
-    ses->wait(ses->chain_combine(chain_domain(first), merge));
-    ctx.allreduce_nosync(pairs.size() * sizeof(double));
-    return out;
-  }
-  par_ranks(ctx, first, partial_body);
+  });
   // One ganged allreduce for all inner products in the gang.
   ctx.allreduce(pairs.size() * sizeof(double));
-  merge();
+  // Rank-ordered compensated merge.
+  std::vector<DdAccumulator> totals(pairs.size());
+  for (int r = 0; r < nranks; ++r)
+    for (std::size_t k = 0; k < pairs.size(); ++k)
+      totals[k].add(partial[static_cast<std::size_t>(r)][k]);
+  std::vector<double> out(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) out[k] = totals[k].value();
   return out;
 }
 

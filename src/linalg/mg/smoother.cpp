@@ -10,25 +10,16 @@ using compiler::KernelFamily;
 namespace {
 
 /// x ← x + ω·dinv ⊙ r   (the weighted-Jacobi correction, fused).
-/// Elementwise over own-tile data only, so under --host-sched graph the
-/// per-rank tasks chain behind the previous stage on the level's chain
-/// domain instead of forking a barrier (captures are by value: chained
-/// tasks are deferred).
 void diag_correct(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
                   DistVector& x, double omega) {
   const auto& dec = x.field().decomp();
-  const grid::Decomposition* decp = &dec;
-  grid::DistField* dp = &dinv;
-  DistVector* rp = &r;
-  DistVector* xp = &x;
-  par_ranks_chain(ctx, dec,
-                  [decp, dp, rp, xp, omega](int rank, ExecContext& rctx) {
-    const grid::TileExtent& e = decp->extent(rank);
+  par_ranks(ctx, dec, [&](int rank, ExecContext& rctx) {
+    const grid::TileExtent& e = dec.extent(rank);
     const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < xp->ns(); ++s) {
-      grid::TileView dv = dp->view(rank, s);
-      grid::TileView rv = rp->field().view(rank, s);
-      grid::TileView xv = xp->field().view(rank, s);
+    for (int s = 0; s < x.ns(); ++s) {
+      grid::TileView dv = dinv.view(rank, s);
+      grid::TileView rv = r.field().view(rank, s);
+      grid::TileView xv = x.field().view(rank, s);
       for (int lj = 0; lj < e.nj; ++lj) {
         diag_correct_row(rctx.vctx, omega,
                          std::span<const double>(dv.row(lj), n),
@@ -36,29 +27,23 @@ void diag_correct(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
                          std::span<double>(xv.row(lj), n));
       }
     }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * xp->ns();
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * x.ns();
     rctx.commit(rank, KernelFamily::Precond, "mg-smooth", elements,
-                xp->working_set(rank, 3));
+                x.working_set(rank, 3));
   });
 }
 
-/// z ← ω·dinv ⊙ r   (scaled diagonal application); chained like
-/// diag_correct.
+/// z ← ω·dinv ⊙ r   (scaled diagonal application).
 void diag_scale(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
                 DistVector& z, double omega) {
   const auto& dec = z.field().decomp();
-  const grid::Decomposition* decp = &dec;
-  grid::DistField* dp = &dinv;
-  DistVector* rp = &r;
-  DistVector* zp = &z;
-  par_ranks_chain(ctx, dec,
-                  [decp, dp, rp, zp, omega](int rank, ExecContext& rctx) {
-    const grid::TileExtent& e = decp->extent(rank);
+  par_ranks(ctx, dec, [&](int rank, ExecContext& rctx) {
+    const grid::TileExtent& e = dec.extent(rank);
     const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < zp->ns(); ++s) {
-      grid::TileView dv = dp->view(rank, s);
-      grid::TileView rv = rp->field().view(rank, s);
-      grid::TileView zv = zp->field().view(rank, s);
+    for (int s = 0; s < z.ns(); ++s) {
+      grid::TileView dv = dinv.view(rank, s);
+      grid::TileView rv = r.field().view(rank, s);
+      grid::TileView zv = z.field().view(rank, s);
       for (int lj = 0; lj < e.nj; ++lj) {
         diag_scale_row(rctx.vctx, omega,
                        std::span<const double>(dv.row(lj), n),
@@ -66,9 +51,9 @@ void diag_scale(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
                        std::span<double>(zv.row(lj), n));
       }
     }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * zp->ns();
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * z.ns();
     rctx.commit(rank, KernelFamily::Precond, "mg-smooth", elements,
-                zp->working_set(rank, 3));
+                z.working_set(rank, 3));
   });
 }
 

@@ -6,68 +6,10 @@
 #include "linalg/kernels.hpp"
 #include "support/dd.hpp"
 #include "support/error.hpp"
-#include "support/task_graph.hpp"
 
 namespace v2d::linalg {
 
 using compiler::KernelFamily;
-
-namespace {
-
-/// Graph-mode stencil application: per rank, a four-task subgraph that
-/// overlaps halo packing with interior compute —
-///
-///   A_r: W/E ghost-column copies + x1 boundary conditions
-///   C_r: S/N ghost-row copies + x2 boundary conditions   (after A_r: the
-///        x2 BC pass sources domain-edge corners from the x1 ghosts)
-///   B_r: interior stencil rows 1..nj-2                   (after A_r: rows
-///        read the W/E ghost columns, but not the S/N ghost rows)
-///   D_r: boundary rows 0 and nj-1 + the rank's commit    (after B_r, C_r)
-///
-/// so a rank's interior compute starts as soon as its own ghost columns
-/// land, while other ranks are still packing.  B_r and D_r share one
-/// fork()ed per-rank context (D_r runs strictly after B_r), keeping the
-/// recording/commit stream identical to the single-task sweep.  The
-/// subgraph drains before returning: overlap is within the operator
-/// application, so callers never see a half-applied product.
-template <typename Rows, typename Finish>
-void build_overlap_graph(ExecContext& ctx, task_graph::Session& ses,
-                         const grid::Decomposition& dec, grid::DistField& xf,
-                         Rows rows, Finish finish) {
-  grid::DistField* xfp = &xf;
-  for (int r = 0; r < dec.nranks(); ++r) {
-    const int nj = dec.extent(r).nj;
-    auto rctx = std::make_shared<ExecContext>(ctx.fork());
-    auto* a = ses.create([xfp, r] {
-      xfp->copy_halo(r, /*x1_dirs=*/true);
-      xfp->apply_bc_dir(grid::BcKind::Dirichlet0, r, /*x1_dirs=*/true);
-    });
-    auto* c = ses.create([xfp, r] {
-      xfp->copy_halo(r, /*x1_dirs=*/false);
-      xfp->apply_bc_dir(grid::BcKind::Dirichlet0, r, /*x1_dirs=*/false);
-    });
-    ses.add_dep(c, a);
-    task_graph::Session::Task* b = nullptr;
-    if (nj > 2) {
-      b = ses.create([rows, rctx, r, nj] { rows(*rctx, r, 1, nj - 1); });
-      ses.add_dep(b, a);
-    }
-    auto* d = ses.create([rows, finish, rctx, r, nj] {
-      rows(*rctx, r, 0, 1);
-      if (nj > 1) rows(*rctx, r, nj - 1, nj);
-      finish(*rctx, r);
-    });
-    ses.add_dep(d, c);
-    ses.add_dep(d, b != nullptr ? b : a);
-    ses.submit(a);
-    ses.submit(c);
-    if (b != nullptr) ses.submit(b);
-    ses.submit(d);
-  }
-  ses.sync();
-}
-
-}  // namespace
 
 StencilOperator::StencilOperator(const grid::Grid2D& g,
                                  const grid::Decomposition& d, int ns)
@@ -127,19 +69,9 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
 
   // The halo exchange is part of the matrix-free product.
   grid::DistField& xf = x.field();
-  task_graph::Session* ses = task_graph::current();
-  const bool overlap = ses != nullptr && !task_graph::in_task();
-  if (overlap) {
-    // Graph mode: price the exchange up front — the Transfer list is
-    // analytically identical to the one the copies below imply, and the
-    // collective is a join node that drains any chained predecessors.  The
-    // strip copies themselves become per-rank overlap tasks.
-    ctx.exchange(xf.ghost_transfer_plan());
-  } else {
-    const auto transfers = xf.exchange_ghosts();
-    xf.apply_bc(grid::BcKind::Dirichlet0);  // BCs are folded into coefficients
-    ctx.exchange(transfers);
-  }
+  const auto transfers = xf.exchange_ghosts();
+  xf.apply_bc(grid::BcKind::Dirichlet0);  // BCs are folded into coefficients
+  ctx.exchange(transfers);
   if (ctx.dag != nullptr) {
     const auto gn = static_cast<std::uint64_t>(x.global_size());
     ctx.dag->op("matvec", gn, {&x, this}, {&y});
@@ -147,24 +79,18 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
   }
 
   auto* self = const_cast<StencilOperator*>(this);
-  grid::DistField* xfp = &xf;
-  DistVector* yp = &y;
-  // Stencil rows [lo, hi) of rank r.  Per-zone results depend only on x,
-  // the ghosts and the coefficients — never on row grouping — and the VLA
-  // recording is a commutative sum, so any split over rows commits the
-  // same values and the same counts as the single full sweep.
-  auto rows = [self, xfp, yp](ExecContext& rctx, int r, int lo, int hi) {
-    const grid::TileExtent& e = self->dec_->extent(r);
+  par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
+    const grid::TileExtent& e = dec_->extent(r);
     const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < self->ns_; ++s) {
-      grid::TileView xv = xfp->view(r, s);
-      grid::TileView yv = yp->field().view(r, s);
+    for (int s = 0; s < ns_; ++s) {
+      grid::TileView xv = xf.view(r, s);
+      grid::TileView yv = y.field().view(r, s);
       grid::TileView vcc = self->cc_.view(r, s);
       grid::TileView vcw = self->cw_.view(r, s);
       grid::TileView vce = self->ce_.view(r, s);
       grid::TileView vcs = self->cs_.view(r, s);
       grid::TileView vcn = self->cn_.view(r, s);
-      for (int lj = lo; lj < hi; ++lj) {
+      for (int lj = 0; lj < e.nj; ++lj) {
         stencil_row(rctx.vctx, std::span<const double>(vcc.row(lj), n),
                     std::span<const double>(vcw.row(lj), n),
                     std::span<const double>(vce.row(lj), n),
@@ -173,42 +99,31 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
                     xv.row(lj - 1), xv.row(lj + 1),
                     std::span<double>(yv.row(lj), n));
       }
-      if (self->csp_) {
+      if (csp_) {
         grid::TileView vsp = self->csp_->view(r, s);
-        grid::TileView xo = xfp->view(r, 1 - s);
-        for (int lj = lo; lj < hi; ++lj) {
+        grid::TileView xo = xf.view(r, 1 - s);
+        for (int lj = 0; lj < e.nj; ++lj) {
           coupling_row(rctx.vctx, std::span<const double>(vsp.row(lj), n),
                        xo.row(lj), std::span<double>(yv.row(lj), n));
         }
       }
     }
-  };
-  auto finish = [self, yp, family, region](ExecContext& rctx, int r) {
-    const grid::TileExtent& e = self->dec_->extent(r);
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * self->ns_;
-    if (self->eval_doubles_read_ > 0 || self->eval_flops_ > 0) {
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
+    if (eval_doubles_read_ > 0 || eval_flops_ > 0) {
       // On-the-fly coefficient evaluation: mostly state/table reads plus
       // a little arithmetic, per element (see kMatvecEval* docs).
-      rctx.vctx.record_external(
-          sim::OpClass::LoadContig, elements * self->eval_doubles_read_,
-          elements * self->eval_doubles_read_ * sizeof(double), 0);
+      rctx.vctx.record_external(sim::OpClass::LoadContig,
+                                elements * eval_doubles_read_,
+                                elements * eval_doubles_read_ * sizeof(double),
+                                0);
       rctx.vctx.record_external(sim::OpClass::FlopFma,
-                                elements * self->eval_flops_ / 2, 0, 0);
+                                elements * eval_flops_ / 2, 0, 0);
     }
     // Working set: x (with ghosts), y, five coefficient arrays (+coupling).
     // The on-the-fly evaluation's table/state reads revisit the same zones
     // every sweep, so they add traffic (bytes_moved) but not footprint.
-    const int arrays = 7 + (self->csp_ ? 1 : 0);
-    rctx.commit(r, family, region, elements, yp->working_set(r, arrays));
-  };
-
-  if (overlap) {
-    build_overlap_graph(ctx, *ses, *dec_, xf, rows, finish);
-    return;
-  }
-  par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
-    rows(rctx, r, 0, dec_->extent(r).nj);
-    finish(rctx, r);
+    const int arrays = 7 + (csp_ ? 1 : 0);
+    rctx.commit(r, family, region, elements, y.working_set(r, arrays));
   });
 }
 
@@ -300,15 +215,9 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
   V2D_REQUIRE(x.ns() == ns_ && b.ns() == ns_ && r.ns() == ns_,
               "species count mismatch");
   grid::DistField& xf = x.field();
-  task_graph::Session* ses = task_graph::current();
-  const bool overlap = ses != nullptr && !task_graph::in_task();
-  if (overlap) {
-    ctx.exchange(xf.ghost_transfer_plan());
-  } else {
-    const auto transfers = xf.exchange_ghosts();
-    xf.apply_bc(grid::BcKind::Dirichlet0);
-    ctx.exchange(transfers);
-  }
+  const auto transfers = xf.exchange_ghosts();
+  xf.apply_bc(grid::BcKind::Dirichlet0);
+  ctx.exchange(transfers);
   if (ctx.dag != nullptr) {
     const auto gn = static_cast<std::uint64_t>(x.global_size());
     ctx.dag->op("matvec", gn, {&x, this}, {&r});
@@ -316,28 +225,25 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
   }
 
   auto* self = const_cast<StencilOperator*>(this);
-  grid::DistField* xfp = &xf;
-  grid::DistField* bfp = &const_cast<DistVector&>(b).field();
-  DistVector* rp = &r;
-  auto rows = [self, xfp, bfp, rp](ExecContext& rctx, int rank, int lo,
-                                   int hi) {
-    const grid::TileExtent& e = self->dec_->extent(rank);
+  grid::DistField& bf = const_cast<DistVector&>(b).field();
+  par_ranks(ctx, *dec_, [&](int rank, ExecContext& rctx) {
+    const grid::TileExtent& e = dec_->extent(rank);
     const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < self->ns_; ++s) {
-      grid::TileView xv = xfp->view(rank, s);
-      grid::TileView bv = bfp->view(rank, s);
-      grid::TileView rv = rp->field().view(rank, s);
+    for (int s = 0; s < ns_; ++s) {
+      grid::TileView xv = xf.view(rank, s);
+      grid::TileView bv = bf.view(rank, s);
+      grid::TileView rv = r.field().view(rank, s);
       grid::TileView vcc = self->cc_.view(rank, s);
       grid::TileView vcw = self->cw_.view(rank, s);
       grid::TileView vce = self->ce_.view(rank, s);
       grid::TileView vcs = self->cs_.view(rank, s);
       grid::TileView vcn = self->cn_.view(rank, s);
-      for (int lj = lo; lj < hi; ++lj) {
+      for (int lj = 0; lj < e.nj; ++lj) {
         const double* csp_row = nullptr;
         const double* xo_row = nullptr;
-        if (self->csp_) {
+        if (csp_) {
           csp_row = self->csp_->view(rank, s).row(lj);
-          xo_row = xfp->view(rank, 1 - s).row(lj);
+          xo_row = xf.view(rank, 1 - s).row(lj);
         }
         stencil_row_fused(rctx.vctx, std::span<const double>(vcc.row(lj), n),
                           std::span<const double>(vcw.row(lj), n),
@@ -349,32 +255,20 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
                           /*dot=*/nullptr, std::span<double>(rv.row(lj), n));
       }
     }
-  };
-  auto finish = [self, rp, family, region](ExecContext& rctx, int rank) {
-    const grid::TileExtent& e = self->dec_->extent(rank);
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * self->ns_;
-    if (self->eval_doubles_read_ > 0 || self->eval_flops_ > 0) {
-      rctx.vctx.record_external(
-          sim::OpClass::LoadContig, elements * self->eval_doubles_read_,
-          elements * self->eval_doubles_read_ * sizeof(double), 0);
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
+    if (eval_doubles_read_ > 0 || eval_flops_ > 0) {
+      rctx.vctx.record_external(sim::OpClass::LoadContig,
+                                elements * eval_doubles_read_,
+                                elements * eval_doubles_read_ * sizeof(double),
+                                0);
       rctx.vctx.record_external(sim::OpClass::FlopFma,
-                                elements * self->eval_flops_ / 2, 0, 0);
+                                elements * eval_flops_ / 2, 0, 0);
     }
     // Working set: x (with ghosts), b, r, five coefficient arrays
     // (+coupling) — one array more than the plain product, two passes
     // fewer than the unfused apply + assign_sub.
-    const int arrays = 8 + (self->csp_ ? 1 : 0);
-    rctx.commit(rank, family, region, elements,
-                rp->working_set(rank, arrays));
-  };
-
-  if (overlap) {
-    build_overlap_graph(ctx, *ses, *dec_, xf, rows, finish);
-    return;
-  }
-  par_ranks(ctx, *dec_, [&](int rank, ExecContext& rctx) {
-    rows(rctx, rank, 0, dec_->extent(rank).nj);
-    finish(rctx, rank);
+    const int arrays = 8 + (csp_ ? 1 : 0);
+    rctx.commit(rank, family, region, elements, r.working_set(rank, arrays));
   });
 }
 

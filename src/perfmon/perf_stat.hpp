@@ -57,31 +57,4 @@ struct MemoCacheStats {
 /// One-line report: "memo cache: 12,345 hits, 17 misses (99.9% hit rate)".
 std::string format_memo_cache(const MemoCacheStats& s);
 
-/// Host task-graph scheduler counters (--host-sched graph), shaped like
-/// task_graph::SchedStats.  Templated so perfmon needs no dependency on
-/// the support layer; snapshot with `of(task_graph::stats())`.
-struct HostSchedStats {
-  std::uint64_t sessions = 0;
-  std::uint64_t tasks = 0;
-  std::uint64_t chained_tasks = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t syncs = 0;
-  std::uint64_t affinity_hits = 0;
-  std::uint64_t combines = 0;
-  double overlap = 0.0;   ///< chained_tasks / tasks
-  double affinity = 0.0;  ///< affinity_hits / chained_tasks
-
-  template <typename Stats>
-  static HostSchedStats of(const Stats& s) {
-    return {s.sessions,       s.tasks,    s.chained_tasks,
-            s.steals,         s.syncs,    s.affinity_hits,
-            s.combines,       s.overlap_ratio(),
-            s.affinity_ratio()};
-  }
-};
-
-/// One-line report: "host sched: 12 sessions, 3,456 tasks (78.2% chained,
-/// 94.1% home-lane), 123 steals, 45 combines, 89 joins".
-std::string format_host_sched(const HostSchedStats& s);
-
 }  // namespace v2d::perfmon

@@ -66,42 +66,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::shared_ptr<ThreadPool::Job> ThreadPool::post(
-    int n, const std::function<void(int)>& fn) {
-  if (n <= 0 || workers_.empty()) return nullptr;
-  auto job = std::make_shared<Job>();
-  job->fn = fn;
-  job->n = n;
-  job->remaining.store(n, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = job;
-  }
-  wake_cv_.notify_all();
-  // Wait (workers are idle, so briefly) until every index has been
-  // claimed: once job_ can be replaced by a later run()/post(), an
-  // unclaimed index would never execute and wait() would hang.
-  while (job->next.load(std::memory_order_acquire) < n)
-    std::this_thread::yield();
-  std::lock_guard<std::mutex> lk(mu_);
-  if (job_ == job) job_.reset();
-  return job;
-}
-
-void ThreadPool::wait(const std::shared_ptr<Job>& job) {
-  if (!job) return;
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [&] {
-    return job->remaining.load(std::memory_order_acquire) == 0;
-  });
-  if (job->error) {
-    std::exception_ptr e = job->error;
-    job->error = nullptr;
-    lk.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
 void ThreadPool::run(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
   if (workers_.empty() || n == 1 || t_in_pool_task) {
@@ -155,15 +119,5 @@ void set_host_threads(int threads) {
 }
 
 int host_threads() { return host_pool()->size(); }
-
-bool in_pool_task() { return t_in_pool_task; }
-
-namespace detail {
-
-thread_local void* t_graph_session = nullptr;
-thread_local bool t_in_graph_task = false;
-void (*g_session_run)(void*, int, const std::function<void(int)>&) = nullptr;
-
-}  // namespace detail
 
 }  // namespace v2d

@@ -38,6 +38,7 @@ public:
   /// inside a pool task execute inline (no nested parallelism).
   void run(int n, const std::function<void(int)>& fn);
 
+private:
   /// One parallel region.  Workers hold a shared_ptr to the job they are
   /// draining, so a late worker can never touch a caller's stack after
   /// run() returned or mistake a fresh job's indices for an old job's.
@@ -49,20 +50,6 @@ public:
     std::exception_ptr error;  ///< first failure; guarded by mu_
   };
 
-  /// Hand fn(0) .. fn(n-1) to the *workers only* — the caller does not
-  /// participate and does not wait for completion.  Used by the task-graph
-  /// layer to turn the pool's workers into resident scheduler lanes for
-  /// the duration of a session (each index is one long-running lane loop).
-  /// Blocks only until every index has been claimed by a worker, so a
-  /// later run()/post() replacing the job slot can never orphan an
-  /// unclaimed index.  Returns null when the pool has no workers; pass the
-  /// handle to wait() to join.
-  std::shared_ptr<Job> post(int n, const std::function<void(int)>& fn);
-
-  /// Block until every index of a post()ed job has finished.
-  void wait(const std::shared_ptr<Job>& job);
-
-private:
   void worker_loop();
   void execute(Job& job);
 
@@ -90,42 +77,10 @@ void set_host_threads(int threads);
 /// Current lane count of the global pool.
 int host_threads();
 
-/// True while the current thread is draining a pool job (including the
-/// resident scheduler lanes a task-graph session posts).
-bool in_pool_task();
-
-namespace detail {
-/// Task-graph session hook (set by support/task_graph.cpp).  When the
-/// driving thread has an open session, parallel_for routes through the
-/// session's resident workers instead of fork/joining the pool: the
-/// session first drains any chained tasks (so a barrier loop observes all
-/// of its inputs) and then runs the loop as one synchronous stage.  The
-/// hook keeps this header free of a task_graph dependency.
-extern thread_local void* t_graph_session;  ///< driving thread's Session
-extern thread_local bool t_in_graph_task;   ///< inside a session task body
-extern void (*g_session_run)(void* session, int n,
-                             const std::function<void(int)>& fn);
-}  // namespace detail
-
 /// parallel_for over the global pool, with a serial fast path when the
-/// pool has a single lane or there is at most one index.  Under an open
-/// task-graph session (--host-sched graph) the loop becomes a synchronous
-/// stage on the session's resident workers instead of a pool fork/join.
+/// pool has a single lane or there is at most one index.
 template <typename Fn>
 void parallel_for(int n, Fn&& fn) {
-  if (detail::t_graph_session != nullptr) {
-    if (detail::t_in_graph_task) {
-      // Nested loop inside a session task: the lanes are busy running the
-      // outer stage, so inline is both safe and the fastest option.
-      for (int i = 0; i < n; ++i) fn(i);
-      return;
-    }
-    // Route every size through the session (even n <= 1): the session must
-    // drain chained predecessor tasks before the body reads their output.
-    detail::g_session_run(detail::t_graph_session, n,
-                          std::function<void(int)>(std::forward<Fn>(fn)));
-    return;
-  }
   const std::shared_ptr<ThreadPool> pool = host_pool();  // pins the pool
   if (n <= 1 || pool->size() <= 1) {
     for (int i = 0; i < n; ++i) fn(i);

@@ -5,11 +5,9 @@
 /// Ranks own disjoint tiles and disjoint clock/ledger slots, so executing
 /// them concurrently must change *nothing* observable: fields, per-rank
 /// ledgers and simulated clocks are compared exactly (==, not near)
-/// between --host-threads 1 and 4+ runs, in both VLA exec modes.  The
-/// same contract covers --host-sched: the dependency-scheduled graph
-/// executor (HostSchedTest) must match the barrier pool and the serial
-/// path bit-for-bit across vla-exec backends, fuse modes, a hydro
-/// scenario and a mixed farm.
+/// between --host-threads 1 and 4+ runs, in both VLA exec modes.
+/// HostThreadsTest extends the contract across fuse modes, unganged dots,
+/// the multigrid V-cycle, a hydro scenario and a mixed farm.
 
 #include <gtest/gtest.h>
 
@@ -186,126 +184,81 @@ TEST(RankParallelTest, MemoProbeTotalsInvariantUnderThreadCount) {
   set_host_threads(0);
 }
 
-// --- host scheduler (--host-sched graph) --------------------------------------
+// --- every rank-parallel path, 1 vs 4 host threads ----------------------------
 
-/// The graph scheduler's acceptance criterion: dependency-scheduled
-/// execution with halo/compute overlap matches both the barrier pool and
-/// the serial path bit-for-bit, in both VLA exec backends.
-TEST(HostSchedTest, GraphBitIdenticalToBarrierAndSerial) {
-  for (const char* mode : {"native", "interpret"}) {
-    const std::string vla_exec(mode);
-    const int steps = vla_exec == "native" ? 2 : 1;
-    const SimCapture ref = run_config(pulse_config(1, vla_exec, steps));
-
-    core::RunConfig graph1 = pulse_config(1, vla_exec, steps);
-    graph1.host_sched = "graph";
-    testutil::expect_captures_identical(ref, run_config(graph1),
-                                        vla_exec + "+graph@1");
-
-    core::RunConfig graph4 = pulse_config(4, vla_exec, steps);
-    graph4.host_sched = "graph";
-    testutil::expect_captures_identical(ref, run_config(graph4),
-                                        vla_exec + "+graph@4");
-  }
+/// The 2x2-rank pulse the HostThreadsTest pins below start from.
+core::RunConfig small_pulse_config(const std::string& vla_exec, int steps) {
+  core::RunConfig cfg = pulse_config(1, vla_exec, steps);
+  cfg.nx1 = 48;
+  cfg.nx2 = 24;
+  cfg.nprx1 = 2;
+  cfg.nprx2 = 2;
+  return cfg;
 }
 
-/// Fused kernels reshape the per-iteration task graph (fewer, bigger
-/// nodes; planner groups under --fuse plan): every fuse mode must stay
-/// bit-identical between schedulers.
-TEST(HostSchedTest, FuseModesBitIdenticalUnderGraph) {
+/// `cfg` at 1 host thread and at 4 must capture identically.
+void expect_thread_count_invariant(const core::RunConfig& cfg,
+                                   const std::string& label) {
+  core::RunConfig serial = cfg;
+  serial.host_threads = 1;
+  core::RunConfig par = cfg;
+  par.host_threads = 4;
+  testutil::expect_captures_identical(run_config(serial), run_config(par),
+                                      label + "@4");
+}
+
+/// Fused kernels (hand-written under --fuse on, planner groups under
+/// --fuse plan) run their own rank loops: every fuse mode must stay
+/// bit-identical across host-thread counts.
+TEST(HostThreadsTest, FuseModesBitIdenticalAcrossHostThreads) {
   for (const char* fuse : {"off", "on", "plan"}) {
-    core::RunConfig barrier = pulse_config(1, "native", 2);
-    barrier.nx1 = 48;
-    barrier.nx2 = 24;
-    barrier.nprx1 = 2;
-    barrier.nprx2 = 2;
-    barrier.fuse = fuse;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
-    testutil::expect_captures_identical(
-        run_config(barrier), run_config(graph),
-        std::string("fuse=") + fuse + "+graph@4");
+    core::RunConfig cfg = small_pulse_config("native", 2);
+    cfg.fuse = fuse;
+    expect_thread_count_invariant(cfg, std::string("fuse=") + fuse);
   }
 }
 
-/// Wave 2 pipelines reductions past the dot joins: per-rank partial
-/// tasks feed one rank-ordered compensated combine, and only the
-/// scalar's consumer waits on it.  Classic (unganged) BiCGSTAB dots take
-/// the same path as the ganged reductions and must stay bit-identical —
-/// fields, per-profile clocks and full ledgers — in both VLA backends.
-TEST(HostSchedTest, ClassicDotsBitIdenticalUnderGraph) {
+/// Classic (unganged) BiCGSTAB issues one dot per reduction; each must
+/// merge its per-rank partials in rank order in both VLA backends.
+TEST(HostThreadsTest, ClassicDotsBitIdenticalAcrossHostThreads) {
   for (const char* mode : {"native", "interpret"}) {
     const std::string vla_exec(mode);
-    core::RunConfig barrier = pulse_config(1, vla_exec, 1);
-    barrier.nx1 = 48;
-    barrier.nx2 = 24;
-    barrier.nprx1 = 2;
-    barrier.nprx2 = 2;
-    barrier.ganged = false;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
-    testutil::expect_captures_identical(run_config(barrier), run_config(graph),
-                                        vla_exec + "+classic+graph@4");
+    core::RunConfig cfg = small_pulse_config(vla_exec, 1);
+    cfg.ganged = false;
+    expect_thread_count_invariant(cfg, vla_exec + "+classic");
   }
 }
 
-/// MgPrecond::apply opens its own GraphRegion; inside the Krylov
-/// solver's region it must join the outer session (region inside region)
-/// rather than deadlock or double-install the scheduler hook.  The
-/// V-cycle also exercises the overlapped corner-filling transfers and
-/// the chained smoother stages.
-TEST(HostSchedTest, MgPrecondRegionNestingBitIdenticalUnderGraph) {
+/// The V-cycle's smoother stages and corner-filling transfers are rank
+/// loops of their own.
+TEST(HostThreadsTest, MgPrecondBitIdenticalAcrossHostThreads) {
   for (const char* fuse : {"off", "on"}) {
-    core::RunConfig barrier = pulse_config(1, "native", 2);
-    barrier.preconditioner = "mg";
-    barrier.fuse = fuse;
-    core::RunConfig graph = barrier;
-    graph.host_threads = 4;
-    graph.host_sched = "graph";
-    testutil::expect_captures_identical(
-        run_config(barrier), run_config(graph),
-        std::string("mg+fuse=") + fuse + "+graph@4");
+    core::RunConfig cfg = pulse_config(1, "native", 2);
+    cfg.preconditioner = "mg";
+    cfg.fuse = fuse;
+    expect_thread_count_invariant(cfg, std::string("mg+fuse=") + fuse);
   }
 }
 
-/// Hydro sweeps pipeline through the session (the x1 sweep's exchange is
-/// the join the x2 sweep chains after); the coupled radhydro scenario
-/// pins field, clock and ledger identity for that path.
-TEST(HostSchedTest, HydroScenarioBitIdenticalUnderGraph) {
-  core::RunConfig barrier;
-  barrier.problem = "sedov-radhydro";
-  barrier.nx1 = 32;
-  barrier.nx2 = 32;
-  barrier.steps = 2;
-  barrier.nprx1 = 2;
-  barrier.nprx2 = 2;
-  barrier.host_threads = 1;
-  core::RunConfig graph = barrier;
-  graph.host_threads = 4;
-  graph.host_sched = "graph";
-  testutil::expect_captures_identical(run_config(barrier), run_config(graph),
-                                      "sedov+graph@4");
+/// Hydro sweeps update the field in place after a Neumann ghost fill;
+/// the coupled radhydro scenario pins field, clock and ledger identity
+/// for that path.
+TEST(HostThreadsTest, HydroScenarioBitIdenticalAcrossHostThreads) {
+  core::RunConfig cfg;
+  cfg.problem = "sedov-radhydro";
+  cfg.nx1 = 32;
+  cfg.nx2 = 32;
+  cfg.steps = 2;
+  cfg.nprx1 = 2;
+  cfg.nprx2 = 2;
+  expect_thread_count_invariant(cfg, "sedov");
 }
 
-/// A farm mixing graph- and barrier-scheduled jobs matches each job's
-/// solo run exactly.  Inside a farmed pool task GraphRegion keeps inline
-/// semantics, so this also pins that the scheduler knob never perturbs
-/// results regardless of where the job lands.
-TEST(HostSchedTest, MixedFarmBitIdenticalToSolo) {
+/// A farm mixing scenarios and fuse modes matches each job's solo run
+/// exactly, whichever pool lane a job lands on.
+TEST(HostThreadsTest, MixedFarmBitIdenticalToSolo) {
   std::vector<farm::FarmJob> jobs;
-
-  core::RunConfig pulse = pulse_config(1, "native", 2);
-  pulse.nx1 = 48;
-  pulse.nx2 = 24;
-  pulse.nprx1 = 2;
-  pulse.nprx2 = 2;
-  jobs.push_back({"pulse-barrier", pulse});
-
-  core::RunConfig pulse_graph = pulse;
-  pulse_graph.host_sched = "graph";
-  jobs.push_back({"pulse-graph", pulse_graph});
+  jobs.push_back({"pulse", small_pulse_config("native", 2)});
 
   core::RunConfig relax;
   relax.problem = "two-species-relax";
@@ -313,9 +266,8 @@ TEST(HostSchedTest, MixedFarmBitIdenticalToSolo) {
   relax.nx2 = 24;
   relax.steps = 2;
   relax.fuse = "on";
-  relax.host_sched = "graph";
   relax.host_threads = 1;
-  jobs.push_back({"relax-graph-fused", relax});
+  jobs.push_back({"relax-fused", relax});
 
   std::vector<SimCapture> solo;
   solo.reserve(jobs.size());
