@@ -58,8 +58,8 @@ void RunConfig::register_options(Options& opt) {
           "VLA execution backend: native (fast path) | interpret (reference)");
   opt.add("fuse", "off",
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
-          "| on (hand-written one-pass composites) | plan (planner-generated "
-          "fused groups; see src/linalg/fusion/)");
+          "| plan (planner-generated fused groups; see src/linalg/fusion/); "
+          "'on' is the retired spelling of plan");
   opt.add_flag("dump-fusion-plan",
                "print the built-in fusion plans and every captured "
                "solver-iteration kernel DAG after the run (host-only debug)");

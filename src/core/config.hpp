@@ -65,14 +65,14 @@ struct RunConfig {
   std::string vla_exec = "native";
   /// Fused-kernel execution: "off" (default) keeps the kernel-per-pass
   /// Table II sequence bit-identically — results, counts, ledgers and
-  /// clocks.  "on" routes solver hot loops through hand-written one-pass
-  /// composites (MATVEC+DPROD, DAXPY₂, precond+ganged-dot, fused
-  /// residual).  "plan" routes them through planner-generated fused
-  /// groups instead (src/linalg/fusion/) and records each solver
-  /// configuration's first-iteration kernel DAG; "on" is kept as the
-  /// differential oracle for "plan".  All three modes produce identical
-  /// numerics; on/plan move fewer bytes, so host time and simulated
-  /// cycles drop.
+  /// clocks.  "plan" runs the solver composites (MATVEC+DPROD, DAXPY₂,
+  /// precond+ganged-dot, fused residual, ...) as planner-generated fused
+  /// groups (src/linalg/fusion/) and records each solver configuration's
+  /// first-iteration kernel DAG.  Both modes produce identical numerics;
+  /// plan moves fewer bytes, so host time and simulated cycles drop.
+  /// "on", the retired spelling of "plan", is accepted and kept as typed
+  /// (checkpoints pin the spelling, so old "on" checkpoints resume under
+  /// "on").
   std::string fuse = "off";
   /// Print the built-in fusion plans and every captured kernel DAG after
   /// the run.  Host-only debug output — prices nothing, so not pinned in

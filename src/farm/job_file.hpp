@@ -17,7 +17,7 @@
 /// works per job, and an unknown option fails with the offending line
 /// number.
 ///
-/// `--fuse off|on|plan` is a per-job knob: jobs with different fuse modes
+/// `--fuse off|plan` is a per-job knob: jobs with different fuse modes
 /// can share one farm safely, because primitive and fused-group memo
 /// entries live in disjoint key spaces of the shared per-VL count cache
 /// (see vla::Context::memo_counts).

@@ -65,6 +65,7 @@ public:
     return {reinterpret_cast<const char*>(p.data()), n};
   }
   bool exhausted() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
 
 private:
   std::span<const std::uint8_t> take(std::size_t n) {
@@ -122,10 +123,14 @@ std::pair<std::string, Dataset> get_dataset(Reader& r) {
   const std::uint8_t t = r.u8();
   V2D_REQUIRE(t <= 1, "h5lite: bad dataset type");
   d.type = static_cast<Dataset::Type>(t);
+  // Every length is checked against the bytes that remain before it sizes
+  // an allocation, so an inflated field fails as a truncated stream.
   const std::uint32_t ndims = r.u32();
+  V2D_REQUIRE(ndims <= r.remaining() / 8, "truncated h5lite stream");
   d.dims.resize(ndims);
   for (auto& dim : d.dims) dim = r.u64();
   const std::uint64_t n = d.element_count();
+  V2D_REQUIRE(n <= r.remaining() / 8, "truncated h5lite stream");
   if (d.type == Dataset::Type::F64) {
     d.f64.resize(n);
     for (auto& v : d.f64) v = r.f64();
@@ -171,6 +176,18 @@ void get_group(Reader& r, Group& g) {
 }
 
 }  // namespace
+
+// --- Dataset -----------------------------------------------------------------
+
+std::uint64_t Dataset::element_count() const {
+  std::uint64_t n = 1;
+  for (const std::uint64_t d : dims) {
+    V2D_REQUIRE(d == 0 || n <= UINT64_MAX / d,
+                "h5lite: dataset element count overflows");
+    n *= d;
+  }
+  return n;
+}
 
 // --- Group -------------------------------------------------------------------
 

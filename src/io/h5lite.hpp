@@ -30,11 +30,8 @@ struct Dataset {
   std::vector<double> f64;
   std::vector<std::int64_t> i64;
 
-  std::uint64_t element_count() const {
-    std::uint64_t n = 1;
-    for (auto d : dims) n *= d;
-    return n;
-  }
+  /// Product of the dims; throws v2d::Error when it overflows 64 bits.
+  std::uint64_t element_count() const;
 };
 
 class Group {

@@ -44,12 +44,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
   // r0 = b − A·x0, r̂ = r0, p = r0.
-  if (ctx.fused()) {
-    A.apply_residual(ctx, x, b, r);
-  } else {
-    A.apply(ctx, x, r);
-    r.assign_sub(ctx, b, r);
-  }
+  A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
   p.copy_from(ctx, r);
 
@@ -76,13 +71,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     }
     // p̂ = M·p ; v = A·p̂ with r̂·v folded into the sweep when fused.
     M.apply(ctx, p, phat);
-    double rhat_v;
-    if (ctx.fused()) {
-      rhat_v = A.apply_dot(ctx, phat, v, &rhat);
-    } else {
-      A.apply(ctx, phat, v);
-      rhat_v = DistVector::dot(ctx, rhat, v);
-    }
+    const double rhat_v = A.apply_dot(ctx, phat, v, &rhat);
     ++stats.global_reductions;
     if (std::fabs(rhat_v) < kBreakdownEps) {
       stats.stop_reason = "rhat.v breakdown";
@@ -90,21 +79,10 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     }
     const double alpha = rho / rhat_v;
     // s = r − α·v (fused: the COPY disappears into the DAXPY).
-    if (ctx.fused()) {
-      s.assign_axpy(ctx, r, -alpha, v);
-    } else {
-      s.copy_from(ctx, r);
-      s.daxpy(ctx, -alpha, v);
-    }
+    s.assign_axpy(ctx, r, -alpha, v);
     // ŝ = M·s ; t = A·ŝ with t·s folded into the sweep when fused.
     M.apply(ctx, s, shat);
-    double ts;
-    if (ctx.fused()) {
-      ts = A.apply_dot(ctx, shat, t, &s);
-    } else {
-      A.apply(ctx, shat, t);
-      ts = DistVector::dot(ctx, t, s);
-    }
+    const double ts = A.apply_dot(ctx, shat, t, &s);
     ++stats.global_reductions;
     const double tt = DistVector::dot(ctx, t, t);
     ++stats.global_reductions;
@@ -122,12 +100,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     const double omega = ts / tt;
     // x += α·p̂ + ω·ŝ ;  r = s − ω·t.
     x.ddaxpy(ctx, alpha, phat, omega, shat);
-    if (ctx.fused()) {
-      r.assign_axpy(ctx, s, -omega, t);
-    } else {
-      r.copy_from(ctx, s);
-      r.daxpy(ctx, -omega, t);
-    }
+    r.assign_axpy(ctx, s, -omega, t);
     rnorm = DistVector::norm2(ctx, r);
     ++stats.global_reductions;
     stats.final_relative_residual = rnorm / bnorm;
@@ -145,12 +118,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
     // p = r + β·(p − ω·v), one pass when fused.
-    if (ctx.fused()) {
-      p.fused_p_update(ctx, r, beta, omega, v);
-    } else {
-      p.daxpy(ctx, -omega, v);
-      p.xpby(ctx, r, beta);
-    }
+    p.p_update(ctx, r, beta, omega, v);
   }
   if (!stats.stop_reason_set()) stats.stop_reason = "max iterations";
   return stats;
@@ -174,12 +142,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
                  dag_key("bicgstab-ganged", M.name(),
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
-  if (ctx.fused()) {
-    A.apply_residual(ctx, x, b, r);
-  } else {
-    A.apply(ctx, x, r);
-    r.assign_sub(ctx, b, r);
-  }
+  A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
   p.copy_from(ctx, r);
 
@@ -208,25 +171,14 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
       break;
     }
     M.apply(ctx, p, phat);
-    double rhat_v;
-    if (ctx.fused()) {
-      rhat_v = A.apply_dot(ctx, phat, v, &rhat);
-    } else {
-      A.apply(ctx, phat, v);
-      rhat_v = DistVector::dot(ctx, rhat, v);
-    }
+    const double rhat_v = A.apply_dot(ctx, phat, v, &rhat);
     ++stats.global_reductions;
     if (std::fabs(rhat_v) < kBreakdownEps) {
       stats.stop_reason = "rhat.v breakdown";
       break;
     }
     const double alpha = rho / rhat_v;
-    if (ctx.fused()) {
-      s.assign_axpy(ctx, r, -alpha, v);
-    } else {
-      s.copy_from(ctx, r);
-      s.daxpy(ctx, -alpha, v);
-    }
+    s.assign_axpy(ctx, r, -alpha, v);
     M.apply(ctx, s, shat);
     // The 3-dot gang below shares ONE reduction; folding tᵀs into the
     // matvec would split it into two, so the product stays unfused here.
@@ -251,12 +203,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     }
     const double omega = ts / tt;
     x.ddaxpy(ctx, alpha, phat, omega, shat);
-    if (ctx.fused()) {
-      r.assign_axpy(ctx, s, -omega, t);
-    } else {
-      r.copy_from(ctx, s);
-      r.daxpy(ctx, -omega, t);
-    }
+    r.assign_axpy(ctx, s, -omega, t);
     // ‖r‖² reconstructed from the gang — no extra reduction.
     rnorm2 = std::max(0.0, ss - 2.0 * omega * ts + omega * omega * tt);
     stats.final_relative_residual = std::sqrt(rnorm2) / bnorm;
@@ -273,12 +220,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     ++stats.global_reductions;
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
-    if (ctx.fused()) {
-      p.fused_p_update(ctx, r, beta, omega, v);
-    } else {
-      p.daxpy(ctx, -omega, v);
-      p.xpby(ctx, r, beta);
-    }
+    p.p_update(ctx, r, beta, omega, v);
   }
   if (!stats.stop_reason_set()) stats.stop_reason = "max iterations";
   return stats;

@@ -24,12 +24,7 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
                          static_cast<std::uint64_t>(x.global_size()),
                          ctx.vctx));
 
-  if (ctx.fused()) {
-    A.apply_residual(ctx, x, b, r);
-  } else {
-    A.apply(ctx, x, r);
-    r.assign_sub(ctx, b, r);
-  }
+  A.apply_residual(ctx, x, b, r);
   M.apply(ctx, r, z);
   p.copy_from(ctx, z);
 
@@ -52,14 +47,8 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
   for (int it = 1; it <= opt.max_iterations; ++it) {
     dag.begin_iteration(it);
     stats.iterations = it;
-    double pq;
-    if (ctx.fused()) {
-      // Fused MATVEC+DPROD: p·Ap rides the stencil sweep.
-      pq = A.apply_dot(ctx, p, q);
-    } else {
-      A.apply(ctx, p, q);
-      pq = DistVector::dot(ctx, p, q);
-    }
+    // MATVEC+DPROD: p·Ap rides the stencil sweep when fused.
+    const double pq = A.apply_dot(ctx, p, q);
     ++stats.global_reductions;
     // On an SPD operator p·Ap > 0 for p ≠ 0.  A negative (or NaN) value
     // means the operator is not positive definite — a distinct failure
@@ -74,21 +63,16 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
     double fused_vals[2];
     // The CG tail composite: r ← r − α·q, z ← M·r and the {r·z, r·r}
     // gang in ONE sweep (still one ganged reduction); x's half of the
-    // twin update keeps its own pass.  Preconditioners without a fused
-    // form fall back to DAXPY₂ + apply + dot_ganged.
-    if (ctx.fused() && M.apply_dot2(ctx, r, z, fused_vals, -alpha, &q)) {
+    // twin update keeps its own pass.  Without a fused form (unfused run,
+    // or a preconditioner that has none) it is DAXPY₂ + apply +
+    // dot_ganged.
+    if (M.apply_dot2(ctx, r, z, fused_vals, -alpha, &q)) {
       x.daxpy(ctx, alpha, p);
       ++stats.global_reductions;
       rz_new = fused_vals[0];
       rnorm2 = fused_vals[1];
     } else {
-      if (ctx.fused()) {
-        // Twin update DAXPY₂: both vectors in one pass.
-        DistVector::daxpy2(ctx, x, alpha, p, r, -alpha, q);
-      } else {
-        x.daxpy(ctx, alpha, p);
-        r.daxpy(ctx, -alpha, q);
-      }
+      DistVector::daxpy2(ctx, x, alpha, p, r, -alpha, q);
       M.apply(ctx, r, z);
       const DistVector::DotPair pairs[] = {{&r, &z}, {&r, &r}};
       const auto vals = DistVector::dot_ganged(ctx, pairs);

@@ -33,7 +33,7 @@ public:
     // Arm only for the first Plan-mode solve of this configuration, and
     // never nested (an outer capture — e.g. a solver driving MG smoother
     // solves — owns the recording).
-    armed_ = ctx_.planned() && ctx_.dag == nullptr &&
+    armed_ = ctx_.fused() && ctx_.dag == nullptr &&
              !ctx_.vctx.dag_store().contains(key_);
   }
 

@@ -160,6 +160,11 @@ void DistVector::assign_sub(ExecContext& ctx, const DistVector& x,
 void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
                         const DistVector& p, DistVector& r, double b,
                         const DistVector& q) {
+  if (!ctx.fused()) {
+    x.daxpy(ctx, a, p);
+    r.daxpy(ctx, b, q);
+    return;
+  }
   require_same_shape(x, p);
   require_same_shape(x, r);
   require_same_shape(x, q);
@@ -174,7 +179,7 @@ void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
                        const_cast<DistVector*>(qp)->field().view(rk, s);
                    grid::TileView xv = xp->field().view(rk, s);
                    grid::TileView rv = rp->field().view(rk, s);
-                   linalg::daxpy2(rctx.vctx, a,
+                   fusion::daxpy2(rctx.vctx, a,
                                   std::span<const double>(pv.row(lj), n),
                                   std::span<double>(xv.row(lj), n), b,
                                   std::span<const double>(qv.row(lj), n),
@@ -184,6 +189,11 @@ void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
 
 void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
                              const DistVector& z) {
+  if (!ctx.fused()) {
+    copy_from(ctx, x);
+    daxpy(ctx, a, z);
+    return;
+  }
   require_same_shape(*this, x);
   require_same_shape(*this, z);
   dag_op(ctx, "copy", *this, {&x}, {this});
@@ -196,22 +206,20 @@ void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
                  grid::TileView zv =
                      const_cast<DistVector*>(zp)->field().view(r, s);
                  grid::TileView yv = field_.view(r, s);
-                 if (rctx.planned()) {
-                   fusion::axpy_out(rctx.vctx,
-                                    std::span<const double>(xv.row(lj), n), a,
-                                    std::span<const double>(zv.row(lj), n),
-                                    std::span<double>(yv.row(lj), n));
-                 } else {
-                   linalg::axpy_out(rctx.vctx,
-                                    std::span<const double>(xv.row(lj), n), a,
-                                    std::span<const double>(zv.row(lj), n),
-                                    std::span<double>(yv.row(lj), n));
-                 }
+                 fusion::axpy_out(rctx.vctx,
+                                  std::span<const double>(xv.row(lj), n), a,
+                                  std::span<const double>(zv.row(lj), n),
+                                  std::span<double>(yv.row(lj), n));
                });
 }
 
-void DistVector::fused_p_update(ExecContext& ctx, const DistVector& x,
-                                double b, double w, const DistVector& v) {
+void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
+                          double w, const DistVector& v) {
+  if (!ctx.fused()) {
+    daxpy(ctx, -w, v);
+    xpby(ctx, x, b);
+    return;
+  }
   require_same_shape(*this, x);
   require_same_shape(*this, v);
   dag_op(ctx, "daxpy", *this, {&v, this}, {this});
@@ -224,17 +232,10 @@ void DistVector::fused_p_update(ExecContext& ctx, const DistVector& x,
                  grid::TileView vv =
                      const_cast<DistVector*>(vp)->field().view(r, s);
                  grid::TileView pv = field_.view(r, s);
-                 if (rctx.planned()) {
-                   fusion::p_update(rctx.vctx,
-                                    std::span<const double>(xv.row(lj), n), b,
-                                    w, std::span<const double>(vv.row(lj), n),
-                                    std::span<double>(pv.row(lj), n));
-                 } else {
-                   linalg::p_update(rctx.vctx,
-                                    std::span<const double>(xv.row(lj), n), b,
-                                    w, std::span<const double>(vv.row(lj), n),
-                                    std::span<double>(pv.row(lj), n));
-                 }
+                 fusion::p_update(rctx.vctx,
+                                  std::span<const double>(xv.row(lj), n), b,
+                                  w, std::span<const double>(vv.row(lj), n),
+                                  std::span<double>(pv.row(lj), n));
                });
 }
 

@@ -48,25 +48,25 @@ public:
   /// z ← x − y
   void assign_sub(ExecContext& ctx, const DistVector& x, const DistVector& y);
 
-  // --- fused composites (FuseMode::On call sites) ----------------------------
-  // One-pass versions of the kernel chains the solver hot loops issue;
-  // results are bit-identical to the unfused sequences (same per-element
-  // association order), only the instruction stream and priced traffic
-  // shrink.
+  // --- composites: one fused pass under FuseMode::Plan, otherwise the
+  // kernel-per-pass pair in the documented order.  Results are
+  // bit-identical either way (same per-element association order); only
+  // the instruction stream and priced traffic differ.
 
-  /// Fused CG twin update (DAXPY₂): x ← x + a·p and r ← r + b·q in one
-  /// pass — one priced kernel call instead of two DAXPYs.
+  /// CG twin update: x ← x + a·p and r ← r + b·q (DAXPY₂; unfused:
+  /// x.daxpy, then r.daxpy).
   static void daxpy2(ExecContext& ctx, DistVector& x, double a,
                      const DistVector& p, DistVector& r, double b,
                      const DistVector& q);
 
-  /// y ← x + a·z (fused COPY+DAXPY: replaces copy_from + daxpy).
+  /// y ← x + a·z (unfused: copy_from, then daxpy).
   void assign_axpy(ExecContext& ctx, const DistVector& x, double a,
                    const DistVector& z);
 
-  /// y ← x + b·(y − w·v) (fused DAXPY+XPBY: the BiCGSTAB p-update).
-  void fused_p_update(ExecContext& ctx, const DistVector& x, double b,
-                      double w, const DistVector& v);
+  /// y ← x + b·(y − w·v), the BiCGSTAB p-update (unfused: daxpy(−w), then
+  /// xpby).
+  void p_update(ExecContext& ctx, const DistVector& x, double b, double w,
+                const DistVector& v);
 
   /// DPROD with the global reduction priced as one allreduce.
   static double dot(ExecContext& ctx, const DistVector& x,

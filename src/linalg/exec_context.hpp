@@ -18,47 +18,39 @@
 
 namespace v2d::linalg {
 
-/// Whether the solvers route hot-loop call sites through the fused
-/// one-pass composites (MATVEC+DPROD, DAXPY₂, precond+ganged-dot, fused
-/// residual/smoother) instead of the kernel-per-pass Table II sequence.
+/// Whether the solvers' composite operations (MATVEC+DPROD, fused
+/// residual, DAXPY₂, COPY+DAXPY, the BiCGSTAB p-update, precond+ganged-dot)
+/// run as one fused pass or as the kernel-per-pass Table II sequence.  Each
+/// composite owns both lowerings, so the solvers read as one algorithm.
 ///
-///   Off — every call site runs the original kernel sequence; results,
-///         recorded counts, ledgers and simulated clocks are bit-identical
-///         to a build without the fusion layer.
-///   On  — hot loops use the composites: fewer memory passes, fewer kernel
-///         calls, reduced bytes_moved in the priced stream.  Numerics are
-///         pinned to the unfused path (the composites evaluate the same
-///         per-element expressions in the same association order, and
-///         reductions keep the rank-ordered compensated merge), so the
-///         Krylov trajectory is unchanged — only the price is.
-///   Plan — same hot-loop routing as On, but the composites come from the
-///          general fusion planner (src/linalg/fusion/): the first solver
-///          iteration of each configuration records the kernel DAG
-///          (vla/kernel_dag.hpp), and execution runs planner-generated
-///          groups in all three representations (interpreter sweep,
-///          signature-keyed native stamps, composed analytic counts).
-///          The hand-written On composites stay as the differential
-///          oracle; Plan is bit-identical to both Off and On.
+///   Off  — every composite issues the original kernel sequence; results,
+///          recorded counts, ledgers and simulated clocks are bit-identical
+///          to a build without the fusion layer.
+///   Plan — composites run the groups the fusion planner
+///          (src/linalg/fusion/) derives from their Chain IR, in all three
+///          representations (interpreter sweep, signature-keyed native
+///          stamps, composed analytic counts): fewer memory passes, fewer
+///          kernel calls, reduced bytes_moved in the priced stream.  The
+///          first solver iteration of each configuration also records its
+///          kernel DAG (vla/kernel_dag.hpp).  Numerics are pinned to Off
+///          (same per-element expressions in the same association order,
+///          reductions keep the rank-ordered compensated merge), so the
+///          Krylov trajectory is unchanged — only the price is.
 enum class FuseMode : std::uint8_t {
   Off,
-  On,
   Plan,
 };
 
 inline const char* fuse_mode_name(FuseMode m) {
-  switch (m) {
-    case FuseMode::On: return "on";
-    case FuseMode::Plan: return "plan";
-    case FuseMode::Off: break;
-  }
-  return "off";
+  return m == FuseMode::Plan ? "plan" : "off";
 }
 
+/// "on" is accepted as the retired spelling of "plan" so old checkpoints
+/// and job files still load.
 inline FuseMode fuse_mode_from_name(const std::string& name) {
-  if (name == "on") return FuseMode::On;
   if (name == "off") return FuseMode::Off;
-  if (name == "plan") return FuseMode::Plan;
-  throw Error("unknown fuse mode '" + name + "' (expected off|on|plan)");
+  if (name == "plan" || name == "on") return FuseMode::Plan;
+  throw Error("unknown fuse mode '" + name + "' (expected off|plan)");
 }
 
 struct ExecContext {
@@ -82,13 +74,8 @@ struct ExecContext {
               FuseMode fuse_mode = FuseMode::Off)
       : vctx(std::move(v)), em(model), fuse(fuse_mode) {}
 
-  /// True when call sites should take a fused-composite path (hand-written
-  /// under On, planner-generated under Plan — same call-site routing).
-  bool fused() const { return fuse != FuseMode::Off; }
-
-  /// True when fused call sites should run the planner-generated groups
-  /// instead of the hand-written oracle composites.
-  bool planned() const { return fuse == FuseMode::Plan; }
+  /// True when composite operations should run their fused lowering.
+  bool fused() const { return fuse == FuseMode::Plan; }
 
   /// Rank-local child context for par_ranks: shares the pricer and the
   /// analytic count cache, with a private recording accumulator so

@@ -1,5 +1,6 @@
 #include "linalg/fusion/fused_exec.hpp"
 
+#include <iterator>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -131,18 +132,18 @@ inline void stamp_step(double* const* p, double* r, DdAccumulator* dd,
     p[S.dst][i] = r[S.a];
   } else if constexpr (S.k == StepKind::DotAcc) {
     // The compensated chains accumulate through register-resident locals in
-    // step (= element) order; see native::hadamard_dot2 for the rationale.
+    // step (= element) order; independent chains interleave with each other
+    // and with the streaming loads/stores.
     dd[S.dst].add(r[S.a] * r[S.b]);
   }
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop.  Elementwise programs reduce to exactly
-/// the raw-pointer loops the hand-written native kernels used, so the host
-/// compiler auto-vectorizes them; dot programs interleave the compensated
-/// chains with the streaming sweep the same way the bespoke mixed loops
-/// did.  Register slots with compile-time-constant indices are scalarized
-/// by the compiler.
+/// into a flat per-element loop.  Elementwise programs reduce to plain
+/// raw-pointer loops like the primitive kernels in kernels_native.cpp, so
+/// the host compiler auto-vectorizes them; dot programs interleave the
+/// compensated chains with the streaming sweep in one mixed loop.  Register
+/// slots with compile-time-constant indices are scalarized by the compiler.
 template <GroupProgram G>
 void stamp_exec(const Bind& b) {
   double* p[kMaxSlots];
@@ -192,21 +193,28 @@ void register_chain() {
   }(std::make_index_sequence<std::size_t{P.ngroups}>{});
 }
 
-/// Register the fixed template set once, in a fixed order so stamp ids (and
-/// therefore memo keys and plan dumps) are deterministic.
+/// The built-in chains, in registration order: this order fixes the stamp
+/// ids (and therefore memo keys and plan dumps) deterministically.
+constexpr Chain kBuiltinChains[] = {
+    make_daxpy2_chain(),
+    make_axpy_out_chain(),
+    make_p_update_chain(),
+    make_hadamard_dot2_chain(),
+    make_hadamard_update_dot2_chain(),
+    make_stencil_chain(false, true, false),
+    make_stencil_chain(true, true, false),
+    make_stencil_chain(false, false, true),
+    make_stencil_chain(false, false, false),
+    make_stencil_chain(true, false, true),
+    make_stencil_chain(true, false, false),
+};
+
+/// Register the fixed template set once.
 void ensure_registered() {
   static const bool once = [] {
-    register_chain<make_daxpy2_chain()>();
-    register_chain<make_axpy_out_chain()>();
-    register_chain<make_p_update_chain()>();
-    register_chain<make_hadamard_dot2_chain()>();
-    register_chain<make_hadamard_update_dot2_chain()>();
-    register_chain<make_stencil_chain(false, true, false)>();
-    register_chain<make_stencil_chain(true, true, false)>();
-    register_chain<make_stencil_chain(false, false, true)>();
-    register_chain<make_stencil_chain(false, false, false)>();
-    register_chain<make_stencil_chain(true, false, true)>();
-    register_chain<make_stencil_chain(true, false, false)>();
+    [&]<std::size_t... Ci>(std::index_sequence<Ci...>) {
+      (register_chain<kBuiltinChains[Ci]>(), ...);
+    }(std::make_index_sequence<std::size(kBuiltinChains)>{});
     return true;
   }();
   (void)once;
@@ -246,7 +254,7 @@ void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
 std::string describe_builtin_plans() {
   ensure_registered();
   std::ostringstream os;
-  const auto one = [&](const Chain& c) {
+  for (const Chain& c : kBuiltinChains) {
     const FusionPlan p = plan_chain(c);
     os << dump_plan(c, p);
     for (std::uint8_t gi = 0; gi < p.ngroups; ++gi) {
@@ -254,18 +262,7 @@ std::string describe_builtin_plans() {
       os << "  stamp group " << int(gi) << " id="
          << (it == registry().end() ? -1 : int(it->second.id)) << "\n";
     }
-  };
-  one(make_daxpy2_chain());
-  one(make_axpy_out_chain());
-  one(make_p_update_chain());
-  one(make_hadamard_dot2_chain());
-  one(make_hadamard_update_dot2_chain());
-  one(make_stencil_chain(false, true, false));
-  one(make_stencil_chain(true, true, false));
-  one(make_stencil_chain(false, false, true));
-  one(make_stencil_chain(false, false, false));
-  one(make_stencil_chain(true, false, true));
-  one(make_stencil_chain(true, false, false));
+  }
   return os.str();
 }
 

@@ -4,8 +4,8 @@
 ///
 /// A planned group runs as:
 ///   - Interpret: a generic multi-op sweep that walks the GroupProgram's
-///     steps per strip through vla::Context ops (recording op-by-op exactly
-///     like a hand-written composite kernel would);
+///     steps per strip through vla::Context ops (recording op-by-op, like
+///     every other interpreted kernel);
 ///   - Native: a stamped-out template from a fixed set keyed by the
 ///     fused-op signature (GroupProgram::sig), with the recording composed
 ///     analytically by group_counts and memoized in the Context's count
@@ -15,11 +15,11 @@
 ///     fused dots accumulate through the caller's DdAccumulator in element
 ///     order (rank partials stay rank-ordered at the call sites).
 ///
-/// The convenience entry points below are the planner-generated composites:
-/// each plans its built-in chain at compile time and binds the operands.
-/// They are drop-in equivalents of the hand-written linalg:: composites and
-/// back both the FuseMode::On wrappers (where the bespoke triple was
-/// deleted) and the FuseMode::Plan call sites.
+/// The convenience entry points below are the only fused composites: each
+/// plans its built-in chain at compile time and binds the operands.  The
+/// composite operations (StencilOperator::apply_dot/apply_residual*,
+/// DistVector::daxpy2/assign_axpy/p_update, the diagonal preconditioners'
+/// apply_dot2) call them under FuseMode::Plan.
 
 #include <span>
 #include <string>
@@ -81,8 +81,14 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           std::span<double> r, std::span<double> z,
                           DdAccumulator& rz, DdAccumulator& rr);
 
-/// Fused stencil-row composites (residual / matvec+dot, optionally
-/// species-coupled) — same operand contract as linalg::stencil_row_fused.
+/// Fused stencil-row composite.  Always computes the five-point row into
+/// `y`; the optional operands select the variant:
+///   csp/xo  non-null — species coupling folded into the sweep
+///   bsub    non-null — residual form, y ← bsub − (A·x) row
+///   wdot/dot non-null — MATVEC+DPROD, dot->add(w_i·y_i) per element
+///     (`wdot == xc` is the CG p·Ap case: the center operand is reused in
+///      registers, no extra load)
+/// `bsub` and `wdot` are mutually exclusive; one of them is required.
 void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cw, std::span<const double> ce,
                        std::span<const double> cs, std::span<const double> cn,

@@ -137,46 +137,6 @@ KernelCounts analytic_counts(KernelShape shape, std::uint64_t n, unsigned vl) {
       f.per_strip(OpClass::FlopFma, 4);
       f.stores(1);
       break;
-    case KernelShape::AxpyOut:
-      // z ← x + a·y: the COPY disappears into the DAXPY's third operand.
-      f.dups(1);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopFma, 1);
-      f.stores(1);
-      break;
-    case KernelShape::PUpdate:
-      // p ← r + b·(p − w·v): two chained FMAs, p streamed once.
-      f.dups(2);
-      f.loop();
-      f.loads(3);
-      f.per_strip(OpClass::FlopFma, 2);
-      f.stores(1);
-      break;
-    case KernelShape::HadamardDot2:
-      // Precond apply + {r·z, r·r} gang: two accumulators, two fma_merge
-      // per strip on in-register values, one ptrue + two reduces per row.
-      f.dups(2);
-      f.loop();
-      f.loads(2);
-      f.per_strip(OpClass::FlopMul, 1);
-      f.per_strip(OpClass::FlopFma, 2);
-      f.stores(1);
-      f.op(OpClass::Predicate, 1, vl);
-      f.op(OpClass::Reduce, 2, 2 * static_cast<std::uint64_t>(vl));
-      break;
-    case KernelShape::HadamardUpdateDot2:
-      // The CG tail composite: the residual DAXPY rides the precond+gang
-      // sweep (one extra load, FMA and store over HadamardDot2).
-      f.dups(3);
-      f.loop();
-      f.loads(3);
-      f.per_strip(OpClass::FlopMul, 1);
-      f.per_strip(OpClass::FlopFma, 3);
-      f.stores(2);
-      f.op(OpClass::Predicate, 1, vl);
-      f.op(OpClass::Reduce, 2, 2 * static_cast<std::uint64_t>(vl));
-      break;
     case KernelShape::CouplingRow:
       f.loop();
       f.loads(3);

@@ -35,16 +35,6 @@ enum class KernelShape : std::uint8_t {
   DiagScaleRow,
   RestrictRow,
   ProlongRow,
-  // --- fused composites (FuseMode::On call sites) ---
-  //
-  // The stencil composites and DAXPY₂ are planner-generated now: their
-  // analytic counts are composed per fused group by fusion::group_counts
-  // and memoized under signature-disjoint keys (bit 63 set), so they no
-  // longer appear here.
-  AxpyOut,               ///< z ← x + a·y (fused COPY+DAXPY)
-  PUpdate,               ///< p ← r + b·(p − w·v) (fused DAXPY+XPBY)
-  HadamardDot2,          ///< z ← m⊙r with the {r·z, r·r} gang folded in
-  HadamardUpdateDot2,    ///< r ← r+a·q, then z ← m⊙r with the gang folded in
 };
 
 /// The exact KernelCounts the interpreter backend records for one call of

@@ -1,6 +1,5 @@
 #include "linalg/kernels.hpp"
 
-#include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels_native.hpp"
 #include "support/error.hpp"
@@ -187,137 +186,6 @@ void stencil_row(Context& ctx, std::span<const double> cc,
     acc = ctx.fma(p, vcn, vxn, acc);
     ctx.st1(p, &y[i], acc);
   });
-}
-
-// stencil_row_fused and daxpy2 are planner-generated: the bespoke
-// interpreter/native/counts triples were replaced by the fusion layer's
-// compile-time plans (src/linalg/fusion/), which reproduce the identical
-// recordings and bit-identical numerics.  The entry points stay so call
-// sites (and the equivalence suite) are unchanged.
-
-void stencil_row_fused(Context& ctx, std::span<const double> cc,
-                       std::span<const double> cw, std::span<const double> ce,
-                       std::span<const double> cs, std::span<const double> cn,
-                       const double* xc, const double* xs, const double* xn,
-                       const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
-                       std::span<double> y) {
-  fusion::stencil_row_fused(ctx, cc, cw, ce, cs, cn, xc, xs, xn, csp, xo,
-                            bsub, wdot, dot, y);
-}
-
-void daxpy2(Context& ctx, double a, std::span<const double> p,
-            std::span<double> x, double b, std::span<const double> q,
-            std::span<double> r) {
-  fusion::daxpy2(ctx, a, p, x, b, q, r);
-}
-
-void axpy_out(Context& ctx, std::span<const double> x, double a,
-              std::span<const double> y, std::span<double> z) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(x.size() == n && y.size() == n, "axpy_out: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::AxpyOut, n);
-    native::axpy_out(x.data(), a, y.data(), z.data(), n);
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg vy = ctx.ld1(p, &y[i]);
-    const VReg vx = ctx.ld1(p, &x[i]);
-    ctx.st1(p, &z[i], ctx.fma(p, vy, va, vx));
-  });
-}
-
-void p_update(Context& ctx, std::span<const double> r, double b, double w,
-              std::span<const double> v, std::span<double> p) {
-  const std::size_t n = p.size();
-  V2D_REQUIRE(r.size() == n && v.size() == n, "p_update: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::PUpdate, n);
-    native::p_update(r.data(), b, w, v.data(), p.data(), n);
-    return;
-  }
-  const VReg vmw = ctx.dup(-w);
-  const VReg vb = ctx.dup(b);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& pr) {
-    const VReg vv = ctx.ld1(pr, &v[i]);
-    const VReg vp = ctx.ld1(pr, &p[i]);
-    const VReg t = ctx.fma(pr, vv, vmw, vp);
-    const VReg vr = ctx.ld1(pr, &r[i]);
-    ctx.st1(pr, &p[i], ctx.fma(pr, t, vb, vr));
-  });
-}
-
-void hadamard_dot2(Context& ctx, std::span<const double> m,
-                   std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::HadamardDot2, n);
-    native::hadamard_dot2(m.data(), r.data(), z.data(), n, rz, rr);
-    return;
-  }
-  VReg acc1 = ctx.dup(0.0);
-  VReg acc2 = ctx.dup(0.0);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg vm = ctx.ld1(p, &m[i]);
-    const VReg vr = ctx.ld1(p, &r[i]);
-    const VReg vz = ctx.mul(p, vm, vr);
-    ctx.st1(p, &z[i], vz);
-    acc1 = ctx.fma_merge(p, vz, vr, acc1);
-    acc2 = ctx.fma_merge(p, vr, vr, acc2);
-  });
-  const Predicate full = ctx.ptrue();
-  (void)ctx.reduce_add(full, acc1);
-  (void)ctx.reduce_add(full, acc2);
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    a0.add(z[i] * r[i]);
-    a1.add(r[i] * r[i]);
-  }
-  rz = a0;
-  rr = a1;
-}
-
-void hadamard_update_dot2(Context& ctx, std::span<const double> m, double a,
-                          std::span<const double> q, std::span<double> r,
-                          std::span<double> z, DdAccumulator& rz,
-                          DdAccumulator& rr) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
-              "hadamard_update_dot2: length mismatch");
-  if (ctx.native()) {
-    record_analytic(ctx, KernelShape::HadamardUpdateDot2, n);
-    native::hadamard_update_dot2(m.data(), a, q.data(), r.data(), z.data(), n,
-                                 rz, rr);
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  VReg acc1 = ctx.dup(0.0);
-  VReg acc2 = ctx.dup(0.0);
-  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg vq = ctx.ld1(p, &q[i]);
-    const VReg vr0 = ctx.ld1(p, &r[i]);
-    const VReg vr = ctx.fma(p, vq, va, vr0);
-    ctx.st1(p, &r[i], vr);
-    const VReg vm = ctx.ld1(p, &m[i]);
-    const VReg vz = ctx.mul(p, vm, vr);
-    ctx.st1(p, &z[i], vz);
-    acc1 = ctx.fma_merge(p, vz, vr, acc1);
-    acc2 = ctx.fma_merge(p, vr, vr, acc2);
-  });
-  const Predicate full = ctx.ptrue();
-  (void)ctx.reduce_add(full, acc1);
-  (void)ctx.reduce_add(full, acc2);
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    a0.add(z[i] * r[i]);
-    a1.add(r[i] * r[i]);
-  }
-  rz = a0;
-  rr = a1;
 }
 
 void coupling_row(Context& ctx, std::span<const double> csp, const double* xo,

@@ -108,52 +108,6 @@ void restrict_row(const double* const fine[4], const std::int64_t* fm1,
   }
 }
 
-void axpy_out(const double* x, double a, const double* y, double* z,
-              std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) z[i] = y[i] * a + x[i];
-}
-
-void p_update(const double* r, double b, double w, const double* v, double* p,
-              std::size_t n) {
-  const double mw = -w;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = v[i] * mw + p[i];
-    p[i] = t * b + r[i];
-  }
-}
-
-void hadamard_dot2(const double* m, const double* r, double* z, std::size_t n,
-                   DdAccumulator& rz, DdAccumulator& rr) {
-  // One mixed loop with register-resident accumulators (see
-  // stencil_dot_row): the two compensated chains are independent, so they
-  // interleave with each other and with the streaming loads/stores.
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double zi = m[i] * r[i];
-    z[i] = zi;
-    a0.add(zi * r[i]);
-    a1.add(r[i] * r[i]);
-  }
-  rz = a0;
-  rr = a1;
-}
-
-void hadamard_update_dot2(const double* m, double a, const double* q,
-                          double* r, double* z, std::size_t n,
-                          DdAccumulator& rz, DdAccumulator& rr) {
-  DdAccumulator a0 = rz, a1 = rr;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ri = q[i] * a + r[i];
-    r[i] = ri;
-    const double zi = m[i] * ri;
-    z[i] = zi;
-    a0.add(zi * ri);
-    a1.add(ri * ri);
-  }
-  rz = a0;
-  rr = a1;
-}
-
 void prolong_row_add(const double* cnear, const double* cfar,
                      const std::int64_t* near, const std::int64_t* far,
                      double* fine, std::size_t n) {

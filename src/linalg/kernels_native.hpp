@@ -20,8 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "support/dd.hpp"
-
 namespace v2d::linalg::native {
 
 /// DPROD with the interpreter's strip-wise accumulation order: `vl` partial
@@ -88,39 +86,5 @@ void restrict_row(const double* const fine[4], const std::int64_t* fm1,
 void prolong_row_add(const double* cnear, const double* cfar,
                      const std::int64_t* near, const std::int64_t* far,
                      double* fine, std::size_t n);
-
-// --- fused composites (FuseMode::On) ----------------------------------------
-//
-// Each fused kernel keeps the unfused per-element expressions and
-// association order, so FuseMode::On reproduces the unfused trajectory
-// bit-for-bit; reductions accumulate through the caller's DdAccumulator
-// (compensated, order-fixed) exactly like DistVector::dot_ganged, so the
-// result stays tiling- and thread-count-independent.  The elementwise part
-// of every kernel is a plain loop the compiler can auto-vectorize; the
-// compensated dot tail is a separate serial loop over the (cache-hot) row.
-
-// The fused stencil rows and DAXPY₂ are planner-generated now — their
-// native kernels are stamped from the fusion template set
-// (src/linalg/fusion/fused_exec.cpp) instead of being hand-written here.
-
-/// Fused COPY+DAXPY: z ← x + a·y.
-void axpy_out(const double* x, double a, const double* y, double* z,
-              std::size_t n);
-
-/// Fused BiCGSTAB p-update: p ← r + b·(p − w·v), computed as the unfused
-/// chain t = v·(−w) + p; p = t·b + r.
-void p_update(const double* r, double b, double w, const double* v, double* p,
-              std::size_t n);
-
-/// Fused precond apply + 2-dot gang: z ← m ⊙ r, then rz += Σ z_i·r_i and
-/// rr += Σ r_i·r_i compensated in element order.
-void hadamard_dot2(const double* m, const double* r, double* z, std::size_t n,
-                   DdAccumulator& rz, DdAccumulator& rr);
-
-/// The CG tail composite: r ← r + a·q folded into the precond+gang sweep
-/// (hadamard_dot2 over the updated residual).
-void hadamard_update_dot2(const double* m, double a, const double* q,
-                          double* r, double* z, std::size_t n,
-                          DdAccumulator& rz, DdAccumulator& rr);
 
 }  // namespace v2d::linalg::native

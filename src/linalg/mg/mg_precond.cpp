@@ -27,13 +27,8 @@ void MgPrecond::vcycle(ExecContext& ctx, int l, DistVector& x, DistVector& b) {
   const MgOptions& opt = hierarchy_.options();
   // Every V-cycle level starts from a zero correction.
   smoother_->smooth(ctx, lvl, x, b, opt.nu_pre, /*zero_guess=*/true);
-  if (ctx.fused()) {
-    lvl.op->apply_residual_as(ctx, x, b, lvl.r, KernelFamily::Precond,
-                              "mg-residual");
-  } else {
-    lvl.op->apply_as(ctx, x, lvl.r, KernelFamily::Precond, "mg-residual");
-    lvl.r.assign_sub(ctx, b, lvl.r);
-  }
+  lvl.op->apply_residual_as(ctx, x, b, lvl.r, KernelFamily::Precond,
+                            "mg-residual");
 
   MgLevel& next = hierarchy_.level(l + 1);
   restrict_full_weighting(ctx, lvl.r, *next.b);

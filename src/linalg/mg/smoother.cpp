@@ -57,19 +57,13 @@ void diag_scale(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
   });
 }
 
-/// r ← b − A·x, attributed to the smoother.  Under FuseMode::On the
-/// subtraction rides the stencil sweep (the fused weighted-Jacobi step:
-/// the residual half of every smoothing iteration becomes one pass, and
-/// the correction half is already the single fused diag_correct kernel).
+/// r ← b − A·x, attributed to the smoother.  When fused the subtraction
+/// rides the stencil sweep (the fused weighted-Jacobi step: the residual
+/// half of every smoothing iteration becomes one pass, and the correction
+/// half is already the single fused diag_correct kernel).
 void residual(ExecContext& ctx, MgLevel& lvl, DistVector& x, DistVector& b,
               DistVector& r) {
-  if (ctx.fused()) {
-    lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond,
-                              "mg-smooth");
-  } else {
-    lvl.op->apply_as(ctx, x, r, KernelFamily::Precond, "mg-smooth");
-    r.assign_sub(ctx, b, r);
-  }
+  lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond, "mg-smooth");
 }
 
 }  // namespace

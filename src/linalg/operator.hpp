@@ -24,21 +24,21 @@ public:
   virtual void apply(ExecContext& ctx, DistVector& x, DistVector& y) const = 0;
 
   /// y ← A·x returning w·y (w null ⇒ x·y, the CG p·Ap case), with the
-  /// reduction priced as one allreduce — the fused MATVEC+DPROD entry
-  /// point.  This default runs apply() followed by DistVector::dot, so it
-  /// prices identically to the unfused call sequence and any operator
-  /// supports it; StencilOperator overrides it to fold the dot into the
-  /// stencil sweep.  The result is bit-identical either way (compensated
-  /// rank-ordered accumulation in both).
+  /// reduction priced as one allreduce — the MATVEC+DPROD composite.  This
+  /// default is the unfused lowering: apply() followed by DistVector::dot,
+  /// so any operator supports it.  StencilOperator overrides it to fold
+  /// the dot into the stencil sweep under FuseMode::Plan and calls this
+  /// default otherwise.  The result is bit-identical either way
+  /// (compensated rank-ordered accumulation in both).
   virtual double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                            const DistVector* w = nullptr) const {
     apply(ctx, x, y);
     return DistVector::dot(ctx, w != nullptr ? *w : x, y);
   }
 
-  /// r ← b − A·x — the fused-residual entry point.  Default is apply() +
-  /// assign_sub (unfused pricing); StencilOperator folds the subtraction
-  /// into the sweep.
+  /// r ← b − A·x — the residual composite.  This default is the unfused
+  /// lowering, apply() + assign_sub; StencilOperator folds the subtraction
+  /// into the sweep under FuseMode::Plan and calls this default otherwise.
   virtual void apply_residual(ExecContext& ctx, DistVector& x,
                               const DistVector& b, DistVector& r) const {
     apply(ctx, x, r);

@@ -21,10 +21,11 @@ namespace {
 /// the residual DAXPY x ← x + update_a·q leading the sweep (the CG tail
 /// composite).  Per-rank compensated partials merged in rank order
 /// (identical accumulation to dot_ganged), one ganged allreduce for the
-/// pair.
-void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
+/// pair.  Returns false without doing any work when not fused.
+bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
                          DistVector& y, double out[2], double update_a,
                          const DistVector* update_q) {
+  if (!ctx.fused()) return false;
   const auto& dec = x.field().decomp();
   const int nranks = dec.nranks();
   auto* qv_vec = const_cast<DistVector*>(update_q);
@@ -50,31 +51,17 @@ void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
           qv_vec != nullptr ? qv_vec->field().view(r, s) : mv;
       for (int lj = 0; lj < e.nj; ++lj) {
         if (qv_vec != nullptr) {
-          if (rctx.planned()) {
-            fusion::hadamard_update_dot2(
-                rctx.vctx, std::span<const double>(mv.row(lj), n), update_a,
-                std::span<const double>(qv.row(lj), n),
-                std::span<double>(xv.row(lj), n),
-                std::span<double>(yv.row(lj), n), acc[0], acc[1]);
-          } else {
-            hadamard_update_dot2(
-                rctx.vctx, std::span<const double>(mv.row(lj), n), update_a,
-                std::span<const double>(qv.row(lj), n),
-                std::span<double>(xv.row(lj), n),
-                std::span<double>(yv.row(lj), n), acc[0], acc[1]);
-          }
+          fusion::hadamard_update_dot2(
+              rctx.vctx, std::span<const double>(mv.row(lj), n), update_a,
+              std::span<const double>(qv.row(lj), n),
+              std::span<double>(xv.row(lj), n),
+              std::span<double>(yv.row(lj), n), acc[0], acc[1]);
         } else {
-          if (rctx.planned()) {
-            fusion::hadamard_dot2(rctx.vctx,
-                                  std::span<const double>(mv.row(lj), n),
-                                  std::span<const double>(xv.row(lj), n),
-                                  std::span<double>(yv.row(lj), n), acc[0],
-                                  acc[1]);
-          } else {
-            hadamard_dot2(rctx.vctx, std::span<const double>(mv.row(lj), n),
-                          std::span<const double>(xv.row(lj), n),
-                          std::span<double>(yv.row(lj), n), acc[0], acc[1]);
-          }
+          fusion::hadamard_dot2(rctx.vctx,
+                                std::span<const double>(mv.row(lj), n),
+                                std::span<const double>(xv.row(lj), n),
+                                std::span<double>(yv.row(lj), n), acc[0],
+                                acc[1]);
         }
       }
     }
@@ -91,6 +78,7 @@ void diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
   }
   out[0] = xy.value();
   out[1] = xx.value();
+  return true;
 }
 
 }  // namespace
@@ -154,8 +142,7 @@ void JacobiPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
 bool JacobiPrecond::apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
                                double out[2], double update_a,
                                const DistVector* update_q) {
-  diagonal_apply_dot2(ctx, dinv_, x, y, out, update_a, update_q);
-  return true;
+  return diagonal_apply_dot2(ctx, dinv_, x, y, out, update_a, update_q);
 }
 
 // --- SPAI(0) --------------------------------------------------------------------
@@ -230,8 +217,7 @@ void Spai0Precond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
 bool Spai0Precond::apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
                               double out[2], double update_a,
                               const DistVector* update_q) {
-  diagonal_apply_dot2(ctx, m_, x, y, out, update_a, update_q);
-  return true;
+  return diagonal_apply_dot2(ctx, m_, x, y, out, update_a, update_q);
 }
 
 // --- SPAI(1) --------------------------------------------------------------------

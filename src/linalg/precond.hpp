@@ -31,11 +31,12 @@ public:
   /// `update_q` is non-null the sweep first applies the residual DAXPY
   /// x ← x + update_a·q element-by-element (the CG tail composite: the
   /// r-update, precond apply and gang become one pass).  Returns false
-  /// *without doing any work* when this preconditioner has no fused form
-  /// (stencil-shaped or multilevel M); callers then fall back to the
-  /// unfused kernel chain.  The diagonal preconditioners (Jacobi,
-  /// SPAI(0)) override it; results are bit-identical to the unfused
-  /// sequence.
+  /// *without doing any work* when there is no fused form to run — this
+  /// default (stencil-shaped or multilevel M), or any M under
+  /// FuseMode::Off; callers then run the unfused kernel chain, which is
+  /// the off lowering.  The diagonal preconditioners (Jacobi, SPAI(0))
+  /// override it with the fused sweep, run under FuseMode::Plan; results
+  /// are bit-identical to the unfused sequence.
   virtual bool apply_dot2(ExecContext& /*ctx*/, DistVector& /*x*/,
                           DistVector& /*y*/, double /*out*/[2],
                           double /*update_a*/ = 0.0,

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernels.hpp"
 #include "support/dd.hpp"
 #include "support/error.hpp"
@@ -129,6 +130,7 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
 
 double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
                                   DistVector& y, const DistVector* w) const {
+  if (!ctx.fused()) return LinearOperator::apply_dot(ctx, x, y, w);
   V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_, "species count mismatch");
   grid::DistField& xf = x.field();
   const auto transfers = xf.exchange_ghosts();
@@ -170,14 +172,14 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
         }
         const double* wrow =
             wv != nullptr ? wv->field().view(r, s).row(lj) : xv.row(lj);
-        stencil_row_fused(rctx.vctx, std::span<const double>(vcc.row(lj), n),
-                          std::span<const double>(vcw.row(lj), n),
-                          std::span<const double>(vce.row(lj), n),
-                          std::span<const double>(vcs.row(lj), n),
-                          std::span<const double>(vcn.row(lj), n), xv.row(lj),
-                          xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
-                          /*bsub=*/nullptr, wrow, &acc,
-                          std::span<double>(yv.row(lj), n));
+        fusion::stencil_row_fused(
+            rctx.vctx, std::span<const double>(vcc.row(lj), n),
+            std::span<const double>(vcw.row(lj), n),
+            std::span<const double>(vce.row(lj), n),
+            std::span<const double>(vcs.row(lj), n),
+            std::span<const double>(vcn.row(lj), n), xv.row(lj),
+            xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
+            /*bsub=*/nullptr, wrow, &acc, std::span<double>(yv.row(lj), n));
       }
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
@@ -205,6 +207,7 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
 
 void StencilOperator::apply_residual(ExecContext& ctx, DistVector& x,
                                      const DistVector& b, DistVector& r) const {
+  if (!ctx.fused()) return LinearOperator::apply_residual(ctx, x, b, r);
   apply_residual_as(ctx, x, b, r, KernelFamily::Matvec, "matvec-residual");
 }
 
@@ -212,6 +215,11 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
                                         const DistVector& b, DistVector& r,
                                         KernelFamily family,
                                         const std::string& region) const {
+  if (!ctx.fused()) {
+    apply_as(ctx, x, r, family, region);
+    r.assign_sub(ctx, b, r);
+    return;
+  }
   V2D_REQUIRE(x.ns() == ns_ && b.ns() == ns_ && r.ns() == ns_,
               "species count mismatch");
   grid::DistField& xf = x.field();
@@ -245,14 +253,15 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
           csp_row = self->csp_->view(rank, s).row(lj);
           xo_row = xf.view(rank, 1 - s).row(lj);
         }
-        stencil_row_fused(rctx.vctx, std::span<const double>(vcc.row(lj), n),
-                          std::span<const double>(vcw.row(lj), n),
-                          std::span<const double>(vce.row(lj), n),
-                          std::span<const double>(vcs.row(lj), n),
-                          std::span<const double>(vcn.row(lj), n), xv.row(lj),
-                          xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
-                          /*bsub=*/bv.row(lj), /*wdot=*/nullptr,
-                          /*dot=*/nullptr, std::span<double>(rv.row(lj), n));
+        fusion::stencil_row_fused(
+            rctx.vctx, std::span<const double>(vcc.row(lj), n),
+            std::span<const double>(vcw.row(lj), n),
+            std::span<const double>(vce.row(lj), n),
+            std::span<const double>(vcs.row(lj), n),
+            std::span<const double>(vcn.row(lj), n), xv.row(lj),
+            xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
+            /*bsub=*/bv.row(lj), /*wdot=*/nullptr, /*dot=*/nullptr,
+            std::span<double>(rv.row(lj), n));
       }
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;

@@ -88,22 +88,25 @@ public:
   void apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
                 compiler::KernelFamily family, const std::string& region) const;
 
-  /// Fused MATVEC+DPROD: y ← A·x and w·y (w null ⇒ x·y) in one sweep —
-  /// the dot rides the stencil rows as one extra FMA (plus a load when w
-  /// is a distinct vector), so neither w nor y is re-streamed.  Priced as
-  /// one kernel call per rank plus one allreduce, same reduction count as
-  /// apply() + dot.  Bit-identical to the unfused pair: the global value
-  /// is the same rank-ordered compensated sum dot_ganged computes.
+  /// MATVEC+DPROD: y ← A·x returning w·y (w null ⇒ x·y).  When fused, the
+  /// dot rides the stencil rows as one extra FMA (plus a load when w is a
+  /// distinct vector), so neither w nor y is re-streamed: one kernel call
+  /// per rank ("matvec-dot") plus one allreduce, the same reduction count
+  /// as the unfused apply() + dot (LinearOperator's default, taken under
+  /// FuseMode::Off).  Bit-identical either way: the global value is the
+  /// same rank-ordered compensated sum dot_ganged computes.
   double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                    const DistVector* w = nullptr) const override;
 
-  /// Fused residual r ← b − A·x in one sweep (the b load and subtraction
-  /// replace the separate A·x write-back + SUB pass).
+  /// Residual r ← b − A·x.  When fused, one sweep ("matvec-residual": the
+  /// b load and subtraction replace the separate A·x write-back + SUB
+  /// pass); otherwise LinearOperator's apply() + assign_sub ("matvec").
   void apply_residual(ExecContext& ctx, DistVector& x, const DistVector& b,
                       DistVector& r) const override;
 
-  /// Fused residual with explicit attribution (the multigrid smoother and
-  /// V-cycle price their residuals under KernelFamily::Precond).
+  /// Residual with explicit attribution (the multigrid smoother and V-cycle
+  /// price their residuals under KernelFamily::Precond).  When not fused,
+  /// apply_as() under the same family and region, then assign_sub.
   void apply_residual_as(ExecContext& ctx, DistVector& x, const DistVector& b,
                          DistVector& r, compiler::KernelFamily family,
                          const std::string& region) const;

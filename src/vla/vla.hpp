@@ -199,7 +199,7 @@ public:
   ///
   /// The key space is partitioned by producer so a Context shared across
   /// farm jobs running different --fuse modes can never read a count
-  /// cached under another mode's kernel: primitive/bespoke shapes key as
+  /// cached under another mode's kernel: primitive kernel shapes key as
   /// (KernelShape << 56) | n with bit 63 clear, while planner-generated
   /// fused groups key as (1 << 63) | (stamp id << 56) | n, where the
   /// stamp id is assigned from the fused-op signature registry

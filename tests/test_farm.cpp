@@ -57,7 +57,7 @@ std::vector<farm::FarmJob> heterogeneous_jobs() {
   jobs.push_back({"pulse-base", pulse_config()});
 
   core::RunConfig fused = pulse_config();
-  fused.fuse = "on";
+  fused.fuse = "plan";
   jobs.push_back({"pulse-fused", fused});
 
   core::RunConfig vl256 = pulse_config();
@@ -82,7 +82,7 @@ std::vector<farm::FarmJob> heterogeneous_jobs() {
   relax.nx1 = 24;
   relax.nx2 = 24;
   relax.steps = 3;
-  relax.fuse = "on";
+  relax.fuse = "plan";
   relax.host_threads = 1;
   jobs.push_back({"relax-fused", relax});
 

@@ -3,12 +3,13 @@
 /// and the FuseMode contract.
 ///
 /// Three layers of pins, mirroring test_vla_fastpath.cpp:
-///   1. every fused composite kernel is bit-identical between the
-///      interpreter and native backends, with identical KernelCounts,
-///      across all architectural VLs and tail shapes;
+///   1. every planner-generated composite kernel (fusion::) is
+///      bit-identical between the interpreter and native backends, with
+///      identical KernelCounts, across all architectural VLs and tail
+///      shapes;
 ///   2. every composite reproduces its unfused kernel chain bit-for-bit
 ///      (same per-element association order, same compensated reductions);
-///   3. a CG/BiCGSTAB solve with --fuse on matches --fuse off exactly —
+///   3. a CG/BiCGSTAB solve with --fuse plan matches --fuse off exactly —
 ///      same iterates, same reduction count, bit-identical solution —
 ///      while the fused simulated clock is strictly cheaper.
 /// Plus the BiCGSTAB edge paths (zero rhs, exact breakdown, indefinite
@@ -23,6 +24,7 @@
 #include "core/v2d.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/cg.hpp"
+#include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/precond.hpp"
@@ -99,8 +101,8 @@ TEST_P(FusedKernelSweep, Daxpy2) {
   auto xi = random_vec(n(), rng), xn = xi;
   auto ri = random_vec(n(), rng), rn = ri;
   Context ci = interp_ctx(), cx = native_ctx();
-  daxpy2(ci, 0.7, p, xi, -0.7, q, ri);
-  daxpy2(cx, 0.7, p, xn, -0.7, q, rn);
+  fusion::daxpy2(ci, 0.7, p, xi, -0.7, q, ri);
+  fusion::daxpy2(cx, 0.7, p, xn, -0.7, q, rn);
   expect_bits_equal(xi, xn);
   expect_bits_equal(ri, rn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -111,8 +113,8 @@ TEST_P(FusedKernelSweep, AxpyOut) {
   const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  axpy_out(ci, x, -1.3, y, zi);
-  axpy_out(cx, x, -1.3, y, zn);
+  fusion::axpy_out(ci, x, -1.3, y, zi);
+  fusion::axpy_out(cx, x, -1.3, y, zn);
   expect_bits_equal(zi, zn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -122,8 +124,8 @@ TEST_P(FusedKernelSweep, PUpdate) {
   const auto r = random_vec(n(), rng), v = random_vec(n(), rng);
   auto pi = random_vec(n(), rng), pn = pi;
   Context ci = interp_ctx(), cx = native_ctx();
-  p_update(ci, r, 0.8, 0.45, v, pi);
-  p_update(cx, r, 0.8, 0.45, v, pn);
+  fusion::p_update(ci, r, 0.8, 0.45, v, pi);
+  fusion::p_update(cx, r, 0.8, 0.45, v, pn);
   expect_bits_equal(pi, pn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -134,8 +136,8 @@ TEST_P(FusedKernelSweep, HadamardDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   DdAccumulator rzi, rri, rzn, rrn;
-  hadamard_dot2(ci, m, r, zi, rzi, rri);
-  hadamard_dot2(cx, m, r, zn, rzn, rrn);
+  fusion::hadamard_dot2(ci, m, r, zi, rzi, rri);
+  fusion::hadamard_dot2(cx, m, r, zn, rzn, rrn);
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
   EXPECT_EQ(rri.value(), rrn.value());
@@ -149,8 +151,8 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   DdAccumulator rzi, rri, rzn, rrn;
-  hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
-  hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
+  fusion::hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
+  fusion::hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
   expect_bits_equal(ri, rn);
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
@@ -164,7 +166,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   auto r_ref = rr2, r_fused = rr2;
   std::vector<double> z_ref(n()), z_fused(n());
   DdAccumulator rz_f, rr_f;
-  hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
+  fusion::hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
   daxpy(plain, -0.6, q, r_ref);
   hadamard(plain, m, r_ref, z_ref);
   expect_bits_equal(r_fused, r_ref);
@@ -219,14 +221,14 @@ TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
       const double* csp = coupled ? op.csp.data() : nullptr;
       const double* xo = coupled ? op.xo.data() : nullptr;
       const double* wi = self ? op.xc.data() + 1 : op.w.data();
-      stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                        op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                        op.xs.data(), op.xn.data(), csp, xo, nullptr, wi, &di,
-                        yi);
-      stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                        op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                        op.xs.data(), op.xn.data(), csp, xo, nullptr, wi, &dn,
-                        yn);
+      fusion::stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
+                                op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
+                                op.xs.data(), op.xn.data(), csp, xo, nullptr,
+                                wi, &di, yi);
+      fusion::stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
+                                op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
+                                op.xs.data(), op.xn.data(), csp, xo, nullptr,
+                                wi, &dn, yn);
       expect_bits_equal(yi, yn);
       EXPECT_EQ(di.value(), dn.value());
       expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -242,21 +244,21 @@ TEST_P(FusedKernelSweep, StencilSub) {
     Context ci = interp_ctx(), cx = native_ctx();
     const double* csp = coupled ? op.csp.data() : nullptr;
     const double* xo = coupled ? op.xo.data() : nullptr;
-    stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs),
-                      op.s(op.cn), op.xc.data() + 1, op.xs.data(),
-                      op.xn.data(), csp, xo, op.b.data(), nullptr, nullptr,
-                      ri);
-    stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce), op.s(op.cs),
-                      op.s(op.cn), op.xc.data() + 1, op.xs.data(),
-                      op.xn.data(), csp, xo, op.b.data(), nullptr, nullptr,
-                      rn);
+    fusion::stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
+                              op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
+                              op.xs.data(), op.xn.data(), csp, xo,
+                              op.b.data(), nullptr, nullptr, ri);
+    fusion::stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
+                              op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
+                              op.xs.data(), op.xn.data(), csp, xo,
+                              op.b.data(), nullptr, nullptr, rn);
     expect_bits_equal(ri, rn);
     expect_counts_equal(ci.take_counts(), cx.take_counts());
   }
 }
 
 /// Every composite must reproduce its unfused kernel chain bit-for-bit —
-/// this is what licenses --fuse on to claim "numerically pinned".
+/// this is what licenses --fuse plan to claim "numerically pinned".
 TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   Rng rng(37);
   StencilOperands op(n(), rng);
@@ -269,7 +271,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> xf(b.begin(), b.end()), xr = xf;
     std::vector<double> rf(w.begin(), w.end()), rr = rf;
-    daxpy2(fused, 0.9, cc, xf, -0.9, cw, rf);
+    fusion::daxpy2(fused, 0.9, cc, xf, -0.9, cw, rf);
     daxpy(plain, 0.9, cc, xr);
     daxpy(plain, -0.9, cw, rr);
     expect_bits_equal(xf, xr);
@@ -278,7 +280,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // AxpyOut == COPY ; DAXPY.
   {
     std::vector<double> zf(n()), zr(n());
-    axpy_out(fused, cc, -0.4, cw, zf);
+    fusion::axpy_out(fused, cc, -0.4, cw, zf);
     copy(plain, cc, zr);
     daxpy(plain, -0.4, cw, zr);
     expect_bits_equal(zf, zr);
@@ -286,7 +288,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // PUpdate == DAXPY ; XPBY.
   {
     std::vector<double> pf(cs.begin(), cs.end()), pr = pf;
-    p_update(fused, cc, 1.7, 0.3, cw, pf);
+    fusion::p_update(fused, cc, 1.7, 0.3, cw, pf);
     daxpy(plain, -0.3, cw, pr);
     xpby(plain, cc, 1.7, pr);
     expect_bits_equal(pf, pr);
@@ -295,7 +297,7 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> zf(n()), zr(n());
     DdAccumulator rz, rr2;
-    hadamard_dot2(fused, cc, cw, zf, rz, rr2);
+    fusion::hadamard_dot2(fused, cc, cw, zf, rz, rr2);
     hadamard(plain, cc, cw, zr);
     expect_bits_equal(zf, zr);
     DdAccumulator rz_ref, rr_ref;
@@ -309,11 +311,11 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // Fused residual == STENCIL ; SUB  (uncoupled and coupled).
   for (const bool coupled : {false, true}) {
     std::vector<double> rf(n()), qr(n()), rr3(n());
-    stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                      op.xs.data(), op.xn.data(),
-                      coupled ? op.csp.data() : nullptr,
-                      coupled ? op.xo.data() : nullptr, op.b.data(), nullptr,
-                      nullptr, rf);
+    fusion::stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
+                              op.xs.data(), op.xn.data(),
+                              coupled ? op.csp.data() : nullptr,
+                              coupled ? op.xo.data() : nullptr, op.b.data(),
+                              nullptr, nullptr, rf);
     stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
                 op.xn.data(), qr);
     if (coupled) coupling_row(plain, op.s(op.csp), op.xo.data(), qr);
@@ -324,9 +326,9 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   {
     std::vector<double> yf(n()), yr(n());
     DdAccumulator df;
-    stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                      op.xs.data(), op.xn.data(), nullptr, nullptr, nullptr,
-                      op.w.data(), &df, yf);
+    fusion::stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
+                              op.xs.data(), op.xn.data(), nullptr, nullptr,
+                              nullptr, op.w.data(), &df, yf);
     stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
                 op.xn.data(), yr);
     expect_bits_equal(yf, yr);
@@ -346,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{4}, std::size_t{5},
                                          std::size_t{6}, std::size_t{7})));
 
-// --- 2. solver-level fuse on/off identity -------------------------------------
+// --- 2. solver-level fuse plan/off identity ----------------------------------
 
 struct Problem {
   grid::Grid2D g;
@@ -449,7 +451,7 @@ TEST(FusedSolvers, CgMatchesUnfusedAcrossPrecondsModesAndTilings) {
     for (const std::string precond : {"jacobi", "spai0", "spai", "mg"}) {
       for (const int px : {1, 2}) {
         SolveOutcome out[2];
-        for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+        for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
           Problem prob(24, 16, 1, px, 1);
           fill_operator(prob.A, 1234);
           ExecContext ctx = make_ctx(mode, fuse);
@@ -460,7 +462,7 @@ TEST(FusedSolvers, CgMatchesUnfusedAcrossPrecondsModesAndTilings) {
           CgSolver cg(prob.g, prob.d, 1);
           SolveOptions opt;
           opt.rel_tol = 1e-9;
-          auto& slot = out[fuse == FuseMode::On ? 1 : 0];
+          auto& slot = out[fuse == FuseMode::Plan ? 1 : 0];
           slot.stats = cg.solve(ctx, prob.A, *M, x, b, opt);
           slot.x = x.field().gather_global();
           EXPECT_TRUE(slot.stats.converged) << precond;
@@ -480,7 +482,7 @@ TEST(FusedSolvers, BicgstabMatchesUnfusedWithCoupling) {
     for (const bool ganged : {true, false}) {
       for (const int px : {1, 2}) {
         SolveOutcome out[2];
-        for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+        for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
           Problem prob(24, 16, 2, px, px == 2 ? 2 : 1);
           fill_operator(prob.A, 777, 0.3);
           fill_coupling(prob.A, 778);
@@ -493,7 +495,7 @@ TEST(FusedSolvers, BicgstabMatchesUnfusedWithCoupling) {
           SolveOptions opt;
           opt.rel_tol = 1e-9;
           opt.ganged = ganged;
-          auto& slot = out[fuse == FuseMode::On ? 1 : 0];
+          auto& slot = out[fuse == FuseMode::Plan ? 1 : 0];
           slot.stats = solver.solve(ctx, prob.A, *M, x, b, opt);
           slot.x = x.field().gather_global();
           EXPECT_TRUE(slot.stats.converged);
@@ -516,7 +518,7 @@ TEST(FusedSolvers, FusedTrajectoryInvariantUnderHostThreads) {
     Problem prob(32, 16, 2, 2, 2);
     fill_operator(prob.A, 4321, 0.2);
     fill_coupling(prob.A, 4322);
-    ExecContext ctx = make_ctx(VlaExecMode::Native, FuseMode::On);
+    ExecContext ctx = make_ctx(VlaExecMode::Native, FuseMode::Plan);
     auto M = make_preconditioner("spai0", ctx, prob.A);
     DistVector x(prob.g, prob.d, 2), b(prob.g, prob.d, 2);
     randomize(b, 5);
@@ -536,7 +538,7 @@ TEST(FusedSolvers, FusedTrajectoryInvariantUnderHostThreads) {
   set_host_threads(0);
 }
 
-/// End-to-end: the full radiation driver under --fuse on reproduces the
+/// End-to-end: the full radiation driver under --fuse plan reproduces the
 /// unfused trajectory bit-for-bit while every compiler profile's simulated
 /// clock gets strictly cheaper (fewer bytes moved, fewer instructions).
 TEST(FusedSolvers, SimulationPinnedAndSimulatedTimeReduced) {
@@ -551,7 +553,7 @@ TEST(FusedSolvers, SimulationPinnedAndSimulatedTimeReduced) {
   core::Simulation unfused(cfg);
   unfused.run();
 
-  cfg.fuse = "on";
+  cfg.fuse = "plan";
   core::Simulation fused(cfg);
   fused.run();
 
@@ -568,7 +570,7 @@ TEST(FusedSolvers, SimulationPinnedAndSimulatedTimeReduced) {
 
 TEST(BicgstabEdgePaths, ZeroRhsAllVariants) {
   for (const bool ganged : {true, false}) {
-    for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+    for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
       Problem prob(16, 8, 1);
       fill_operator(prob.A, 11);
       ExecContext ctx = make_ctx(VlaExecMode::Native, fuse);
@@ -592,7 +594,7 @@ TEST(BicgstabEdgePaths, ExactBreakdownFromConvergedGuess) {
   // Starting from the exact solution makes r0 = 0, so ρ0 = r̂ᵀr0 = 0: the
   // exact-breakdown path, reported as such rather than div-by-zero NaNs.
   for (const bool ganged : {true, false}) {
-    for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+    for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
       Problem prob(16, 8, 1);
       fill_operator(prob.A, 21);
       ExecContext ctx = make_ctx(VlaExecMode::Native, fuse);
@@ -615,7 +617,7 @@ TEST(BicgstabEdgePaths, IndefiniteOperatorTerminatesWithReason) {
   // Mixed-sign diagonal: BiCGSTAB may converge, stagnate or break down,
   // but it must terminate with a definitive reason and finite numbers.
   for (const bool ganged : {true, false}) {
-    for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
+    for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
       Problem prob(16, 8, 1);
       fill_operator(prob.A, 31);
       for (int lj = 0; lj < 8; ++lj)

@@ -2,20 +2,21 @@
 /// \brief The fusion planner: plan determinism, legality, DAG capture and
 /// the --fuse plan differential contract.
 ///
-/// Four layers, extending test_fusion.cpp's oracle suite:
+/// Five layers, extending test_fusion.cpp's composite suite:
 ///   1. plan determinism — the built-in plan dump is byte-identical across
 ///      repeated planning and across host-thread counts;
-///   2. legality — write-after-read across a reduction cuts the group (in
+///   2. closed forms — each single-group composite records exactly the op
+///      mix stated for it here, in group_counts and in the interpreter;
+///   3. legality — write-after-read across a reduction cuts the group (in
 ///      both plan_chain and the DAG annotator), and a reduction over an
 ///      unstored temporary is rejected outright;
-///   3. DAG capture — the first Plan-mode solver iteration of each
+///   4. DAG capture — the first Plan-mode solver iteration of each
 ///      configuration is recorded once, on the driving thread only, and
 ///      the capture prices nothing;
-///   4. differential — --fuse plan is bit-identical in fields to both off
-///      and on, and bit-identical in per-profile per-rank clocks and full
-///      cost ledgers to on (the hand-written oracle), across solvers ×
-///      preconditioners × exec modes × VL tail shapes — solo and in a
-///      mixed-fuse farm.
+///   5. differential — --fuse plan is bit-identical in fields to off
+///      across solvers × preconditioners × exec modes × VL tail shapes,
+///      its simulated clocks beat off's, and the retired `on` spelling
+///      runs exactly the plan path — solo and in a mixed-fuse farm.
 
 #include <gtest/gtest.h>
 
@@ -70,7 +71,102 @@ TEST(PlanDeterminism, RuntimeChainPlansMatchCompileTimePlans) {
   EXPECT_EQ(ct.group[0].sig, rt.group[0].sig);
 }
 
-// --- 2. legality --------------------------------------------------------------
+// --- 2. closed forms of the composites ---------------------------------------
+
+/// The op mix of one single-group composite in the strip-mined form every
+/// whilelt kernel shares: per call `dups` broadcasts; per strip `loads`
+/// loads, `stores` stores, `fmas` FMAs and `muls` multiplies; and, when it
+/// reduces, one ptrue plus `reduces` horizontal reduces at the end.  The
+/// planner is the only definition of these kernels, so this table is what
+/// pins their recorded streams from outside it.
+struct CompositeMix {
+  fusion::Chain (*chain)();
+  std::uint64_t dups, loads, stores, fmas, muls, reduces;
+};
+
+constexpr CompositeMix kCompositeMixes[] = {
+    // z ← x + a·y: the COPY disappears into the DAXPY's addend.
+    {fusion::make_axpy_out_chain, 1, 2, 1, 1, 0, 0},
+    // p ← r + b·(p − w·v): two chained FMAs, p streamed once.
+    {fusion::make_p_update_chain, 2, 3, 1, 2, 0, 0},
+    // z ← m⊙r with the {z·r, r·r} gang: two zeroed accumulators, two
+    // merging FMAs per strip on in-register values.
+    {fusion::make_hadamard_dot2_chain, 2, 2, 1, 2, 1, 2},
+    // The residual DAXPY rides the sweep: one more dup, load, FMA, store.
+    {fusion::make_hadamard_update_dot2_chain, 3, 3, 2, 3, 1, 2},
+};
+
+sim::KernelCounts expected_counts(const CompositeMix& m, std::uint64_t n,
+                                  unsigned vl) {
+  const std::uint64_t strips = (n + vl - 1) / vl;
+  sim::KernelCounts c;
+  const auto op = [&c](sim::OpClass cls, std::uint64_t instr,
+                       std::uint64_t lanes) {
+    c.instr[static_cast<std::size_t>(cls)] += instr;
+    c.lanes[static_cast<std::size_t>(cls)] += lanes;
+  };
+  op(sim::OpClass::Select, m.dups, m.dups);
+  // Loop control per strip: a whilelt over all VL lanes, then a counter
+  // update and a branch over the strip's active lanes.
+  op(sim::OpClass::Predicate, strips, strips * vl);
+  op(sim::OpClass::IntOp, strips, n);
+  op(sim::OpClass::Branch, strips, n);
+  op(sim::OpClass::LoadContig, m.loads * strips, m.loads * n);
+  op(sim::OpClass::StoreContig, m.stores * strips, m.stores * n);
+  op(sim::OpClass::FlopFma, m.fmas * strips, m.fmas * n);
+  op(sim::OpClass::FlopMul, m.muls * strips, m.muls * n);
+  if (m.reduces > 0) {
+    op(sim::OpClass::Predicate, 1, vl);
+    op(sim::OpClass::Reduce, m.reduces, m.reduces * vl);
+  }
+  c.bytes_read = 8 * m.loads * n;
+  c.bytes_written = 8 * m.stores * n;
+  return c;
+}
+
+TEST(CompositeOpMix, GroupCountsAndInterpreterMatchTheClosedForms) {
+  Rng rng(61);
+  for (const CompositeMix& m : kCompositeMixes) {
+    const fusion::Chain chain = m.chain();
+    const fusion::FusionPlan plan = fusion::plan_chain(chain);
+    ASSERT_EQ(plan.ngroups, 1) << chain.name;
+    for (const unsigned bits : {128u, 256u, 512u, 1024u, 2048u}) {
+      const unsigned vl = bits / 64;
+      // The FusedKernelSweep tail shapes: empty, partial, full, multi-strip.
+      for (const std::uint64_t n :
+           {0u, 1u, vl - 1, vl, vl + 1, 3 * vl, 3 * vl + vl / 2, 257u}) {
+        const std::string where = std::string(chain.name) + "/vl" +
+                                  std::to_string(vl) + "/n" +
+                                  std::to_string(n);
+        const sim::KernelCounts want = expected_counts(m, n, vl);
+        testutil::expect_counts_equal(
+            fusion::group_counts(plan.group[0], n, vl), want,
+            where + "/group_counts");
+
+        // Bind every slot to its own buffer (one spare element keeps
+        // .data() non-null at n = 0) and record one interpreted call.
+        std::vector<std::vector<double>> buf(chain.nslots);
+        DdAccumulator acc[fusion::kMaxAccs];
+        fusion::Bind bind{};
+        bind.n = n;
+        for (std::size_t s = 0; s < chain.nslots; ++s) {
+          buf[s].resize(n + 1);
+          for (double& v : buf[s]) v = rng.uniform(-1.0, 1.0);
+          bind.slot[s] = buf[s].data();
+        }
+        for (std::size_t k = 0; k < chain.nscal; ++k)
+          bind.scal[k] = rng.uniform(-1.0, 1.0);
+        for (std::size_t k = 0; k < chain.naccs; ++k) bind.acc[k] = &acc[k];
+        Context ctx(VectorArch(bits), VlaExecMode::Interpret);
+        fusion::run(ctx, plan, bind);
+        testutil::expect_counts_equal(ctx.take_counts(), want,
+                                      where + "/interpreter");
+      }
+    }
+  }
+}
+
+// --- 3. legality --------------------------------------------------------------
 
 /// A node that writes a slot some Dot already in the group reads must not
 /// fuse: the sweep would feed the reduction post-update values.
@@ -220,7 +316,7 @@ void expect_same_trajectory(const SolveOutcome& a, const SolveOutcome& b,
     ASSERT_EQ(a.x[i], b.x[i]) << label << " zone " << i;
 }
 
-// --- 3. DAG capture -----------------------------------------------------------
+// --- 4. DAG capture -----------------------------------------------------------
 
 TEST(DagCapture, RecordsFirstPlanIterationOncePerConfiguration) {
   Problem prob(24, 16, 1);
@@ -259,19 +355,18 @@ TEST(DagCapture, RecordsFirstPlanIterationOncePerConfiguration) {
   EXPECT_EQ(ctx.vctx.dag_store().size(), 2u);
 }
 
-TEST(DagCapture, OffAndOnModesNeverRecord) {
-  for (const auto fuse : {FuseMode::Off, FuseMode::On}) {
-    Problem prob(24, 16, 1);
-    fill_operator(prob.A, 1234);
-    ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native, fuse);
-    auto M = make_preconditioner("jacobi", ctx, prob.A);
-    DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
-    randomize(b, 99);
-    x.fill(ctx, 0.0);
-    CgSolver cg(prob.g, prob.d, 1);
-    ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-    EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
-  }
+TEST(DagCapture, OffModeNeverRecords) {
+  Problem prob(24, 16, 1);
+  fill_operator(prob.A, 1234);
+  ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
+                  FuseMode::Off);
+  auto M = make_preconditioner("jacobi", ctx, prob.A);
+  DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
+  randomize(b, 99);
+  x.fill(ctx, 0.0);
+  CgSolver cg(prob.g, prob.d, 1);
+  ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
+  EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
 }
 
 /// Recording happens on the driving thread only, so the captured dump is
@@ -300,19 +395,18 @@ TEST(DagCapture, DumpInvariantUnderHostThreads) {
   set_host_threads(0);
 }
 
-// --- 4. differential: plan vs off vs on ---------------------------------------
+// --- 5. differential: plan vs off ---------------------------------------------
 
 /// Every solver/precond/exec-mode/VL combination: --fuse plan reproduces
-/// the off and on trajectories bit-for-bit.  VL 2048 leaves a 22-element
-/// row as pure tail (vl = 32); VL 512 splits it 8+8+6.
-TEST(PlannedSolvers, TrajectoryMatchesOffAndOnAcrossTheMatrix) {
+/// the off trajectory bit-for-bit.  VL 2048 leaves a 22-element row as
+/// pure tail (vl = 32); VL 512 splits it 8+8+6.
+TEST(PlannedSolvers, TrajectoryMatchesOffAcrossTheMatrix) {
   for (const auto mode : {VlaExecMode::Native, VlaExecMode::Interpret}) {
     for (const std::string precond : {"jacobi", "spai0", "mg"}) {
       for (const unsigned bits : {512u, 2048u}) {
         for (const bool use_cg : {true, false}) {
-          SolveOutcome out[3];
-          for (const auto fuse :
-               {FuseMode::Off, FuseMode::On, FuseMode::Plan}) {
+          SolveOutcome out[2];
+          for (const auto fuse : {FuseMode::Off, FuseMode::Plan}) {
             Problem prob(22, 14, 1, 2, 1);
             fill_operator(prob.A, 4242);
             ExecContext ctx(VectorArch(bits), nullptr, mode, fuse);
@@ -337,21 +431,18 @@ TEST(PlannedSolvers, TrajectoryMatchesOffAndOnAcrossTheMatrix) {
               std::string(use_cg ? "cg/" : "bicgstab/") + precond + "/vl" +
               std::to_string(bits) +
               (mode == VlaExecMode::Native ? "/native" : "/interpret");
-          const auto off = static_cast<int>(FuseMode::Off);
-          const auto on = static_cast<int>(FuseMode::On);
-          const auto plan = static_cast<int>(FuseMode::Plan);
-          expect_same_trajectory(out[off], out[plan], label + " off/plan");
-          expect_same_trajectory(out[on], out[plan], label + " on/plan");
+          expect_same_trajectory(out[static_cast<int>(FuseMode::Off)],
+                                 out[static_cast<int>(FuseMode::Plan)],
+                                 label + " off/plan");
         }
       }
     }
   }
 }
 
-/// End-to-end Simulation contract: plan fields are bit-identical to off
-/// and on, plan clocks and full ledgers are bit-identical to on (same
-/// composites, now planner-emitted), and plan beats off on every profile.
-TEST(PlannedSolvers, SimulationPlanMatchesOnExactlyAndBeatsOff) {
+/// End-to-end Simulation contract: plan fields are bit-identical to off,
+/// and plan beats off on every profile's per-rank clock.
+TEST(PlannedSolvers, SimulationPlanPinsFieldsAndBeatsOff) {
   core::RunConfig cfg;
   cfg.nx1 = 48;
   cfg.nx2 = 24;
@@ -359,36 +450,34 @@ TEST(PlannedSolvers, SimulationPlanMatchesOnExactlyAndBeatsOff) {
   cfg.steps = 2;
   cfg.compilers = {"cray", "gnu"};
 
-  testutil::SimCapture caps[3];
-  const char* modes[3] = {"off", "on", "plan"};
-  for (int i = 0; i < 3; ++i) {
+  testutil::SimCapture caps[2];
+  const char* modes[2] = {"off", "plan"};
+  for (int i = 0; i < 2; ++i) {
     cfg.fuse = modes[i];
     core::Simulation sim(cfg);
     sim.run();
     caps[i] = testutil::capture(sim);
   }
 
-  // Fields/trajectory: all three identical.
-  ASSERT_EQ(caps[0].field.size(), caps[2].field.size());
-  EXPECT_EQ(std::memcmp(caps[0].field.data(), caps[2].field.data(),
+  // Fields/trajectory: identical.
+  ASSERT_EQ(caps[0].field.size(), caps[1].field.size());
+  EXPECT_EQ(std::memcmp(caps[0].field.data(), caps[1].field.data(),
                         caps[0].field.size() * sizeof(double)),
             0);
-  EXPECT_EQ(caps[0].time, caps[2].time);
-  EXPECT_EQ(caps[0].steps, caps[2].steps);
-
-  // Clocks + ledgers: plan == on exactly.
-  testutil::expect_captures_identical(caps[1], caps[2], "on-vs-plan");
+  EXPECT_EQ(caps[0].time, caps[1].time);
+  EXPECT_EQ(caps[0].steps, caps[1].steps);
 
   // And plan is strictly cheaper than off on every profile clock.
   for (std::size_t p = 0; p < caps[0].clocks.size(); ++p)
     for (std::size_t r = 0; r < caps[0].clocks[p].size(); ++r)
-      EXPECT_LT(caps[2].clocks[p][r], caps[0].clocks[p][r])
+      EXPECT_LT(caps[1].clocks[p][r], caps[0].clocks[p][r])
           << "profile " << p << " rank " << r;
 }
 
-/// Mixed-fuse farm regression (memo-key separation): off/on/plan jobs
-/// sharing one farm — and its shared per-VL count caches — reproduce
-/// their solo runs exactly, and the plan job still equals the on job.
+/// Mixed-fuse farm regression (memo-key separation): off/plan jobs sharing
+/// one farm — and its shared per-VL count caches — reproduce their solo
+/// runs exactly, and a job spelled with the retired `on` runs exactly the
+/// plan path.
 TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
   core::RunConfig base;
   base.problem = "gaussian-pulse";
@@ -401,7 +490,7 @@ TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
   base.host_threads = 1;
 
   std::vector<farm::FarmJob> jobs;
-  for (const char* fuse : {"off", "on", "plan", "plan"}) {
+  for (const char* fuse : {"off", "plan", "on", "plan"}) {
     core::RunConfig cfg = base;
     cfg.fuse = fuse;
     jobs.push_back({std::string("pulse-") + fuse +
@@ -430,10 +519,10 @@ TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
 
   for (std::size_t i = 0; i < jobs.size(); ++i)
     testutil::expect_captures_identical(solo[i], farmed[i], jobs[i].name);
-  // The plan jobs equal the on job exactly — no cache cross-talk in
+  // The `on` job equals the plan jobs exactly — no cache cross-talk in
   // either direction.
-  testutil::expect_captures_identical(farmed[1], farmed[2], "on-vs-plan");
-  testutil::expect_captures_identical(farmed[2], farmed[3], "plan-vs-plan");
+  testutil::expect_captures_identical(farmed[1], farmed[2], "plan-vs-on");
+  testutil::expect_captures_identical(farmed[1], farmed[3], "plan-vs-plan");
 }
 
 /// The fuse knob is pinned in checkpoints: a plan checkpoint refuses to
@@ -461,16 +550,17 @@ TEST(PlannedSolvers, FuseModePinnedAcrossRestart) {
   std::remove(path.c_str());
 }
 
-TEST(FuseModeNames, TriStateRoundTripAndError) {
+TEST(FuseModeNames, RoundTripRetiredAliasAndError) {
   EXPECT_EQ(fuse_mode_from_name("off"), FuseMode::Off);
-  EXPECT_EQ(fuse_mode_from_name("on"), FuseMode::On);
   EXPECT_EQ(fuse_mode_from_name("plan"), FuseMode::Plan);
+  EXPECT_EQ(fuse_mode_from_name("on"), FuseMode::Plan);  // retired spelling
+  EXPECT_STREQ(fuse_mode_name(FuseMode::Off), "off");
   EXPECT_STREQ(fuse_mode_name(FuseMode::Plan), "plan");
   try {
     (void)fuse_mode_from_name("auto");
     FAIL() << "expected an error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("off|on|plan"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("off|plan"), std::string::npos);
   }
 }
 

@@ -75,6 +75,35 @@ TEST(H5Lite, TruncatedStreamRejected) {
   EXPECT_THROW(H5File::deserialize(bytes), Error);
 }
 
+/// Inflated length fields must fail as structured errors before they size
+/// an allocation: a 2^32-ish rank, a dim of 2^40 elements, and dims whose
+/// product overflows 64 bits.
+TEST(H5Lite, InflatedDatasetLengthsRejected) {
+  H5File f;
+  const std::vector<double> clock = {1.0, 2.0, 3.0};
+  f.root().write("clock", std::span<const double>(clock), {3});
+  const auto bytes = f.serialize();
+  // Layout after the 8-byte header and the root's empty attr table:
+  // u32 dataset count, u32 name length, name, u8 type, u32 ndims, u64 dims.
+  const std::size_t ndims_at = 8 + 4 + 4 + 4 + 5 + 1;
+  const std::size_t dim0_at = ndims_at + 4;
+  ASSERT_EQ(bytes[ndims_at], 1u);
+  ASSERT_EQ(bytes[dim0_at], 3u);
+
+  auto rank = bytes;
+  for (int i = 0; i < 4; ++i) rank[ndims_at + i] = i == 0 ? 0xF0 : 0xFF;
+  EXPECT_THROW(H5File::deserialize(rank), Error);
+
+  auto dim = bytes;
+  dim[dim0_at] = 0;
+  dim[dim0_at + 5] = 0x01;  // 2^40 elements
+  EXPECT_THROW(H5File::deserialize(dim), Error);
+
+  Dataset wide;
+  wide.dims = {std::uint64_t{1} << 40, std::uint64_t{1} << 40};
+  EXPECT_THROW((void)wide.element_count(), Error);
+}
+
 TEST(H5Lite, BadMagicRejected) {
   std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
   EXPECT_THROW(H5File::deserialize(junk), Error);

@@ -207,11 +207,11 @@ void expect_thread_count_invariant(const core::RunConfig& cfg,
                                       label + "@4");
 }
 
-/// Fused kernels (hand-written under --fuse on, planner groups under
-/// --fuse plan) run their own rank loops: every fuse mode must stay
-/// bit-identical across host-thread counts.
+/// Fused kernels (planner groups under --fuse plan) run their own rank
+/// loops: every fuse mode must stay bit-identical across host-thread
+/// counts.
 TEST(HostThreadsTest, FuseModesBitIdenticalAcrossHostThreads) {
-  for (const char* fuse : {"off", "on", "plan"}) {
+  for (const char* fuse : {"off", "plan"}) {
     core::RunConfig cfg = small_pulse_config("native", 2);
     cfg.fuse = fuse;
     expect_thread_count_invariant(cfg, std::string("fuse=") + fuse);
@@ -232,7 +232,7 @@ TEST(HostThreadsTest, ClassicDotsBitIdenticalAcrossHostThreads) {
 /// The V-cycle's smoother stages and corner-filling transfers are rank
 /// loops of their own.
 TEST(HostThreadsTest, MgPrecondBitIdenticalAcrossHostThreads) {
-  for (const char* fuse : {"off", "on"}) {
+  for (const char* fuse : {"off", "plan"}) {
     core::RunConfig cfg = pulse_config(1, "native", 2);
     cfg.preconditioner = "mg";
     cfg.fuse = fuse;
@@ -265,7 +265,7 @@ TEST(HostThreadsTest, MixedFarmBitIdenticalToSolo) {
   relax.nx1 = 24;
   relax.nx2 = 24;
   relax.steps = 2;
-  relax.fuse = "on";
+  relax.fuse = "plan";
   relax.host_threads = 1;
   jobs.push_back({"relax-fused", relax});
 

@@ -59,8 +59,12 @@ void expect_exec_state_equal(const core::Simulation& a,
 /// Uninterrupted run vs. run-to-midpoint + restart + run-to-end, with the
 /// same periodic checkpoint cadence so both runs price identical Io.
 /// `edit_mid`, when set, rewrites the midpoint file before the restart.
+/// Both runs use `fuse`; the resumed half uses `resume_fuse` when it is
+/// given.
 void round_trip(const std::string& problem, const std::string& vla_exec,
-                const std::function<void(const std::string&)>& edit_mid = {}) {
+                const std::function<void(const std::string&)>& edit_mid = {},
+                const std::string& fuse = "off",
+                const std::string& resume_fuse = "") {
   const std::string mid = temp_path("v2d_mid_" + problem + vla_exec + ".h5l");
   const std::string full =
       temp_path("v2d_full_" + problem + vla_exec + ".h5l");
@@ -69,6 +73,7 @@ void round_trip(const std::string& problem, const std::string& vla_exec,
 
   // Uninterrupted reference: checkpoints at steps 2 and 4.
   core::RunConfig cfg = base_config(problem, vla_exec);
+  cfg.fuse = fuse;
   cfg.checkpoint_path = full;
   cfg.checkpoint_every = 2;
   core::Simulation ref(cfg);
@@ -86,6 +91,7 @@ void round_trip(const std::string& problem, const std::string& vla_exec,
 
   // Resume from the midpoint file and finish.
   core::RunConfig rest = cfg;
+  if (!resume_fuse.empty()) rest.fuse = resume_fuse;
   rest.checkpoint_path = resumed;
   core::Simulation second(rest);
   second.restart(mid);
@@ -135,6 +141,21 @@ TEST(Restart, CheckpointWithRetiredSchedulerKnobStillRestarts) {
     f.root().group("config").set_attr("host_sched", std::string("graph"));
     f.save(path);
   });
+}
+
+/// Before `on` became the retired spelling of `plan`, an `on` run wrote
+/// fuse = "on" into its checkpoint's config group — byte-for-byte what
+/// the edit below leaves.  Resumed under --fuse on, such a file continues
+/// the plan path bit-identically.
+TEST(Restart, CheckpointWithRetiredFuseOnStillRestarts) {
+  round_trip(
+      "gaussian-pulse", "native",
+      [](const std::string& path) {
+        io::H5File f = io::H5File::load(path);
+        f.root().group("config").set_attr("fuse", std::string("on"));
+        f.save(path);
+      },
+      "plan", "on");
 }
 
 // --- cadence contract --------------------------------------------------------
@@ -230,7 +251,7 @@ TEST(Restart, MismatchedConfigurationRejected) {
   for (auto mutate : {+[](core::RunConfig& c) { c.kappa_total = 12.0; },
                       +[](core::RunConfig& c) { c.dt = 0.05; },
                       +[](core::RunConfig& c) { c.preconditioner = "jacobi"; },
-                      +[](core::RunConfig& c) { c.fuse = "on"; }}) {
+                      +[](core::RunConfig& c) { c.fuse = "plan"; }}) {
     core::RunConfig knob = cfg;
     mutate(knob);
     core::Simulation wrong_knob(knob);
