@@ -21,6 +21,7 @@
 /// nonzero when any job failed.
 
 #include <cstddef>
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
@@ -40,16 +41,13 @@ namespace {
 int run_farm(const std::string& job_path, const v2d::Options& opt) {
   using namespace v2d;
   farm::FarmOptions fopt;
-  fopt.host_threads = static_cast<int>(opt.get_int("host-threads"));
-  fopt.max_concurrent =
-      static_cast<int>(opt.get_int("farm-max-concurrent"));
+  fopt.host_threads = opt.get_int<int>("host-threads");
+  fopt.max_concurrent = opt.get_int<int>("farm-max-concurrent");
   fopt.fault_plan = resilience::FaultPlan(
-      static_cast<std::uint64_t>(opt.get_int("fault-seed")),
-      opt.get("fault-spec"));
-  fopt.max_retries = static_cast<int>(opt.get_int("farm-max-retries"));
-  fopt.backoff_base_waves =
-      static_cast<int>(opt.get_int("farm-backoff-base"));
-  fopt.backoff_cap_waves = static_cast<int>(opt.get_int("farm-backoff-cap"));
+      opt.get_int<std::uint64_t>("fault-seed"), opt.get("fault-spec"));
+  fopt.max_retries = opt.get_int<int>("farm-max-retries");
+  fopt.backoff_base_waves = opt.get_int<int>("farm-backoff-base");
+  fopt.backoff_cap_waves = opt.get_int<int>("farm-backoff-cap");
   fopt.job_step_budget = opt.get_int("farm-step-budget");
   fopt.job_sim_budget = opt.get_double("farm-sim-budget");
   farm::FarmScheduler sched(fopt);
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
   if (!opt.get("farm").empty()) {
     try {
       return run_farm(opt.get("farm"), opt);
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       std::cerr << "v2d farm: " << e.what() << '\n';
       return 1;
     }
@@ -174,9 +172,8 @@ int main(int argc, char** argv) {
     // derive for a job named after the problem.  Without --farm there is
     // no retry policy — a fault surfaces as a structured error (or a
     // guard trip when --guard on), which is the point of the demo.
-    const resilience::FaultPlan plan(
-        static_cast<std::uint64_t>(opt.get_int("fault-seed")),
-        opt.get("fault-spec"));
+    const resilience::FaultPlan plan(opt.get_int<std::uint64_t>("fault-seed"),
+                                     opt.get("fault-spec"));
     resilience::FaultInjector injector(
         plan.schedule(cfg.problem, 0, cfg.steps));
     if (plan.active()) sim.set_fault_injector(&injector);
@@ -237,7 +234,9 @@ int main(int argc, char** argv) {
     std::cout << "\nTAU-style call-site profile ("
               << sim.exec().profile(0).name() << "):\n"
               << sim.profiler(0).report();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // v2d::Error and anything else escaping a run (bad_alloc on an
+    // oversized grid, length_error) end the same way: a message, exit 1.
     std::cerr << "v2d: " << e.what() << '\n';
     return 1;
   }

@@ -75,19 +75,19 @@ RunConfig RunConfig::from_options(const Options& opt) {
   // problem name is a usage error and create() lists the catalog in its
   // message (instantiating a Problem is cheap — it allocates no fields).
   (void)scenario::ScenarioRegistry::instance().create(c.problem);
-  c.nx1 = static_cast<int>(opt.get_int("nx1"));
-  c.nx2 = static_cast<int>(opt.get_int("nx2"));
-  c.ns = static_cast<int>(opt.get_int("ns"));
-  c.steps = static_cast<int>(opt.get_int("steps"));
+  c.nx1 = opt.get_int<int>("nx1");
+  c.nx2 = opt.get_int<int>("nx2");
+  c.ns = opt.get_int<int>("ns");
+  c.steps = opt.get_int<int>("steps");
   c.dt = opt.get_double("dt");
   c.kappa_total = opt.get_double("kappa");
   c.kappa_absorb = opt.get_double("kappa-absorb");
   c.exchange_kappa = opt.get_double("kappa-exchange");
   c.limiter = rad::limiter_from_name(opt.get("limiter"));
-  c.nprx1 = static_cast<int>(opt.get_int("nprx1"));
-  c.nprx2 = static_cast<int>(opt.get_int("nprx2"));
+  c.nprx1 = opt.get_int<int>("nprx1");
+  c.nprx2 = opt.get_int<int>("nprx2");
   c.rel_tol = opt.get_double("tol");
-  c.max_iterations = static_cast<int>(opt.get_int("max-iter"));
+  c.max_iterations = opt.get_int<int>("max-iter");
   c.ganged = opt.get_bool("ganged");
   c.preconditioner = opt.get("precond");
   c.solver_fallbacks.clear();
@@ -109,10 +109,10 @@ RunConfig RunConfig::from_options(const Options& opt) {
   }
   c.guard_drift = opt.get_double("guard-drift");
   V2D_REQUIRE(c.guard_drift >= 0.0, "guard-drift must be >= 0");
-  c.mg_coarse_size = static_cast<int>(opt.get_int("mg-coarse-size"));
-  c.mg_levels = static_cast<int>(opt.get_int("mg-levels"));
-  c.mg_nu_pre = static_cast<int>(opt.get_int("mg-nu-pre"));
-  c.mg_nu_post = static_cast<int>(opt.get_int("mg-nu-post"));
+  c.mg_coarse_size = opt.get_int<int>("mg-coarse-size");
+  c.mg_levels = opt.get_int<int>("mg-levels");
+  c.mg_nu_pre = opt.get_int<int>("mg-nu-pre");
+  c.mg_nu_post = opt.get_int<int>("mg-nu-post");
   c.mg_smoother = opt.get("mg-smoother");
   c.mg_omega = opt.get_double("mg-omega");
   c.mg_cheb_boost = opt.get_double("mg-cheb-boost");
@@ -124,15 +124,15 @@ RunConfig RunConfig::from_options(const Options& opt) {
     if (!item.empty()) c.compilers.push_back(item);
   }
   V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
-  c.vector_bits = static_cast<unsigned>(opt.get_int("vector-bits"));
-  c.host_threads = static_cast<int>(opt.get_int("host-threads"));
+  c.vector_bits = opt.get_int<unsigned>("vector-bits");
+  c.host_threads = opt.get_int<int>("host-threads");
   c.vla_exec = opt.get("vla-exec");
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
   c.dump_fusion_plan = opt.get_bool("dump-fusion-plan");
   c.checkpoint_path = opt.get("checkpoint");
-  c.checkpoint_every = static_cast<int>(opt.get_int("checkpoint-every"));
+  c.checkpoint_every = opt.get_int<int>("checkpoint-every");
   c.restart_path = opt.get("restart");
   return c;
 }

@@ -58,7 +58,7 @@ struct RunConfig {
   /// clocks are bit-identical at any value.  Applied to the process-wide
   /// pool when a Simulation is constructed.
   int host_threads = 0;
-  /// VLA execution backend: "native" (raw-pointer fast path + analytic
+  /// VLA execution backend: "native" (raw-pointer fast path + memoized
   /// recording) or "interpret" (op-by-op reference).  Results and recorded
   /// counts are identical; native is the default because it is the one you
   /// want for anything larger than a unit test.

@@ -3,12 +3,12 @@
 /// \brief The read-mostly runtime a farm shares across Simulation sessions.
 ///
 /// A solo run builds its whole runtime from scratch: a fresh vla::Context
-/// (empty analytic-count memo), direct pricing, private solver scratch.
+/// (empty count memo), direct pricing, private solver scratch.
 /// A farm serving many jobs from one process wants the warm parts of that
 /// runtime to persist and be shared:
 ///
-///   * one vla::Context memo cache per vector length, so the closed-form
-///     KernelCounts for a (kernel, n, VL) shape are derived once per
+///   * one vla::Context memo cache per vector length, so the
+///     KernelCounts for a (kernel, n, VL) shape are recorded once per
 ///     process, not once per session — `context_for` hands each new
 ///     session a fork of the matching per-VL prototype;
 ///   * one PriceMemo, so identical recorded shapes price once per process
@@ -47,7 +47,7 @@ public:
 
   /// A vla::Context for `bits`-bit vectors in `mode`, forked from the
   /// shared per-VL prototype (created on demand) so every session at one
-  /// VL shares one analytic-count memo cache.
+  /// VL shares one count memo cache.
   vla::Context context_for(unsigned bits, vla::VlaExecMode mode) {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = protos_.find(bits);

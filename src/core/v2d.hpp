@@ -37,7 +37,7 @@ class Simulation {
 public:
   /// `shared`, when non-null, injects a farm's shared runtime: the
   /// session's vla::Context forks from the shared per-VL prototype (warm
-  /// analytic-count memo), its ExecModel routes pricing through the shared
+  /// count memo), its ExecModel routes pricing through the shared
   /// PriceMemo, its stepper leases scratch from the shared WorkspacePool,
   /// and the global host pool is left alone (the farm sizes it once).
   /// Everything shared is a pure-function cache or scrubbed scratch, so a

@@ -8,10 +8,10 @@
 /// active session once, concurrently on the process host pool (each step
 /// still runs its own par_ranks inside, which executes inline on the
 /// pool's lanes), and admits queued jobs as running ones finish.  All
-/// sessions share one SessionShared runtime: the per-VL analytic-count
-/// memo, the same-shape PriceMemo, and the SolverWorkspace pool — so a
-/// batch of same-shape jobs derives each closed-form KernelCounts shape
-/// and each price once per process instead of once per job.
+/// sessions share one SessionShared runtime: the per-VL count memo, the
+/// same-shape PriceMemo, and the SolverWorkspace pool — so a batch of
+/// same-shape jobs records each kernel shape's KernelCounts and derives
+/// each price once per process instead of once per job.
 ///
 /// Isolation contract: jobs share *only* pure-function caches and
 /// scrubbed scratch.  Each job keeps its own ExecModel (clocks, ledgers),

@@ -1,7 +1,9 @@
 #include "grid/dist_field.hpp"
 
 #include <algorithm>
+#include <string>
 
+#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace v2d::grid {
@@ -32,8 +34,15 @@ DistField::DistField(const Grid2D& grid, const Decomposition& dec, int ns,
   data_.resize(static_cast<std::size_t>(dec.nranks()));
   for (int r = 0; r < dec.nranks(); ++r) {
     const TileExtent& e = dec.extent(r);
-    const std::size_t n = static_cast<std::size_t>(ns) * (e.ni + 2 * ng) *
-                          (e.nj + 2 * ng);
+    // Sized in size_t with overflow checks: extents come from options, and
+    // a tile near INT_MAX zones wide must fail here, not wrap.
+    std::size_t n = 0;
+    const bool overflow =
+        __builtin_mul_overflow(static_cast<std::size_t>(ns),
+                               static_cast<std::size_t>(e.ni) + 2 * ng, &n) ||
+        __builtin_mul_overflow(n, static_cast<std::size_t>(e.nj) + 2 * ng, &n);
+    V2D_REQUIRE(!overflow, "tile of " + std::to_string(e.ni) + "x" +
+                               std::to_string(e.nj) + " zones is too large");
     data_[static_cast<std::size_t>(r)].assign(n, 0.0);
   }
 }

@@ -11,7 +11,7 @@
 /// fusion planner and memoized in the Context's DagStore.  Subsequent
 /// solves of the same configuration find the key present and record
 /// nothing — the capture is as cheap as one map probe, exactly like the
-/// analytic KernelCounts memo.
+/// KernelCounts memo.
 ///
 /// Capture never touches the priced stream: the recorder only appends
 /// (name, operands) tuples on the driving thread, so fields, counts,

@@ -257,8 +257,8 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   // (see support/dd.hpp); the VLA recording below still prices the
   // ordinary strip-mined DPROD the hardware would run.  The compensated
   // sum is the result in both exec modes, so on the fast path the
-  // interpreted DPROD is skipped entirely and only its analytic recording
-  // is kept — execution and recording fully decoupled.  Ranks accumulate
+  // DPROD is not computed at all and only its memoized recording is
+  // kept — execution and recording fully decoupled.  Ranks accumulate
   // into private partials merged in rank order afterwards, so the result
   // is also independent of the host-thread count.
   for (const DotPair& pr : pairs) dag_op(ctx, "dot", first, {pr.x, pr.y}, {});
@@ -277,19 +277,14 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
         grid::TileView yv =
             const_cast<DistVector*>(pairs[k].y)->field().view(r, s);
         for (int lj = 0; lj < e.nj; ++lj) {
-          if (fast) {
-            linalg::dprod_record_only(rctx.vctx,
-                                      static_cast<std::uint64_t>(e.ni));
-          } else {
-            (void)linalg::dprod(
-                rctx.vctx,
-                std::span<const double>(xv.row(lj),
-                                        static_cast<std::size_t>(e.ni)),
-                std::span<const double>(yv.row(lj),
-                                        static_cast<std::size_t>(e.ni)));
-          }
-          const double* xr = xv.row(lj);
-          const double* yr = yv.row(lj);
+          const std::span<const double> xr(xv.row(lj),
+                                           static_cast<std::size_t>(e.ni));
+          const std::span<const double> yr(yv.row(lj),
+                                           static_cast<std::size_t>(e.ni));
+          if (fast)
+            linalg::dprod_record_only(rctx.vctx, xr, yr);
+          else
+            (void)linalg::dprod(rctx.vctx, xr, yr);
           for (int li = 0; li < e.ni; ++li) acc[k].add(xr[li] * yr[li]);
         }
       }

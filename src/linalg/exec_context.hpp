@@ -27,15 +27,16 @@ namespace v2d::linalg {
 ///          recorded counts, ledgers and simulated clocks are bit-identical
 ///          to a build without the fusion layer.
 ///   Plan — composites run the groups the fusion planner
-///          (src/linalg/fusion/) derives from their Chain IR, in all three
-///          representations (interpreter sweep, signature-keyed native
-///          stamps, composed analytic counts): fewer memory passes, fewer
-///          kernel calls, reduced bytes_moved in the priced stream.  The
-///          first solver iteration of each configuration also records its
-///          kernel DAG (vla/kernel_dag.hpp).  Numerics are pinned to Off
-///          (same per-element expressions in the same association order,
-///          reductions keep the rank-ordered compensated merge), so the
-///          Krylov trajectory is unchanged — only the price is.
+///          (src/linalg/fusion/) derives from their Chain IR, as the
+///          interpreter sweep or as signature-keyed native stamps whose
+///          recording is a memoized dry run of that sweep: fewer memory
+///          passes, fewer kernel calls, reduced bytes_moved in the priced
+///          stream.  The first solver iteration of each configuration also
+///          records its kernel DAG (vla/kernel_dag.hpp).  Numerics are
+///          pinned to Off (same per-element expressions in the same
+///          association order, reductions keep the rank-ordered
+///          compensated merge), so the Krylov trajectory is unchanged —
+///          only the price is.
 enum class FuseMode : std::uint8_t {
   Off,
   Plan,
@@ -78,7 +79,7 @@ struct ExecContext {
   bool fused() const { return fuse == FuseMode::Plan; }
 
   /// Rank-local child context for par_ranks: shares the pricer and the
-  /// analytic count cache, with a private recording accumulator so
+  /// count memo, with a private recording accumulator so
   /// concurrent rank tasks keep their instruction streams separate.
   /// Allocation-free beyond a shared_ptr bump — runs once per rank task.
   /// The DAG recorder is deliberately not propagated (capture stays on the
@@ -95,10 +96,6 @@ struct ExecContext {
     counts.elements = elements;
     if (em != nullptr) em->kernel(rank, family, region, counts, working_set_bytes);
   }
-
-  /// Discard any recording (used around setup code that should not be
-  /// attributed to the solver).
-  void discard() { (void)vctx.take_counts(); }
 
   /// Price scalar-heavy host code (coefficient assembly, small dense
   /// solves) from analytic per-element flop/traffic estimates instead of a

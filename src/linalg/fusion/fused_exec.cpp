@@ -82,11 +82,13 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
   if (g.naccs > 0) {
     // The lane-accumulated values are the hardware's; the returned results
     // are the compensated element-order tails below, identical in both exec
-    // modes (and to the unfused dot path).
+    // modes (and to the unfused dot path).  A dry run records the epilogue
+    // but leaves the caller's accumulators alone.
     const Predicate full = ctx.ptrue();
     for (std::uint8_t i = 0; i < g.npre; ++i)
       if (g.pre[i].k == StepKind::DupAcc)
         (void)ctx.reduce_add(full, acc[g.pre[i].dst]);
+    if (ctx.dry()) return;
     for (std::uint8_t t = 0; t < g.ntails; ++t) {
       const DotTail& tl = g.tail[t];
       DdAccumulator a = *b.acc[tl.acc];
@@ -222,11 +224,6 @@ void ensure_registered() {
 
 }  // namespace
 
-bool has_native_stamp(std::uint64_t sig) {
-  ensure_registered();
-  return registry().find(sig) != registry().end();
-}
-
 void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
   for (std::uint8_t gi = 0; gi < plan.ngroups; ++gi) {
     const GroupProgram& g = plan.group[gi];
@@ -242,8 +239,8 @@ void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
       const std::uint64_t key =
           (1ull << 63) | (static_cast<std::uint64_t>(it->second.id) << 56) |
           (bind.n & 0x00ff'ffff'ffff'ffffULL);
-      ctx.record_memo(key,
-                      [&] { return group_counts(g, bind.n, ctx.lanes()); });
+      ctx.record_dry(key,
+                     [&](vla::Context& dry) { run_interpret(dry, g, bind); });
       it->second.fn(bind);
     } else {
       run_interpret(ctx, g, bind);

@@ -7,8 +7,9 @@
 ///     steps per strip through vla::Context ops (recording op-by-op, like
 ///     every other interpreted kernel);
 ///   - Native: a stamped-out template from a fixed set keyed by the
-///     fused-op signature (GroupProgram::sig), with the recording composed
-///     analytically by group_counts and memoized in the Context's count
+///     fused-op signature (GroupProgram::sig), with the recording made by
+///     dry-running the interpreter sweep once per (group, n)
+///     (vla::Context::record_dry) and memoized in the Context's count
 ///     cache under a signature-disjoint key space;
 ///   - both paths produce bit-identical results: elementwise steps evaluate
 ///     the same per-element expressions in the same association order, and
@@ -45,11 +46,10 @@ struct Bind {
 void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind);
 
 /// The generic interpreter sweep for one group (also the reference backend
-/// the stamps are differentially tested against).
+/// the stamps are differentially tested against, and the recording of the
+/// native stamps).  In a dry context it records the whole sweep, reduction
+/// epilogue included, but skips the compensated dot tails.
 void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& bind);
-
-/// True when the fixed template set contains a native stamp for `sig`.
-bool has_native_stamp(std::uint64_t sig);
 
 /// Deterministic dump of every built-in chain, its plan, and its native
 /// stamp ids (the `--dump-fusion-plan` payload).

@@ -8,78 +8,6 @@ namespace v2d::linalg::fusion {
 
 namespace {
 
-using sim::KernelCounts;
-using sim::OpClass;
-
-void op(KernelCounts& c, OpClass cls, std::uint64_t instr,
-        std::uint64_t lanes) {
-  const auto i = static_cast<std::size_t>(cls);
-  c.instr[i] += instr;
-  c.lanes[i] += lanes;
-}
-
-}  // namespace
-
-KernelCounts group_counts(const GroupProgram& g, std::uint64_t n,
-                          unsigned vl) {
-  KernelCounts c;
-  const std::uint64_t strips = (n + vl - 1) / vl;
-
-  // Prologue broadcasts (ctx.dup: one Select instruction, one lane each).
-  op(c, OpClass::Select, g.npre, g.npre);
-
-  // strip_mine loop control: one whilelt per strip, IntOp+Branch per element.
-  op(c, OpClass::Predicate, strips, strips * vl);
-  op(c, OpClass::IntOp, strips, n);
-  op(c, OpClass::Branch, strips, n);
-
-  const auto per_strip = [&](OpClass cls, std::uint64_t k) {
-    op(c, cls, k * strips, k * n);
-  };
-  for (std::uint8_t i = 0; i < g.nsteps; ++i) {
-    switch (g.step[i].k) {
-      case StepKind::Load:
-        per_strip(OpClass::LoadContig, 1);
-        c.bytes_read += 8 * n;
-        break;
-      case StepKind::Stencil:
-        // 5 coefficient + 5 solution loads, one mul, four chained FMAs.
-        per_strip(OpClass::LoadContig, 10);
-        c.bytes_read += 80 * n;
-        per_strip(OpClass::FlopMul, 1);
-        per_strip(OpClass::FlopFma, 4);
-        break;
-      case StepKind::Fma:
-      case StepKind::DotAcc:
-        per_strip(OpClass::FlopFma, 1);
-        break;
-      case StepKind::Mul:
-        per_strip(OpClass::FlopMul, 1);
-        break;
-      case StepKind::Sub:
-        per_strip(OpClass::FlopAdd, 1);
-        break;
-      case StepKind::Store:
-        per_strip(OpClass::StoreContig, 1);
-        c.bytes_written += 8 * n;
-        break;
-      case StepKind::DupScal:
-      case StepKind::DupAcc:
-        break;  // prologue-only kinds never appear in the strip body
-    }
-  }
-
-  // Reduction epilogue: one ptrue, one horizontal reduce per accumulator.
-  if (g.naccs > 0) {
-    op(c, OpClass::Predicate, 1, vl);
-    op(c, OpClass::Reduce, g.naccs,
-       static_cast<std::uint64_t>(g.naccs) * vl);
-  }
-  return c;
-}
-
-namespace {
-
 const char* step_kind_name(StepKind k) {
   switch (k) {
     case StepKind::DupScal: return "dup_scal";

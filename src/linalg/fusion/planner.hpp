@@ -24,9 +24,9 @@
 ///
 /// Each group lowers to a GroupProgram: a register-allocated straight-line
 /// step sequence (prologue broadcasts, a strip-body, reduction tails) that
-/// all three execution representations consume — the generic interpreter
-/// sweep, the natively stamped template (fused_exec.cpp), and the composed
-/// closed-form KernelCounts (group_counts).  Everything here is constexpr
+/// both execution representations consume — the generic interpreter sweep
+/// and the natively stamped template (fused_exec.cpp), whose recording is
+/// a dry run of that same sweep.  Everything here is constexpr
 /// so the built-in template set is planned at compile time; the same code
 /// runs at runtime for ad-hoc chains (tests, the DAG annotator).
 
@@ -34,7 +34,6 @@
 #include <string>
 
 #include "linalg/fusion/ir.hpp"
-#include "sim/isa.hpp"
 #include "vla/kernel_dag.hpp"
 
 namespace v2d::linalg::fusion {
@@ -74,7 +73,7 @@ struct DotTail {
 
 /// One fused group, fully lowered.  `sig` is the fused-op signature: a hash
 /// of the exact step encoding, keying both the native-stamp registry and
-/// the analytic-count memo.
+/// the count memo.
 struct GroupProgram {
   std::uint8_t first_node = 0;
   std::uint8_t nnodes = 0;
@@ -313,11 +312,6 @@ constexpr FusionPlan plan_chain(const Chain& c) {
   }
   return p;
 }
-
-/// Composed closed-form KernelCounts for one fused group over n elements at
-/// `vl` lanes — exactly the recording run_interpret would make.
-sim::KernelCounts group_counts(const GroupProgram& g, std::uint64_t n,
-                               unsigned vl);
 
 /// Deterministic human-readable dump of a plan (golden-tested: byte
 /// identical across runs and thread counts).

@@ -14,7 +14,7 @@ double dprod(Context& ctx, std::span<const double> x,
              std::span<const double> y) {
   V2D_REQUIRE(x.size() == y.size(), "dprod: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Dprod, x.size());
+    dprod_record_only(ctx, x, y);
     return native::dprod(x.data(), y.data(), x.size(), ctx.lanes());
   }
   return vla::strip_reduce(ctx, x.size(),
@@ -27,15 +27,18 @@ double dprod(Context& ctx, std::span<const double> x,
                            });
 }
 
-void dprod_record_only(Context& ctx, std::uint64_t n) {
-  record_analytic(ctx, KernelShape::Dprod, n);
+void dprod_record_only(Context& ctx, std::span<const double> x,
+                       std::span<const double> y) {
+  record_native(ctx, KernelShape::Dprod, x.size(),
+                [&](Context& dry) { (void)dprod(dry, x, y); });
 }
 
 void daxpy(Context& ctx, double a, std::span<const double> x,
            std::span<double> y) {
   V2D_REQUIRE(x.size() == y.size(), "daxpy: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Daxpy, x.size());
+    record_native(ctx, KernelShape::Daxpy, x.size(),
+                  [&](Context& dry) { daxpy(dry, a, x, y); });
     native::daxpy(a, x.data(), y.data(), x.size());
     return;
   }
@@ -49,7 +52,8 @@ void daxpy(Context& ctx, double a, std::span<const double> x,
 
 void dscal(Context& ctx, double c, double d, std::span<double> y) {
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Dscal, y.size());
+    record_native(ctx, KernelShape::Dscal, y.size(),
+                  [&](Context& dry) { dscal(dry, c, d, y); });
     native::dscal(c, d, y.data(), y.size());
     return;
   }
@@ -66,7 +70,8 @@ void ddaxpy(Context& ctx, double a, std::span<const double> x, double b,
   V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
               "ddaxpy: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Ddaxpy, x.size());
+    record_native(ctx, KernelShape::Ddaxpy, x.size(),
+                  [&](Context& dry) { ddaxpy(dry, a, x, b, y, z); });
     native::ddaxpy(a, x.data(), b, y.data(), z.data(), x.size());
     return;
   }
@@ -85,7 +90,8 @@ void xpby(Context& ctx, std::span<const double> x, double b,
           std::span<double> y) {
   V2D_REQUIRE(x.size() == y.size(), "xpby: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Xpby, x.size());
+    record_native(ctx, KernelShape::Xpby, x.size(),
+                  [&](Context& dry) { xpby(dry, x, b, y); });
     native::xpby(x.data(), b, y.data(), x.size());
     return;
   }
@@ -100,7 +106,8 @@ void xpby(Context& ctx, std::span<const double> x, double b,
 void copy(Context& ctx, std::span<const double> x, std::span<double> y) {
   V2D_REQUIRE(x.size() == y.size(), "copy: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Copy, x.size());
+    record_native(ctx, KernelShape::Copy, x.size(),
+                  [&](Context& dry) { copy(dry, x, y); });
     native::copy(x.data(), y.data(), x.size());
     return;
   }
@@ -111,7 +118,8 @@ void copy(Context& ctx, std::span<const double> x, std::span<double> y) {
 
 void fill(Context& ctx, double a, std::span<double> y) {
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Fill, y.size());
+    record_native(ctx, KernelShape::Fill, y.size(),
+                  [&](Context& dry) { fill(dry, a, y); });
     native::fill(a, y.data(), y.size());
     return;
   }
@@ -126,7 +134,8 @@ void sub(Context& ctx, std::span<const double> x, std::span<const double> y,
   V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
               "sub: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Sub, x.size());
+    record_native(ctx, KernelShape::Sub, x.size(),
+                  [&](Context& dry) { sub(dry, x, y, z); });
     native::sub(x.data(), y.data(), z.data(), x.size());
     return;
   }
@@ -142,7 +151,8 @@ void hadamard(Context& ctx, std::span<const double> x,
   V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
               "hadamard: length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::Hadamard, x.size());
+    record_native(ctx, KernelShape::Hadamard, x.size(),
+                  [&](Context& dry) { hadamard(dry, x, y, z); });
     native::hadamard(x.data(), y.data(), z.data(), x.size());
     return;
   }
@@ -163,7 +173,9 @@ void stencil_row(Context& ctx, std::span<const double> cc,
                   cs.size() == n && cn.size() == n,
               "stencil_row: coefficient length mismatch");
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::StencilRow, n);
+    record_native(ctx, KernelShape::StencilRow, n, [&](Context& dry) {
+      stencil_row(dry, cc, cw, ce, cs, cn, xc, xs, xn, y);
+    });
     native::stencil_row(cc.data(), cw.data(), ce.data(), cs.data(), cn.data(),
                         xc, xs, xn, y.data(), n);
     return;
@@ -191,7 +203,8 @@ void stencil_row(Context& ctx, std::span<const double> cc,
 void coupling_row(Context& ctx, std::span<const double> csp, const double* xo,
                   std::span<double> y) {
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::CouplingRow, y.size());
+    record_native(ctx, KernelShape::CouplingRow, y.size(),
+                  [&](Context& dry) { coupling_row(dry, csp, xo, y); });
     native::coupling_row(csp.data(), xo, y.data(), y.size());
     return;
   }

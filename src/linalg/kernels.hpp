@@ -26,11 +26,13 @@ namespace v2d::linalg {
 double dprod(vla::Context& ctx, std::span<const double> x,
              std::span<const double> y);
 
-/// Record the instruction stream of one DPROD(n) call without executing it
-/// (analytic fast path).  Used where the numerical result is produced by a
-/// separate host-side accumulation (DistVector::dot_ganged's compensated
-/// sum) but the priced stream must still be the strip-mined DPROD.
-void dprod_record_only(vla::Context& ctx, std::uint64_t n);
+/// Record the instruction stream of one DPROD(x, y) call without computing
+/// it (the memoized dry run of dprod's interpreter path).  Used where the
+/// numerical result is produced by a separate host-side accumulation
+/// (DistVector::dot_ganged's compensated sum) but the priced stream must
+/// still be the strip-mined DPROD.
+void dprod_record_only(vla::Context& ctx, std::span<const double> x,
+                       std::span<const double> y);
 
 /// DAXPY: y ← a·x + y.
 void daxpy(vla::Context& ctx, double a, std::span<const double> x,

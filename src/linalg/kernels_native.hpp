@@ -14,8 +14,8 @@
 ///     partial sums, lane l accumulating elements i ≡ l mod VL) and perform
 ///     the single final horizontal reduce in lane order.
 ///
-/// No vla::Context is touched here — recording for the fast path is
-/// produced analytically by kernel_counts.hpp.
+/// No vla::Context is touched here — the fast path's recording is the
+/// memoized dry run of the interpreter path (kernel_counts.hpp).
 
 #include <cstddef>
 #include <cstdint>

@@ -14,7 +14,9 @@ void diag_correct_row(vla::Context& ctx, double omega,
                       std::span<double> x) {
   const std::uint64_t n = x.size();
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::DiagCorrectRow, n);
+    record_native(ctx, KernelShape::DiagCorrectRow, n, [&](vla::Context& dry) {
+      diag_correct_row(dry, omega, d, r, x);
+    });
     native::diag_correct_row(omega, d.data(), r.data(), x.data(), n);
     return;
   }
@@ -29,7 +31,9 @@ void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
                     std::span<const double> r, std::span<double> z) {
   const std::uint64_t n = z.size();
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::DiagScaleRow, n);
+    record_native(ctx, KernelShape::DiagScaleRow, n, [&](vla::Context& dry) {
+      diag_scale_row(dry, omega, d, r, z);
+    });
     native::diag_scale_row(omega, d.data(), r.data(), z.data(), n);
     return;
   }
@@ -44,7 +48,9 @@ void restrict_row(vla::Context& ctx, const double* const fine[4],
                   const TransferTables& tab, std::span<double> coarse) {
   const std::uint64_t n = coarse.size();
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::RestrictRow, n);
+    record_native(ctx, KernelShape::RestrictRow, n, [&](vla::Context& dry) {
+      restrict_row(dry, fine, tab, coarse);
+    });
     native::restrict_row(fine, tab.fm1.data(), tab.f0.data(), tab.f1.data(),
                          tab.f2.data(), coarse.data(), n);
     return;
@@ -78,7 +84,9 @@ void prolong_row_add(vla::Context& ctx, const double* cnear,
                      std::span<double> fine) {
   const std::uint64_t n = fine.size();
   if (ctx.native()) {
-    record_analytic(ctx, KernelShape::ProlongRow, n);
+    record_native(ctx, KernelShape::ProlongRow, n, [&](vla::Context& dry) {
+      prolong_row_add(dry, cnear, cfar, tab, fine);
+    });
     native::prolong_row_add(cnear, cfar, tab.near.data(), tab.far.data(),
                             fine.data(), n);
     return;

@@ -6,8 +6,8 @@
 /// enough inside a V-cycle to need the same dual-mode treatment as the
 /// Table II kernels: in VlaExecMode::Interpret they run as predicated
 /// whilelt strips through the vla::Context; in VlaExecMode::Native they run
-/// as raw-pointer loops (kernels_native.hpp) and their recording comes from
-/// the closed-form formulas in kernel_counts.hpp.
+/// as raw-pointer loops (kernels_native.hpp) and their recording is a
+/// memoized dry run of the interpreter path (kernel_counts.hpp).
 
 #include <cstdint>
 #include <span>

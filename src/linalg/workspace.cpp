@@ -100,12 +100,4 @@ std::uint64_t WorkspacePool::reused() const {
   return reused_;
 }
 
-std::size_t WorkspacePool::leased() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& e : entries_)
-    if (e->busy) ++n;
-  return n;
-}
-
 }  // namespace v2d::linalg

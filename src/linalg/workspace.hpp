@@ -120,8 +120,6 @@ public:
   std::size_t created() const;
   /// Acquisitions served by reusing an existing entry.
   std::uint64_t reused() const;
-  /// Entries currently leased out.
-  std::size_t leased() const;
 
 private:
   struct Entry {

@@ -22,9 +22,9 @@ struct PerfStatResult {
 /// Render in the style of `perf stat` output.
 std::string format_perf_stat(const PerfStatResult& r);
 
-/// Analytic-count memo cache statistics of a vla::Context fork family (the
-/// fast path's recording overhead): every native-mode kernel call is one
-/// probe; misses are the distinct (shape, n) formulas evaluated.  Snapshot
+/// Count-memo statistics of a vla::Context fork family (the fast path's
+/// recording overhead): every native-mode kernel call is one probe; misses
+/// are the distinct (shape, n) recordings made, one dry run each.  Snapshot
 /// with `MemoCacheStats::of(ctx.vctx)`; bench runs report it so recording
 /// overhead regressions are visible next to the timing numbers.  Misses
 /// are visible at once; a fork's hits become visible when that fork

@@ -1,5 +1,6 @@
 #include "support/options.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -68,13 +69,20 @@ std::string Options::get(const std::string& name) const {
   return require_spec(name).value;
 }
 
-long Options::get_int(const std::string& name) const {
+long long Options::parse_int(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
-  long out = std::strtol(v.c_str(), &end, 10);
+  errno = 0;
+  const long long out = std::strtoll(v.c_str(), &end, 10);
   if (end == v.c_str() || *end != '\0')
     throw Error("option --" + name + " expects an integer, got '" + v + "'");
+  if (errno == ERANGE) throw_out_of_range(name);
   return out;
+}
+
+void Options::throw_out_of_range(const std::string& name) const {
+  throw Error("option --" + name + " value '" + get(name) +
+              "' is out of range");
 }
 
 double Options::get_double(const std::string& name) const {

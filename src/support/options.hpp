@@ -5,9 +5,11 @@
 /// Supports `--name value`, `--name=value` and boolean `--flag`.  Unknown
 /// options raise v2d::Error so typos in bench sweeps fail loudly.
 
+#include <concepts>
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace v2d {
@@ -24,7 +26,15 @@ public:
 
   /// Typed getters (throw if the option was never registered).
   std::string get(const std::string& name) const;
-  long get_int(const std::string& name) const;
+  /// Integer value as T; throws v2d::Error naming the option when the value
+  /// is not an integer or does not fit T, so nothing wraps on the way into
+  /// a narrower field.
+  template <std::integral T = long>
+  T get_int(const std::string& name) const {
+    const long long v = parse_int(name);
+    if (!std::in_range<T>(v)) throw_out_of_range(name);
+    return static_cast<T>(v);
+  }
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
@@ -45,6 +55,8 @@ private:
   };
   Spec& require_spec(const std::string& name);
   const Spec& require_spec(const std::string& name) const;
+  long long parse_int(const std::string& name) const;
+  [[noreturn]] void throw_out_of_range(const std::string& name) const;
 
   std::map<std::string, Spec> specs_;
   std::vector<std::string> order_;

@@ -10,7 +10,7 @@
 /// order, collectives recorded as barrier nodes.  The fusion planner then
 /// annotates it (fusion::annotate_dag) with the producer→consumer groups
 /// its legality rules admit, and the result is memoized per configuration
-/// in the Context's DagStore exactly like the analytic KernelCounts memo:
+/// in the Context's DagStore exactly like the KernelCounts memo:
 /// captured once, shared across fork()ed rank contexts and farm sessions.
 ///
 /// Recording happens only on the driving thread (ExecContext::fork clears
@@ -73,7 +73,7 @@ private:
 
 /// Per-Context memo of captured+annotated iteration DAGs, shared across
 /// the fork family (and farm sessions sharing a Context prototype) like
-/// the analytic-count cache.  Keys carry the full configuration —
+/// the count memo.  Keys carry the full configuration —
 /// solver, preconditioner, problem shape, VL and exec mode — so sessions
 /// with different configurations never collide, and only FuseMode::Plan
 /// runs ever record (mixed-fuse farms cannot cross-contaminate).

@@ -37,11 +37,13 @@ namespace v2d::vla {
 ///   Interpret — the reference backend: every ld1/fma/st1 loops lane-by-lane
 ///               over a VReg and records its instruction op-by-op.
 ///   Native    — the fast path: kernels run as raw-pointer loops the host
-///               compiler can auto-vectorize, and the recording is produced
-///               analytically from closed-form KernelCounts formulas
-///               (memoized per Context).  Results and counts are
-///               bit-identical to the interpreter by construction; the
-///               equivalence suite (tests/test_vla_fastpath.cpp) proves it.
+///               compiler can auto-vectorize.  The recording comes from the
+///               kernel's own interpreter body, run once per (kernel shape,
+///               n) in a dry context that records every op but touches no
+///               memory (Context::record_dry), and memoized per Context
+///               family.  The interpreter is thus the only definition of
+///               what a kernel issues; results are bit-identical to it, as
+///               the equivalence suite (tests/test_vla_fastpath.cpp) pins.
 enum class VlaExecMode : std::uint8_t {
   Interpret,
   Native,
@@ -69,7 +71,7 @@ inline std::atomic<std::uint64_t>& process_misses() {
 }
 }  // namespace detail
 
-/// Process-wide analytic-count memo statistics, accumulated across *every*
+/// Process-wide count-memo statistics, accumulated across *every*
 /// Context family in the process — fork()ed rank contexts and farm-shared
 /// session contexts alike.  Per-family counters (Context::memo_hits /
 /// memo_misses) only see their own fork family, which made the totals a
@@ -136,10 +138,10 @@ public:
   /// but none of its unfolded memo hits, so no probe is counted twice; a
   /// move takes the hits along.
   Context(const Context& o)
-      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts()),
+      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts()),
         count_cache_(o.count_cache_), dag_store_(o.dag_store_) {}
   Context(Context&& o) noexcept
-      : arch_(o.arch_), mode_(o.mode_), counts_(o.counts_),
+      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts_),
         count_cache_(std::move(o.count_cache_)),
         dag_store_(std::move(o.dag_store_)),
         front_(std::exchange(o.front_, {})),
@@ -149,6 +151,7 @@ public:
     fold_hits();
     arch_ = o.arch_;
     mode_ = o.mode_;
+    dry_ = o.dry_;
     counts_ = o.counts_;
     count_cache_ = std::move(o.count_cache_);
     dag_store_ = std::move(o.dag_store_);
@@ -163,14 +166,14 @@ public:
   const VectorArch& arch() const { return arch_; }
 
   /// Child context for rank-parallel host execution: same VL and exec
-  /// mode, sharing this context's (read-mostly, lock-guarded) analytic
+  /// mode, sharing this context's (read-mostly, lock-guarded)
   /// count cache, but with a private recording accumulator so concurrent
   /// rank tasks never interleave their instruction streams.  Allocation-
   /// free beyond the shared_ptr bump — fork() runs once per rank task.
   Context fork() const { return Context(arch_, mode_, count_cache_, dag_store_); }
 
   /// The fork-family memo of captured solver-iteration kernel DAGs (see
-  /// vla/kernel_dag.hpp).  Like the analytic-count cache it is shared
+  /// vla/kernel_dag.hpp).  Like the count memo it is shared
   /// across fork()ed contexts and farm sessions built from one prototype;
   /// keys carry the full (solver, precond, shape, VL, exec-mode)
   /// configuration, so concurrent sessions never collide.
@@ -180,8 +183,10 @@ public:
   void set_exec_mode(VlaExecMode m) { mode_ = m; }
   /// True when kernels should take the native raw-pointer fast path.
   bool native() const { return mode_ == VlaExecMode::Native; }
+  /// True inside record_dry: memory ops record but neither read nor write.
+  bool dry() const { return dry_; }
 
-  /// Memoized analytic-count lookup.  `key` identifies (kernel shape, n);
+  /// Memoized count lookup.  `key` identifies (kernel shape, n);
   /// the factory runs once per distinct key and its result is cached for
   /// the lifetime of this Context *and all its forks*.  The cache is
   /// shared across the fork family and guarded by a shared_mutex, so
@@ -215,25 +220,36 @@ public:
     return *front_.counts;
   }
 
-  /// Fold the memoized analytic counts for `key` (an analytic fast-path
-  /// formula, with calls == elements == 0; those fields belong to
-  /// ExecContext::commit) into the recording.  A call repeating the
-  /// previous key only lengthens the pending run, which is folded in as
-  /// run × counts (exact: counts are integers) on the next key change or
-  /// when the recording is read.
-  template <typename Factory>
-  void record_memo(std::uint64_t key, Factory&& make) {
+  /// Fold the memoized recording of `body` under `key` (one kernel call's
+  /// stream, with calls == elements == 0; those fields belong to
+  /// ExecContext::commit) into the recording.  On a miss, `body(dry)` runs
+  /// once, outside the cache lock, in a dry Interpret-mode context at this
+  /// VL: every op records exactly as the interpreter does, but
+  /// ld1/st1/gather/scatter touch no memory, so the body may be a kernel's
+  /// own interpreter path over live operands.  The body must not branch on
+  /// a loaded value (loads yield zeros).  A hit runs nothing, and a call
+  /// repeating the previous key only lengthens the pending run, which is
+  /// folded in as run × counts (exact: counts are integers) on the next
+  /// key change or when the recording is read.
+  template <typename Body>
+  void record_dry(std::uint64_t key, Body&& body) {
     if (front_.counts != nullptr && front_.key == key) {
       ++run_;
       return;
     }
-    counts_ += memo_counts(key, make);
+    counts_ += memo_counts(key, [&] {
+      // No memo family of its own: the interpreter path never probes one.
+      Context dry(arch_, VlaExecMode::Interpret, nullptr, nullptr);
+      dry.dry_ = true;
+      body(dry);
+      return dry.take_counts();
+    });
   }
 
-  /// Analytic-count memo cache statistics, accumulated across this context
+  /// Count-memo statistics, accumulated across this context
   /// and all its forks for the lifetime of the fork family.  A steady-state
   /// native-mode run should be almost all hits; the miss count is the
-  /// number of distinct (shape, n) formulas ever evaluated.  Hits include
+  /// number of distinct (shape, n) recordings ever made.  Hits include
   /// this context's own unfolded hits, but another fork's only once that
   /// fork has flushed (take_counts) or been destroyed.  Exposed so
   /// perfmon can report fast-path recording overhead (see
@@ -304,11 +320,14 @@ public:
   }
 
   // --- memory -------------------------------------------------------------
+  // In a dry context (record_dry) the four memory ops below record their
+  // op and bytes but read and write nothing; loads yield zeros.
   VReg ld1(const Predicate& p, const double* base) {
     check(p);
     record(sim::OpClass::LoadContig, p.active);
     counts_.bytes_read += p.active * sizeof(double);
     VReg r;
+    if (dry_) return r;
     for (unsigned l = 0; l < p.active; ++l) r[l] = base[l];
     return r;
   }
@@ -317,6 +336,7 @@ public:
     check(p);
     record(sim::OpClass::StoreContig, p.active);
     counts_.bytes_written += p.active * sizeof(double);
+    if (dry_) return;
     for (unsigned l = 0; l < p.active; ++l) base[l] = v[l];
   }
 
@@ -328,6 +348,7 @@ public:
     record(sim::OpClass::LoadGather, p.active);
     counts_.bytes_read += p.active * sizeof(double);
     VReg r;
+    if (dry_) return r;
     for (unsigned l = 0; l < p.active; ++l) r[l] = base[idx[l]];
     return r;
   }
@@ -339,6 +360,7 @@ public:
     V2D_REQUIRE(idx.size() >= p.active, "scatter index vector too short");
     record(sim::OpClass::StoreScatter, p.active);
     counts_.bytes_written += p.active * sizeof(double);
+    if (dry_) return;
     for (unsigned l = 0; l < p.active; ++l) base[idx[l]] = v[l];
   }
 
@@ -455,7 +477,7 @@ private:
     counts_.record(c, active);
   }
 
-  // Fast-path memo: (kernel shape, n) -> analytic counts.  Shared across
+  // Fast-path memo: (kernel shape, n) -> recorded counts.  Shared across
   // fork()ed contexts; read-mostly, guarded for rank-parallel execution.
   struct CountCache {
     std::shared_mutex mu;
@@ -519,13 +541,14 @@ private:
 
   VectorArch arch_;
   VlaExecMode mode_ = VlaExecMode::Interpret;
+  bool dry_ = false;  ///< set only by record_dry
   // counts_, run_ and hits_ are mutable so counts() can flush the pending
   // run; a context is only ever used by one thread at a time.
   mutable sim::KernelCounts counts_;
   std::shared_ptr<CountCache> count_cache_;
   std::shared_ptr<DagStore> dag_store_;
   Front front_;
-  mutable std::uint64_t run_ = 0;   ///< record_memo calls pending on front_
+  mutable std::uint64_t run_ = 0;   ///< record_dry calls pending on front_
   mutable std::uint64_t hits_ = 0;  ///< memo hits not yet folded
 };
 

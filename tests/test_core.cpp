@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/v2d.hpp"
 #include "io/h5lite.hpp"
@@ -38,6 +40,33 @@ TEST(Config, OptionRoundTrip) {
   EXPECT_FALSE(cfg.ganged);
   EXPECT_EQ(cfg.limiter, rad::LimiterKind::Wilson);
   EXPECT_EQ(cfg.preconditioner, "jacobi");
+}
+
+/// An integer option that does not fit its field is an error naming the
+/// option, never a silent wrap (4294967328 narrowed to int is 32).
+TEST(Config, OutOfRangeIntegersThrow) {
+  const std::vector<std::vector<const char*>> cases = {
+      {"--nx1", "4294967328", "--nx2", "4294967328"},
+      {"--steps", "4294967297"},
+      {"--steps", "99999999999999999999"},
+      {"--nprx1", "4294967298"},
+      {"--vector-bits", "4294967808"},
+      {"--vector-bits", "-1"},
+  };
+  for (const auto& args : cases) {
+    Options opt;
+    RunConfig::register_options(opt);
+    std::vector<const char*> argv = {"prog"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    opt.parse(static_cast<int>(argv.size()), argv.data());
+    try {
+      (void)RunConfig::from_options(opt);
+      ADD_FAILURE() << args[0] << " " << args[1] << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(args[0]), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SimulationTest, RunsAndConverges) {

@@ -294,6 +294,10 @@ TEST(FarmJobFile, ParsesNamesAndOptions) {
 
   EXPECT_THROW(farm::parse_job_line("--no-such-option 3", "x"), Error);
   EXPECT_THROW(farm::parse_job_line("name-only:", "x"), Error);
+  // 4294967297 steps must not wrap to a 1-step job.
+  EXPECT_THROW(
+      farm::parse_job_line("a: --steps 4294967297 --nx1 32 --nx2 32", "x"),
+      Error);
 }
 
 TEST(FarmJobFile, ParsesFilesWithCommentsAndRejectsDuplicates) {

@@ -25,7 +25,6 @@
 #include "linalg/bicgstab.hpp"
 #include "linalg/cg.hpp"
 #include "linalg/fusion/fused_exec.hpp"
-#include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/precond.hpp"
 #include "linalg/stencil_op.hpp"

@@ -6,7 +6,8 @@
 ///   1. plan determinism — the built-in plan dump is byte-identical across
 ///      repeated planning and across host-thread counts;
 ///   2. closed forms — each single-group composite records exactly the op
-///      mix stated for it here, in group_counts and in the interpreter;
+///      mix stated for it here, in the interpreter and on the native path
+///      (whose recording is a dry run of the interpreter sweep);
 ///   3. legality — write-after-read across a reduction cuts the group (in
 ///      both plan_chain and the DAG annotator), and a reduction over an
 ///      unstored temporary is rejected outright;
@@ -77,8 +78,8 @@ TEST(PlanDeterminism, RuntimeChainPlansMatchCompileTimePlans) {
 /// whilelt kernel shares: per call `dups` broadcasts; per strip `loads`
 /// loads, `stores` stores, `fmas` FMAs and `muls` multiplies; and, when it
 /// reduces, one ptrue plus `reduces` horizontal reduces at the end.  The
-/// planner is the only definition of these kernels, so this table is what
-/// pins their recorded streams from outside it.
+/// planner's interpreter sweep is the only definition of these kernels, so
+/// this table is what pins their recorded streams from outside it.
 struct CompositeMix {
   fusion::Chain (*chain)();
   std::uint64_t dups, loads, stores, fmas, muls, reduces;
@@ -124,7 +125,7 @@ sim::KernelCounts expected_counts(const CompositeMix& m, std::uint64_t n,
   return c;
 }
 
-TEST(CompositeOpMix, GroupCountsAndInterpreterMatchTheClosedForms) {
+TEST(CompositeOpMix, InterpreterAndNativeMatchTheClosedForms) {
   Rng rng(61);
   for (const CompositeMix& m : kCompositeMixes) {
     const fusion::Chain chain = m.chain();
@@ -139,12 +140,9 @@ TEST(CompositeOpMix, GroupCountsAndInterpreterMatchTheClosedForms) {
                                   std::to_string(vl) + "/n" +
                                   std::to_string(n);
         const sim::KernelCounts want = expected_counts(m, n, vl);
-        testutil::expect_counts_equal(
-            fusion::group_counts(plan.group[0], n, vl), want,
-            where + "/group_counts");
 
         // Bind every slot to its own buffer (one spare element keeps
-        // .data() non-null at n = 0) and record one interpreted call.
+        // .data() non-null at n = 0) and record one call per backend.
         std::vector<std::vector<double>> buf(chain.nslots);
         DdAccumulator acc[fusion::kMaxAccs];
         fusion::Bind bind{};
@@ -157,10 +155,14 @@ TEST(CompositeOpMix, GroupCountsAndInterpreterMatchTheClosedForms) {
         for (std::size_t k = 0; k < chain.nscal; ++k)
           bind.scal[k] = rng.uniform(-1.0, 1.0);
         for (std::size_t k = 0; k < chain.naccs; ++k) bind.acc[k] = &acc[k];
-        Context ctx(VectorArch(bits), VlaExecMode::Interpret);
-        fusion::run(ctx, plan, bind);
-        testutil::expect_counts_equal(ctx.take_counts(), want,
-                                      where + "/interpreter");
+        for (const VlaExecMode mode :
+             {VlaExecMode::Interpret, VlaExecMode::Native}) {
+          Context ctx(VectorArch(bits), mode);
+          fusion::run(ctx, plan, bind);
+          testutil::expect_counts_equal(
+              ctx.take_counts(), want,
+              where + "/" + vla::vla_exec_mode_name(mode));
+        }
       }
     }
   }

@@ -79,10 +79,24 @@ TEST(Options, MissingValueThrows) {
 TEST(Options, BadNumberThrows) {
   Options o;
   o.add("alpha", "0", "");
-  const char* argv[] = {"prog", "--alpha", "xyz"};
-  o.parse(3, argv);
+  o.add("huge", "0", "");
+  o.add("wide", "0", "");
+  const char* argv[] = {"prog",   "--alpha", "xyz",
+                        "--huge", "99999999999999999999",
+                        "--wide", "4294967297"};
+  o.parse(7, argv);
   EXPECT_THROW(o.get_int("alpha"), Error);
   EXPECT_THROW(o.get_double("alpha"), Error);
+  // Past the parser's range, and past the field's: neither wraps.
+  EXPECT_THROW(o.get_int("huge"), Error);
+  EXPECT_THROW(o.get_int<int>("wide"), Error);
+  EXPECT_THROW(o.get_int<unsigned>("wide"), Error);
+  EXPECT_EQ(o.get_int("wide"), 4294967297L);
+  try {
+    (void)o.get_int<int>("wide");
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--wide"), std::string::npos);
+  }
 }
 
 TEST(Options, DuplicateRegistrationThrows) {

@@ -4,9 +4,17 @@
 /// The native execution engine must be indistinguishable from the
 /// interpreter backend: bit-identical numerical results AND identical
 /// KernelCounts recordings, for every kernel, every architectural vector
-/// length, and every tail-predicate case (empty, partial, full).  These
-/// tests are what licenses the analytic-recording fast path to stand in
-/// for op-by-op recording everywhere.
+/// length, and every tail-predicate case (empty, partial, full).  The
+/// native path records by dry-running each kernel's own interpreter body
+/// once per (shape, n) and memoizing the result, so this suite pins:
+///   - per kernel, results and recordings of both backends agree;
+///   - per KernelShape, both recordings equal the op mix stated in the
+///     table below — the only statement of those mixes outside the
+///     interpreter;
+///   - the dry-run contract: the body runs once per key per fork family,
+///     only on a miss, and writes no operand memory;
+///   - the memo's run/hit/miss accounting across copies, moves and
+///     concurrent misses.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +24,11 @@
 #include <vector>
 
 #include "core/v2d.hpp"
+#include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_kernels.hpp"
+#include "support/dd.hpp"
 #include "support/rng.hpp"
 
 namespace v2d::linalg {
@@ -52,6 +62,74 @@ void expect_bits_equal(const std::vector<double>& a,
   ASSERT_EQ(a.size(), b.size());
   if (!a.empty()) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+  }
+}
+
+/// Gather tables for one transfer row of n outputs: restriction reads fine
+/// points 2c−1 … 2c+2, prolongation the parent f/2 and its parity
+/// neighbour.  Every index lies in [−1, 2n].
+struct TransferIndex {
+  explicit TransferIndex(std::size_t n)
+      : fm1(n), f0(n), f1(n), f2(n), near(n), far(n) {
+    for (std::size_t c = 0; c < n; ++c) {
+      const auto i = static_cast<std::int64_t>(c);
+      fm1[c] = 2 * i - 1;
+      f0[c] = 2 * i;
+      f1[c] = 2 * i + 1;
+      f2[c] = 2 * i + 2;
+      near[c] = i / 2;
+      far[c] = i / 2 + ((i & 1) ? 1 : -1);
+    }
+  }
+  mg::TransferTables tables() const { return {fm1, f0, f1, f2, near, far}; }
+
+  std::vector<std::int64_t> fm1, f0, f1, f2, near, far;
+};
+
+/// One call of the primitive kernel behind `shape` over n elements, on
+/// fresh random operands.  Every operand row is 2n + 4 wide and passed one
+/// element in, so shifted, ghost and fine-row reads stay in bounds.
+void call_kernel(KernelShape shape, Context& ctx, std::size_t n) {
+  Rng rng(40 + static_cast<int>(shape));
+  std::vector<std::vector<double>> buf(10);
+  for (auto& b : buf) b = random_vec(2 * n + 4, rng);
+  const auto ptr = [&](int k) { return buf[k].data() + 1; };
+  const auto in = [&](int k) { return std::span<const double>(ptr(k), n); };
+  const auto out = [&](int k) { return std::span<double>(ptr(k), n); };
+  const TransferIndex idx(n);
+  switch (shape) {
+    case KernelShape::Dprod: (void)dprod(ctx, in(0), in(1)); break;
+    case KernelShape::Daxpy: daxpy(ctx, 1.5, in(0), out(1)); break;
+    case KernelShape::Dscal: dscal(ctx, 0.5, 2.0, out(0)); break;
+    case KernelShape::Ddaxpy:
+      ddaxpy(ctx, 1.5, in(0), -0.5, in(1), out(2));
+      break;
+    case KernelShape::Xpby: xpby(ctx, in(0), 0.3, out(1)); break;
+    case KernelShape::Copy: copy(ctx, in(0), out(1)); break;
+    case KernelShape::Fill: fill(ctx, -2.5, out(0)); break;
+    case KernelShape::Sub: sub(ctx, in(0), in(1), out(2)); break;
+    case KernelShape::Hadamard: hadamard(ctx, in(0), in(1), out(2)); break;
+    case KernelShape::StencilRow:
+      stencil_row(ctx, in(0), in(1), in(2), in(3), in(4), ptr(5), ptr(6),
+                  ptr(7), out(8));
+      break;
+    case KernelShape::CouplingRow:
+      coupling_row(ctx, in(0), ptr(1), out(2));
+      break;
+    case KernelShape::DiagCorrectRow:
+      mg::diag_correct_row(ctx, 0.8, in(0), in(1), out(2));
+      break;
+    case KernelShape::DiagScaleRow:
+      mg::diag_scale_row(ctx, 1.25, in(0), in(1), out(2));
+      break;
+    case KernelShape::RestrictRow: {
+      const double* const fine[4] = {ptr(0), ptr(1), ptr(2), ptr(3)};
+      mg::restrict_row(ctx, fine, idx.tables(), out(4));
+      break;
+    }
+    case KernelShape::ProlongRow:
+      mg::prolong_row_add(ctx, ptr(0), ptr(1), idx.tables(), out(2));
+      break;
   }
 }
 
@@ -223,14 +301,8 @@ TEST_P(FastPathSweep, RestrictRow) {
     fine.push_back(random_vec(2 * nc + 2, rng));
     frows[dj] = fine.back().data() + 1;
   }
-  std::vector<std::int64_t> fm1(nc), f0(nc), f1(nc), f2(nc), near, far;
-  for (std::size_t c = 0; c < nc; ++c) {
-    fm1[c] = static_cast<std::int64_t>(2 * c) - 1;
-    f0[c] = static_cast<std::int64_t>(2 * c);
-    f1[c] = static_cast<std::int64_t>(2 * c) + 1;
-    f2[c] = static_cast<std::int64_t>(2 * c) + 2;
-  }
-  const mg::TransferTables tab{fm1, f0, f1, f2, near, far};
+  const TransferIndex idx(nc);
+  const mg::TransferTables tab = idx.tables();
   std::vector<double> yi(nc), yn(nc);
   Context ci = interp_ctx(), cx = native_ctx();
   mg::restrict_row(ci, frows, tab, yi);
@@ -245,19 +317,98 @@ TEST_P(FastPathSweep, ProlongRow) {
   // Coarse rows are ⌈nf/2⌉ wide with one readable ghost on each side.
   const std::size_t ncw = nf / 2 + 2;
   const auto cnear = random_vec(ncw + 2, rng), cfar = random_vec(ncw + 2, rng);
-  std::vector<std::int64_t> near(nf), far(nf), unused;
-  for (std::size_t f = 0; f < nf; ++f) {
-    const auto parent = static_cast<std::int64_t>(f / 2);
-    near[f] = parent;
-    far[f] = parent + ((f & 1) ? 1 : -1);
-  }
-  const mg::TransferTables tab{unused, unused, unused, unused, near, far};
+  const TransferIndex idx(nf);
+  const mg::TransferTables tab = idx.tables();
   auto yi = random_vec(nf, rng), yn = yi;
   Context ci = interp_ctx(), cx = native_ctx();
   mg::prolong_row_add(ci, cnear.data() + 1, cfar.data() + 1, tab, yi);
   mg::prolong_row_add(cx, cnear.data() + 1, cfar.data() + 1, tab, yn);
   expect_bits_equal(yi, yn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+/// The op mix of one primitive kernel call in the strip-mined form every
+/// whilelt kernel shares: per call `dups` broadcasts; per strip `loads`
+/// contiguous loads, `gathers` gather loads, `stores` stores, `fmas` FMAs,
+/// `muls` multiplies, `adds` adds/subtracts and `selects` in-strip dup
+/// broadcasts (one lane each); and, when it reduces, one ptrue plus one
+/// full-width horizontal reduce at the end.  The interpreter is the only
+/// definition of these kernels, so this table is what pins their recorded
+/// streams from outside it.  Rows follow KernelShape order.
+struct KernelMix {
+  KernelShape shape;
+  std::uint64_t dups, loads, gathers, stores, fmas, muls, adds, selects;
+  bool reduces;
+};
+
+constexpr KernelMix kKernelMixes[] = {
+    //                          dups ld ga st fma mul add sel reduce
+    {KernelShape::Dprod,          1, 2, 0, 0, 1, 0, 0, 0, true},
+    {KernelShape::Daxpy,          1, 2, 0, 1, 1, 0, 0, 0, false},
+    {KernelShape::Dscal,          2, 1, 0, 1, 1, 0, 0, 0, false},
+    {KernelShape::Ddaxpy,         2, 3, 0, 1, 2, 0, 0, 0, false},
+    {KernelShape::Xpby,           1, 2, 0, 1, 1, 0, 0, 0, false},
+    {KernelShape::Copy,           0, 1, 0, 1, 0, 0, 0, 0, false},
+    {KernelShape::Fill,           1, 0, 0, 1, 0, 0, 0, 0, false},
+    {KernelShape::Sub,            0, 2, 0, 1, 0, 0, 1, 0, false},
+    {KernelShape::Hadamard,       0, 2, 0, 1, 0, 1, 0, 0, false},
+    // 5 coefficient + 5 solution loads, one mul, four chained FMAs.
+    {KernelShape::StencilRow,     0, 10, 0, 1, 4, 1, 0, 0, false},
+    {KernelShape::CouplingRow,    0, 3, 0, 1, 1, 0, 0, 0, false},
+    {KernelShape::DiagCorrectRow, 1, 3, 0, 1, 1, 1, 0, 0, false},
+    {KernelShape::DiagScaleRow,   1, 2, 0, 1, 0, 2, 0, 0, false},
+    // Per strip a zeroed accumulator, then per fine row {4 gathers, mul,
+    // 3 FMAs, dup(weight), merging FMA}.
+    {KernelShape::RestrictRow,    2, 0, 16, 1, 16, 4, 0, 5, false},
+    // 4 gathers, 2 muls, the fine-row load, 4 FMAs.
+    {KernelShape::ProlongRow,     2, 1, 4, 1, 4, 2, 0, 0, false},
+};
+
+sim::KernelCounts expected_counts(const KernelMix& m, std::uint64_t n,
+                                  unsigned vl) {
+  const std::uint64_t strips = (n + vl - 1) / vl;
+  sim::KernelCounts c;
+  const auto op = [&c](sim::OpClass cls, std::uint64_t instr,
+                       std::uint64_t lanes) {
+    c.instr[static_cast<std::size_t>(cls)] += instr;
+    c.lanes[static_cast<std::size_t>(cls)] += lanes;
+  };
+  op(sim::OpClass::Select, m.dups, m.dups);
+  // Loop control per strip: a whilelt over all VL lanes, then a counter
+  // update and a branch over the strip's active lanes.
+  op(sim::OpClass::Predicate, strips, strips * vl);
+  op(sim::OpClass::IntOp, strips, n);
+  op(sim::OpClass::Branch, strips, n);
+  op(sim::OpClass::LoadContig, m.loads * strips, m.loads * n);
+  op(sim::OpClass::LoadGather, m.gathers * strips, m.gathers * n);
+  op(sim::OpClass::StoreContig, m.stores * strips, m.stores * n);
+  op(sim::OpClass::FlopFma, m.fmas * strips, m.fmas * n);
+  op(sim::OpClass::FlopMul, m.muls * strips, m.muls * n);
+  op(sim::OpClass::FlopAdd, m.adds * strips, m.adds * n);
+  op(sim::OpClass::Select, m.selects * strips, m.selects * strips);
+  if (m.reduces) {
+    op(sim::OpClass::Predicate, 1, vl);
+    op(sim::OpClass::Reduce, 1, vl);
+  }
+  c.bytes_read = 8 * (m.loads + m.gathers) * n;
+  c.bytes_written = 8 * m.stores * n;
+  return c;
+}
+
+TEST_P(FastPathSweep, BothBackendsRecordTheKernelMixTable) {
+  ASSERT_EQ(std::size(kKernelMixes),
+            static_cast<std::size_t>(KernelShape::ProlongRow) + 1);
+  for (std::size_t i = 0; i < std::size(kKernelMixes); ++i) {
+    const KernelMix& m = kKernelMixes[i];
+    ASSERT_EQ(m.shape, static_cast<KernelShape>(i)) << "row " << i;
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const sim::KernelCounts want = expected_counts(m, n(), lanes());
+    Context ci = interp_ctx(), cx = native_ctx();
+    call_kernel(m.shape, ci, n());
+    call_kernel(m.shape, cx, n());
+    expect_counts_equal(want, ci.take_counts());
+    expect_counts_equal(want, cx.take_counts());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -290,7 +441,7 @@ TEST(FastPathCache, DistinctShapesWithSameLengthDoNotCollide) {
   (void)dprod(ctx, x, y);
   const auto after_dprod = ctx.take_counts();
   // DPROD has a Reduce, DAXPY a StoreContig; a key collision would leak
-  // one shape's formula into the other.
+  // one shape's recording into the other.
   EXPECT_EQ(after_daxpy.instr[static_cast<std::size_t>(sim::OpClass::Reduce)],
             0u);
   EXPECT_EQ(after_dprod.instr[static_cast<std::size_t>(sim::OpClass::Reduce)],
@@ -300,21 +451,26 @@ TEST(FastPathCache, DistinctShapesWithSameLengthDoNotCollide) {
       0u);
 }
 
-/// Keys A A B A B B record exactly the sum of the six analytic recordings,
-/// however the calls fall into runs, whether the recording is read with
-/// counts() after every call or taken once at the end.
+/// Keys A A B A B B record exactly the sum of the six interpreter
+/// recordings, however the calls fall into runs, whether the recording is
+/// read with counts() after every call or taken once at the end.
 TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
   const KernelShape shapes[] = {KernelShape::Daxpy,      KernelShape::Daxpy,
                                 KernelShape::StencilRow, KernelShape::Daxpy,
                                 KernelShape::StencilRow, KernelShape::StencilRow};
   const auto n_of = [](KernelShape s) {
-    return s == KernelShape::Daxpy ? std::uint64_t{100} : std::uint64_t{37};
+    return s == KernelShape::Daxpy ? std::size_t{100} : std::size_t{37};
+  };
+  const auto interpreted = [&](KernelShape s) {
+    Context ci(VectorArch(512), VlaExecMode::Interpret);
+    call_kernel(s, ci, n_of(s));
+    return ci.take_counts();
   };
   sim::KernelCounts expected;
-  for (const KernelShape s : shapes) expected += analytic_counts(s, n_of(s), 8);
+  for (const KernelShape s : shapes) expected += interpreted(s);
 
   Context batched(VectorArch(512), VlaExecMode::Native);
-  for (const KernelShape s : shapes) record_analytic(batched, s, n_of(s));
+  for (const KernelShape s : shapes) call_kernel(s, batched, n_of(s));
   EXPECT_EQ(batched.counts(), expected);
   EXPECT_EQ(batched.take_counts(), expected);
   EXPECT_EQ(batched.memo_misses(), 2u);
@@ -323,8 +479,8 @@ TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
   Context stepwise(VectorArch(512), VlaExecMode::Native);
   sim::KernelCounts so_far;
   for (const KernelShape s : shapes) {
-    record_analytic(stepwise, s, n_of(s));
-    so_far += analytic_counts(s, n_of(s), 8);
+    call_kernel(s, stepwise, n_of(s));
+    so_far += interpreted(s);
     EXPECT_EQ(stepwise.counts(), so_far);
   }
   EXPECT_EQ(stepwise.take_counts(), expected);
@@ -335,18 +491,20 @@ TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
 /// carries both.  Every hit reaches the family and process counters once.
 TEST(FastPathCache, CopiesAndMovesNeverFoldHitsTwice) {
   const std::uint64_t process0 = vla::process_memo_hits();
+  std::vector<double> x(100, 1.0), y(100, 2.0);
+  const auto daxpy100 = [&](Context& c) { daxpy(c, 2.0, x, y); };
   Context ctx(VectorArch(512), VlaExecMode::Native);
-  record_analytic(ctx, KernelShape::Daxpy, 100);  // miss
-  record_analytic(ctx, KernelShape::Daxpy, 100);  // hit 1, pending in ctx
+  daxpy100(ctx);  // miss
+  daxpy100(ctx);  // hit 1, pending in ctx
   {
     Context copy(ctx);
     EXPECT_EQ(copy.counts(), ctx.counts());
-    record_analytic(copy, KernelShape::Daxpy, 100);  // hit 2, pending in copy
-    Context moved(std::move(copy));                  // hit 2 moves along
+    daxpy100(copy);                   // hit 2, pending in copy
+    Context moved(std::move(copy));  // hit 2 moves along
     Context assigned = ctx.fork();
-    record_analytic(assigned, KernelShape::Daxpy, 100);  // hit 3
-    assigned = moved;  // hit 3 folds; hit 2 stays with `moved`
-    record_analytic(assigned, KernelShape::Daxpy, 100);  // hit 4
+    daxpy100(assigned);  // hit 3
+    assigned = moved;    // hit 3 folds; hit 2 stays with `moved`
+    daxpy100(assigned);  // hit 4
     assigned = std::move(moved);  // hit 4 folds; hit 2 moves in
   }
   EXPECT_EQ(ctx.memo_hits(), 4u);
@@ -356,15 +514,21 @@ TEST(FastPathCache, CopiesAndMovesNeverFoldHitsTwice) {
   EXPECT_EQ(vla::process_memo_hits() - process0, 4u);
 }
 
-/// N forks on N threads all miss one fresh key before any inserts it:
-/// only the insertion counts a miss, the others count hits.
+/// N forks on N threads all miss one fresh key before any inserts it, and
+/// all dry-run DAXPY over the same operands at once: only the insertion
+/// counts a miss, the others count hits, and every fork records the
+/// interpreter's stream.
 TEST(FastPathCache, ConcurrentMissOfOneKeyCountsOnce) {
   constexpr int kThreads = 4;
+  std::vector<double> x(1000, 1.0), y(1000, 2.0);
+  Context ci(VectorArch(512), VlaExecMode::Interpret);
+  daxpy(ci, 2.0, x, y);
+  const sim::KernelCounts want = ci.take_counts();
   Context proto(VectorArch(512), VlaExecMode::Native);
   std::latch all_missed(kThreads);
-  const auto make = [&] {
+  const auto body = [&](Context& dry) {
     all_missed.arrive_and_wait();
-    return analytic_counts(KernelShape::Daxpy, 1000, 8);
+    daxpy(dry, 2.0, x, y);
   };
   std::vector<sim::KernelCounts> recorded(kThreads);
   {
@@ -372,14 +536,108 @@ TEST(FastPathCache, ConcurrentMissOfOneKeyCountsOnce) {
     for (int t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
         Context c = proto.fork();
-        c.record_memo(0x2a, make);
+        c.record_dry(0x2a, body);
         recorded[t] = c.take_counts();
       });
   }
   EXPECT_EQ(proto.memo_misses(), 1u);
   EXPECT_EQ(proto.memo_hits(), kThreads - 1u);
-  for (const auto& c : recorded)
-    EXPECT_EQ(c, analytic_counts(KernelShape::Daxpy, 1000, 8));
+  for (const auto& c : recorded) EXPECT_EQ(c, want);
+}
+
+// --- the dry-run contract ----------------------------------------------------
+
+/// record_dry runs its body once per key per fork family, only on a miss,
+/// in an Interpret-mode dry context at the caller's VL.
+TEST(DryRun, BodyRunsOncePerKeyPerFamilyOnlyOnAMiss) {
+  std::vector<double> x(50, 1.0), y(50, 2.0);
+  int runs = 0;
+  const auto body = [&](Context& dry) {
+    ++runs;
+    EXPECT_TRUE(dry.dry());
+    EXPECT_EQ(dry.exec_mode(), VlaExecMode::Interpret);
+    EXPECT_EQ(dry.lanes(), 4u);
+    daxpy(dry, 2.0, x, y);
+  };
+  Context ctx(VectorArch(256), VlaExecMode::Native);
+  EXPECT_FALSE(ctx.dry());
+  ctx.record_dry(7, body);
+  EXPECT_EQ(runs, 1);
+  ctx.record_dry(7, body);  // run of the front key
+  ctx.record_dry(8, body);  // a second key misses
+  ctx.record_dry(7, body);  // back to the first: a map hit
+  EXPECT_EQ(runs, 2);
+  Context fork = ctx.fork();
+  fork.record_dry(7, body);
+  fork.record_dry(8, body);
+  EXPECT_EQ(runs, 2);
+  Context other(VectorArch(256), VlaExecMode::Native);  // a new family
+  other.record_dry(7, body);
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(ctx.memo_misses(), 2u);
+  EXPECT_EQ(other.memo_misses(), 1u);
+}
+
+/// A dry run reads and writes no operand memory: sentinel-filled outputs
+/// and a fused dot's accumulators come back untouched, while the
+/// recording is still the interpreter's.
+TEST(DryRun, WritesNoOperandMemory) {
+  constexpr std::size_t n = 37;
+  constexpr double kSentinel = -7.75;
+  Rng rng(90);
+  // Inputs are 2n + 4 wide so the restriction's fine-row reads fit.
+  const auto x = random_vec(2 * n + 4, rng), w = random_vec(2 * n + 4, rng);
+  std::vector<double> out(2 * n + 4, kSentinel);
+  const auto untouched = [&](const char* what) {
+    for (const double v : out) ASSERT_EQ(v, kSentinel) << what;
+  };
+  const std::span<const double> in(x.data() + 1, n), in2(w.data() + 1, n);
+  const std::span<double> y(out.data() + 1, n);
+  const TransferIndex idx(n);
+  const double* const fine[4] = {x.data() + 1, w.data() + 1, x.data() + 1,
+                                 w.data() + 1};
+  DdAccumulator rz, rr;
+  rz.add(1.25);
+  rz.add(1e-20);
+  rr.add(-3.5);
+  const DdAccumulator rz0 = rz, rr0 = rr;
+
+  const auto check = [&](const char* what, auto&& kernel) {
+    Context ci(VectorArch(512), VlaExecMode::Interpret);
+    std::vector<double> scratch = out;  // the interpreter's own output
+    kernel(ci, std::span<double>(scratch.data() + 1, n));
+    Context cx(VectorArch(512), VlaExecMode::Native);
+    cx.record_dry(1, [&](Context& dry) { kernel(dry, y); });
+    untouched(what);
+    EXPECT_EQ(cx.take_counts(), ci.take_counts()) << what;
+  };
+  check("daxpy", [&](Context& c, std::span<double> o) {
+    daxpy(c, 1.5, in, o);
+  });
+  check("stencil_row", [&](Context& c, std::span<double> o) {
+    stencil_row(c, in, in2, in, in2, in, x.data() + 1, w.data() + 1,
+                x.data() + 1, o);
+  });
+  check("restrict_row", [&](Context& c, std::span<double> o) {
+    mg::restrict_row(c, fine, idx.tables(), o);
+  });
+  check("prolong_row_add", [&](Context& c, std::span<double> o) {
+    mg::prolong_row_add(c, x.data() + 1, w.data() + 1, idx.tables(), o);
+  });
+
+  // One fused dot group: z ← m ⊙ r with rz += Σ z·r and rr += Σ r·r.
+  Context cx(VectorArch(512), VlaExecMode::Native);
+  cx.record_dry(2, [&](Context& dry) {
+    fusion::hadamard_dot2(dry, in, in2, y, rz, rr);
+  });
+  untouched("hadamard_dot2");
+  EXPECT_EQ(std::memcmp(&rz, &rz0, sizeof rz), 0);
+  EXPECT_EQ(std::memcmp(&rr, &rr0, sizeof rr), 0);
+  Context ci(VectorArch(512), VlaExecMode::Interpret);
+  std::vector<double> z(n);
+  DdAccumulator a, b;
+  fusion::hadamard_dot2(ci, in, in2, z, a, b);
+  EXPECT_EQ(cx.take_counts(), ci.take_counts());
 }
 
 /// End-to-end: a full radiation step prices identically and produces the
