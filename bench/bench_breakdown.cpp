@@ -69,13 +69,14 @@ void report(const std::string& title, core::Simulation& sim,
 int main(int argc, char** argv) {
   Options opt;
   opt.add("steps", "20", "time steps per configuration");
+  int steps = 0;
   try {
     opt.parse(argc, argv);
+    steps = opt.get_int<int>("steps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_breakdown");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
 
   {
     core::RunConfig cfg;

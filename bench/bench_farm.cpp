@@ -116,8 +116,16 @@ int main(int argc, char** argv) {
   opt.add("nprx2", "1", "tiles in x2 per job");
   opt.add("repeats", "2", "timing repetitions per batch size (best kept)");
   opt.add("out", "BENCH_farm.json", "JSON output path (empty = none)");
+  core::RunConfig cfg;
+  int repeats = 1;
   try {
     opt.parse(argc, argv);
+    cfg.nx1 = opt.get_int<int>("nx1");
+    cfg.nx2 = opt.get_int<int>("nx2");
+    cfg.steps = opt.get_int<int>("steps");
+    cfg.nprx1 = opt.get_int<int>("nprx1");
+    cfg.nprx2 = opt.get_int<int>("nprx2");
+    repeats = std::max(1, opt.get_int<int>("repeats"));
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_farm");
     return 1;
@@ -135,18 +143,11 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::RunConfig cfg;
-  cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-  cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
-  cfg.steps = static_cast<int>(opt.get_int("steps"));
-  cfg.nprx1 = static_cast<int>(opt.get_int("nprx1"));
-  cfg.nprx2 = static_cast<int>(opt.get_int("nprx2"));
   cfg.compilers = {"cray"};
   cfg.host_threads = 0;  // serial loop gets the full host too
 
   const int host_cores =
       static_cast<int>(std::thread::hardware_concurrency());
-  const int repeats = std::max(1, static_cast<int>(opt.get_int("repeats")));
 
   std::vector<Result> results;
   for (const int njobs : batch_sizes) {

@@ -27,15 +27,17 @@ int main(int argc, char** argv) {
   opt.add("block", "400", "rendered block size (paper: 400)");
   opt.add("out", "fig1.pbm", "output PBM path");
   opt.add_flag("coupled", "include the species-coupling bands");
+  int nx1 = 0, nx2 = 0;
+  long block = 0;
   try {
     opt.parse(argc, argv);
+    nx1 = opt.get_int<int>("nx1");
+    nx2 = opt.get_int<int>("nx2");
+    block = opt.get_int("block");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_fig1");
     return 1;
   }
-  const int nx1 = static_cast<int>(opt.get_int("nx1"));
-  const int nx2 = static_cast<int>(opt.get_int("nx2"));
-  const long block = opt.get_int("block");
 
   grid::Grid2D g(nx1, nx2, -1.0, 1.0, -0.5, 0.5);
   grid::Decomposition dec(g, mpisim::CartTopology(1, 1));

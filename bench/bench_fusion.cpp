@@ -229,16 +229,17 @@ int main(int argc, char** argv) {
   opt.add("gate-size", "256", "gate rows with n >= this size");
   opt.add("gate-speedup", "1.3", "minimum fused host speedup on gated rows");
   opt.add("out", "BENCH_fusion.json", "JSON output path (empty = none)");
+  int max_iter = 0, gate_size = 0;
   try {
     opt.parse(argc, argv);
+    max_iter = opt.get_int<int>("max-iter");
+    gate_size = opt.get_int<int>("gate-size");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_fusion");
     return 1;
   }
   const std::string precond = opt.get("precond");
   const double tol = opt.get_double("tol");
-  const int max_iter = static_cast<int>(opt.get_int("max-iter"));
-  const int gate_size = static_cast<int>(opt.get_int("gate-size"));
   const double gate_speedup = opt.get_double("gate-speedup");
 
   std::vector<Row> rows;

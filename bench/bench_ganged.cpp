@@ -19,13 +19,14 @@ int main(int argc, char** argv) {
   Options opt;
   opt.add("steps", "2", "time steps per configuration");
   opt.add_flag("tsv", "emit tab-separated values");
+  int steps = 0;
   try {
     opt.parse(argc, argv);
+    steps = opt.get_int<int>("steps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_ganged");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
 
   TableWriter table(
       "Ablation A — ganged vs classic BiCGSTAB reductions (Cray profile)");

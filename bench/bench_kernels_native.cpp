@@ -7,8 +7,11 @@
 /// plus a plain scalar loop as the floor.  Since both backends produce
 /// bit-identical results and recordings (tests/test_vla_fastpath.cpp), the
 /// speedup column is pure instrumentation overhead removed; it bounds how
-/// long the simulation benches take at scale.  Self-timed, no external
-/// benchmark dependency; emits BENCH_kernels.json for CI trend tracking.
+/// long the simulation benches take at scale.  The dot-exact row is the
+/// solver's inner product (support/exact_sum.hpp) on dprod's vectors, so
+/// its native ns/elem over dprod's records what exactness costs.
+/// Self-timed, no external benchmark dependency; emits BENCH_kernels.json
+/// for CI trend tracking.
 
 #include <chrono>
 #include <cstdio>
@@ -20,8 +23,10 @@
 
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_kernels.hpp"
+#include "support/exact_sum.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -123,13 +128,14 @@ int main(int argc, char** argv) {
   opt.add("vl", "512", "VLA vector length in bits");
   opt.add("min-ms", "20", "minimum milliseconds per timing sample");
   opt.add("out", "BENCH_kernels.json", "JSON output path (empty = none)");
+  unsigned bits = 0;
   try {
     opt.parse(argc, argv);
+    bits = opt.get_int<unsigned>("vl");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_kernels_native");
     return 1;
   }
-  const auto bits = static_cast<unsigned>(opt.get_int("vl"));
   const double min_ms = opt.get_double("min-ms");
 
   std::vector<std::size_t> sizes;
@@ -164,6 +170,20 @@ int main(int argc, char** argv) {
       g_sink = linalg::dprod(ctx, x, w);
       (void)ctx.take_counts();
     }));
+    // The solver's inner product: the same priced DPROD stream, but the
+    // value is the exact sum of the products (what dot_ganged runs), so
+    // its native column over dprod's is the cost of exactness.
+    results.push_back(
+        measure("dot-exact", n, bits, min_ms, [&](Context& ctx) {
+          if (ctx.native())
+            linalg::dprod_record_only(ctx, x, w);
+          else
+            (void)linalg::dprod(ctx, x, w);
+          ExactSum s;
+          s.add_dot_rows(x.data(), 0, w.data(), 0, n, 1);
+          g_sink = s.value();
+          (void)ctx.take_counts();
+        }));
     results.push_back(measure("daxpy", n, bits, min_ms, [&](Context& ctx) {
       linalg::daxpy(ctx, 1.0000001, x, y);
       (void)ctx.take_counts();
@@ -226,6 +246,8 @@ int main(int argc, char** argv) {
         }));
   }
 
+  std::cout << "native kernels at the " << simd::width_name(simd::width())
+            << " width\n";
   TableWriter table("VLA kernel host wall-time: interpreter vs native");
   table.set_columns({"kernel", "n", "interp ns/elem", "native ns/elem",
                      "scalar ns/elem", "speedup"});

@@ -61,8 +61,10 @@ int main(int argc, char** argv) {
   opt.add("tol", "1e-8", "CG relative tolerance");
   opt.add("max-iter", "5000", "CG iteration cap");
   opt.add_flag("tsv", "emit tab-separated values");
+  int max_iter = 0;
   try {
     opt.parse(argc, argv);
+    max_iter = opt.get_int<int>("max-iter");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_mg");
     return 1;
@@ -117,7 +119,7 @@ int main(int argc, char** argv) {
         linalg::CgSolver cg(ws);
         linalg::SolveOptions sopt;
         sopt.rel_tol = opt.get_double("tol");
-        sopt.max_iterations = static_cast<int>(opt.get_int("max-iter"));
+        sopt.max_iterations = max_iter;
         x.fill(ctx, 0.0);
         const auto stats = cg.solve(ctx, A, *M, x, rhs, sopt);
 

@@ -21,13 +21,14 @@ int main(int argc, char** argv) {
   Options opt;
   opt.add("steps", "2", "time steps per configuration");
   opt.add_flag("tsv", "emit tab-separated values");
+  int steps = 0;
   try {
     opt.parse(argc, argv);
+    steps = opt.get_int<int>("steps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_precond");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
 
   TableWriter table("Ablation B — preconditioner choice (Cray profile)");
   table.set_columns({"preconditioner", "iters/solve", "precond (s)",

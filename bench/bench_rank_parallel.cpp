@@ -98,8 +98,16 @@ int main(int argc, char** argv) {
   opt.add("threads", "1,2,4", "comma list of host-thread counts");
   opt.add("vla-exec", "native", "VLA backend: native | interpret");
   opt.add("out", "BENCH_rank_parallel.json", "JSON output path (empty = none)");
+  core::RunConfig cfg;
+  int repeats = 1;
   try {
     opt.parse(argc, argv);
+    cfg.nx1 = opt.get_int<int>("nx1");
+    cfg.nx2 = opt.get_int<int>("nx2");
+    cfg.steps = opt.get_int<int>("steps");
+    cfg.nprx1 = opt.get_int<int>("nprx1");
+    cfg.nprx2 = opt.get_int<int>("nprx2");
+    repeats = std::max(1, opt.get_int<int>("repeats"));
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_rank_parallel");
     return 1;
@@ -113,20 +121,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::RunConfig cfg;
-  cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-  cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
-  cfg.steps = static_cast<int>(opt.get_int("steps"));
-  cfg.nprx1 = static_cast<int>(opt.get_int("nprx1"));
-  cfg.nprx2 = static_cast<int>(opt.get_int("nprx2"));
   cfg.vla_exec = opt.get("vla-exec");
   cfg.compilers = {"cray"};
   const int ranks = cfg.nranks();
 
   const int host_cores =
       static_cast<int>(std::thread::hardware_concurrency());
-  const int repeats =
-      std::max(1, static_cast<int>(opt.get_int("repeats")));
   std::vector<Result> results;
   Baseline base;
   for (const int threads : thread_counts) {

@@ -124,20 +124,20 @@ int main(int argc, char** argv) {
   opt.add("steps", "6", "time steps (guard rows)");
   opt.add("repeats", "3", "timing repetitions (best kept)");
   opt.add("out", "BENCH_resilience.json", "JSON output path (empty = none)");
+  core::RunConfig cfg;
+  int repeats = 1;
   try {
     opt.parse(argc, argv);
+    cfg.nx1 = opt.get_int<int>("nx1");
+    cfg.nx2 = opt.get_int<int>("nx2");
+    cfg.steps = opt.get_int<int>("steps");
+    repeats = std::max(1, opt.get_int<int>("repeats"));
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_resilience");
     return 1;
   }
-
-  core::RunConfig cfg;
-  cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-  cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
-  cfg.steps = static_cast<int>(opt.get_int("steps"));
   cfg.compilers = {"cray"};
   cfg.host_threads = 0;
-  const int repeats = std::max(1, static_cast<int>(opt.get_int("repeats")));
 
   // --- guard overhead --------------------------------------------------------
   // Auto-scale the workload: double the step count until the unguarded

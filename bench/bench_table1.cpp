@@ -57,18 +57,21 @@ int main(int argc, char** argv) {
   opt.add("nx2", "100", "zones in x2");
   opt.add_flag("tsv", "emit tab-separated values instead of a table");
   opt.add_flag("paper", "include the paper's measured values in the output");
+  int steps = 0, nx1 = 0, nx2 = 0;
   try {
     opt.parse(argc, argv);
+    steps = opt.get_int<int>("steps");
+    nx1 = opt.get_int<int>("nx1");
+    nx2 = opt.get_int<int>("nx2");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_table1");
     return 1;
   }
-  const int steps = static_cast<int>(opt.get_int("steps"));
   const bool quick = opt.get("rows") == "quick";
   const double scale = 100.0 / steps;
 
   std::cout << "Table I reproduction: Gaussian pulse, "
-            << opt.get_int("nx1") << "x" << opt.get_int("nx2")
+            << nx1 << "x" << nx2
             << "x2 unknowns, " << steps << " steps (times scaled to 100), "
             << "3 solves/step.\n\n";
 
@@ -84,8 +87,8 @@ int main(int argc, char** argv) {
   for (const TopoRow& row : kRows) {
     if (quick && row.np != 1 && row.np != 20 && row.np != 50) continue;
     core::RunConfig cfg;
-    cfg.nx1 = static_cast<int>(opt.get_int("nx1"));
-    cfg.nx2 = static_cast<int>(opt.get_int("nx2"));
+    cfg.nx1 = nx1;
+    cfg.nx2 = nx2;
     cfg.steps = steps;
     cfg.nprx1 = row.nx1;
     cfg.nprx2 = row.nx2;

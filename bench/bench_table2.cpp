@@ -78,16 +78,19 @@ int main(int argc, char** argv) {
   opt.add("compiler", "cray", "base compiler profile");
   opt.add("vector-bits", "512", "SVE vector length");
   opt.add_flag("tsv", "emit tab-separated values instead of a table");
+  long reps = 0;
+  int nx1 = 0, nx2 = 0;
+  unsigned vector_bits = 0;
   try {
     opt.parse(argc, argv);
+    reps = opt.get_int("reps");
+    nx1 = opt.get_int<int>("nx1");
+    nx2 = opt.get_int<int>("nx2");
+    vector_bits = opt.get_int<unsigned>("vector-bits");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_table2");
     return 1;
   }
-
-  const long reps = opt.get_int("reps");
-  const int nx1 = static_cast<int>(opt.get_int("nx1"));
-  const int nx2 = static_cast<int>(opt.get_int("nx2"));
 
   const auto base = compiler::find_profile(opt.get("compiler"));
   std::vector<compiler::CodegenProfile> profiles = {base.without_sve(), base};
@@ -96,9 +99,8 @@ int main(int argc, char** argv) {
   grid::Grid2D g(nx1, nx2, 0.0, 1.0, 0.0, 1.0);
   grid::Decomposition dec(g, mpisim::CartTopology(1, 1));
   mpisim::ExecModel em(sim::MachineSpec::a64fx(), profiles, 1);
-  linalg::ExecContext ctx(
-      vla::VectorArch(static_cast<unsigned>(opt.get_int("vector-bits"))), &em,
-      vla::VlaExecMode::Native);
+  linalg::ExecContext ctx(vla::VectorArch(vector_bits), &em,
+                          vla::VlaExecMode::Native);
 
   Rng rng(20220727);  // the paper's arXiv date
   linalg::DistVector x(g, dec, 2), y(g, dec, 2), z(g, dec, 2);

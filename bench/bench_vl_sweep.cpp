@@ -22,13 +22,14 @@ int main(int argc, char** argv) {
   Options opt;
   opt.add("reps", "2000", "repetitions of each routine");
   opt.add_flag("tsv", "emit tab-separated values");
+  long reps = 0;
   try {
     opt.parse(argc, argv);
+    reps = opt.get_int("reps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_vl_sweep");
     return 1;
   }
-  const long reps = opt.get_int("reps");
 
   TableWriter table(
       "Ablation C — kernel time vs SVE vector length (Cray profile, N=1000)");

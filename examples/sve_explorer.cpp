@@ -77,19 +77,24 @@ int main(int argc, char** argv) {
   opt.add("n", "1000", "elements per kernel call");
   opt.add("ws", "0", "working-set bytes (0 = derive from n)");
   opt.add("sharers", "1", "ranks sharing the CMG");
+  unsigned bits = 0;
+  std::size_t n = 0;
+  std::uint64_t ws = 0;
+  std::uint32_t sharers = 0;
   try {
     opt.parse(argc, argv);
+    bits = opt.get_int<unsigned>("bits");
+    n = opt.get_int<std::size_t>("n");
+    ws = opt.get_int<std::uint64_t>("ws");
+    sharers = opt.get_int<std::uint32_t>("sharers");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("sve_explorer");
     return 1;
   }
 
   const std::string kernel = opt.get("kernel");
-  const auto bits = static_cast<unsigned>(opt.get_int("bits"));
-  const auto n = static_cast<std::size_t>(opt.get_int("n"));
   const auto profile = compiler::find_profile(opt.get("compiler"));
   const auto counts = record_kernel(kernel, bits, n);
-  std::uint64_t ws = static_cast<std::uint64_t>(opt.get_int("ws"));
   if (ws == 0) ws = 7 * n * sizeof(double);
 
   std::cout << "kernel " << kernel << " at VL " << bits << " bits, n = " << n
@@ -109,7 +114,6 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   const sim::CostModel cm(sim::MachineSpec::a64fx());
-  const auto sharers = static_cast<std::uint32_t>(opt.get_int("sharers"));
   const auto family = family_of(kernel);
   const auto sve = cm.price(counts, sim::ExecMode::SVE,
                             profile.factors(family), ws, sharers);

@@ -1,6 +1,7 @@
 #include "linalg/bicgstab.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "linalg/dag_capture.hpp"
 #include "support/error.hpp"
@@ -9,6 +10,18 @@ namespace v2d::linalg {
 
 namespace {
 constexpr double kBreakdownEps = 1.0e-300;
+}
+
+bool SolveStats::stop_if_non_finite(std::initializer_list<double> reductions) {
+  for (const double v : reductions) {
+    if (!std::isfinite(v)) {
+      converged = false;
+      final_relative_residual = std::numeric_limits<double>::quiet_NaN();
+      stop_reason = "non-finite reduction";
+      return true;
+    }
+  }
+  return false;
 }
 
 BicgstabSolver::BicgstabSolver(const grid::Grid2D& g,
@@ -50,6 +63,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
 
   const double bnorm = DistVector::norm2(ctx, b);
   ++stats.global_reductions;
+  if (stats.stop_if_non_finite({bnorm})) return stats;
   if (bnorm == 0.0) {
     x.fill(ctx, 0.0);
     stats.converged = true;
@@ -61,6 +75,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
   ++stats.global_reductions;
   double rnorm = DistVector::norm2(ctx, r);
   ++stats.global_reductions;
+  if (stats.stop_if_non_finite({rho, rnorm})) return stats;
 
   for (int it = 1; it <= opt.max_iterations; ++it) {
     dag.begin_iteration(it);
@@ -73,6 +88,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     M.apply(ctx, p, phat);
     const double rhat_v = A.apply_dot(ctx, phat, v, &rhat);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({rhat_v})) return stats;
     if (std::fabs(rhat_v) < kBreakdownEps) {
       stats.stop_reason = "rhat.v breakdown";
       break;
@@ -86,12 +102,14 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     ++stats.global_reductions;
     const double tt = DistVector::dot(ctx, t, t);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({ts, tt})) return stats;
     if (tt < kBreakdownEps) {
       // t vanished: x += α·p̂ finishes the step exactly.
       x.daxpy(ctx, alpha, phat);
       r.copy_from(ctx, s);
       rnorm = DistVector::norm2(ctx, r);
       ++stats.global_reductions;
+      if (stats.stop_if_non_finite({rnorm})) return stats;
       stats.final_relative_residual = rnorm / bnorm;
       stats.converged = stats.final_relative_residual <= opt.rel_tol;
       stats.stop_reason = "t breakdown";
@@ -103,6 +121,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     r.assign_axpy(ctx, s, -omega, t);
     rnorm = DistVector::norm2(ctx, r);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({rnorm})) return stats;
     stats.final_relative_residual = rnorm / bnorm;
     if (stats.final_relative_residual <= opt.rel_tol) {
       stats.converged = true;
@@ -115,6 +134,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
     }
     const double rho_new = DistVector::dot(ctx, rhat, r);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({rho_new})) return stats;
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
     // p = r + β·(p − ω·v), one pass when fused.
@@ -152,6 +172,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     const DistVector::DotPair pairs[] = {{&b, &b}, {&rhat, &r}};
     const auto vals = DistVector::dot_ganged(ctx, pairs);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({vals[0], vals[1]})) return stats;
     bnorm = std::sqrt(vals[0]);
     rho = vals[1];
   }
@@ -173,6 +194,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     M.apply(ctx, p, phat);
     const double rhat_v = A.apply_dot(ctx, phat, v, &rhat);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({rhat_v})) return stats;
     if (std::fabs(rhat_v) < kBreakdownEps) {
       stats.stop_reason = "rhat.v breakdown";
       break;
@@ -193,6 +215,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
       tt = vals[1];
       ss = vals[2];
     }
+    if (stats.stop_if_non_finite({ts, tt, ss})) return stats;
     if (tt < kBreakdownEps) {
       x.daxpy(ctx, alpha, phat);
       r.copy_from(ctx, s);
@@ -205,7 +228,9 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     x.ddaxpy(ctx, alpha, phat, omega, shat);
     r.assign_axpy(ctx, s, -omega, t);
     // ‖r‖² reconstructed from the gang — no extra reduction.
-    rnorm2 = std::max(0.0, ss - 2.0 * omega * ts + omega * omega * tt);
+    const double r2 = ss - 2.0 * omega * ts + omega * omega * tt;
+    if (stats.stop_if_non_finite({r2})) return stats;
+    rnorm2 = std::max(0.0, r2);
     stats.final_relative_residual = std::sqrt(rnorm2) / bnorm;
     if (stats.final_relative_residual <= opt.rel_tol) {
       stats.converged = true;
@@ -218,6 +243,7 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
     }
     const double rho_new = DistVector::dot(ctx, rhat, r);
     ++stats.global_reductions;
+    if (stats.stop_if_non_finite({rho_new})) return stats;
     const double beta = (rho_new / rho) * (alpha / omega);
     rho = rho_new;
     p.p_update(ctx, r, beta, omega, v);

@@ -20,6 +20,7 @@
 /// workload reuses allocations.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 
 #include "linalg/operator.hpp"
@@ -50,6 +51,12 @@ struct SolveStats {
   bool stop_reason_set() const {
     return stop_reason != nullptr && stop_reason[0] != '\0';
   }
+
+  /// If any of `reductions` is NaN or infinite (a contaminated operand),
+  /// stop: no breakdown test or tolerance check can be trusted on it, so
+  /// the solve ends unconverged with the reason "non-finite reduction" and
+  /// a NaN residual.  Returns true when the solver must return.
+  bool stop_if_non_finite(std::initializer_list<double> reductions);
 };
 
 class BicgstabSolver {

@@ -36,6 +36,7 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
     bnorm = std::sqrt(vals[0]);
     rz = vals[1];
     rnorm2 = vals[2];
+    if (stats.stop_if_non_finite({vals[0], rz, rnorm2})) return stats;
   }
   if (bnorm == 0.0) {
     x.fill(ctx, 0.0);
@@ -50,10 +51,11 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
     // MATVEC+DPROD: p·Ap rides the stencil sweep when fused.
     const double pq = A.apply_dot(ctx, p, q);
     ++stats.global_reductions;
-    // On an SPD operator p·Ap > 0 for p ≠ 0.  A negative (or NaN) value
-    // means the operator is not positive definite — a distinct failure
-    // from the exact-breakdown p·Ap == 0, and worth reporting as such
-    // because it indicates a badly assembled system, not bad luck.
+    if (stats.stop_if_non_finite({pq})) return stats;
+    // On an SPD operator p·Ap > 0 for p ≠ 0.  A negative value means the
+    // operator is not positive definite — a distinct failure from the
+    // exact-breakdown p·Ap == 0, and worth reporting as such because it
+    // indicates a badly assembled system, not bad luck.
     if (!(pq > 0.0)) {
       stats.stop_reason = pq == 0.0 ? "p.Ap breakdown" : "indefinite operator";
       break;
@@ -80,6 +82,7 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
       rz_new = vals[0];
       rnorm2 = vals[1];
     }
+    if (stats.stop_if_non_finite({rz_new, rnorm2})) return stats;
     stats.final_relative_residual = std::sqrt(std::max(0.0, rnorm2)) / bnorm;
     if (stats.final_relative_residual <= opt.rel_tol) {
       stats.converged = true;

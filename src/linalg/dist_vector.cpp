@@ -4,8 +4,8 @@
 
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernels.hpp"
-#include "support/dd.hpp"
 #include "support/error.hpp"
+#include "support/exact_sum.hpp"
 
 namespace v2d::linalg {
 
@@ -253,56 +253,55 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
     require_same_shape(*pr.x, *pr.y);
     require_same_shape(*pr.x, first);
   }
-  // Compensated accumulation makes the result independent of the tiling
-  // (see support/dd.hpp); the VLA recording below still prices the
-  // ordinary strip-mined DPROD the hardware would run.  The compensated
-  // sum is the result in both exec modes, so on the fast path the
-  // DPROD is not computed at all and only its memoized recording is
-  // kept — execution and recording fully decoupled.  Ranks accumulate
-  // into private partials merged in rank order afterwards, so the result
-  // is also independent of the host-thread count.
+  // Each inner product is the exact sum of its once-rounded products,
+  // rounded once (see support/exact_sum.hpp), so neither the tiling, the
+  // SIMD width nor the host-thread count can change its bits.  The VLA
+  // recording below still prices the ordinary strip-mined DPROD the
+  // hardware would run; on the fast path the DPROD is not computed at all
+  // and only its memoized recording is kept — execution and recording
+  // fully decoupled.  Each rank sums its tiles into private partials, so
+  // threads share no state, and the partials merge in any order.
   for (const DotPair& pr : pairs) dag_op(ctx, "dot", first, {pr.x, pr.y}, {});
   const bool fast = ctx.vctx.native();
   const int nranks = first.nranks();
-  std::vector<std::vector<DdAccumulator>> partial(
-      static_cast<std::size_t>(nranks),
-      std::vector<DdAccumulator>(pairs.size()));
+  const std::size_t np = pairs.size();
+  std::vector<ExactSum> partial(static_cast<std::size_t>(nranks) * np);
   par_ranks(ctx, first, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = first.field().decomp().extent(r);
-    auto& acc = partial[static_cast<std::size_t>(r)];
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const auto ni = static_cast<std::size_t>(e.ni);
+    ExactSum* acc = &partial[static_cast<std::size_t>(r) * np];
+    for (std::size_t k = 0; k < np; ++k) {
       for (int s = 0; s < first.ns(); ++s) {
         grid::TileView xv =
             const_cast<DistVector*>(pairs[k].x)->field().view(r, s);
         grid::TileView yv =
             const_cast<DistVector*>(pairs[k].y)->field().view(r, s);
         for (int lj = 0; lj < e.nj; ++lj) {
-          const std::span<const double> xr(xv.row(lj),
-                                           static_cast<std::size_t>(e.ni));
-          const std::span<const double> yr(yv.row(lj),
-                                           static_cast<std::size_t>(e.ni));
+          const std::span<const double> xr(xv.row(lj), ni);
+          const std::span<const double> yr(yv.row(lj), ni);
           if (fast)
             linalg::dprod_record_only(rctx.vctx, xr, yr);
           else
             (void)linalg::dprod(rctx.vctx, xr, yr);
-          for (int li = 0; li < e.ni; ++li) acc[k].add(xr[li] * yr[li]);
         }
+        acc[k].add_dot_rows(xv.row(0), xv.row_stride, yv.row(0),
+                            yv.row_stride, ni, static_cast<std::size_t>(e.nj));
       }
     }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj *
-                          first.ns() * pairs.size();
+    const auto elements =
+        static_cast<std::uint64_t>(e.ni) * e.nj * first.ns() * np;
     rctx.commit(r, KernelFamily::Dprod, "dprod", elements,
-                first.working_set(r, 2 * static_cast<int>(pairs.size())));
+                first.working_set(r, 2 * static_cast<int>(np)));
   });
   // One ganged allreduce for all inner products in the gang.
-  ctx.allreduce(pairs.size() * sizeof(double));
-  // Rank-ordered compensated merge.
-  std::vector<DdAccumulator> totals(pairs.size());
-  for (int r = 0; r < nranks; ++r)
-    for (std::size_t k = 0; k < pairs.size(); ++k)
-      totals[k].add(partial[static_cast<std::size_t>(r)][k]);
-  std::vector<double> out(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) out[k] = totals[k].value();
+  ctx.allreduce(np * sizeof(double));
+  std::vector<double> out(np);
+  for (std::size_t k = 0; k < np; ++k) {
+    ExactSum total;
+    for (int r = 0; r < nranks; ++r)
+      total.add(partial[static_cast<std::size_t>(r) * np + k]);
+    out[k] = total.value();
+  }
   return out;
 }
 

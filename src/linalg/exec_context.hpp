@@ -34,9 +34,8 @@ namespace v2d::linalg {
 ///          stream.  The first solver iteration of each configuration also
 ///          records its kernel DAG (vla/kernel_dag.hpp).  Numerics are
 ///          pinned to Off (same per-element expressions in the same
-///          association order, reductions keep the rank-ordered
-///          compensated merge), so the Krylov trajectory is unchanged —
-///          only the price is.
+///          association order, reductions are the same exact sums), so
+///          the Krylov trajectory is unchanged — only the price is.
 enum class FuseMode : std::uint8_t {
   Off,
   Plan,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "support/error.hpp"
+#include "support/simd.hpp"
 #include "vla/loops.hpp"
 
 namespace v2d::linalg::fusion {
@@ -81,22 +82,22 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
 
   if (g.naccs > 0) {
     // The lane-accumulated values are the hardware's; the returned results
-    // are the compensated element-order tails below, identical in both exec
-    // modes (and to the unfused dot path).  A dry run records the epilogue
-    // but leaves the caller's accumulators alone.
+    // are the exact dot tails, identical in both exec modes (and to the
+    // unfused dot path).  A dry run records the epilogue but leaves the
+    // caller's accumulators alone.
     const Predicate full = ctx.ptrue();
     for (std::uint8_t i = 0; i < g.npre; ++i)
       if (g.pre[i].k == StepKind::DupAcc)
         (void)ctx.reduce_add(full, acc[g.pre[i].dst]);
-    if (ctx.dry()) return;
-    for (std::uint8_t t = 0; t < g.ntails; ++t) {
-      const DotTail& tl = g.tail[t];
-      DdAccumulator a = *b.acc[tl.acc];
-      const double* pa = b.slot[tl.slot_a];
-      const double* pb = b.slot[tl.slot_b];
-      for (std::size_t i = 0; i < b.n; ++i) a.add(pa[i] * pb[i]);
-      *b.acc[tl.acc] = a;
-    }
+    if (!ctx.dry()) run_dot_tails(g, b);
+  }
+}
+
+void run_dot_tails(const GroupProgram& g, const Bind& b) {
+  for (std::uint8_t t = 0; t < g.ntails; ++t) {
+    const DotTail& tl = g.tail[t];
+    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], 0, b.slot[tl.slot_b], 0,
+                                b.n, 1);
   }
 }
 
@@ -105,14 +106,13 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
 namespace {
 
 template <GroupProgram G, std::size_t I>
-inline void stamp_pre(const double* sc, double* r) {
+V2D_SIMD_BODY void stamp_pre(const double* sc, double* r) {
   constexpr Step S = G.pre[I];
   if constexpr (S.k == StepKind::DupScal) r[S.dst] = sc[S.a];
 }
 
 template <GroupProgram G, std::size_t I>
-inline void stamp_step(double* const* p, double* r, DdAccumulator* dd,
-                       std::ptrdiff_t i) {
+V2D_SIMD_BODY void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
   constexpr Step S = G.step[I];
   if constexpr (S.k == StepKind::Load) {
     r[S.dst] = p[S.a][i];
@@ -132,28 +132,23 @@ inline void stamp_step(double* const* p, double* r, DdAccumulator* dd,
     r[S.dst] = r[S.a] - r[S.b];
   } else if constexpr (S.k == StepKind::Store) {
     p[S.dst][i] = r[S.a];
-  } else if constexpr (S.k == StepKind::DotAcc) {
-    // The compensated chains accumulate through register-resident locals in
-    // step (= element) order; independent chains interleave with each other
-    // and with the streaming loads/stores.
-    dd[S.dst].add(r[S.a] * r[S.b]);
   }
+  // DotAcc emits nothing here: the dots are exact tails over the stored
+  // slots after the sweep (run_dot_tails).
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop.  Elementwise programs reduce to plain
-/// raw-pointer loops like the primitive kernels in kernels_native.cpp, so
-/// the host compiler auto-vectorizes them; dot programs interleave the
-/// compensated chains with the streaming sweep in one mixed loop.  Register
-/// slots with compile-time-constant indices are scalarized by the compiler.
+/// into a flat per-element loop.  Every program is elementwise once its
+/// dots move to the tails, so each reduces to a plain raw-pointer loop like
+/// the primitive kernels in kernels_native.cpp, which the host compiler
+/// auto-vectorizes at both widths.  Register slots with compile-time-
+/// constant indices are scalarized by the compiler.
 template <GroupProgram G>
-void stamp_exec(const Bind& b) {
+V2D_SIMD_BODY void stamp_body(const Bind& b) {
   double* p[kMaxSlots];
   for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b.slot[s];
   double sc[kMaxScalars];
   for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b.scal[s];
-  DdAccumulator dd[kMaxAccs];
-  for (std::size_t k = 0; k < G.naccs; ++k) dd[k] = *b.acc[k];
   const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(b.n);
   for (std::ptrdiff_t i = 0; i < n; ++i) {
     double r[kMaxRegs];
@@ -161,16 +156,25 @@ void stamp_exec(const Bind& b) {
       (stamp_pre<G, Pi>(sc, r), ...);
     }(std::make_index_sequence<std::size_t{G.npre}>{});
     [&]<std::size_t... Si>(std::index_sequence<Si...>) {
-      (stamp_step<G, Si>(p, r, dd, i), ...);
+      (stamp_step<G, Si>(p, r, i), ...);
     }(std::make_index_sequence<std::size_t{G.nsteps}>{});
   }
-  for (std::size_t k = 0; k < G.naccs; ++k) *b.acc[k] = dd[k];
+}
+
+template <GroupProgram G>
+void stamp_generic(const Bind& b) {
+  stamp_body<G>(b);
+}
+
+template <GroupProgram G>
+V2D_SIMD_TARGET_AVX2 void stamp_avx2(const Bind& b) {
+  stamp_body<G>(b);
 }
 
 using StampFn = void (*)(const Bind&);
 
 struct StampEntry {
-  StampFn fn = nullptr;
+  StampFn fn[2] = {};   ///< indexed by simd::Width: generic, AVX2
   std::uint8_t id = 0;  ///< small sequential id, part of the memo key
 };
 
@@ -179,19 +183,21 @@ std::unordered_map<std::uint64_t, StampEntry>& registry() {
   return r;
 }
 
-void register_group(std::uint64_t sig, StampFn fn) {
+void register_group(std::uint64_t sig, StampFn generic, StampFn avx2) {
   auto& r = registry();
   if (r.find(sig) != r.end()) return;  // identical program already stamped
   V2D_REQUIRE(r.size() < 127, "fused-stamp id space exhausted");
   const auto id = static_cast<std::uint8_t>(r.size());
-  r.emplace(sig, StampEntry{fn, id});
+  r.emplace(sig, StampEntry{{generic, avx2}, id});
 }
 
 template <Chain C>
 void register_chain() {
   static constexpr FusionPlan P = plan_chain(C);
   [&]<std::size_t... Gi>(std::index_sequence<Gi...>) {
-    (register_group(P.group[Gi].sig, &stamp_exec<P.group[Gi]>), ...);
+    (register_group(P.group[Gi].sig, &stamp_generic<P.group[Gi]>,
+                    &stamp_avx2<P.group[Gi]>),
+     ...);
   }(std::make_index_sequence<std::size_t{P.ngroups}>{});
 }
 
@@ -241,7 +247,8 @@ void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
           (bind.n & 0x00ff'ffff'ffff'ffffULL);
       ctx.record_dry(key,
                      [&](vla::Context& dry) { run_interpret(dry, g, bind); });
-      it->second.fn(bind);
+      it->second.fn[static_cast<std::size_t>(simd::width())](bind);
+      run_dot_tails(g, bind);
     } else {
       run_interpret(ctx, g, bind);
     }
@@ -317,7 +324,7 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
 
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    std::span<const double> r, std::span<double> z,
-                   DdAccumulator& rz, DdAccumulator& rr) {
+                   ExactSum& rz, ExactSum& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
   static constexpr Chain kChain = make_hadamard_dot2_chain();
@@ -335,7 +342,7 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
                           double a, std::span<const double> q,
                           std::span<double> r, std::span<double> z,
-                          DdAccumulator& rz, DdAccumulator& rr) {
+                          ExactSum& rz, ExactSum& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
               "hadamard_update_dot2: length mismatch");
@@ -369,7 +376,7 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cs, std::span<const double> cn,
                        const double* xc, const double* xs, const double* xn,
                        const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, DdAccumulator* dot,
+                       const double* wdot, ExactSum* dot,
                        std::span<double> y) {
   const std::size_t n = y.size();
   V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&

@@ -20,10 +20,9 @@
 ///   Stencil  dst ← five-point row over the 8 consecutive slots starting at
 ///            src0, laid out [cc, cw, ce, cs, cn, xc, xs, xn]; xc must have
 ///            a readable ghost on each side
-///   Dot      acc += Σ src0·src1              (reduction tail; accumulates
-///                                             through the caller's
-///                                             compensated DdAccumulator in
-///                                             element order)
+///   Dot      acc += Σ src0·src1              (reduction tail; adds the
+///                                             exact sum of the products to
+///                                             the caller's ExactSum)
 ///
 /// The chain lists which slots are live-out (must reach memory).  Writes to
 /// other slots are temporaries the planner keeps in registers.

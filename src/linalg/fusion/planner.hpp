@@ -9,9 +9,9 @@
 ///     registers; temporaries never touch memory);
 ///   - elementwise → reduction tail: a Dot joins the sweep as a predicated
 ///     FMA chain plus one horizontal reduce in the group epilogue, and the
-///     numerical result is produced by the compensated (DdAccumulator)
-///     element-order tail over the operands' memory images — bit-identical
-///     to the unfused DPROD/dot_ganged path;
+///     numerical result is produced by an exact (ExactSum) tail over the
+///     operands' memory images after the sweep — bit-identical to the
+///     unfused DPROD/dot_ganged path;
 ///   - copy-elision: a Copy whose source is register-resident lowers to a
 ///     bare store (or to nothing when the destination is not live-out);
 ///   - a Stencil node only ever *heads* a group (its 10-load sweep is the
@@ -63,8 +63,8 @@ struct Step {
   std::uint8_t c = 0;
 };
 
-/// Compensated element-order tail of one fused dot: after the sweep,
-/// acc[acc] += Σ slot[slot_a][i] · slot[slot_b][i] through a DdAccumulator.
+/// Exact tail of one fused dot: after the sweep,
+/// acc[acc] += Σ slot[slot_a][i] · slot[slot_b][i] through an ExactSum.
 struct DotTail {
   std::uint8_t acc = 0;
   std::uint8_t slot_a = 0;
@@ -247,7 +247,7 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
         break;
       }
       case Prim::Dot: {
-        // The compensated tail reads the operands' memory images after the
+        // The exact tail reads the operands' memory images after the
         // sweep, so both must be pure inputs or live-out stores.
         if (written[nd.src0] && !c.live_out[nd.src0])
           plan_fail("reduction reads an unstored temporary");

@@ -29,8 +29,8 @@ double dprod(vla::Context& ctx, std::span<const double> x,
 /// Record the instruction stream of one DPROD(x, y) call without computing
 /// it (the memoized dry run of dprod's interpreter path).  Used where the
 /// numerical result is produced by a separate host-side accumulation
-/// (DistVector::dot_ganged's compensated sum) but the priced stream must
-/// still be the strip-mined DPROD.
+/// (DistVector::dot_ganged's exact sum) but the priced stream must still be
+/// the strip-mined DPROD.
 void dprod_record_only(vla::Context& ctx, std::span<const double> x,
                        std::span<const double> y);
 

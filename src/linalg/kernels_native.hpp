@@ -4,18 +4,22 @@
 ///
 /// These are the VlaExecMode::Native implementations behind the dispatch in
 /// kernels.cpp (and the multigrid row kernels behind mg/smoother.cpp and
-/// mg/transfer.cpp).  Each routine is a plain strided loop written so the
-/// host compiler can auto-vectorize it, and each reproduces the interpreter
-/// backend bit-for-bit:
+/// mg/transfer.cpp).  Each routine is one plain strided loop body that the
+/// host compiler auto-vectorizes twice (support/simd.hpp): at the baseline
+/// width and, on x86-64, at AVX2; the CPU check at first use picks which
+/// one runs.  Both reproduce the interpreter backend bit-for-bit:
 ///
 ///   - elementwise kernels evaluate the same per-element expression in the
-///     same association order the vla::Context ops use;
-///   - reductions keep the interpreter's strip-wise lane accumulators (VL
-///     partial sums, lane l accumulating elements i ≡ l mod VL) and perform
+///     same association order the vla::Context ops use, and vectorizing
+///     keeps it (no FMA contraction, no reassociation);
+///   - dprod keeps the interpreter's strip-wise lane accumulators (VL
+///     partial sums, lane l accumulating elements i ≡ l mod VL) and performs
 ///     the single final horizontal reduce in lane order.
 ///
 /// No vla::Context is touched here — the fast path's recording is the
-/// memoized dry run of the interpreter path (kernel_counts.hpp).
+/// memoized dry run of the interpreter path (kernel_counts.hpp).  The
+/// solver's inner products do not use dprod: they are exact sums
+/// (support/exact_sum.hpp) whose bits no width or tiling can change.
 
 #include <cstddef>
 #include <cstdint>

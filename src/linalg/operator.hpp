@@ -28,8 +28,8 @@ public:
   /// default is the unfused lowering: apply() followed by DistVector::dot,
   /// so any operator supports it.  StencilOperator overrides it to fold
   /// the dot into the stencil sweep under FuseMode::Plan and calls this
-  /// default otherwise.  The result is bit-identical either way
-  /// (compensated rank-ordered accumulation in both).
+  /// default otherwise.  The result is bit-identical either way (the same
+  /// exact sum in both).
   virtual double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                            const DistVector* w = nullptr) const {
     apply(ctx, x, y);

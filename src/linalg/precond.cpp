@@ -7,8 +7,8 @@
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_precond.hpp"
-#include "support/dd.hpp"
 #include "support/error.hpp"
+#include "support/exact_sum.hpp"
 
 namespace v2d::linalg {
 
@@ -19,9 +19,9 @@ namespace {
 /// Shared fused apply+2-dot sweep for the diagonal preconditioners:
 /// y ← m ⊙ x with {x·y, x·x} folded in — and, when `update_q` is given,
 /// the residual DAXPY x ← x + update_a·q leading the sweep (the CG tail
-/// composite).  Per-rank compensated partials merged in rank order
-/// (identical accumulation to dot_ganged), one ganged allreduce for the
-/// pair.  Returns false without doing any work when not fused.
+/// composite).  Per-rank exact partials (the same exact sums dot_ganged
+/// forms), one ganged allreduce for the pair.  Returns false without doing
+/// any work when not fused.
 bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
                          DistVector& y, double out[2], double update_a,
                          const DistVector* update_q) {
@@ -37,7 +37,7 @@ bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
     ctx.dag->op("dot", gn, {&y, &x}, {});
     ctx.dag->op("dot", gn, {&x, &x}, {});
   }
-  std::vector<std::array<DdAccumulator, 2>> partial(
+  std::vector<std::array<ExactSum, 2>> partial(
       static_cast<std::size_t>(nranks));
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec.extent(r);
@@ -71,10 +71,10 @@ bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
   });
   // One ganged allreduce for the {x·y, x·x} pair, as in dot_ganged.
   ctx.allreduce(2 * sizeof(double));
-  DdAccumulator xy, xx;
-  for (int r = 0; r < nranks; ++r) {
-    xy.add(partial[static_cast<std::size_t>(r)][0]);
-    xx.add(partial[static_cast<std::size_t>(r)][1]);
+  ExactSum xy, xx;
+  for (const auto& p : partial) {
+    xy.add(p[0]);
+    xx.add(p[1]);
   }
   out[0] = xy.value();
   out[1] = xx.value();

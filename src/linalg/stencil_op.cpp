@@ -5,8 +5,8 @@
 
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernels.hpp"
-#include "support/dd.hpp"
 #include "support/error.hpp"
+#include "support/exact_sum.hpp"
 
 namespace v2d::linalg {
 
@@ -147,14 +147,14 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
   auto* self = const_cast<StencilOperator*>(this);
   auto* wv = const_cast<DistVector*>(w);
   const int nranks = dec_->nranks();
-  // Per-rank compensated partials merged in rank order below — the same
-  // accumulation dot_ganged performs, so the result is bit-identical to
-  // the unfused apply() + dot() and independent of the host-thread count.
-  std::vector<DdAccumulator> partial(static_cast<std::size_t>(nranks));
+  // Per-rank exact partials, merged below — the same exact sum dot_ganged
+  // forms, so the result is bit-identical to the unfused apply() + dot()
+  // and independent of the tiling and the host-thread count.
+  std::vector<ExactSum> partial(static_cast<std::size_t>(nranks));
   par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec_->extent(r);
     const auto n = static_cast<std::size_t>(e.ni);
-    DdAccumulator& acc = partial[static_cast<std::size_t>(r)];
+    ExactSum& acc = partial[static_cast<std::size_t>(r)];
     for (int s = 0; s < ns_; ++s) {
       grid::TileView xv = xf.view(r, s);
       grid::TileView yv = y.field().view(r, s);
@@ -199,9 +199,8 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
   });
   // The folded dot still pays its single global reduction.
   ctx.allreduce(sizeof(double));
-  DdAccumulator total;
-  for (int r = 0; r < nranks; ++r)
-    total.add(partial[static_cast<std::size_t>(r)]);
+  ExactSum total;
+  for (const ExactSum& p : partial) total.add(p);
   return total.value();
 }
 

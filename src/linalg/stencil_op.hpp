@@ -94,7 +94,7 @@ public:
   /// per rank ("matvec-dot") plus one allreduce, the same reduction count
   /// as the unfused apply() + dot (LinearOperator's default, taken under
   /// FuseMode::Off).  Bit-identical either way: the global value is the
-  /// same rank-ordered compensated sum dot_ganged computes.
+  /// same exact sum dot_ganged computes.
   double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                    const DistVector* w = nullptr) const override;
 

@@ -8,7 +8,7 @@
 ///      identical KernelCounts, across all architectural VLs and tail
 ///      shapes;
 ///   2. every composite reproduces its unfused kernel chain bit-for-bit
-///      (same per-element association order, same compensated reductions);
+///      (same per-element association order, same exact reductions);
 ///   3. a CG/BiCGSTAB solve with --fuse plan matches --fuse off exactly —
 ///      same iterates, same reduction count, bit-identical solution —
 ///      while the fused simulated clock is strictly cheaper.
@@ -17,8 +17,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/v2d.hpp"
@@ -29,7 +31,7 @@
 #include "linalg/precond.hpp"
 #include "linalg/stencil_op.hpp"
 #include "perfmon/perf_stat.hpp"
-#include "support/dd.hpp"
+#include "support/exact_sum.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -134,7 +136,7 @@ TEST_P(FusedKernelSweep, HadamardDot2) {
   const auto m = random_vec(n(), rng), r = random_vec(n(), rng);
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  DdAccumulator rzi, rri, rzn, rrn;
+  ExactSum rzi, rri, rzn, rrn;
   fusion::hadamard_dot2(ci, m, r, zi, rzi, rri);
   fusion::hadamard_dot2(cx, m, r, zn, rzn, rrn);
   expect_bits_equal(zi, zn);
@@ -149,7 +151,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   auto ri = random_vec(n(), rng), rn = ri;
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  DdAccumulator rzi, rri, rzn, rrn;
+  ExactSum rzi, rri, rzn, rrn;
   fusion::hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
   fusion::hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
   expect_bits_equal(ri, rn);
@@ -158,19 +160,19 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   EXPECT_EQ(rri.value(), rrn.value());
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 
-  // And the composite == DAXPY ; HADAMARD ; compensated {z·r, r·r}.
+  // And the composite == DAXPY ; HADAMARD ; exact {z·r, r·r}.
   Context plain = native_ctx();
   auto rr2 = ri;
   rr2 = random_vec(n(), rng);
   auto r_ref = rr2, r_fused = rr2;
   std::vector<double> z_ref(n()), z_fused(n());
-  DdAccumulator rz_f, rr_f;
+  ExactSum rz_f, rr_f;
   fusion::hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
   daxpy(plain, -0.6, q, r_ref);
   hadamard(plain, m, r_ref, z_ref);
   expect_bits_equal(r_fused, r_ref);
   expect_bits_equal(z_fused, z_ref);
-  DdAccumulator rz_ref, rr_ref;
+  ExactSum rz_ref, rr_ref;
   for (std::size_t i = 0; i < n(); ++i) {
     rz_ref.add(z_ref[i] * r_ref[i]);
     rr_ref.add(r_ref[i] * r_ref[i]);
@@ -216,7 +218,7 @@ TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
     for (const bool self : {true, false}) {
       std::vector<double> yi(n()), yn(n());
       Context ci = interp_ctx(), cx = native_ctx();
-      DdAccumulator di, dn;
+      ExactSum di, dn;
       const double* csp = coupled ? op.csp.data() : nullptr;
       const double* xo = coupled ? op.xo.data() : nullptr;
       const double* wi = self ? op.xc.data() + 1 : op.w.data();
@@ -292,14 +294,14 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
     xpby(plain, cc, 1.7, pr);
     expect_bits_equal(pf, pr);
   }
-  // HadamardDot2 == HADAMARD ; compensated {z·r, r·r}.
+  // HadamardDot2 == HADAMARD ; exact {z·r, r·r}.
   {
     std::vector<double> zf(n()), zr(n());
-    DdAccumulator rz, rr2;
+    ExactSum rz, rr2;
     fusion::hadamard_dot2(fused, cc, cw, zf, rz, rr2);
     hadamard(plain, cc, cw, zr);
     expect_bits_equal(zf, zr);
-    DdAccumulator rz_ref, rr_ref;
+    ExactSum rz_ref, rr_ref;
     for (std::size_t i = 0; i < n(); ++i) {
       rz_ref.add(cw[i] * zr[i]);
       rr_ref.add(cw[i] * cw[i]);
@@ -321,17 +323,17 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
     sub(plain, b, qr, rr3);
     expect_bits_equal(rf, rr3);
   }
-  // Fused MATVEC+DPROD == STENCIL ; compensated w·y.
+  // Fused MATVEC+DPROD == STENCIL ; exact w·y.
   {
     std::vector<double> yf(n()), yr(n());
-    DdAccumulator df;
+    ExactSum df;
     fusion::stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
                               op.xs.data(), op.xn.data(), nullptr, nullptr,
                               nullptr, op.w.data(), &df, yf);
     stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
                 op.xn.data(), yr);
     expect_bits_equal(yf, yr);
-    DdAccumulator dr;
+    ExactSum dr;
     for (std::size_t i = 0; i < n(); ++i) dr.add(w[i] * yr[i]);
     EXPECT_EQ(df.value(), dr.value());
   }
@@ -509,7 +511,7 @@ TEST(FusedSolvers, BicgstabMatchesUnfusedWithCoupling) {
 }
 
 /// Fused results are also independent of the host-thread count (per-rank
-/// compensated partials merged in rank order, like dot_ganged).
+/// exact partials, like dot_ganged).
 TEST(FusedSolvers, FusedTrajectoryInvariantUnderHostThreads) {
   std::vector<double> reference;
   for (const int threads : {1, 4}) {
@@ -750,6 +752,123 @@ TEST(MemoCache, InterpretModeNeverProbes) {
   daxpy(ctx, 2.0, x, y);
   (void)ctx.take_counts();
   EXPECT_EQ(ctx.memo_hits() + ctx.memo_misses(), 0u);
+}
+
+// --- 5. exact reductions: the needle tiling test -----------------------------
+
+/// A 64×32 inner product whose small products hide two cancelling pairs,
+/// ±2^200 and ±2^100.  A compensated or plain sum rounds the small products
+/// differently depending on where the tiling puts the needles; the exact
+/// sum gives one double whatever the tiling, path or host-thread count.
+struct Needles {
+  static constexpr int kNx1 = 64, kNx2 = 32;
+  std::vector<double> x, y;
+
+  explicit Needles(std::uint64_t seed) {
+    Rng rng(seed);
+    x = random_vec(kNx1 * kNx2, rng);
+    y = random_vec(kNx1 * kNx2, rng);
+    std::vector<std::size_t> at;
+    while (at.size() < 4) {
+      const auto k = static_cast<std::size_t>(rng.below(x.size()));
+      if (std::find(at.begin(), at.end(), k) == at.end()) at.push_back(k);
+    }
+    const double big[4] = {0x1p100, 0x1p100, 0x1p50, 0x1p50};
+    const double sign[4] = {1.0, -1.0, 1.0, -1.0};
+    for (int k = 0; k < 4; ++k) {
+      x[at[k]] = big[k];
+      y[at[k]] = sign[k] * big[k];
+    }
+  }
+
+  /// The exact sum of the products in global order.
+  double expected() const {
+    ExactSum s;
+    for (std::size_t i = 0; i < x.size(); ++i) s.add(x[i] * y[i]);
+    return s.value();
+  }
+};
+
+constexpr std::pair<int, int> kNeedleTilings[] = {
+    {1, 1}, {2, 2}, {4, 4}, {5, 4}, {16, 1}};
+
+TEST(ExactReductions, NeedleDotGangedIsTilingAndThreadIndependent) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    const Needles nd(500 + trial);
+    const double want = nd.expected();
+    for (const int threads : {1, 4}) {
+      set_host_threads(threads);
+      for (const auto& [px1, px2] : kNeedleTilings) {
+        Problem prob(Needles::kNx1, Needles::kNx2, 1, px1, px2);
+        DistVector x(prob.g, prob.d, 1), y(prob.g, prob.d, 1);
+        x.field().scatter_global(nd.x);
+        y.field().scatter_global(nd.y);
+        ExecContext ctx = make_ctx(VlaExecMode::Native, FuseMode::Off);
+        const DistVector::DotPair pairs[] = {{&x, &y}, {&y, &x}};
+        const auto got = DistVector::dot_ganged(ctx, pairs);
+        EXPECT_EQ(got[0], want) << "trial " << trial << " tiling " << px1
+                                << "x" << px2 << " threads " << threads;
+        EXPECT_EQ(got[1], want);
+      }
+    }
+  }
+  set_host_threads(0);
+}
+
+TEST(ExactReductions, NeedleFusedApplyDotIsTilingAndThreadIndependent) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    const Needles nd(600 + trial);
+    const double want = nd.expected();
+    for (const int threads : {1, 4}) {
+      set_host_threads(threads);
+      for (const auto& [px1, px2] : kNeedleTilings) {
+        // The identity stencil: y = A·x = x, so apply_dot(x, y, w) = w·x.
+        Problem prob(Needles::kNx1, Needles::kNx2, 1, px1, px2);
+        prob.A.cc().fill(1.0);
+        DistVector x(prob.g, prob.d, 1), y(prob.g, prob.d, 1),
+            w(prob.g, prob.d, 1);
+        x.field().scatter_global(nd.x);
+        w.field().scatter_global(nd.y);
+        ExecContext ctx = make_ctx(VlaExecMode::Native, FuseMode::Plan);
+        EXPECT_EQ(prob.A.apply_dot(ctx, x, y, &w), want)
+            << "trial " << trial << " tiling " << px1 << "x" << px2
+            << " threads " << threads;
+      }
+    }
+  }
+  set_host_threads(0);
+}
+
+TEST(ExactReductions, NeedleFusedApplyDot2IsTilingAndThreadIndependent) {
+  for (std::uint64_t trial = 0; trial < 20; ++trial) {
+    // y = m ⊙ x with m = ±1, so x·y = Σ m·x² holds the cancelling needles.
+    Needles nd(700 + trial);
+    std::vector<double> m(nd.x.size());
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m[i] = nd.y[i] < 0.0 ? -1.0 : 1.0;
+      nd.y[i] = m[i] * nd.x[i];
+    }
+    const double want = nd.expected();
+    ExactSum xx;
+    for (const double v : nd.x) xx.add(v * v);
+    for (const int threads : {1, 4}) {
+      set_host_threads(threads);
+      for (const auto& [px1, px2] : kNeedleTilings) {
+        Problem prob(Needles::kNx1, Needles::kNx2, 1, px1, px2);
+        prob.A.cc().scatter_global(m);  // Jacobi's diagonal inverse is m
+        ExecContext ctx = make_ctx(VlaExecMode::Native, FuseMode::Plan);
+        JacobiPrecond M(ctx, prob.A);
+        DistVector x(prob.g, prob.d, 1), y(prob.g, prob.d, 1);
+        x.field().scatter_global(nd.x);
+        double out[2];
+        ASSERT_TRUE(M.apply_dot2(ctx, x, y, out));
+        EXPECT_EQ(out[0], want) << "trial " << trial << " tiling " << px1
+                                << "x" << px2 << " threads " << threads;
+        EXPECT_EQ(out[1], xx.value());
+      }
+    }
+  }
+  set_host_threads(0);
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ TEST(CompositeOpMix, InterpreterAndNativeMatchTheClosedForms) {
         // Bind every slot to its own buffer (one spare element keeps
         // .data() non-null at n = 0) and record one call per backend.
         std::vector<std::vector<double>> buf(chain.nslots);
-        DdAccumulator acc[fusion::kMaxAccs];
+        ExactSum acc[fusion::kMaxAccs];
         fusion::Bind bind{};
         bind.n = n;
         for (std::size_t s = 0; s < chain.nslots; ++s) {
@@ -202,7 +202,7 @@ TEST(FusionLegality, ReductionOverUnstoredTemporaryIsRejected) {
   fusion::detail::set_name(c, "temp-dot");
   c.nslots = 3;
   c.naccs = 1;
-  // z ← m ⊙ r with z NOT live-out, then acc += Σ z·r: the compensated
+  // z ← m ⊙ r with z NOT live-out, then acc += Σ z·r: the exact
   // tail reads operand memory images, so a register-only z is illegal.
   fusion::detail::push(
       c, {fusion::Prim::Mul, 2, 0, 1, fusion::kNone, fusion::kNone,

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <tuple>
 
 #include "linalg/banded.hpp"
 #include "linalg/bicgstab.hpp"
@@ -419,6 +422,48 @@ TEST(Bicgstab, WarmStartConvergesFaster) {
   EXPECT_LT(warm.iterations, cold.iterations);
 }
 
+/// One NaN or +Inf in the initial guess contaminates every reduction: each
+/// solver must stop at once, unconverged, rather than read a NaN residual
+/// as converged (ganged BiCGSTAB's clamp once turned NaN into 0) or spin to
+/// max iterations.
+class NonFiniteReduction
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
+
+TEST_P(NonFiniteReduction, StopsTheSolveUnconverged) {
+  const auto [solver, special] = GetParam();
+  Problem prob(8, 8, 1);
+  Rng rng(61);
+  fill_operator(prob.A, rng);
+  DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
+  ExecContext ctx;
+  b.fill(ctx, 1.0);
+  x.fill(ctx, 0.0);
+  x.field().view(0, 0)(3, 4) = special;
+  auto M = make_preconditioner("jacobi", ctx, prob.A);
+  SolveStats stats;
+  if (solver == "cg") {
+    CgSolver cg(prob.g, prob.d, 1);
+    stats = cg.solve(ctx, prob.A, *M, x, b);
+  } else {
+    SolveOptions opt;
+    opt.ganged = solver == "bicgstab-ganged";
+    BicgstabSolver bicgstab(prob.g, prob.d, 1);
+    stats = bicgstab.solve(ctx, prob.A, *M, x, b, opt);
+  }
+  EXPECT_FALSE(stats.converged);
+  EXPECT_STREQ(stats.stop_reason, "non-finite reduction");
+  EXPECT_LE(stats.iterations, 1);
+  EXPECT_TRUE(std::isnan(stats.final_relative_residual));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EverySolverAndSpecialValue, NonFiniteReduction,
+    ::testing::Combine(
+        ::testing::Values(std::string("cg"), std::string("bicgstab-classic"),
+                          std::string("bicgstab-ganged")),
+        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity())));
+
 TEST(Cg, SolvesSymmetricSystem) {
   Problem prob(20, 14, 1);
   Rng rng(59);
@@ -447,8 +492,8 @@ TEST(Cg, SolvesSymmetricSystem) {
 }
 
 TEST(Solvers, TrajectoryIsTilingIndependent) {
-  // The dd-compensated reductions make iteration counts identical for
-  // every NPRX1×NPRX2 (the property Table I depends on).
+  // The exact reductions make iteration counts identical for every
+  // NPRX1×NPRX2 (the property Table I depends on).
   int iters_ref = -1;
   for (const auto& [px1, px2] :
        {std::pair{1, 1}, std::pair{4, 1}, std::pair{2, 2}, std::pair{1, 4}}) {

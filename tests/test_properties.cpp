@@ -166,7 +166,7 @@ TEST(Properties, ClassicAndGangedProduceSameField) {
   const auto b = run(false);
   ASSERT_EQ(a.size(), b.size());
   // Same systems, same preconditioner; trajectories differ only through
-  // the (differently grouped but dd-compensated) reductions.
+  // the ganged scheme's reconstructed residual norm.
   for (std::size_t k = 0; k < a.size(); ++k)
     EXPECT_NEAR(a[k], b[k], 1e-8 * std::fabs(a[k]) + 1e-14);
 }

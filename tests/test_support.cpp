@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <vector>
 
-#include "support/dd.hpp"
 #include "support/error.hpp"
+#include "support/exact_sum.hpp"
 #include "support/log.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
@@ -210,39 +216,287 @@ TEST(Log, LevelFilters) {
   EXPECT_NE(os.str().find("visible"), std::string::npos);
 }
 
-// --- dd ---------------------------------------------------------------------
+// --- exact_sum --------------------------------------------------------------
 
-TEST(DdAccumulator, ExactForCancellation) {
-  DdAccumulator s;
+/// Independent slow reference: every addend is added bit by bit into a
+/// 2,300-bit two's-complement integer counting units of 2^−1074, and the
+/// result is rounded by reading bits.
+class SlowSum {
+public:
+  void add(double v) {
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    const int e = static_cast<int>((u >> 52) & 0x7ff);
+    std::uint64_t m = u & ((1ull << 52) - 1);
+    if (e == 0x7ff) {
+      special_ = true;
+      return;
+    }
+    if (e != 0) m |= 1ull << 52;
+    std::vector<int> t(kBits, 0);
+    for (int k = 0; k < 53; ++k) t[std::max(e, 1) - 1 + k] = (m >> k) & 1;
+    if ((u >> 63) != 0) negate(t);
+    int carry = 0;
+    for (int k = 0; k < kBits; ++k) {
+      const int sum = bits_[k] + t[k] + carry;
+      bits_[k] = sum & 1;
+      carry = sum >> 1;
+    }
+  }
+
+  double value() const {
+    EXPECT_FALSE(special_) << "SlowSum handles finite addends only";
+    std::vector<int> mag = bits_;
+    const bool neg = mag[kBits - 1] != 0;
+    if (neg) negate(mag);
+    int msb = kBits - 1;
+    while (msb >= 0 && mag[msb] == 0) --msb;
+    if (msb < 0) return 0.0;
+    const int lsb = std::max(msb - 52, 0);
+    std::uint64_t mant = 0;
+    for (int k = msb; k >= lsb; --k) mant = 2 * mant + mag[k];
+    const bool round = lsb > 0 && mag[lsb - 1] != 0;
+    bool sticky = false;
+    for (int k = 0; k + 1 < lsb; ++k) sticky = sticky || mag[k] != 0;
+    if (round && (sticky || (mant & 1) != 0)) ++mant;
+    const double r = std::ldexp(static_cast<double>(mant), lsb - 1074);
+    return neg ? -r : r;
+  }
+
+private:
+  static constexpr int kBits = 2300;
+  static void negate(std::vector<int>& b) {
+    int carry = 1;
+    for (int& bit : b) {
+      const int sum = (bit ^ 1) + carry;
+      bit = sum & 1;
+      carry = sum >> 1;
+    }
+  }
+  std::vector<int> bits_ = std::vector<int>(kBits, 0);
+  bool special_ = false;
+};
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+double sum_of(const std::vector<double>& xs) {
+  ExactSum s;
+  for (const double x : xs) s.add(x);
+  return s.value();
+}
+
+/// Addends spanning `binades` binades around 2^center, with cancelling
+/// pairs mixed in.
+std::vector<double> spread_addends(Rng& r, std::size_t n, int center,
+                                   int binades) {
+  std::vector<double> xs;
+  while (xs.size() < n) {
+    const int e = center + static_cast<int>(r.below(
+                               static_cast<std::uint64_t>(binades) + 1)) -
+                  binades / 2;
+    const double x = std::ldexp(r.uniform(-1.0, 1.0), e);
+    xs.push_back(x);
+    if (r.below(4) == 0 && xs.size() < n) xs.push_back(-x);
+  }
+  return xs;
+}
+
+TEST(ExactSum, CancellationIsExact) {
+  ExactSum s;
   s.add(1.0e16);
   s.add(1.0);
   s.add(-1.0e16);
-  EXPECT_DOUBLE_EQ(s.value(), 1.0);
+  EXPECT_EQ(bits_of(s.value()), bits_of(1.0));
+  ExactSum z;
+  z.add(0x1p-1000);
+  z.add(-0x1p-1000);
+  EXPECT_EQ(bits_of(z.value()), bits_of(0.0));  // +0, not −0
+  EXPECT_EQ(bits_of(ExactSum{}.value()), bits_of(0.0));
 }
 
-TEST(DdAccumulator, OrderIndependent) {
-  // Same addends, two groupings: results must agree to the last bit.
+TEST(ExactSum, PermutationAndGroupingInvariant) {
   Rng r(42);
-  std::vector<double> xs(1000);
-  for (auto& x : xs) x = r.uniform(-1.0, 1.0) * std::pow(10.0, r.below(12));
-  DdAccumulator fwd, rev;
-  for (std::size_t i = 0; i < xs.size(); ++i) fwd.add(xs[i]);
-  for (std::size_t i = xs.size(); i-- > 0;) rev.add(xs[i]);
-  EXPECT_DOUBLE_EQ(fwd.value(), rev.value());
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<double> xs = spread_addends(r, 500, 0, 400);
+    const double whole = sum_of(xs);
+    std::vector<double> rev(xs.rbegin(), xs.rend());
+    EXPECT_EQ(bits_of(sum_of(rev)), bits_of(whole));
+    // Random groups merged in a random order.
+    std::vector<ExactSum> groups(1 + r.below(9));
+    for (const double x : xs) groups[r.below(groups.size())].add(x);
+    ExactSum merged;
+    while (!groups.empty()) {
+      const std::size_t k = r.below(groups.size());
+      merged.add(groups[k]);
+      groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+    EXPECT_EQ(bits_of(merged.value()), bits_of(whole)) << "trial " << trial;
+  }
 }
 
-TEST(DdAccumulator, MergePartials) {
-  std::vector<double> xs = {1e8, -1e-8, 3.5, -1e8, 2e-8};
-  DdAccumulator whole;
-  for (double x : xs) whole.add(x);
-  DdAccumulator a, b;
-  a.add(xs[0]);
-  a.add(xs[1]);
-  b.add(xs[2]);
-  b.add(xs[3]);
-  b.add(xs[4]);
+TEST(ExactSum, DotRowsEqualElementwiseUnderEveryTiling) {
+  Rng r(7);
+  // Factors spanning 6, 26 or 300 binades give products spanning about 12
+  // (two folds carry them), 52 (the third fold is needed) or 600 binades
+  // (blocks fall back to product-by-product sums).
+  constexpr int kSpans[] = {6, 26, 300};
+  for (int trial = 0; trial < 45; ++trial) {
+    const std::size_t n = 1 + r.below(3000);
+    const int span = kSpans[trial % 3];
+    const std::vector<double> x = spread_addends(r, n, 0, span);
+    const std::vector<double> y = spread_addends(r, n, 0, span);
+    ExactSum elem;
+    SlowSum slow;
+    for (std::size_t i = 0; i < n; ++i) {
+      elem.add(x[i] * y[i]);
+      slow.add(x[i] * y[i]);
+    }
+    EXPECT_EQ(bits_of(elem.value()), bits_of(slow.value()));
+    for (const std::size_t ni : {std::size_t{1}, std::size_t{7}, n}) {
+      const std::size_t nj = n / ni;
+      ExactSum tiled, rows;
+      tiled.add_dot_rows(x.data(), static_cast<std::ptrdiff_t>(ni), y.data(),
+                         static_cast<std::ptrdiff_t>(ni), ni, nj);
+      for (std::size_t j = 0; j < nj; ++j)
+        rows.add_dot_rows(x.data() + j * ni, 0, y.data() + j * ni, 0, ni, 1);
+      ExactSum ref;
+      for (std::size_t i = 0; i < ni * nj; ++i) ref.add(x[i] * y[i]);
+      EXPECT_EQ(bits_of(tiled.value()), bits_of(ref.value()))
+          << "trial " << trial << " ni " << ni;
+      EXPECT_EQ(bits_of(rows.value()), bits_of(ref.value()));
+    }
+  }
+}
+
+TEST(ExactSum, FoldsCarryProductsFarBelowTheLargest) {
+  // Cancelling ±2^40 products anchor every block; the others, 26 to 66
+  // binades below them with full significands, are carried exactly by the
+  // second and third folds, and the cancellation brings their lowest bits
+  // into the rounded result.
+  Rng r(11);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 64 + r.below(4000);
+    std::vector<double> x(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 512 < 2) {
+        x[i] = 0x1p20;
+        y[i] = i % 2 == 0 ? 0x1p20 : -0x1p20;
+      } else {
+        x[i] = std::ldexp(1.0 + r.uniform(), -static_cast<int>(r.below(14)));
+        y[i] = std::ldexp(r.below(2) != 0 ? 1.0 + r.uniform()
+                                          : -1.0 - r.uniform(),
+                          12 - static_cast<int>(r.below(26)));
+      }
+    }
+    for (const std::size_t ni : {std::size_t{1}, std::size_t{7}, n}) {
+      ExactSum s;
+      s.add_dot_rows(x.data(), static_cast<std::ptrdiff_t>(ni), y.data(),
+                     static_cast<std::ptrdiff_t>(ni), ni, n / ni);
+      SlowSum part;
+      for (std::size_t i = 0; i < ni * (n / ni); ++i) part.add(x[i] * y[i]);
+      EXPECT_EQ(bits_of(s.value()), bits_of(part.value()))
+          << "trial " << trial << " ni " << ni;
+    }
+  }
+}
+
+TEST(ExactSum, RoundsCorrectlyAgainstSlowReference) {
+  Rng r(99);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int center = static_cast<int>(r.below(1800)) - 900;
+    const std::vector<double> xs =
+        spread_addends(r, 1 + r.below(60), center, 1 + trial % 120);
+    SlowSum slow;
+    for (const double x : xs) slow.add(x);
+    EXPECT_EQ(bits_of(sum_of(xs)), bits_of(slow.value())) << "trial " << trial;
+  }
+}
+
+TEST(ExactSum, TiesRoundToEvenAndStickyBitsBreakThem) {
+  const double ulp1 = 0x1p-52;
+  // Exact ties: even neighbour.
+  EXPECT_EQ(bits_of(sum_of({1.0, 0x1p-53})), bits_of(1.0));
+  EXPECT_EQ(bits_of(sum_of({1.0 + ulp1, 0x1p-53})), bits_of(1.0 + 2 * ulp1));
+  EXPECT_EQ(bits_of(sum_of({-1.0, -0x1p-53})), bits_of(-1.0));
+  // A sticky bit far below the round bit breaks the tie.
+  EXPECT_EQ(bits_of(sum_of({1.0, 0x1p-53, 0x1p-1074})), bits_of(1.0 + ulp1));
+  EXPECT_EQ(bits_of(sum_of({1.0, 0x1p-53, -0x1p-1074})), bits_of(1.0));
+  EXPECT_EQ(bits_of(sum_of({0x1p1000, 0x1p947, 0x1p-1074})),
+            bits_of(0x1p1000 + 0x1p948));
+  EXPECT_EQ(bits_of(sum_of({-0x1p1000, -0x1p947, -0x1p-1074})),
+            bits_of(-0x1p1000 - 0x1p948));
+  // Below half an ulp, however many bits: round down.
+  EXPECT_EQ(bits_of(sum_of({1.0, 0x1p-54, 0x1p-55, 0x1p-200})), bits_of(1.0));
+}
+
+TEST(ExactSum, SpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  EXPECT_TRUE(std::isnan(sum_of({1.0, kNaN, 2.0})));
+  EXPECT_TRUE(std::isnan(sum_of({kInf, -kInf})));
+  EXPECT_TRUE(std::isnan(sum_of({kInf, kNaN})));
+  EXPECT_EQ(sum_of({1.0, kInf, -3.0}), kInf);
+  EXPECT_EQ(sum_of({-kInf, -kInf, kMax}), -kInf);
+  // A finite sum beyond DBL_MAX overflows; an intermediate one does not.
+  EXPECT_EQ(sum_of({kMax, kMax}), kInf);
+  EXPECT_EQ(sum_of({-kMax, -kMax}), -kInf);
+  EXPECT_EQ(bits_of(sum_of({kMax, kMax, -kMax})), bits_of(kMax));
+  // The flags survive merges.
+  ExactSum a, b;
+  a.add(1.0);
+  b.add(kInf);
   a.add(b);
-  EXPECT_DOUBLE_EQ(whole.value(), a.value());
+  EXPECT_EQ(a.value(), kInf);
+  ExactSum c;
+  c.add(-kInf);
+  a.add(c);
+  EXPECT_TRUE(std::isnan(a.value()));
+  // Non-finite products through the tile kernel.
+  const std::vector<double> x = {1.0, 2.0, 1e300, 4.0};
+  const std::vector<double> y = {1.0, kNaN, 1.0, 1.0};
+  const std::vector<double> big = {1.0, 1.0, 1e300, 1.0};
+  ExactSum nan_dot, inf_dot;
+  nan_dot.add_dot_rows(x.data(), 0, y.data(), 0, x.size(), 1);
+  inf_dot.add_dot_rows(x.data(), 0, big.data(), 0, x.size(), 1);
+  EXPECT_TRUE(std::isnan(nan_dot.value()));
+  EXPECT_EQ(inf_dot.value(), kInf);
+}
+
+TEST(ExactSum, Subnormals) {
+  constexpr double kMin = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(bits_of(sum_of({kMin, kMin, kMin})), bits_of(3 * kMin));
+  EXPECT_EQ(bits_of(sum_of({0x1p-1022, -0x1p-1022, kMin})), bits_of(kMin));
+  EXPECT_EQ(bits_of(sum_of({0x1p-1022, -kMin})), bits_of(0x1p-1022 - kMin));
+  // Products in the subnormal range go through the tile kernel exactly.
+  Rng r(5);
+  std::vector<double> x(300), y(300);
+  SlowSum slow;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = std::ldexp(r.uniform(-1.0, 1.0), -1000);
+    y[i] = std::ldexp(r.uniform(-1.0, 1.0), -40 - static_cast<int>(i % 40));
+    slow.add(x[i] * y[i]);
+  }
+  ExactSum s;
+  s.add_dot_rows(x.data(), 0, y.data(), 0, x.size(), 1);
+  EXPECT_EQ(bits_of(s.value()), bits_of(slow.value()));
+}
+
+TEST(ExactSum, CarryHeadroomOverTwoMillionLargeAdds) {
+  // More than 2^20 adds of values near DBL_MAX/2^30 exercise the periodic
+  // carry propagation in both signs.
+  const double v = std::ldexp(0x1.fffffffffffffp0, 1023 - 30);
+  constexpr int kAdds = (1 << 21) + 3;
+  ExactSum up, down;
+  for (int i = 0; i < kAdds; ++i) {
+    up.add(v);
+    down.add(-v);
+  }
+  EXPECT_EQ(bits_of(up.value()), bits_of(v * kAdds));
+  EXPECT_EQ(bits_of(down.value()), bits_of(-v * kAdds));
+  ExactSum both = up;
+  both.add(down);
+  both.add(0x1p-1074);
+  EXPECT_EQ(bits_of(both.value()), bits_of(0x1p-1074));
 }
 
 }  // namespace

@@ -18,9 +18,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <latch>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/v2d.hpp"
@@ -28,8 +31,9 @@
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_kernels.hpp"
-#include "support/dd.hpp"
+#include "support/exact_sum.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 
 namespace v2d::linalg {
 namespace {
@@ -89,7 +93,9 @@ struct TransferIndex {
 /// One call of the primitive kernel behind `shape` over n elements, on
 /// fresh random operands.  Every operand row is 2n + 4 wide and passed one
 /// element in, so shifted, ghost and fine-row reads stay in bounds.
-void call_kernel(KernelShape shape, Context& ctx, std::size_t n) {
+/// Returns the operands as the call left them (DPROD's result appended).
+std::vector<std::vector<double>> call_kernel(KernelShape shape, Context& ctx,
+                                             std::size_t n) {
   Rng rng(40 + static_cast<int>(shape));
   std::vector<std::vector<double>> buf(10);
   for (auto& b : buf) b = random_vec(2 * n + 4, rng);
@@ -98,7 +104,7 @@ void call_kernel(KernelShape shape, Context& ctx, std::size_t n) {
   const auto out = [&](int k) { return std::span<double>(ptr(k), n); };
   const TransferIndex idx(n);
   switch (shape) {
-    case KernelShape::Dprod: (void)dprod(ctx, in(0), in(1)); break;
+    case KernelShape::Dprod: buf.push_back({dprod(ctx, in(0), in(1))}); break;
     case KernelShape::Daxpy: daxpy(ctx, 1.5, in(0), out(1)); break;
     case KernelShape::Dscal: dscal(ctx, 0.5, 2.0, out(0)); break;
     case KernelShape::Ddaxpy:
@@ -131,6 +137,7 @@ void call_kernel(KernelShape shape, Context& ctx, std::size_t n) {
       mg::prolong_row_add(ctx, ptr(0), ptr(1), idx.tables(), out(2));
       break;
   }
+  return buf;
 }
 
 /// Parameterized over (vector bits, length): all five architectural VL
@@ -411,6 +418,87 @@ TEST_P(FastPathSweep, BothBackendsRecordTheKernelMixTable) {
   }
 }
 
+/// Every native kernel, the exact block kernel and a fused stamp give the
+/// same bits at the generic width and at AVX2 (support/simd.hpp).
+TEST_P(FastPathSweep, WidthEquivalence) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  const simd::Width host = simd::width();
+  const simd::Width widths[] = {simd::Width::Generic, simd::Width::Avx2};
+  const auto at_width = [&](simd::Width w, auto&& run) {
+    simd::set_width(w);
+    auto result = run();
+    simd::set_width(host);
+    return result;
+  };
+  for (std::size_t i = 0; i < std::size(kKernelMixes); ++i) {
+    const auto shape = static_cast<KernelShape>(i);
+    SCOPED_TRACE("shape " + std::to_string(i));
+    std::vector<std::vector<double>> got[2];
+    for (int w = 0; w < 2; ++w) {
+      got[w] = at_width(widths[w], [&] {
+        Context ctx = native_ctx();
+        return call_kernel(shape, ctx, n());
+      });
+    }
+    ASSERT_EQ(got[0].size(), got[1].size());
+    for (std::size_t b = 0; b < got[0].size(); ++b)
+      expect_bits_equal(got[0][b], got[1][b]);
+  }
+
+  // The block kernel, as one row and as 3-wide rows.  First, cancelling
+  // ±2^40 products over others 26 to 66 binades below them, which all
+  // three folds carry and whose lowest bits reach the result; then
+  // products spanning 300 binades, which fall back to product-by-product
+  // sums.
+  Rng rng(77);
+  for (const bool wide : {false, true}) {
+    std::vector<double> x = random_vec(3 * n() + 3, rng);
+    std::vector<double> y = random_vec(3 * n() + 3, rng);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      const int e = static_cast<int>(rng.below(wide ? 301 : 26));
+      if (wide) {
+        x[k] = std::ldexp(x[k], e - 150);
+      } else if (k % 64 < 2) {
+        x[k] = 0x1p20;
+        y[k] = k % 2 == 0 ? 0x1p20 : -0x1p20;
+      } else {
+        x[k] = std::ldexp(1.5 + 0.5 * x[k], e / 2 - 13);
+        y[k] = std::ldexp(y[k] < 0.0 ? y[k] - 1.0 : y[k] + 1.0, e - e / 2);
+      }
+    }
+    for (const std::size_t ni : {std::size_t{3}, x.size()}) {
+      double dot[2];
+      for (int w = 0; w < 2; ++w) {
+        dot[w] = at_width(widths[w], [&] {
+          ExactSum s;
+          s.add_dot_rows(x.data(), static_cast<std::ptrdiff_t>(ni), y.data(),
+                         static_cast<std::ptrdiff_t>(ni), ni, x.size() / ni);
+          return s.value();
+        });
+      }
+      EXPECT_EQ(std::memcmp(&dot[0], &dot[1], sizeof dot[0]), 0)
+          << (wide ? "wide" : "folded") << " ni " << ni;
+    }
+  }
+
+  // One fused stamp with its dot tails: z ← m ⊙ r, rz += z·r, rr += r·r.
+  const auto m = random_vec(n(), rng), r = random_vec(n(), rng);
+  std::vector<double> z[2];
+  double rz[2], rr[2];
+  for (int w = 0; w < 2; ++w) {
+    z[w].resize(n());
+    std::tie(rz[w], rr[w]) = at_width(widths[w], [&] {
+      Context ctx = native_ctx();
+      ExactSum a, b;
+      fusion::hadamard_dot2(ctx, m, r, z[w], a, b);
+      return std::pair{a.value(), b.value()};
+    });
+  }
+  expect_bits_equal(z[0], z[1]);
+  EXPECT_EQ(std::memcmp(&rz[0], &rz[1], sizeof rz[0]), 0);
+  EXPECT_EQ(std::memcmp(&rr[0], &rr[1], sizeof rr[0]), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllVlsAndTails, FastPathSweep,
     ::testing::Combine(::testing::Values(128u, 256u, 512u, 1024u, 2048u),
@@ -596,11 +684,11 @@ TEST(DryRun, WritesNoOperandMemory) {
   const TransferIndex idx(n);
   const double* const fine[4] = {x.data() + 1, w.data() + 1, x.data() + 1,
                                  w.data() + 1};
-  DdAccumulator rz, rr;
+  ExactSum rz, rr;
   rz.add(1.25);
   rz.add(1e-20);
   rr.add(-3.5);
-  const DdAccumulator rz0 = rz, rr0 = rr;
+  const ExactSum rz0 = rz, rr0 = rr;
 
   const auto check = [&](const char* what, auto&& kernel) {
     Context ci(VectorArch(512), VlaExecMode::Interpret);
@@ -631,11 +719,11 @@ TEST(DryRun, WritesNoOperandMemory) {
     fusion::hadamard_dot2(dry, in, in2, y, rz, rr);
   });
   untouched("hadamard_dot2");
-  EXPECT_EQ(std::memcmp(&rz, &rz0, sizeof rz), 0);
-  EXPECT_EQ(std::memcmp(&rr, &rr0, sizeof rr), 0);
+  EXPECT_EQ(rz, rz0);
+  EXPECT_EQ(rr, rr0);
   Context ci(VectorArch(512), VlaExecMode::Interpret);
   std::vector<double> z(n);
-  DdAccumulator a, b;
+  ExactSum a, b;
   fusion::hadamard_dot2(ci, in, in2, z, a, b);
   EXPECT_EQ(cx.take_counts(), ci.take_counts());
 }
