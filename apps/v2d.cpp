@@ -26,7 +26,6 @@
 
 #include "core/v2d.hpp"
 #include "farm/farm.hpp"
-#include "linalg/fusion/fused_exec.hpp"
 #include "farm/job_file.hpp"
 #include "perfmon/perf_stat.hpp"
 #include "resilience/fault_plan.hpp"
@@ -207,13 +206,6 @@ int main(int argc, char** argv) {
       std::cout << "recovery ledger:\n";
       for (const auto& ev : sim.recovery().events)
         std::cout << "  " << resilience::format_event(ev) << '\n';
-    }
-    if (cfg.dump_fusion_plan) {
-      std::cout << "\nfusion plans:\n"
-                << linalg::fusion::describe_builtin_plans();
-      const std::string dags = sim.context().vctx.dag_store().dump_all();
-      if (!dags.empty())
-        std::cout << "captured kernel DAGs (--fuse plan only):\n" << dags;
     }
 
     TableWriter table("\nSimulated execution (per compiler profile)");

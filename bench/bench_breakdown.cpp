@@ -15,6 +15,7 @@
 ///
 ///   ./bench_breakdown [--steps 20]
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
@@ -66,7 +67,7 @@ void report(const std::string& title, core::Simulation& sim,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("steps", "20", "time steps per configuration");
   int steps = 0;
@@ -99,4 +100,7 @@ int main(int argc, char** argv) {
     report("=== 20 processors (5x4) ===", sim, 7.5 / 15.0, 0.8 / 15.0);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_breakdown: " << e.what() << '\n';
+  return 1;
 }

@@ -7,6 +7,7 @@
 ///
 ///   ./bench_compilers [--reps 2000] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "compiler/profile.hpp"
@@ -15,7 +16,7 @@
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("reps", "2000", "repetitions of each routine");
@@ -87,4 +88,7 @@ int main(int argc, char** argv) {
   std::cout << "\n(Times in ms of simulated A64FX execution; last column is "
                "the per-compiler SVE benefit on MATVEC.)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_compilers: " << e.what() << '\n';
+  return 1;
 }

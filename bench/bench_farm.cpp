@@ -21,9 +21,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,7 +106,7 @@ void write_json(const std::string& path, const std::vector<Result>& results,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("jobs", "4,8,16", "comma list of batch sizes");
   opt.add("nx1", "64", "zones in x1 per job");
@@ -118,6 +118,7 @@ int main(int argc, char** argv) {
   opt.add("out", "BENCH_farm.json", "JSON output path (empty = none)");
   core::RunConfig cfg;
   int repeats = 1;
+  std::vector<int> batch_sizes;
   try {
     opt.parse(argc, argv);
     cfg.nx1 = opt.get_int<int>("nx1");
@@ -126,20 +127,9 @@ int main(int argc, char** argv) {
     cfg.nprx1 = opt.get_int<int>("nprx1");
     cfg.nprx2 = opt.get_int<int>("nprx2");
     repeats = std::max(1, opt.get_int<int>("repeats"));
+    batch_sizes = opt.get_int_list<int>("jobs");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_farm");
-    return 1;
-  }
-
-  std::vector<int> batch_sizes;
-  {
-    std::stringstream ss(opt.get("jobs"));
-    std::string item;
-    while (std::getline(ss, item, ','))
-      if (!item.empty()) batch_sizes.push_back(std::stoi(item));
-  }
-  if (batch_sizes.empty()) {
-    std::cerr << "--jobs must name at least one batch size\n";
     return 1;
   }
 
@@ -270,4 +260,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_farm: " << e.what() << '\n';
+  return 1;
 }

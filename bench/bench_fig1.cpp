@@ -10,6 +10,7 @@
 ///
 ///   ./bench_fig1 [--nx1 200 --nx2 100] [--block 400] [--out fig1.pbm]
 
+#include <exception>
 #include <fstream>
 #include <iostream>
 
@@ -19,7 +20,7 @@
 #include "rad/gaussian.hpp"
 #include "support/options.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("nx1", "200", "zones in x1");
@@ -94,4 +95,7 @@ int main(int argc, char** argv) {
     std::cout << line << '\n';
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fig1: " << e.what() << '\n';
+  return 1;
 }

@@ -29,10 +29,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,16 +49,6 @@
 namespace {
 
 using namespace v2d;
-
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoi(item));
-  }
-  return out;
-}
 
 /// One fuse-mode leg of an ablation cell.
 struct Leg {
@@ -219,7 +209,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("sizes", "64,128,256", "comma list of square grid sizes");
   opt.add("vls", "128,512,2048", "comma list of SVE vector lengths (bits)");
@@ -230,21 +220,25 @@ int main(int argc, char** argv) {
   opt.add("gate-speedup", "1.3", "minimum fused host speedup on gated rows");
   opt.add("out", "BENCH_fusion.json", "JSON output path (empty = none)");
   int max_iter = 0, gate_size = 0;
+  double tol = 0.0, gate_speedup = 0.0;
+  std::vector<int> sizes, vls;
   try {
     opt.parse(argc, argv);
     max_iter = opt.get_int<int>("max-iter");
     gate_size = opt.get_int<int>("gate-size");
+    tol = opt.get_double("tol");
+    gate_speedup = opt.get_double("gate-speedup");
+    sizes = opt.get_int_list<int>("sizes");
+    vls = opt.get_int_list<int>("vls");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_fusion");
     return 1;
   }
   const std::string precond = opt.get("precond");
-  const double tol = opt.get_double("tol");
-  const double gate_speedup = opt.get_double("gate-speedup");
 
   std::vector<Row> rows;
-  for (const int n : parse_list(opt.get("sizes"))) {
-    for (const int vl : parse_list(opt.get("vls"))) {
+  for (const int n : sizes) {
+    for (const int vl : vls) {
       Row row;
       row.n = n;
       row.vl_bits = static_cast<unsigned>(vl);
@@ -335,4 +329,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_fusion: " << e.what() << '\n';
+  return 1;
 }

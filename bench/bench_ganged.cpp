@@ -8,13 +8,14 @@
 ///
 ///   ./bench_ganged [--steps 2] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("steps", "2", "time steps per configuration");
@@ -67,4 +68,7 @@ int main(int argc, char** argv) {
   std::cout << "\nGanging cuts the per-iteration reduction count from 5 to 3;"
                "\nthe benefit grows with Np as latency dominates.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_ganged: " << e.what() << '\n';
+  return 1;
 }

@@ -15,14 +15,15 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "linalg/kernels.hpp"
 #include "linalg/mg/mg_kernels.hpp"
+#include "support/error.hpp"
 #include "support/exact_sum.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
@@ -122,42 +123,25 @@ void write_json(const std::string& path, const std::vector<Result>& results) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("sizes", "1000,40000", "comma list of vector lengths");
   opt.add("vl", "512", "VLA vector length in bits");
   opt.add("min-ms", "20", "minimum milliseconds per timing sample");
   opt.add("out", "BENCH_kernels.json", "JSON output path (empty = none)");
   unsigned bits = 0;
+  double min_ms = 0.0;
+  std::vector<std::size_t> sizes;
   try {
     opt.parse(argc, argv);
     bits = opt.get_int<unsigned>("vl");
+    min_ms = opt.get_double("min-ms");
+    sizes = opt.get_int_list<std::size_t>("sizes");
+    for (const std::size_t n : sizes)
+      if (n == 0) throw Error("option --sizes needs positive lengths");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_kernels_native");
     return 1;
-  }
-  const double min_ms = opt.get_double("min-ms");
-
-  std::vector<std::size_t> sizes;
-  {
-    std::string item;
-    std::stringstream ss(opt.get("sizes"));
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      std::size_t pos = 0;
-      std::size_t value = 0;
-      try {
-        value = std::stoul(item, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
-      }
-      if (pos != item.size() || value == 0) {
-        std::cerr << "--sizes: '" << item << "' is not a positive integer\n"
-                  << opt.usage("bench_kernels_native");
-        return 1;
-      }
-      sizes.push_back(value);
-    }
   }
 
   std::vector<Result> results;
@@ -281,4 +265,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_kernels_native: " << e.what() << '\n';
+  return 1;
 }

@@ -19,8 +19,8 @@
 /// simulated communication is latency- rather than bandwidth-dominated —
 /// watch the mg rows' comm share grow with rank count.
 
+#include <exception>
 #include <iostream>
-#include <sstream>
 
 #include "core/config.hpp"
 #include "linalg/cg.hpp"
@@ -33,16 +33,6 @@
 
 namespace {
 
-std::vector<int> parse_list(const std::string& csv) {
-  std::vector<int> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(std::stoi(item));
-  }
-  return out;
-}
-
 /// Square-ish topology for np ranks.
 v2d::mpisim::CartTopology topo_for(int np) {
   int px1 = 1;
@@ -53,7 +43,7 @@ v2d::mpisim::CartTopology topo_for(int np) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("sizes", "64,128,256", "comma list of square grid sizes");
@@ -62,9 +52,14 @@ int main(int argc, char** argv) {
   opt.add("max-iter", "5000", "CG iteration cap");
   opt.add_flag("tsv", "emit tab-separated values");
   int max_iter = 0;
+  double tol = 0.0;
+  std::vector<int> sizes, ranks;
   try {
     opt.parse(argc, argv);
     max_iter = opt.get_int<int>("max-iter");
+    tol = opt.get_double("tol");
+    sizes = opt.get_int_list<int>("sizes");
+    ranks = opt.get_int_list<int>("ranks");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_mg");
     return 1;
@@ -76,8 +71,8 @@ int main(int argc, char** argv) {
   table.set_columns({"grid", "Np", "precond", "iters", "build (s)",
                      "apply (s)", "matvec (s)", "comm (s)", "total (s)"});
 
-  for (const int n : parse_list(opt.get("sizes"))) {
-    for (const int np : parse_list(opt.get("ranks"))) {
+  for (const int n : sizes) {
+    for (const int np : ranks) {
       const grid::Grid2D g(n, n, -1.0, 1.0, -1.0, 1.0);
       const auto topo = topo_for(np);
       if (topo.nprx1() > n || topo.nprx2() > n) continue;
@@ -118,7 +113,7 @@ int main(int argc, char** argv) {
         auto M = linalg::make_preconditioner(kind, ctx, A);
         linalg::CgSolver cg(ws);
         linalg::SolveOptions sopt;
-        sopt.rel_tol = opt.get_double("tol");
+        sopt.rel_tol = tol;
         sopt.max_iterations = max_iter;
         x.fill(ctx, 0.0);
         const auto stats = cg.solve(ctx, A, *M, x, rhs, sopt);
@@ -156,4 +151,7 @@ int main(int argc, char** argv) {
                "\nstay flat, so mg wins total time once the grid is large"
                "\nenough for the extra per-application sweeps to pay off.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_mg: " << e.what() << '\n';
+  return 1;
 }

@@ -10,13 +10,14 @@
 ///
 ///   ./bench_precond [--steps 2] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("steps", "2", "time steps per configuration");
@@ -59,4 +60,7 @@ int main(int argc, char** argv) {
   }
   std::cout << (opt.get_bool("tsv") ? table.tsv() : table.str());
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_precond: " << e.what() << '\n';
+  return 1;
 }

@@ -19,9 +19,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,18 +76,9 @@ void write_json(const std::string& path, const std::vector<Result>& results,
   os << "]\n";
 }
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("nx1", "256", "zones in x1");
   opt.add("nx2", "128", "zones in x2");
@@ -100,6 +91,7 @@ int main(int argc, char** argv) {
   opt.add("out", "BENCH_rank_parallel.json", "JSON output path (empty = none)");
   core::RunConfig cfg;
   int repeats = 1;
+  std::vector<int> thread_counts;
   try {
     opt.parse(argc, argv);
     cfg.nx1 = opt.get_int<int>("nx1");
@@ -108,15 +100,12 @@ int main(int argc, char** argv) {
     cfg.nprx1 = opt.get_int<int>("nprx1");
     cfg.nprx2 = opt.get_int<int>("nprx2");
     repeats = std::max(1, opt.get_int<int>("repeats"));
+    thread_counts = opt.get_int_list<int>("threads");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_rank_parallel");
     return 1;
   }
-
-  std::vector<int> thread_counts;
-  for (const std::string& item : split_list(opt.get("threads")))
-    thread_counts.push_back(std::stoi(item));
-  if (thread_counts.empty() || thread_counts.front() != 1) {
+  if (thread_counts.front() != 1) {
     std::cerr << "--threads must start with 1 (the serial baseline)\n";
     return 1;
   }
@@ -216,4 +205,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_rank_parallel: " << e.what() << '\n';
+  return 1;
 }

@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -117,7 +118,7 @@ long run_faulted(const core::RunConfig& cfg, int fault_step, Capture* cap,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("nx1", "96", "zones in x1");
   opt.add("nx2", "48", "zones in x2");
@@ -297,4 +298,7 @@ int main(int argc, char** argv) {
     rc = 1;
   }
   return rc;
+} catch (const std::exception& e) {
+  std::cerr << "bench_resilience: " << e.what() << '\n';
+  return 1;
 }

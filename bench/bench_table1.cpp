@@ -14,6 +14,7 @@
 ///
 ///   ./bench_table1 [--steps 100] [--rows all|quick] [--paper] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
@@ -48,7 +49,7 @@ constexpr TopoRow kRows[] = {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("steps", "10", "time steps to run (scaled to 100 in the output)");
@@ -136,4 +137,7 @@ int main(int argc, char** argv) {
     std::cout << perfmon::format_perf_stat(ps);
   }
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table1: " << e.what() << '\n';
+  return 1;
 }

@@ -11,6 +11,7 @@
 ///
 ///   ./bench_table2 [--reps 100000] [--compiler cray] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "compiler/profile.hpp"
@@ -70,7 +71,7 @@ void fill_coefficients(linalg::StencilOperator& A, Rng& rng) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("reps", "100000", "repetitions of each routine (paper: 100000)");
   opt.add("nx1", "25", "zones in x1 (25×20×2 = the paper's 1000 equations)");
@@ -152,4 +153,7 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper (Cray, A64FX): ratios 0.16 / 0.18 / 0.26 / 0.31 / "
                "0.22 for MATVEC / DPROD / DAXPY / DSCAL / DDAXPY.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_table2: " << e.what() << '\n';
+  return 1;
 }

@@ -9,6 +9,7 @@
 ///
 ///   ./bench_vl_sweep [--reps 2000] [--tsv]
 
+#include <exception>
 #include <iostream>
 
 #include "compiler/profile.hpp"
@@ -17,7 +18,7 @@
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   opt.add("reps", "2000", "repetitions of each routine");
@@ -78,4 +79,7 @@ int main(int argc, char** argv) {
   std::cout << "\nGains saturate once the kernels hit the L1 bandwidth "
                "ceiling — wider vectors cannot move more bytes.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "bench_vl_sweep: " << e.what() << '\n';
+  return 1;
 }

@@ -10,6 +10,7 @@
 ///   ./gaussian_pulse [--steps 20] [--nprx1 5 --nprx2 4]
 ///                    [--checkpoint pulse.h5l] [--compilers cray,gnu]
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
@@ -18,7 +19,7 @@
 #include "support/table.hpp"
 #include "support/units.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   core::RunConfig::register_options(opt);
@@ -88,4 +89,7 @@ int main(int argc, char** argv) {
             << sim.exec().profile(0).name() << "):\n"
             << sim.profiler(0).report();
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "gaussian_pulse: " << e.what() << '\n';
+  return 1;
 }

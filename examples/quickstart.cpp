@@ -10,13 +10,14 @@
 /// Try `--precond mg` to swap the SPAI preconditioner for the geometric
 /// multigrid V-cycle (tune with --mg-smoother, --mg-nu-pre, ...).
 
+#include <exception>
 #include <iostream>
 
 #include "core/v2d.hpp"
 #include "support/options.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace v2d;
   Options opt;
   core::RunConfig::register_options(opt);
@@ -63,4 +64,7 @@ int main(int argc, char** argv) {
             << "):\n"
             << sim.profiler(0).report();
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "quickstart: " << e.what() << '\n';
+  return 1;
 }

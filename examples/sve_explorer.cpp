@@ -9,6 +9,7 @@
 ///
 ///   ./sve_explorer --kernel matvec --bits 512 --compiler cray --n 1000
 
+#include <exception>
 #include <iostream>
 
 #include "compiler/profile.hpp"
@@ -69,7 +70,7 @@ compiler::KernelFamily family_of(const std::string& kernel) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   Options opt;
   opt.add("kernel", "matvec", "matvec|dprod|daxpy|dscal|ddaxpy");
   opt.add("bits", "512", "SVE vector length (128..2048)");
@@ -137,4 +138,7 @@ int main(int argc, char** argv) {
             << TableWriter::num(sve.total_cycles() / scalar.total_cycles(), 3)
             << "   (paper's Table II band: 0.16-0.31 at N=1000, Cray)\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "sve_explorer: " << e.what() << '\n';
+  return 1;
 }

@@ -60,9 +60,6 @@ void RunConfig::register_options(Options& opt) {
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
           "| plan (planner-generated fused groups; see src/linalg/fusion/); "
           "'on' is the retired spelling of plan");
-  opt.add_flag("dump-fusion-plan",
-               "print the built-in fusion plans and every captured "
-               "solver-iteration kernel DAG after the run (host-only debug)");
   opt.add("checkpoint", "", "h5lite checkpoint path (empty = none)");
   opt.add("checkpoint-every", "0", "steps between checkpoints (0 = end only)");
   opt.add("restart", "", "resume from this h5lite checkpoint (empty = fresh)");
@@ -130,7 +127,6 @@ RunConfig RunConfig::from_options(const Options& opt) {
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
-  c.dump_fusion_plan = opt.get_bool("dump-fusion-plan");
   c.checkpoint_path = opt.get("checkpoint");
   c.checkpoint_every = opt.get_int<int>("checkpoint-every");
   c.restart_path = opt.get("restart");

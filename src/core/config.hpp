@@ -67,17 +67,12 @@ struct RunConfig {
   /// Table II sequence bit-identically — results, counts, ledgers and
   /// clocks.  "plan" runs the solver composites (MATVEC+DPROD, DAXPY₂,
   /// precond+ganged-dot, fused residual, ...) as planner-generated fused
-  /// groups (src/linalg/fusion/) and records each solver configuration's
-  /// first-iteration kernel DAG.  Both modes produce identical numerics;
-  /// plan moves fewer bytes, so host time and simulated cycles drop.
+  /// groups (src/linalg/fusion/).  Both modes produce identical numerics;
+  /// plan moves fewer bytes, so simulated cycles drop.
   /// "on", the retired spelling of "plan", is accepted and kept as typed
   /// (checkpoints pin the spelling, so old "on" checkpoints resume under
   /// "on").
   std::string fuse = "off";
-  /// Print the built-in fusion plans and every captured kernel DAG after
-  /// the run.  Host-only debug output — prices nothing, so not pinned in
-  /// checkpoints.
-  bool dump_fusion_plan = false;
 
   // --- numeric guards (host-only; see src/resilience/guards.hpp) ---
   /// Validate every step's results: finite scan of the radiation field

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "linalg/dag_capture.hpp"
 #include "support/error.hpp"
 
 namespace v2d::linalg {
@@ -52,10 +51,6 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
   DistVector& t = ws_->vec(5);
   DistVector& phat = ws_->vec(6);
   DistVector& shat = ws_->vec(7);
-  DagCapture dag(ctx,
-                 dag_key("bicgstab", M.name(),
-                         static_cast<std::uint64_t>(x.global_size()),
-                         ctx.vctx));
   // r0 = b − A·x0, r̂ = r0, p = r0.
   A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
@@ -78,7 +73,6 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
   if (stats.stop_if_non_finite({rho, rnorm})) return stats;
 
   for (int it = 1; it <= opt.max_iterations; ++it) {
-    dag.begin_iteration(it);
     stats.iterations = it;
     if (std::fabs(rho) < kBreakdownEps) {
       stats.stop_reason = "rho breakdown";
@@ -158,10 +152,6 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
   DistVector& t = ws_->vec(5);
   DistVector& phat = ws_->vec(6);
   DistVector& shat = ws_->vec(7);
-  DagCapture dag(ctx,
-                 dag_key("bicgstab-ganged", M.name(),
-                         static_cast<std::uint64_t>(x.global_size()),
-                         ctx.vctx));
   A.apply_residual(ctx, x, b, r);
   rhat.copy_from(ctx, r);
   p.copy_from(ctx, r);
@@ -185,7 +175,6 @@ SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
   double rnorm2 = rho;  // r0 = r̂ ⇒ ρ0 = ‖r0‖²
 
   for (int it = 1; it <= opt.max_iterations; ++it) {
-    dag.begin_iteration(it);
     stats.iterations = it;
     if (std::fabs(rho) < kBreakdownEps) {
       stats.stop_reason = "rho breakdown";

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/dag_capture.hpp"
 #include "support/error.hpp"
 
 namespace v2d::linalg {
@@ -19,10 +18,6 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
   DistVector& z = ws_->vec(1);
   DistVector& p = ws_->vec(2);
   DistVector& q = ws_->vec(3);
-  DagCapture dag(ctx,
-                 dag_key("cg", M.name(),
-                         static_cast<std::uint64_t>(x.global_size()),
-                         ctx.vctx));
 
   A.apply_residual(ctx, x, b, r);
   M.apply(ctx, r, z);
@@ -46,7 +41,6 @@ SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
   }
 
   for (int it = 1; it <= opt.max_iterations; ++it) {
-    dag.begin_iteration(it);
     stats.iterations = it;
     // MATVEC+DPROD: p·Ap rides the stencil sweep when fused.
     const double pq = A.apply_dot(ctx, p, q);

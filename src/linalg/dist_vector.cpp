@@ -17,16 +17,6 @@ void require_same_shape(const DistVector& a, const DistVector& b) {
                   a.global_size() == b.global_size(),
               "distributed vectors have different shapes");
 }
-
-/// DAG-capture hook: record one primitive launch of `name` over the whole
-/// vector when the driving context is capturing (see linalg/dag_capture.hpp).
-void dag_op(ExecContext& ctx, const char* name, const DistVector& shape,
-            std::initializer_list<const void*> reads,
-            std::initializer_list<const void*> writes) {
-  if (ctx.dag != nullptr)
-    ctx.dag->op(name, static_cast<std::uint64_t>(shape.global_size()), reads,
-                writes);
-}
 }  // namespace
 
 std::uint64_t DistVector::working_set(int rank, int arrays) const {
@@ -53,7 +43,6 @@ void DistVector::for_each_row(ExecContext& ctx, KernelFamily family,
 
 void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
   require_same_shape(*this, x);
-  dag_op(ctx, "daxpy", *this, {&x, this}, {this});
   for_each_row(ctx, KernelFamily::Daxpy, "daxpy", 2,
                [this, a, xp = &x](ExecContext& rctx, int r, int s, int lj,
                                   std::size_t n) {
@@ -67,7 +56,6 @@ void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
 }
 
 void DistVector::dscal(ExecContext& ctx, double c, double d) {
-  dag_op(ctx, "dscal", *this, {this}, {this});
   for_each_row(ctx, KernelFamily::Dscal, "dscal", 1,
                [this, c, d](ExecContext& rctx, int r, int s, int lj,
                             std::size_t n) {
@@ -81,7 +69,6 @@ void DistVector::ddaxpy(ExecContext& ctx, double a, const DistVector& x,
                         double b, const DistVector& y) {
   require_same_shape(*this, x);
   require_same_shape(*this, y);
-  dag_op(ctx, "ddaxpy", *this, {&x, &y, this}, {this});
   for_each_row(ctx, KernelFamily::Ddaxpy, "ddaxpy", 3,
                [this, a, b, xp = &x, yp = &y](ExecContext& rctx, int r, int s,
                                               int lj, std::size_t n) {
@@ -99,7 +86,6 @@ void DistVector::ddaxpy(ExecContext& ctx, double a, const DistVector& x,
 
 void DistVector::xpby(ExecContext& ctx, const DistVector& x, double b) {
   require_same_shape(*this, x);
-  dag_op(ctx, "xpby", *this, {&x, this}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "xpby", 2,
                [this, b, xp = &x](ExecContext& rctx, int r, int s, int lj,
                                   std::size_t n) {
@@ -114,7 +100,6 @@ void DistVector::xpby(ExecContext& ctx, const DistVector& x, double b) {
 
 void DistVector::copy_from(ExecContext& ctx, const DistVector& x) {
   require_same_shape(*this, x);
-  dag_op(ctx, "copy", *this, {&x}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "copy", 2,
                [this, xp = &x](ExecContext& rctx, int r, int s, int lj,
                                std::size_t n) {
@@ -128,7 +113,6 @@ void DistVector::copy_from(ExecContext& ctx, const DistVector& x) {
 }
 
 void DistVector::fill(ExecContext& ctx, double a) {
-  dag_op(ctx, "fill", *this, {}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "fill", 1,
                [this, a](ExecContext& rctx, int r, int s, int lj,
                          std::size_t n) {
@@ -141,7 +125,6 @@ void DistVector::assign_sub(ExecContext& ctx, const DistVector& x,
                             const DistVector& y) {
   require_same_shape(*this, x);
   require_same_shape(*this, y);
-  dag_op(ctx, "sub", *this, {&x, &y}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "sub", 3,
                [this, xp = &x, yp = &y](ExecContext& rctx, int r, int s,
                                         int lj, std::size_t n) {
@@ -168,8 +151,6 @@ void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
   require_same_shape(x, p);
   require_same_shape(x, r);
   require_same_shape(x, q);
-  dag_op(ctx, "daxpy", x, {&p, &x}, {&x});
-  dag_op(ctx, "daxpy", x, {&q, &r}, {&r});
   x.for_each_row(ctx, KernelFamily::Daxpy, "daxpy2", 4,
                  [a, b, xp = &x, pp = &p, rp = &r, qp = &q](
                      ExecContext& rctx, int rk, int s, int lj, std::size_t n) {
@@ -196,8 +177,6 @@ void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
   }
   require_same_shape(*this, x);
   require_same_shape(*this, z);
-  dag_op(ctx, "copy", *this, {&x}, {this});
-  dag_op(ctx, "daxpy", *this, {&z, this}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "axpy", 3,
                [this, a, xp = &x, zp = &z](ExecContext& rctx, int r, int s,
                                            int lj, std::size_t n) {
@@ -222,8 +201,6 @@ void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
   }
   require_same_shape(*this, x);
   require_same_shape(*this, v);
-  dag_op(ctx, "daxpy", *this, {&v, this}, {this});
-  dag_op(ctx, "xpby", *this, {&x, this}, {this});
   for_each_row(ctx, KernelFamily::VecMisc, "p-update", 3,
                [this, b, w, xp = &x, vp = &v](ExecContext& rctx, int r, int s,
                                               int lj, std::size_t n) {
@@ -261,7 +238,6 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   // and only its memoized recording is kept — execution and recording
   // fully decoupled.  Each rank sums its tiles into private partials, so
   // threads share no state, and the partials merge in any order.
-  for (const DotPair& pr : pairs) dag_op(ctx, "dot", first, {pr.x, pr.y}, {});
   const bool fast = ctx.vctx.native();
   const int nranks = first.nranks();
   const std::size_t np = pairs.size();

@@ -31,11 +31,10 @@ namespace v2d::linalg {
 ///          interpreter sweep or as signature-keyed native stamps whose
 ///          recording is a memoized dry run of that sweep: fewer memory
 ///          passes, fewer kernel calls, reduced bytes_moved in the priced
-///          stream.  The first solver iteration of each configuration also
-///          records its kernel DAG (vla/kernel_dag.hpp).  Numerics are
-///          pinned to Off (same per-element expressions in the same
-///          association order, reductions are the same exact sums), so
-///          the Krylov trajectory is unchanged — only the price is.
+///          stream.  Numerics are pinned to Off (same per-element
+///          expressions in the same association order, reductions are the
+///          same exact sums), so the Krylov trajectory is unchanged — only
+///          the price is.
 enum class FuseMode : std::uint8_t {
   Off,
   Plan,
@@ -57,13 +56,6 @@ struct ExecContext {
   vla::Context vctx;
   mpisim::ExecModel* em = nullptr;
   FuseMode fuse = FuseMode::Off;
-  /// When non-null, call sites record their primitive kernel launches
-  /// here (the fusion planner's iteration-DAG capture, armed by
-  /// linalg::DagCapture for the first solver iteration of a new
-  /// configuration under FuseMode::Plan).  Never set on fork()ed rank
-  /// contexts: recording stays on the driving thread so the captured
-  /// node order is independent of the host-thread count.
-  vla::DagRecorder* dag = nullptr;
 
   ExecContext() = default;
   explicit ExecContext(vla::VectorArch arch, mpisim::ExecModel* model = nullptr,
@@ -81,8 +73,6 @@ struct ExecContext {
   /// count memo, with a private recording accumulator so
   /// concurrent rank tasks keep their instruction streams separate.
   /// Allocation-free beyond a shared_ptr bump — runs once per rank task.
-  /// The DAG recorder is deliberately not propagated (capture stays on the
-  /// driving thread).
   ExecContext fork() const { return ExecContext(vctx.fork(), em, fuse); }
 
   /// Flush the recording accumulated since the last commit as one kernel
@@ -131,13 +121,11 @@ struct ExecContext {
 
   void allreduce(std::uint64_t bytes,
                  const std::string& region = "mpi_allreduce") {
-    if (dag != nullptr) dag->barrier("allreduce");
     if (em != nullptr) em->allreduce(bytes, region);
   }
 
   void exchange(const std::vector<mpisim::Transfer>& transfers,
                 const std::string& region = "mpi_halo") {
-    if (dag != nullptr) dag->barrier("halo");
     if (em != nullptr) em->exchange(transfers, region);
   }
 };

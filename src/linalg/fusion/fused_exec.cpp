@@ -1,7 +1,6 @@
 #include "linalg/fusion/fused_exec.hpp"
 
 #include <iterator>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -202,7 +201,7 @@ void register_chain() {
 }
 
 /// The built-in chains, in registration order: this order fixes the stamp
-/// ids (and therefore memo keys and plan dumps) deterministically.
+/// ids (and therefore the fused groups' memo keys) deterministically.
 constexpr Chain kBuiltinChains[] = {
     make_daxpy2_chain(),
     make_axpy_out_chain(),
@@ -253,21 +252,6 @@ void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
       run_interpret(ctx, g, bind);
     }
   }
-}
-
-std::string describe_builtin_plans() {
-  ensure_registered();
-  std::ostringstream os;
-  for (const Chain& c : kBuiltinChains) {
-    const FusionPlan p = plan_chain(c);
-    os << dump_plan(c, p);
-    for (std::uint8_t gi = 0; gi < p.ngroups; ++gi) {
-      const auto it = registry().find(p.group[gi].sig);
-      os << "  stamp group " << int(gi) << " id="
-         << (it == registry().end() ? -1 : int(it->second.id)) << "\n";
-    }
-  }
-  return os.str();
 }
 
 // --- planner-generated composites ---------------------------------------------

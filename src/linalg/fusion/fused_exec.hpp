@@ -25,7 +25,6 @@
 /// apply_dot2) call them under FuseMode::Plan.
 
 #include <span>
-#include <string>
 
 #include "linalg/fusion/planner.hpp"
 #include "support/exact_sum.hpp"
@@ -56,10 +55,6 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& bind);
 /// The group's dot tails: acc[t.acc] += Σ slot[t.slot_a][i]·slot[t.slot_b][i]
 /// for each tail t, exactly.  Both backends run them after the sweep.
 void run_dot_tails(const GroupProgram& g, const Bind& bind);
-
-/// Deterministic dump of every built-in chain, its plan, and its native
-/// stamp ids (the `--dump-fusion-plan` payload).
-std::string describe_builtin_plans();
 
 // --- planner-generated composites -------------------------------------------
 

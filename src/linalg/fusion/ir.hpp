@@ -50,19 +50,6 @@ enum class Prim : std::uint8_t {
   Dot,
 };
 
-constexpr const char* prim_name(Prim p) {
-  switch (p) {
-    case Prim::Axpy: return "axpy";
-    case Prim::Mul: return "mul";
-    case Prim::MulAdd: return "muladd";
-    case Prim::SubFrom: return "sub";
-    case Prim::Copy: return "copy";
-    case Prim::Stencil: return "stencil";
-    case Prim::Dot: return "dot";
-  }
-  return "?";
-}
-
 struct PrimNode {
   Prim op = Prim::Copy;
   std::uint8_t dst = kNone;   ///< slot written (kNone for Dot)

@@ -28,13 +28,11 @@
 /// and the natively stamped template (fused_exec.cpp), whose recording is
 /// a dry run of that same sweep.  Everything here is constexpr
 /// so the built-in template set is planned at compile time; the same code
-/// runs at runtime for ad-hoc chains (tests, the DAG annotator).
+/// runs at runtime for ad-hoc chains (the tests).
 
 #include <cstdint>
-#include <string>
 
 #include "linalg/fusion/ir.hpp"
-#include "vla/kernel_dag.hpp"
 
 namespace v2d::linalg::fusion {
 
@@ -89,7 +87,6 @@ struct GroupProgram {
 };
 
 struct FusionPlan {
-  char name[kNameLen] = {};
   std::uint8_t ngroups = 0;
   GroupProgram group[kMaxGroups] = {};
 };
@@ -279,7 +276,6 @@ constexpr GroupProgram lower_group(const Chain& c, std::uint8_t first,
 /// Plan a chain: greedy grouping + lowering + cross-group legality.
 constexpr FusionPlan plan_chain(const Chain& c) {
   FusionPlan p{};
-  for (std::size_t i = 0; i < kNameLen; ++i) p.name[i] = c.name[i];
 
   std::uint8_t start = 0;
   while (start < c.nnodes) {
@@ -312,19 +308,5 @@ constexpr FusionPlan plan_chain(const Chain& c) {
   }
   return p;
 }
-
-/// Deterministic human-readable dump of a plan (golden-tested: byte
-/// identical across runs and thread counts).
-std::string dump_plan(const Chain& c, const FusionPlan& p);
-
-/// Annotate a captured solver-iteration DAG (vla/kernel_dag.hpp) with the
-/// producer→consumer groups the planner's legality rules admit: greedy
-/// elementwise→elementwise and elementwise→reduction-tail chaining over
-/// dataflow-adjacent launches, cut at collectives ("barrier" rule), at
-/// stencil launches past the group head, and at writes to an operand some
-/// reduction already in the group reads ("war-across-reduction" rule).
-/// Sets DagNode::group and DagNode::rule in place; node order is
-/// untouched, so the annotated dump stays deterministic.
-void annotate_dag(vla::KernelDag& dag);
 
 }  // namespace v2d::linalg::fusion

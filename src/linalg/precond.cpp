@@ -29,14 +29,6 @@ bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
   const auto& dec = x.field().decomp();
   const int nranks = dec.nranks();
   auto* qv_vec = const_cast<DistVector*>(update_q);
-  if (ctx.dag != nullptr) {
-    const auto gn = static_cast<std::uint64_t>(x.global_size());
-    if (update_q != nullptr)
-      ctx.dag->op("daxpy", gn, {update_q, &x}, {&x});
-    ctx.dag->op("hadamard", gn, {&m, &x}, {&y});
-    ctx.dag->op("dot", gn, {&y, &x}, {});
-    ctx.dag->op("dot", gn, {&x, &x}, {});
-  }
   std::vector<std::array<ExactSum, 2>> partial(
       static_cast<std::size_t>(nranks));
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
@@ -117,9 +109,6 @@ JacobiPrecond::JacobiPrecond(ExecContext& ctx, const StencilOperator& A)
 
 void JacobiPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
   const auto& dec = x.field().decomp();
-  if (ctx.dag != nullptr)
-    ctx.dag->op("hadamard", static_cast<std::uint64_t>(x.global_size()),
-                {&dinv_, &x}, {&y});
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec.extent(r);
     const auto n = static_cast<std::size_t>(e.ni);
@@ -192,9 +181,6 @@ Spai0Precond::Spai0Precond(ExecContext& ctx, const StencilOperator& A)
 
 void Spai0Precond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
   const auto& dec = x.field().decomp();
-  if (ctx.dag != nullptr)
-    ctx.dag->op("hadamard", static_cast<std::uint64_t>(x.global_size()),
-                {&m_, &x}, {&y});
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec.extent(r);
     const auto n = static_cast<std::size_t>(e.ni);

@@ -73,11 +73,6 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
   const auto transfers = xf.exchange_ghosts();
   xf.apply_bc(grid::BcKind::Dirichlet0);  // BCs are folded into coefficients
   ctx.exchange(transfers);
-  if (ctx.dag != nullptr) {
-    const auto gn = static_cast<std::uint64_t>(x.global_size());
-    ctx.dag->op("matvec", gn, {&x, this}, {&y});
-    if (csp_) ctx.dag->op("coupling", gn, {&x, this}, {&y});
-  }
 
   auto* self = const_cast<StencilOperator*>(this);
   par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
@@ -136,13 +131,6 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
   const auto transfers = xf.exchange_ghosts();
   xf.apply_bc(grid::BcKind::Dirichlet0);
   ctx.exchange(transfers);
-  if (ctx.dag != nullptr) {
-    const auto gn = static_cast<std::uint64_t>(x.global_size());
-    ctx.dag->op("matvec", gn, {&x, this}, {&y});
-    ctx.dag->op("dot", gn, {&y, w != nullptr ? static_cast<const void*>(w)
-                                             : static_cast<const void*>(&x)},
-                {});
-  }
 
   auto* self = const_cast<StencilOperator*>(this);
   auto* wv = const_cast<DistVector*>(w);
@@ -225,11 +213,6 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
   const auto transfers = xf.exchange_ghosts();
   xf.apply_bc(grid::BcKind::Dirichlet0);
   ctx.exchange(transfers);
-  if (ctx.dag != nullptr) {
-    const auto gn = static_cast<std::uint64_t>(x.global_size());
-    ctx.dag->op("matvec", gn, {&x, this}, {&r});
-    ctx.dag->op("sub", gn, {&b, &r}, {&r});
-  }
 
   auto* self = const_cast<StencilOperator*>(this);
   grid::DistField& bf = const_cast<DistVector&>(b).field();

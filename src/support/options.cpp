@@ -1,6 +1,7 @@
 #include "support/options.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -69,28 +70,49 @@ std::string Options::get(const std::string& name) const {
   return require_spec(name).value;
 }
 
-long long Options::parse_int(const std::string& name) const {
-  const std::string v = get(name);
+long long Options::parse_long(const std::string& name,
+                              const std::string& text) {
   char* end = nullptr;
   errno = 0;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0')
-    throw Error("option --" + name + " expects an integer, got '" + v + "'");
-  if (errno == ERANGE) throw_out_of_range(name);
+  const long long out = std::strtoll(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0')
+    throw Error("option --" + name + " expects an integer, got '" + text + "'");
+  if (errno == ERANGE) throw_out_of_range(name, text);
   return out;
 }
 
-void Options::throw_out_of_range(const std::string& name) const {
-  throw Error("option --" + name + " value '" + get(name) +
-              "' is out of range");
+void Options::throw_out_of_range(const std::string& name,
+                                 const std::string& text) {
+  throw Error("option --" + name + " value '" + text + "' is out of range");
+}
+
+std::vector<std::string> Options::split_list(const std::string& name) const {
+  const std::string v = get(name);
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = v.find(',', start);
+    const std::string item = v.substr(start, comma - start);
+    if (!item.empty()) items.push_back(item);
+    if (comma == std::string::npos) break;
+    start = comma + 1;
+  }
+  if (items.empty())
+    throw Error("option --" + name + " expects a comma list, got '" + v + "'");
+  return items;
 }
 
 double Options::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
-  double out = std::strtod(v.c_str(), &end);
+  errno = 0;
+  const double out = std::strtod(v.c_str(), &end);
   if (end == v.c_str() || *end != '\0')
     throw Error("option --" + name + " expects a number, got '" + v + "'");
+  if (errno == ERANGE) throw_out_of_range(name, v);
+  if (!std::isfinite(out))
+    throw Error("option --" + name + " expects a finite number, got '" + v +
+                "'");
   return out;
 }
 

@@ -31,10 +31,20 @@ public:
   /// a narrower field.
   template <std::integral T = long>
   T get_int(const std::string& name) const {
-    const long long v = parse_int(name);
-    if (!std::in_range<T>(v)) throw_out_of_range(name);
-    return static_cast<T>(v);
+    return parse_int<T>(name, get(name));
   }
+  /// Comma-separated integer list, each item checked as get_int<T> checks
+  /// its value (empty items are skipped); throws v2d::Error naming the
+  /// option when an item is bad or the list is empty.
+  template <std::integral T = long>
+  std::vector<T> get_int_list(const std::string& name) const {
+    std::vector<T> out;
+    for (const std::string& item : split_list(name))
+      out.push_back(parse_int<T>(name, item));
+    return out;
+  }
+  /// Finite number; throws v2d::Error naming the option for anything else,
+  /// including NaN, ±Inf and values strtod reports out of range.
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
@@ -55,8 +65,16 @@ private:
   };
   Spec& require_spec(const std::string& name);
   const Spec& require_spec(const std::string& name) const;
-  long long parse_int(const std::string& name) const;
-  [[noreturn]] void throw_out_of_range(const std::string& name) const;
+  template <std::integral T>
+  static T parse_int(const std::string& name, const std::string& text) {
+    const long long v = parse_long(name, text);
+    if (!std::in_range<T>(v)) throw_out_of_range(name, text);
+    return static_cast<T>(v);
+  }
+  static long long parse_long(const std::string& name, const std::string& text);
+  [[noreturn]] static void throw_out_of_range(const std::string& name,
+                                              const std::string& text);
+  std::vector<std::string> split_list(const std::string& name) const;
 
   std::map<std::string, Spec> specs_;
   std::vector<std::string> order_;

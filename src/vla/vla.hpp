@@ -28,7 +28,6 @@
 
 #include "sim/isa.hpp"
 #include "support/error.hpp"
-#include "vla/kernel_dag.hpp"
 
 namespace v2d::vla {
 
@@ -131,19 +130,17 @@ public:
   explicit Context(VectorArch arch = VectorArch{},
                    VlaExecMode mode = VlaExecMode::Interpret)
       : arch_(arch), mode_(mode),
-        count_cache_(std::make_shared<CountCache>()),
-        dag_store_(std::make_shared<DagStore>()) {}
+        count_cache_(std::make_shared<CountCache>()) {}
 
   /// A copy gets the source's recording (with any pending run flushed)
   /// but none of its unfolded memo hits, so no probe is counted twice; a
   /// move takes the hits along.
   Context(const Context& o)
       : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts()),
-        count_cache_(o.count_cache_), dag_store_(o.dag_store_) {}
+        count_cache_(o.count_cache_) {}
   Context(Context&& o) noexcept
       : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts_),
         count_cache_(std::move(o.count_cache_)),
-        dag_store_(std::move(o.dag_store_)),
         front_(std::exchange(o.front_, {})),
         run_(std::exchange(o.run_, 0)), hits_(std::exchange(o.hits_, 0)) {}
   /// The overwritten context's unfolded hits go to its own family first.
@@ -154,7 +151,6 @@ public:
     dry_ = o.dry_;
     counts_ = o.counts_;
     count_cache_ = std::move(o.count_cache_);
-    dag_store_ = std::move(o.dag_store_);
     front_ = std::exchange(o.front_, {});
     run_ = std::exchange(o.run_, 0);
     hits_ = std::exchange(o.hits_, 0);
@@ -170,14 +166,7 @@ public:
   /// count cache, but with a private recording accumulator so concurrent
   /// rank tasks never interleave their instruction streams.  Allocation-
   /// free beyond the shared_ptr bump — fork() runs once per rank task.
-  Context fork() const { return Context(arch_, mode_, count_cache_, dag_store_); }
-
-  /// The fork-family memo of captured solver-iteration kernel DAGs (see
-  /// vla/kernel_dag.hpp).  Like the count memo it is shared
-  /// across fork()ed contexts and farm sessions built from one prototype;
-  /// keys carry the full (solver, precond, shape, VL, exec-mode)
-  /// configuration, so concurrent sessions never collide.
-  DagStore& dag_store() const { return *dag_store_; }
+  Context fork() const { return Context(arch_, mode_, count_cache_); }
 
   VlaExecMode exec_mode() const { return mode_; }
   void set_exec_mode(VlaExecMode m) { mode_ = m; }
@@ -239,7 +228,7 @@ public:
     }
     counts_ += memo_counts(key, [&] {
       // No memo family of its own: the interpreter path never probes one.
-      Context dry(arch_, VlaExecMode::Interpret, nullptr, nullptr);
+      Context dry(arch_, VlaExecMode::Interpret, nullptr);
       dry.dry_ = true;
       body(dry);
       return dry.take_counts();
@@ -486,10 +475,8 @@ private:
     std::atomic<std::uint64_t> misses{0};
   };
 
-  Context(VectorArch arch, VlaExecMode mode, std::shared_ptr<CountCache> cache,
-          std::shared_ptr<DagStore> dags)
-      : arch_(arch), mode_(mode), count_cache_(std::move(cache)),
-        dag_store_(std::move(dags)) {}
+  Context(VectorArch arch, VlaExecMode mode, std::shared_ptr<CountCache> cache)
+      : arch_(arch), mode_(mode), count_cache_(std::move(cache)) {}
 
   // Probe the shared map for `key`, inserting make() on a miss.  Only the
   // call whose try_emplace inserts counts a miss, so the miss count is the
@@ -546,7 +533,6 @@ private:
   // run; a context is only ever used by one thread at a time.
   mutable sim::KernelCounts counts_;
   std::shared_ptr<CountCache> count_cache_;
-  std::shared_ptr<DagStore> dag_store_;
   Front front_;
   mutable std::uint64_t run_ = 0;   ///< record_dry calls pending on front_
   mutable std::uint64_t hits_ = 0;  ///< memo hits not yet folded

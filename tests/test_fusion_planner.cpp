@@ -1,20 +1,16 @@
 /// \file test_fusion_planner.cpp
-/// \brief The fusion planner: plan determinism, legality, DAG capture and
-/// the --fuse plan differential contract.
+/// \brief The fusion planner: plan determinism, legality and the
+/// --fuse plan differential contract.
 ///
-/// Five layers, extending test_fusion.cpp's composite suite:
-///   1. plan determinism — the built-in plan dump is byte-identical across
-///      repeated planning and across host-thread counts;
+/// Four layers, extending test_fusion.cpp's composite suite:
+///   1. plan determinism — planning a chain at runtime cuts the same groups
+///      with the same signatures as the compile-time built-in plans;
 ///   2. closed forms — each single-group composite records exactly the op
 ///      mix stated for it here, in the interpreter and on the native path
 ///      (whose recording is a dry run of the interpreter sweep);
-///   3. legality — write-after-read across a reduction cuts the group (in
-///      both plan_chain and the DAG annotator), and a reduction over an
-///      unstored temporary is rejected outright;
-///   4. DAG capture — the first Plan-mode solver iteration of each
-///      configuration is recorded once, on the driving thread only, and
-///      the capture prices nothing;
-///   5. differential — --fuse plan is bit-identical in fields to off
+///   3. legality — write-after-read across a reduction cuts the group, and
+///      a reduction over an unstored temporary is rejected outright;
+///   4. differential — --fuse plan is bit-identical in fields to off
 ///      across solvers × preconditioners × exec modes × VL tail shapes,
 ///      its simulated clocks beat off's, and the retired `on` spelling
 ///      runs exactly the plan path — solo and in a mixed-fuse farm.
@@ -29,7 +25,6 @@
 #include "farm/farm.hpp"
 #include "linalg/bicgstab.hpp"
 #include "linalg/cg.hpp"
-#include "linalg/dag_capture.hpp"
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/fusion/planner.hpp"
 #include "linalg/precond.hpp"
@@ -38,7 +33,6 @@
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
-#include "vla/kernel_dag.hpp"
 
 namespace v2d::linalg {
 namespace {
@@ -49,27 +43,30 @@ using vla::VlaExecMode;
 
 // --- 1. plan determinism ------------------------------------------------------
 
-TEST(PlanDeterminism, BuiltinDumpByteIdenticalAcrossRunsAndThreads) {
-  const std::string first = fusion::describe_builtin_plans();
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, fusion::describe_builtin_plans());
-  for (const int threads : {1, 4}) {
-    set_host_threads(threads);
-    EXPECT_EQ(first, fusion::describe_builtin_plans())
-        << "threads=" << threads;
-  }
-  set_host_threads(0);
-}
-
 TEST(PlanDeterminism, RuntimeChainPlansMatchCompileTimePlans) {
-  // The same planner code runs at compile time (built-in template set) and
-  // at runtime (tests, DAG annotation); both must emit the same plan.
-  constexpr auto ct = fusion::plan_chain(fusion::make_daxpy2_chain());
-  const auto chain = fusion::make_daxpy2_chain();
-  const auto rt = fusion::plan_chain(chain);
-  EXPECT_EQ(fusion::dump_plan(chain, ct), fusion::dump_plan(chain, rt));
-  EXPECT_EQ(ct.ngroups, 1);
-  EXPECT_EQ(ct.group[0].sig, rt.group[0].sig);
+  // The same planner code runs at compile time (the built-in template set)
+  // and at runtime (ad-hoc chains); both must emit the same plan.  A
+  // group's sig hashes every pre step, body step and tail, so equal
+  // signatures over equal node ranges mean equal programs.
+  constexpr fusion::Chain kChains[] = {
+      fusion::make_daxpy2_chain(), fusion::make_p_update_chain(),
+      fusion::make_hadamard_update_dot2_chain(),
+      fusion::make_stencil_chain(true, false, true)};
+  constexpr fusion::FusionPlan kPlans[] = {
+      fusion::plan_chain(kChains[0]), fusion::plan_chain(kChains[1]),
+      fusion::plan_chain(kChains[2]), fusion::plan_chain(kChains[3])};
+  EXPECT_EQ(kPlans[0].ngroups, 1);
+  for (std::size_t c = 0; c < std::size(kChains); ++c) {
+    const fusion::FusionPlan& ct = kPlans[c];
+    const fusion::FusionPlan rt = fusion::plan_chain(kChains[c]);
+    ASSERT_EQ(ct.ngroups, rt.ngroups) << kChains[c].name;
+    for (std::uint8_t gi = 0; gi < ct.ngroups; ++gi) {
+      EXPECT_EQ(ct.group[gi].sig, rt.group[gi].sig) << kChains[c].name;
+      EXPECT_EQ(ct.group[gi].first_node, rt.group[gi].first_node)
+          << kChains[c].name;
+      EXPECT_EQ(ct.group[gi].nnodes, rt.group[gi].nnodes) << kChains[c].name;
+    }
+  }
 }
 
 // --- 2. closed forms of the composites ---------------------------------------
@@ -213,35 +210,6 @@ TEST(FusionLegality, ReductionOverUnstoredTemporaryIsRejected) {
   EXPECT_THROW((void)fusion::plan_chain(c), Error);
 }
 
-TEST(FusionLegality, AnnotatorAppliesTheSameCuts) {
-  double a, b, x, y;
-  vla::DagRecorder rec;
-  rec.op("hadamard", 64, {&a, &x}, {&y});
-  rec.op("dot", 64, {&y, &x}, {});
-  rec.op("daxpy", 64, {&y, &x}, {&x});  // writes x, which the dot read
-  rec.barrier("allreduce");
-  rec.op("matvec", 64, {&x, &b}, {&y});  // stencil: only heads a group
-  rec.op("daxpy", 64, {&y, &b}, {&b});
-  rec.op("daxpy", 32, {&y, &a}, {&a});  // different n: cannot join
-  vla::KernelDag dag = rec.take("unit");
-  fusion::annotate_dag(dag);
-  ASSERT_EQ(dag.nodes.size(), 7u);
-  EXPECT_EQ(dag.nodes[0].group, 0);
-  EXPECT_EQ(dag.nodes[0].rule, "head");
-  EXPECT_EQ(dag.nodes[1].group, 0);
-  EXPECT_EQ(dag.nodes[1].rule, "reduction-tail");
-  EXPECT_EQ(dag.nodes[2].group, 1);
-  EXPECT_EQ(dag.nodes[2].rule, "war-cut");
-  EXPECT_EQ(dag.nodes[3].group, -1);
-  EXPECT_EQ(dag.nodes[3].rule, "barrier");
-  EXPECT_EQ(dag.nodes[4].group, 2);
-  EXPECT_EQ(dag.nodes[4].rule, "stencil-head");
-  EXPECT_EQ(dag.nodes[5].group, 2);
-  EXPECT_EQ(dag.nodes[5].rule, "elementwise");
-  EXPECT_EQ(dag.nodes[6].group, 3);
-  EXPECT_EQ(dag.nodes[6].rule, "head");
-}
-
 // --- shared solver scaffolding (mirrors test_fusion.cpp) ----------------------
 
 struct Problem {
@@ -318,86 +286,7 @@ void expect_same_trajectory(const SolveOutcome& a, const SolveOutcome& b,
     ASSERT_EQ(a.x[i], b.x[i]) << label << " zone " << i;
 }
 
-// --- 4. DAG capture -----------------------------------------------------------
-
-TEST(DagCapture, RecordsFirstPlanIterationOncePerConfiguration) {
-  Problem prob(24, 16, 1);
-  fill_operator(prob.A, 1234);
-  ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
-                  FuseMode::Plan);
-  auto M = make_preconditioner("jacobi", ctx, prob.A);
-  DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
-  randomize(b, 99);
-  x.fill(ctx, 0.0);
-  CgSolver cg(prob.g, prob.d, 1);
-  EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
-  ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-  ASSERT_EQ(ctx.vctx.dag_store().size(), 1u);
-  const std::string key = dag_key("cg", "jacobi", 24 * 16, ctx.vctx);
-  EXPECT_TRUE(ctx.vctx.dag_store().contains(key));
-
-  // One CG iteration: matvec+dot head, twin update / precond tail, and the
-  // collectives — all annotated.
-  const std::string dump = ctx.vctx.dag_store().dump_all();
-  EXPECT_NE(dump.find("matvec"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("rule=stencil-head"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("rule=reduction-tail"), std::string::npos) << dump;
-  EXPECT_NE(dump.find("barrier:allreduce"), std::string::npos) << dump;
-
-  // A second solve of the same configuration records nothing new.
-  x.fill(ctx, 0.0);
-  ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-  EXPECT_EQ(ctx.vctx.dag_store().size(), 1u);
-  EXPECT_EQ(dump, ctx.vctx.dag_store().dump_all());
-
-  // A different configuration gets its own entry.
-  BicgstabSolver bi(prob.g, prob.d, 1);
-  x.fill(ctx, 0.0);
-  ASSERT_TRUE(bi.solve(ctx, prob.A, *M, x, b, {}).converged);
-  EXPECT_EQ(ctx.vctx.dag_store().size(), 2u);
-}
-
-TEST(DagCapture, OffModeNeverRecords) {
-  Problem prob(24, 16, 1);
-  fill_operator(prob.A, 1234);
-  ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
-                  FuseMode::Off);
-  auto M = make_preconditioner("jacobi", ctx, prob.A);
-  DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
-  randomize(b, 99);
-  x.fill(ctx, 0.0);
-  CgSolver cg(prob.g, prob.d, 1);
-  ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-  EXPECT_EQ(ctx.vctx.dag_store().size(), 0u);
-}
-
-/// Recording happens on the driving thread only, so the captured dump is
-/// byte-identical at any host-thread count.
-TEST(DagCapture, DumpInvariantUnderHostThreads) {
-  std::string reference;
-  for (const int threads : {1, 4}) {
-    set_host_threads(threads);
-    Problem prob(24, 16, 1, 2, 2);
-    fill_operator(prob.A, 77);
-    ExecContext ctx(VectorArch(512), nullptr, VlaExecMode::Native,
-                    FuseMode::Plan);
-    auto M = make_preconditioner("spai0", ctx, prob.A);
-    DistVector x(prob.g, prob.d, 1), b(prob.g, prob.d, 1);
-    randomize(b, 3);
-    x.fill(ctx, 0.0);
-    CgSolver cg(prob.g, prob.d, 1);
-    ASSERT_TRUE(cg.solve(ctx, prob.A, *M, x, b, {}).converged);
-    const std::string dump = ctx.vctx.dag_store().dump_all();
-    if (reference.empty()) {
-      reference = dump;
-    } else {
-      EXPECT_EQ(reference, dump) << "threads=" << threads;
-    }
-  }
-  set_host_threads(0);
-}
-
-// --- 5. differential: plan vs off ---------------------------------------------
+// --- 4. differential: plan vs off ---------------------------------------------
 
 /// Every solver/precond/exec-mode/VL combination: --fuse plan reproduces
 /// the off trajectory bit-for-bit.  VL 2048 leaves a 22-element row as

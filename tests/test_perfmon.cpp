@@ -7,7 +7,7 @@
 #include "perfmon/papi.hpp"
 #include "perfmon/perf_stat.hpp"
 #include "perfmon/profiler.hpp"
-#include "perfmon/timer.hpp"
+#include "support/error.hpp"
 
 namespace v2d::perfmon {
 namespace {
@@ -132,22 +132,6 @@ TEST(PerfStat, FormatsLikePerf) {
   EXPECT_NE(s.find("duration_time"), std::string::npos);
   EXPECT_NE(s.find("2,700,000,000"), std::string::npos);
   EXPECT_NE(s.find("1.500000000 seconds"), std::string::npos);
-}
-
-TEST(Timers, WallTimerMeasuresSomething) {
-  WallTimer t;
-  t.start();
-  volatile double x = 0;
-  for (int i = 0; i < 100000; ++i) x = x + i;
-  EXPECT_GE(t.stop(), 0.0);
-  EXPECT_THROW(t.stop(), Error);  // not running anymore
-}
-
-TEST(Timers, SimStopwatch) {
-  SimStopwatch s;
-  s.mark(10.0);
-  EXPECT_DOUBLE_EQ(s.elapsed(12.5), 2.5);
-  EXPECT_THROW(s.elapsed(9.0), Error);  // clock ran backwards
 }
 
 }  // namespace

@@ -8,12 +8,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/exact_sum.hpp"
-#include "support/log.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -93,6 +91,20 @@ TEST(Options, BadNumberThrows) {
   o.parse(7, argv);
   EXPECT_THROW(o.get_int("alpha"), Error);
   EXPECT_THROW(o.get_double("alpha"), Error);
+  // A number must be finite and inside double's range: strtod's inf, nan
+  // and overflowing 1e999 would otherwise run as a degenerate "pass".
+  for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
+    Options d;
+    d.add("dt", "0", "");
+    const char* dargv[] = {"prog", "--dt", bad};
+    d.parse(3, dargv);
+    try {
+      (void)d.get_double("dt");
+      ADD_FAILURE() << "accepted --dt " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--dt"), std::string::npos) << bad;
+    }
+  }
   // Past the parser's range, and past the field's: neither wraps.
   EXPECT_THROW(o.get_int("huge"), Error);
   EXPECT_THROW(o.get_int<int>("wide"), Error);
@@ -102,6 +114,28 @@ TEST(Options, BadNumberThrows) {
     (void)o.get_int<int>("wide");
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("--wide"), std::string::npos);
+  }
+}
+
+TEST(Options, IntListChecksEveryItem) {
+  Options o;
+  o.add("sizes", "64,,128", "");
+  o.add("neg", "8,-1", "");
+  o.add("wide", "1,4294967297", "");
+  o.add("junk", "1,x", "");
+  o.add("none", ",", "");
+  EXPECT_EQ(o.get_int_list<int>("sizes"), (std::vector<int>{64, 128}));
+  EXPECT_EQ(o.get_int_list<int>("neg"), (std::vector<int>{8, -1}));
+  EXPECT_THROW(o.get_int_list<std::size_t>("neg"), Error);
+  EXPECT_THROW(o.get_int_list<int>("wide"), Error);
+  EXPECT_EQ(o.get_int_list<long>("wide").back(), 4294967297L);
+  EXPECT_THROW(o.get_int_list<int>("none"), Error);
+  try {
+    (void)o.get_int_list<int>("junk");
+    ADD_FAILURE() << "accepted --junk 1,x";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--junk"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("'x'"), std::string::npos);
   }
 }
 
@@ -201,19 +235,6 @@ TEST(Units, Seconds) {
 
 TEST(Units, Rate) {
   EXPECT_EQ(units::rate(2.0e9, "flop"), "2.00 Gflop/s");
-}
-
-// --- log --------------------------------------------------------------------
-
-TEST(Log, LevelFilters) {
-  std::ostringstream os;
-  log::set_stream(&os);
-  log::set_level(log::Level::Warn);
-  V2D_LOG_INFO("hidden");
-  V2D_LOG_WARN("visible");
-  log::set_stream(nullptr);
-  EXPECT_EQ(os.str().find("hidden"), std::string::npos);
-  EXPECT_NE(os.str().find("visible"), std::string::npos);
 }
 
 // --- exact_sum --------------------------------------------------------------
