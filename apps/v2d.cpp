@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
   opt.add("farm-sim-budget", "0",
           "per-job simulated-seconds budget on profile 0 (0 = unlimited)");
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "v2d")) return 0;
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("v2d");
     return 1;

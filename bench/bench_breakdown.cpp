@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
   opt.add("steps", "20", "time steps per configuration");
   int steps = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_breakdown")) return 0;
     steps = opt.get_int<int>("steps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_breakdown");

@@ -120,7 +120,7 @@ int main(int argc, char** argv) try {
   int repeats = 1;
   std::vector<int> batch_sizes;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_farm")) return 0;
     cfg.nx1 = opt.get_int<int>("nx1");
     cfg.nx2 = opt.get_int<int>("nx2");
     cfg.steps = opt.get_int<int>("steps");

@@ -31,7 +31,7 @@ int main(int argc, char** argv) try {
   int nx1 = 0, nx2 = 0;
   long block = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_fig1")) return 0;
     nx1 = opt.get_int<int>("nx1");
     nx2 = opt.get_int<int>("nx2");
     block = opt.get_int("block");

@@ -223,7 +223,7 @@ int main(int argc, char** argv) try {
   double tol = 0.0, gate_speedup = 0.0;
   std::vector<int> sizes, vls;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_fusion")) return 0;
     max_iter = opt.get_int<int>("max-iter");
     gate_size = opt.get_int<int>("gate-size");
     tol = opt.get_double("tol");

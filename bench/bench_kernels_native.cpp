@@ -133,7 +133,7 @@ int main(int argc, char** argv) try {
   double min_ms = 0.0;
   std::vector<std::size_t> sizes;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_kernels_native")) return 0;
     bits = opt.get_int<unsigned>("vl");
     min_ms = opt.get_double("min-ms");
     sizes = opt.get_int_list<std::size_t>("sizes");

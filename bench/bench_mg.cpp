@@ -55,7 +55,7 @@ int main(int argc, char** argv) try {
   double tol = 0.0;
   std::vector<int> sizes, ranks;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_mg")) return 0;
     max_iter = opt.get_int<int>("max-iter");
     tol = opt.get_double("tol");
     sizes = opt.get_int_list<int>("sizes");

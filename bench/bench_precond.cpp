@@ -24,7 +24,7 @@ int main(int argc, char** argv) try {
   opt.add_flag("tsv", "emit tab-separated values");
   int steps = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_precond")) return 0;
     steps = opt.get_int<int>("steps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_precond");

@@ -128,7 +128,7 @@ int main(int argc, char** argv) try {
   core::RunConfig cfg;
   int repeats = 1;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_resilience")) return 0;
     cfg.nx1 = opt.get_int<int>("nx1");
     cfg.nx2 = opt.get_int<int>("nx2");
     cfg.steps = opt.get_int<int>("steps");

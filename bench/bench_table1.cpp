@@ -60,7 +60,7 @@ int main(int argc, char** argv) try {
   opt.add_flag("paper", "include the paper's measured values in the output");
   int steps = 0, nx1 = 0, nx2 = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_table1")) return 0;
     steps = opt.get_int<int>("steps");
     nx1 = opt.get_int<int>("nx1");
     nx2 = opt.get_int<int>("nx2");

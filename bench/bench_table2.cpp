@@ -83,7 +83,7 @@ int main(int argc, char** argv) try {
   int nx1 = 0, nx2 = 0;
   unsigned vector_bits = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_table2")) return 0;
     reps = opt.get_int("reps");
     nx1 = opt.get_int<int>("nx1");
     nx2 = opt.get_int<int>("nx2");

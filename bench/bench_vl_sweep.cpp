@@ -25,7 +25,7 @@ int main(int argc, char** argv) try {
   opt.add_flag("tsv", "emit tab-separated values");
   long reps = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "bench_vl_sweep")) return 0;
     reps = opt.get_int("reps");
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("bench_vl_sweep");

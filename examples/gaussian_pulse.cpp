@@ -24,7 +24,7 @@ int main(int argc, char** argv) try {
   Options opt;
   core::RunConfig::register_options(opt);
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "gaussian_pulse")) return 0;
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("gaussian_pulse");
     return 1;

@@ -22,7 +22,7 @@ int main(int argc, char** argv) try {
   Options opt;
   core::RunConfig::register_options(opt);
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "quickstart")) return 0;
   } catch (const Error& e) {
     std::cerr << e.what() << '\n' << opt.usage("quickstart");
     return 1;

@@ -83,7 +83,7 @@ int main(int argc, char** argv) try {
   std::uint64_t ws = 0;
   std::uint32_t sharers = 0;
   try {
-    opt.parse(argc, argv);
+    if (!opt.parse_command_line(argc, argv, "sve_explorer")) return 0;
     bits = opt.get_int<unsigned>("bits");
     n = opt.get_int<std::size_t>("n");
     ws = opt.get_int<std::uint64_t>("ws");

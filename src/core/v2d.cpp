@@ -96,12 +96,6 @@ sim::CostLedger read_ledger(const io::Group& group) {
   return out;
 }
 
-/// The knobs that shape the trajectory and its pricing.  A restart is only
-/// bit-identical to an uninterrupted run when these match, so they are
-/// stored in the checkpoint and checked on resume.  Run-control knobs
-/// (steps, checkpoint cadence, restart path) and host-only knobs
-/// (host_threads, vla_exec — both provably bit-identical across settings)
-/// are deliberately not pinned.
 /// The stop reason of the first failed solve, for the non-convergence
 /// error message (the fallback chain has already given up by then).
 std::string worst_stop_reason(const rad::StepStats& stats) {
@@ -121,6 +115,12 @@ std::string join(const std::vector<std::string>& items) {
   return out;
 }
 
+/// The knobs that shape the trajectory and its pricing.  A restart is only
+/// bit-identical to an uninterrupted run when these match, so they are
+/// stored in the checkpoint and checked on resume.  Run-control knobs
+/// (steps, checkpoint cadence, restart path) and host-only knobs
+/// (host_threads, vla_exec — both provably bit-identical across settings)
+/// are deliberately not pinned.
 std::vector<std::pair<std::string, std::string>> pinned_knobs(
     const RunConfig& cfg) {
   auto num = [](double v) {

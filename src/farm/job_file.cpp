@@ -52,9 +52,6 @@ FarmJob parse_job_line(const std::string& line,
   Options opt;
   core::RunConfig::register_options(opt);
   opt.parse(static_cast<int>(argv.size()), argv.data());
-  V2D_REQUIRE(opt.positional().empty(),
-              "unexpected positional argument '" + opt.positional().front() +
-                  "' in job line");
 
   FarmJob job;
   job.name = std::move(name);

@@ -27,7 +27,7 @@ BicgstabSolver::BicgstabSolver(const grid::Grid2D& g,
                                const grid::Decomposition& d, int ns)
     : owned_(std::make_unique<SolverWorkspace>(g, d, ns)), ws_(owned_.get()) {}
 
-SolveStats BicgstabSolver::solve(ExecContext& ctx, const LinearOperator& A,
+SolveStats BicgstabSolver::solve(ExecContext& ctx, const StencilOperator& A,
                                  Preconditioner& M, DistVector& x,
                                  const DistVector& b,
                                  const SolveOptions& opt) {
@@ -38,7 +38,7 @@ SolveStats BicgstabSolver::solve(ExecContext& ctx, const LinearOperator& A,
 }
 
 SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
-                                         const LinearOperator& A,
+                                         const StencilOperator& A,
                                          Preconditioner& M, DistVector& x,
                                          const DistVector& b,
                                          const SolveOptions& opt) {
@@ -139,7 +139,7 @@ SolveStats BicgstabSolver::solve_classic(ExecContext& ctx,
 }
 
 SolveStats BicgstabSolver::solve_ganged(ExecContext& ctx,
-                                        const LinearOperator& A,
+                                        const StencilOperator& A,
                                         Preconditioner& M, DistVector& x,
                                         const DistVector& b,
                                         const SolveOptions& opt) {

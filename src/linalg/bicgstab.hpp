@@ -17,13 +17,14 @@
 /// SolverWorkspace — either a shared one passed in (so CG, BiCGSTAB and
 /// repeated solver constructions on the same shape reuse the same
 /// buffers) or a private one it creates lazily — so the 300-solve Table I
-/// workload reuses allocations.
+/// workload reuses allocations.  The operator is the matrix-free
+/// StencilOperator; its dot and residual composites pick their fused or
+/// kernel-per-pass lowering from the context's FuseMode.
 
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
 
-#include "linalg/operator.hpp"
 #include "linalg/precond.hpp"
 #include "linalg/workspace.hpp"
 
@@ -68,15 +69,15 @@ public:
   explicit BicgstabSolver(SolverWorkspace& ws) : ws_(&ws) {}
 
   /// Solve A·x = b starting from the provided x (initial guess).
-  SolveStats solve(ExecContext& ctx, const LinearOperator& A,
+  SolveStats solve(ExecContext& ctx, const StencilOperator& A,
                    Preconditioner& M, DistVector& x, const DistVector& b,
                    const SolveOptions& opt = {});
 
 private:
-  SolveStats solve_classic(ExecContext& ctx, const LinearOperator& A,
+  SolveStats solve_classic(ExecContext& ctx, const StencilOperator& A,
                            Preconditioner& M, DistVector& x,
                            const DistVector& b, const SolveOptions& opt);
-  SolveStats solve_ganged(ExecContext& ctx, const LinearOperator& A,
+  SolveStats solve_ganged(ExecContext& ctx, const StencilOperator& A,
                           Preconditioner& M, DistVector& x,
                           const DistVector& b, const SolveOptions& opt);
 

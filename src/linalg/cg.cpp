@@ -9,7 +9,7 @@ namespace v2d::linalg {
 CgSolver::CgSolver(const grid::Grid2D& g, const grid::Decomposition& d, int ns)
     : owned_(std::make_unique<SolverWorkspace>(g, d, ns)), ws_(owned_.get()) {}
 
-SolveStats CgSolver::solve(ExecContext& ctx, const LinearOperator& A,
+SolveStats CgSolver::solve(ExecContext& ctx, const StencilOperator& A,
                            Preconditioner& M, DistVector& x,
                            const DistVector& b, const SolveOptions& opt) {
   V2D_REQUIRE(opt.rel_tol > 0.0, "tolerance must be positive");

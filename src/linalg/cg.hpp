@@ -6,10 +6,12 @@
 /// Gradient (CG) method ... to those cases where the system matrix A is
 /// non-symmetric".  CG is provided as the symmetric baseline: the
 /// diffusion-only test systems are symmetric, so the benches can compare
-/// the two solvers on identical systems.
+/// the two solvers on identical systems.  Like BiCGSTAB it applies the
+/// matrix-free StencilOperator, and its tail composite (r-update,
+/// precond apply, {r·z, r·r}) runs as one DiagonalPrecond sweep under
+/// FuseMode::Plan.
 
 #include "linalg/bicgstab.hpp"
-#include "linalg/operator.hpp"
 #include "linalg/precond.hpp"
 
 namespace v2d::linalg {
@@ -23,7 +25,7 @@ public:
   explicit CgSolver(SolverWorkspace& ws) : ws_(&ws) {}
 
   /// Solve A·x = b (A must be symmetric positive definite; M symmetric).
-  SolveStats solve(ExecContext& ctx, const LinearOperator& A,
+  SolveStats solve(ExecContext& ctx, const StencilOperator& A,
                    Preconditioner& M, DistVector& x, const DistVector& b,
                    const SolveOptions& opt = {});
 

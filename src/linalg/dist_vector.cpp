@@ -11,13 +11,16 @@ namespace v2d::linalg {
 
 using compiler::KernelFamily;
 
-namespace {
-void require_same_shape(const DistVector& a, const DistVector& b) {
-  V2D_REQUIRE(a.ns() == b.ns() && a.nranks() == b.nranks() &&
-                  a.global_size() == b.global_size(),
-              "distributed vectors have different shapes");
+void require_same_shape(const grid::DistField& a, const grid::DistField& b) {
+  bool same = a.ns() == b.ns() && a.nranks() == b.nranks();
+  // Operands walk one extent per rank, so each rank's tile must match.
+  for (int r = 0; same && &a.decomp() != &b.decomp() && r < a.nranks(); ++r) {
+    const grid::TileExtent& ea = a.decomp().extent(r);
+    const grid::TileExtent& eb = b.decomp().extent(r);
+    same = ea.i0 == eb.i0 && ea.j0 == eb.j0 && ea.ni == eb.ni && ea.nj == eb.nj;
+  }
+  V2D_REQUIRE(same, "distributed vectors have different shapes");
 }
-}  // namespace
 
 std::uint64_t DistVector::working_set(int rank, int arrays) const {
   const grid::TileExtent& e = field_.decomp().extent(rank);
@@ -25,119 +28,62 @@ std::uint64_t DistVector::working_set(int rank, int arrays) const {
          static_cast<std::uint64_t>(e.ni) * e.nj * sizeof(double);
 }
 
-template <typename RowOp>
-void DistVector::for_each_row(ExecContext& ctx, KernelFamily family,
-                              const std::string& region, int arrays,
-                              RowOp&& op) {
-  par_ranks(ctx, field_, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = field_.decomp().extent(r);
-    for (int s = 0; s < ns(); ++s) {
-      for (int lj = 0; lj < e.nj; ++lj) {
-        op(rctx, r, s, lj, static_cast<std::size_t>(e.ni));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns();
-    rctx.commit(r, family, region, elements, working_set(r, arrays));
-  });
-}
+// Each op below is one sweep_rows call; its operand list is the op's
+// working set, outputs last.  A row op's `row` holds the operands' row
+// starts in list order.
 
 void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
-  require_same_shape(*this, x);
-  for_each_row(ctx, KernelFamily::Daxpy, "daxpy", 2,
-               [this, a, xp = &x](ExecContext& rctx, int r, int s, int lj,
-                                  std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView yv = field_.view(r, s);
-                 linalg::daxpy(rctx.vctx, a,
-                               std::span<const double>(xv.row(lj), n),
-                               std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::Daxpy, "daxpy", {&x.field_, &field_},
+             [a](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::daxpy(v, a, {row[0], n}, {row[1], n});
+             });
 }
 
 void DistVector::dscal(ExecContext& ctx, double c, double d) {
-  for_each_row(ctx, KernelFamily::Dscal, "dscal", 1,
-               [this, c, d](ExecContext& rctx, int r, int s, int lj,
-                            std::size_t n) {
-                 grid::TileView yv = field_.view(r, s);
-                 linalg::dscal(rctx.vctx, c, d,
-                               std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::Dscal, "dscal", {&field_},
+             [c, d](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::dscal(v, c, d, {row[0], n});
+             });
 }
 
 void DistVector::ddaxpy(ExecContext& ctx, double a, const DistVector& x,
                         double b, const DistVector& y) {
-  require_same_shape(*this, x);
-  require_same_shape(*this, y);
-  for_each_row(ctx, KernelFamily::Ddaxpy, "ddaxpy", 3,
-               [this, a, b, xp = &x, yp = &y](ExecContext& rctx, int r, int s,
-                                              int lj, std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView yv =
-                     const_cast<DistVector*>(yp)->field().view(r, s);
-                 grid::TileView zv = field_.view(r, s);
-                 linalg::ddaxpy(rctx.vctx, a,
-                                std::span<const double>(xv.row(lj), n), b,
-                                std::span<const double>(yv.row(lj), n),
-                                std::span<double>(zv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::Ddaxpy, "ddaxpy",
+             {&x.field_, &y.field_, &field_},
+             [a, b](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::ddaxpy(v, a, {row[0], n}, b, {row[1], n},
+                              {row[2], n});
+             });
 }
 
 void DistVector::xpby(ExecContext& ctx, const DistVector& x, double b) {
-  require_same_shape(*this, x);
-  for_each_row(ctx, KernelFamily::VecMisc, "xpby", 2,
-               [this, b, xp = &x](ExecContext& rctx, int r, int s, int lj,
-                                  std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView yv = field_.view(r, s);
-                 linalg::xpby(rctx.vctx,
-                              std::span<const double>(xv.row(lj), n), b,
-                              std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "xpby", {&x.field_, &field_},
+             [b](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::xpby(v, {row[0], n}, b, {row[1], n});
+             });
 }
 
 void DistVector::copy_from(ExecContext& ctx, const DistVector& x) {
-  require_same_shape(*this, x);
-  for_each_row(ctx, KernelFamily::VecMisc, "copy", 2,
-               [this, xp = &x](ExecContext& rctx, int r, int s, int lj,
-                               std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView yv = field_.view(r, s);
-                 linalg::copy(rctx.vctx,
-                              std::span<const double>(xv.row(lj), n),
-                              std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "copy", {&x.field_, &field_},
+             [](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::copy(v, {row[0], n}, {row[1], n});
+             });
 }
 
 void DistVector::fill(ExecContext& ctx, double a) {
-  for_each_row(ctx, KernelFamily::VecMisc, "fill", 1,
-               [this, a](ExecContext& rctx, int r, int s, int lj,
-                         std::size_t n) {
-                 grid::TileView yv = field_.view(r, s);
-                 linalg::fill(rctx.vctx, a, std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "fill", {&field_},
+             [a](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::fill(v, a, {row[0], n});
+             });
 }
 
 void DistVector::assign_sub(ExecContext& ctx, const DistVector& x,
                             const DistVector& y) {
-  require_same_shape(*this, x);
-  require_same_shape(*this, y);
-  for_each_row(ctx, KernelFamily::VecMisc, "sub", 3,
-               [this, xp = &x, yp = &y](ExecContext& rctx, int r, int s,
-                                        int lj, std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView yv =
-                     const_cast<DistVector*>(yp)->field().view(r, s);
-                 grid::TileView zv = field_.view(r, s);
-                 linalg::sub(rctx.vctx,
-                             std::span<const double>(xv.row(lj), n),
-                             std::span<const double>(yv.row(lj), n),
-                             std::span<double>(zv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "sub",
+             {&x.field_, &y.field_, &field_},
+             [](vla::Context& v, int, const auto& row, std::size_t n) {
+               linalg::sub(v, {row[0], n}, {row[1], n}, {row[2], n});
+             });
 }
 
 void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
@@ -148,24 +94,12 @@ void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
     r.daxpy(ctx, b, q);
     return;
   }
-  require_same_shape(x, p);
-  require_same_shape(x, r);
-  require_same_shape(x, q);
-  x.for_each_row(ctx, KernelFamily::Daxpy, "daxpy2", 4,
-                 [a, b, xp = &x, pp = &p, rp = &r, qp = &q](
-                     ExecContext& rctx, int rk, int s, int lj, std::size_t n) {
-                   grid::TileView pv =
-                       const_cast<DistVector*>(pp)->field().view(rk, s);
-                   grid::TileView qv =
-                       const_cast<DistVector*>(qp)->field().view(rk, s);
-                   grid::TileView xv = xp->field().view(rk, s);
-                   grid::TileView rv = rp->field().view(rk, s);
-                   fusion::daxpy2(rctx.vctx, a,
-                                  std::span<const double>(pv.row(lj), n),
-                                  std::span<double>(xv.row(lj), n), b,
-                                  std::span<const double>(qv.row(lj), n),
-                                  std::span<double>(rv.row(lj), n));
-                 });
+  sweep_rows(ctx, KernelFamily::Daxpy, "daxpy2",
+             {&p.field_, &q.field_, &x.field_, &r.field_},
+             [a, b](vla::Context& v, int, const auto& row, std::size_t n) {
+               fusion::daxpy2(v, a, {row[0], n}, {row[2], n}, b,
+                              {row[1], n}, {row[3], n});
+             });
 }
 
 void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
@@ -175,21 +109,11 @@ void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
     daxpy(ctx, a, z);
     return;
   }
-  require_same_shape(*this, x);
-  require_same_shape(*this, z);
-  for_each_row(ctx, KernelFamily::VecMisc, "axpy", 3,
-               [this, a, xp = &x, zp = &z](ExecContext& rctx, int r, int s,
-                                           int lj, std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView zv =
-                     const_cast<DistVector*>(zp)->field().view(r, s);
-                 grid::TileView yv = field_.view(r, s);
-                 fusion::axpy_out(rctx.vctx,
-                                  std::span<const double>(xv.row(lj), n), a,
-                                  std::span<const double>(zv.row(lj), n),
-                                  std::span<double>(yv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "axpy",
+             {&x.field_, &z.field_, &field_},
+             [a](vla::Context& v, int, const auto& row, std::size_t n) {
+               fusion::axpy_out(v, {row[0], n}, a, {row[1], n}, {row[2], n});
+             });
 }
 
 void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
@@ -199,21 +123,12 @@ void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
     xpby(ctx, x, b);
     return;
   }
-  require_same_shape(*this, x);
-  require_same_shape(*this, v);
-  for_each_row(ctx, KernelFamily::VecMisc, "p-update", 3,
-               [this, b, w, xp = &x, vp = &v](ExecContext& rctx, int r, int s,
-                                              int lj, std::size_t n) {
-                 grid::TileView xv =
-                     const_cast<DistVector*>(xp)->field().view(r, s);
-                 grid::TileView vv =
-                     const_cast<DistVector*>(vp)->field().view(r, s);
-                 grid::TileView pv = field_.view(r, s);
-                 fusion::p_update(rctx.vctx,
-                                  std::span<const double>(xv.row(lj), n), b,
-                                  w, std::span<const double>(vv.row(lj), n),
-                                  std::span<double>(pv.row(lj), n));
-               });
+  sweep_rows(ctx, KernelFamily::VecMisc, "p-update",
+             {&x.field_, &v.field_, &field_},
+             [b, w](vla::Context& vc, int, const auto& row, std::size_t n) {
+               fusion::p_update(vc, {row[0], n}, b, w, {row[1], n},
+                                {row[2], n});
+             });
 }
 
 double DistVector::dot(ExecContext& ctx, const DistVector& x,
@@ -227,8 +142,8 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   V2D_REQUIRE(!pairs.empty(), "dot_ganged: no pairs");
   const DistVector& first = *pairs[0].x;
   for (const DotPair& pr : pairs) {
-    require_same_shape(*pr.x, *pr.y);
-    require_same_shape(*pr.x, first);
+    require_same_shape(pr.x->field_, pr.y->field_);
+    require_same_shape(pr.x->field_, first.field_);
   }
   // Each inner product is the exact sum of its once-rounded products,
   // rounded once (see support/exact_sum.hpp), so neither the tiling, the

@@ -4,11 +4,14 @@
 ///
 /// A DistVector is an ns-species grid-shaped vector (one DistField) plus
 /// the instrumented BLAS-level operations of the paper's Table II.  Every
-/// operation runs one task per simulated rank (concurrently on the host
-/// pool — see par_ranks) over that rank's tile rows, runs the VLA kernel,
-/// and commits one priced call per rank, so per-rank clocks advance
-/// exactly with the work each simulated processor does.
+/// streaming operation is one sweep_rows call: one task per simulated rank
+/// (concurrently on the host pool — see par_ranks) runs the VLA kernel
+/// over that rank's tile rows and commits one priced call, so per-rank
+/// clocks advance exactly with the work each simulated processor does.
+/// The diagonal preconditioners and the multigrid smoother's diagonal
+/// sweeps use the same rank loop.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -19,6 +22,44 @@
 
 namespace v2d::linalg {
 
+/// Throws unless `a` and `b` have the same species count, rank count and
+/// tile extent on every rank.  Compared by value: pooled workspaces own
+/// copies of the decomposition, so two compatible fields need not share
+/// its address.
+void require_same_shape(const grid::DistField& a, const grid::DistField& b);
+
+/// The rank loop of every streaming tile op.  For each simulated rank
+/// (concurrently — see par_ranks) and each species, fetch every operand's
+/// TileView once, then call `row_op(vctx, rank, row, ni)` for each tile
+/// row, where row[k] is the start of operand k's row.  Each rank commits
+/// one priced call under `family`/`region`: elements = ni·nj·ns, working
+/// set = N tile arrays.  The operands' shapes are checked once per call,
+/// and fields[0] supplies the tile extents.  Rows are handed out mutable;
+/// the row op writes only the operands it owns.
+template <std::size_t N, typename RowOp>
+void sweep_rows(ExecContext& ctx, compiler::KernelFamily family,
+                const std::string& region,
+                const grid::DistField* const (&fields)[N], RowOp&& row_op) {
+  const grid::DistField& f0 = *fields[0];
+  for (const grid::DistField* f : fields) require_same_shape(f0, *f);
+  par_ranks(ctx, f0, [&](int r, ExecContext& rctx) {
+    const grid::TileExtent& e = f0.decomp().extent(r);
+    const auto ni = static_cast<std::size_t>(e.ni);
+    std::array<grid::TileView, N> v;
+    std::array<double*, N> row;
+    for (int s = 0; s < f0.ns(); ++s) {
+      for (std::size_t k = 0; k < N; ++k)
+        v[k] = const_cast<grid::DistField*>(fields[k])->view(r, s);
+      for (int lj = 0; lj < e.nj; ++lj) {
+        for (std::size_t k = 0; k < N; ++k) row[k] = v[k].row(lj);
+        row_op(rctx.vctx, r, row, ni);
+      }
+    }
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * f0.ns();
+    rctx.commit(r, family, region, elements, N * elements * sizeof(double));
+  });
+}
+
 class DistVector {
 public:
   DistVector(const grid::Grid2D& g, const grid::Decomposition& d, int ns)
@@ -28,9 +69,6 @@ public:
   const grid::DistField& field() const { return field_; }
   int ns() const { return field_.ns(); }
   int nranks() const { return field_.nranks(); }
-  std::int64_t global_size() const {
-    return field_.grid().zones() * field_.ns();
-  }
 
   /// y ← a·x + y   (DAXPY)
   void daxpy(ExecContext& ctx, double a, const DistVector& x);
@@ -90,10 +128,6 @@ public:
   std::uint64_t working_set(int rank, int arrays) const;
 
 private:
-  template <typename RowOp>
-  void for_each_row(ExecContext& ctx, compiler::KernelFamily family,
-                    const std::string& region, int arrays, RowOp&& op);
-
   grid::DistField field_;
 };
 

@@ -10,51 +10,25 @@ using compiler::KernelFamily;
 namespace {
 
 /// x ← x + ω·dinv ⊙ r   (the weighted-Jacobi correction, fused).
-void diag_correct(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
-                  DistVector& x, double omega) {
-  const auto& dec = x.field().decomp();
-  par_ranks(ctx, dec, [&](int rank, ExecContext& rctx) {
-    const grid::TileExtent& e = dec.extent(rank);
-    const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < x.ns(); ++s) {
-      grid::TileView dv = dinv.view(rank, s);
-      grid::TileView rv = r.field().view(rank, s);
-      grid::TileView xv = x.field().view(rank, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        diag_correct_row(rctx.vctx, omega,
-                         std::span<const double>(dv.row(lj), n),
-                         std::span<const double>(rv.row(lj), n),
-                         std::span<double>(xv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * x.ns();
-    rctx.commit(rank, KernelFamily::Precond, "mg-smooth", elements,
-                x.working_set(rank, 3));
-  });
+void diag_correct(ExecContext& ctx, const grid::DistField& dinv,
+                  const DistVector& r, DistVector& x, double omega) {
+  sweep_rows(ctx, KernelFamily::Precond, "mg-smooth",
+             {&dinv, &r.field(), &x.field()},
+             [omega](vla::Context& v, int, const auto& row, std::size_t n) {
+               diag_correct_row(v, omega, {row[0], n}, {row[1], n},
+                                {row[2], n});
+             });
 }
 
 /// z ← ω·dinv ⊙ r   (scaled diagonal application).
-void diag_scale(ExecContext& ctx, grid::DistField& dinv, DistVector& r,
-                DistVector& z, double omega) {
-  const auto& dec = z.field().decomp();
-  par_ranks(ctx, dec, [&](int rank, ExecContext& rctx) {
-    const grid::TileExtent& e = dec.extent(rank);
-    const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < z.ns(); ++s) {
-      grid::TileView dv = dinv.view(rank, s);
-      grid::TileView rv = r.field().view(rank, s);
-      grid::TileView zv = z.field().view(rank, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        diag_scale_row(rctx.vctx, omega,
-                       std::span<const double>(dv.row(lj), n),
-                       std::span<const double>(rv.row(lj), n),
-                       std::span<double>(zv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * z.ns();
-    rctx.commit(rank, KernelFamily::Precond, "mg-smooth", elements,
-                z.working_set(rank, 3));
-  });
+void diag_scale(ExecContext& ctx, const grid::DistField& dinv,
+                const DistVector& r, DistVector& z, double omega) {
+  sweep_rows(ctx, KernelFamily::Precond, "mg-smooth",
+             {&dinv, &r.field(), &z.field()},
+             [omega](vla::Context& v, int, const auto& row, std::size_t n) {
+               diag_scale_row(v, omega, {row[0], n}, {row[1], n},
+                              {row[2], n});
+             });
 }
 
 /// r ← b − A·x, attributed to the smoother.  When fused the subtraction

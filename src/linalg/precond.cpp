@@ -16,52 +16,69 @@ using compiler::KernelFamily;
 
 namespace {
 
-/// Shared fused apply+2-dot sweep for the diagonal preconditioners:
-/// y ← m ⊙ x with {x·y, x·x} folded in — and, when `update_q` is given,
-/// the residual DAXPY x ← x + update_a·q leading the sweep (the CG tail
-/// composite).  Per-rank exact partials (the same exact sums dot_ganged
-/// forms), one ganged allreduce for the pair.  Returns false without doing
-/// any work when not fused.
-bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
-                         DistVector& y, double out[2], double update_a,
-                         const DistVector* update_q) {
+/// Refresh the ghost zones of A's five coefficient fields — column k of A
+/// needs the neighbours' coefficients pointing back at k — and price the
+/// copies as one halo exchange.
+void exchange_coefficients(ExecContext& ctx, const StencilOperator& A) {
+  auto& a = const_cast<StencilOperator&>(A);
+  std::vector<mpisim::Transfer> transfers;
+  for (grid::DistField* f : {&a.cc(), &a.cw(), &a.ce(), &a.cs(), &a.cn()}) {
+    auto t = f->exchange_ghosts();
+    f->apply_bc(grid::BcKind::Dirichlet0);
+    transfers.insert(transfers.end(), t.begin(), t.end());
+  }
+  ctx.exchange(transfers, "mpi_halo");
+}
+
+}  // namespace
+
+// --- identity -----------------------------------------------------------------
+
+void IdentityPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
+  y.copy_from(ctx, x);
+}
+
+// --- diagonal -----------------------------------------------------------------
+
+DiagonalPrecond::DiagonalPrecond(const StencilOperator& A)
+    : m_(A.grid(), A.decomp(), A.ns(), 1) {}
+
+void DiagonalPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
+  sweep_rows(ctx, KernelFamily::Precond, "precond",
+             {&m_, &x.field(), &y.field()},
+             [](vla::Context& v, int, const auto& row, std::size_t n) {
+               hadamard(v, {row[0], n}, {row[1], n}, {row[2], n});
+             });
+}
+
+bool DiagonalPrecond::apply_dot2(ExecContext& ctx, DistVector& x,
+                                 DistVector& y, double out[2],
+                                 double update_a, const DistVector* update_q) {
   if (!ctx.fused()) return false;
-  const auto& dec = x.field().decomp();
-  const int nranks = dec.nranks();
-  auto* qv_vec = const_cast<DistVector*>(update_q);
+  // y ← m ⊙ x with {x·y, x·x} folded in — and, when `update_q` is given,
+  // the residual DAXPY x ← x + update_a·q leading the sweep (the CG tail
+  // composite).  Per-rank exact partials (the same exact sums dot_ganged
+  // forms), one ganged allreduce for the pair.
   std::vector<std::array<ExactSum, 2>> partial(
-      static_cast<std::size_t>(nranks));
-  par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = dec.extent(r);
-    const auto n = static_cast<std::size_t>(e.ni);
-    auto& acc = partial[static_cast<std::size_t>(r)];
-    for (int s = 0; s < x.ns(); ++s) {
-      grid::TileView xv = x.field().view(r, s);
-      grid::TileView yv = y.field().view(r, s);
-      grid::TileView mv = m.view(r, s);
-      grid::TileView qv =
-          qv_vec != nullptr ? qv_vec->field().view(r, s) : mv;
-      for (int lj = 0; lj < e.nj; ++lj) {
-        if (qv_vec != nullptr) {
-          fusion::hadamard_update_dot2(
-              rctx.vctx, std::span<const double>(mv.row(lj), n), update_a,
-              std::span<const double>(qv.row(lj), n),
-              std::span<double>(xv.row(lj), n),
-              std::span<double>(yv.row(lj), n), acc[0], acc[1]);
-        } else {
-          fusion::hadamard_dot2(rctx.vctx,
-                                std::span<const double>(mv.row(lj), n),
-                                std::span<const double>(xv.row(lj), n),
-                                std::span<double>(yv.row(lj), n), acc[0],
-                                acc[1]);
-        }
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * x.ns();
-    rctx.commit(r, KernelFamily::Precond, "precond-dot", elements,
-                x.working_set(r, qv_vec != nullptr ? 4 : 3));
-  });
-  // One ganged allreduce for the {x·y, x·x} pair, as in dot_ganged.
+      static_cast<std::size_t>(x.nranks()));
+  if (update_q != nullptr) {
+    sweep_rows(ctx, KernelFamily::Precond, "precond-dot",
+               {&m_, &update_q->field(), &x.field(), &y.field()},
+               [&](vla::Context& v, int r, const auto& row, std::size_t n) {
+                 auto& acc = partial[static_cast<std::size_t>(r)];
+                 fusion::hadamard_update_dot2(v, {row[0], n}, update_a,
+                                              {row[1], n}, {row[2], n},
+                                              {row[3], n}, acc[0], acc[1]);
+               });
+  } else {
+    sweep_rows(ctx, KernelFamily::Precond, "precond-dot",
+               {&m_, &x.field(), &y.field()},
+               [&](vla::Context& v, int r, const auto& row, std::size_t n) {
+                 auto& acc = partial[static_cast<std::size_t>(r)];
+                 fusion::hadamard_dot2(v, {row[0], n}, {row[1], n},
+                                       {row[2], n}, acc[0], acc[1]);
+               });
+  }
   ctx.allreduce(2 * sizeof(double));
   ExactSum xy, xx;
   for (const auto& p : partial) {
@@ -73,91 +90,34 @@ bool diagonal_apply_dot2(ExecContext& ctx, grid::DistField& m, DistVector& x,
   return true;
 }
 
-}  // namespace
-
-// --- identity -----------------------------------------------------------------
-
-void IdentityPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  y.copy_from(ctx, x);
-}
-
 // --- Jacobi --------------------------------------------------------------------
 
 JacobiPrecond::JacobiPrecond(ExecContext& ctx, const StencilOperator& A)
-    : dinv_(A.grid(), A.decomp(), A.ns(), 1) {
-  auto& cc = const_cast<StencilOperator&>(A).cc();
-  par_ranks(ctx, A.decomp(), [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = A.decomp().extent(r);
-    for (int s = 0; s < A.ns(); ++s) {
-      grid::TileView c = cc.view(r, s);
-      grid::TileView d = dinv_.view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        const vla::VReg ones = rctx.vctx.dup(1.0);
-        vla::strip_mine(rctx.vctx, static_cast<std::uint64_t>(e.ni),
-                        [&](std::uint64_t i, const vla::Predicate& p) {
-                          const vla::VReg vc = rctx.vctx.ld1(p, c.row(lj) + i);
-                          rctx.vctx.st1(p, d.row(lj) + i,
-                                        rctx.vctx.div(p, ones, vc));
-                        });
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * A.ns();
-    rctx.commit(r, KernelFamily::PrecondBuild, "precond-build", elements,
-                2 * elements * sizeof(double));
-  });
-}
-
-void JacobiPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  const auto& dec = x.field().decomp();
-  par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = dec.extent(r);
-    const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < x.ns(); ++s) {
-      grid::TileView xv = x.field().view(r, s);
-      grid::TileView yv = y.field().view(r, s);
-      grid::TileView dv = dinv_.view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        hadamard(rctx.vctx, std::span<const double>(dv.row(lj), n),
-                 std::span<const double>(xv.row(lj), n),
-                 std::span<double>(yv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * x.ns();
-    rctx.commit(r, KernelFamily::Precond, "precond", elements,
-                x.working_set(r, 3));
-  });
-}
-
-bool JacobiPrecond::apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
-                               double out[2], double update_a,
-                               const DistVector* update_q) {
-  return diagonal_apply_dot2(ctx, dinv_, x, y, out, update_a, update_q);
+    : DiagonalPrecond(A) {
+  sweep_rows(ctx, KernelFamily::PrecondBuild, "precond-build",
+             {&A.cc(), &m_},
+             [](vla::Context& v, int, const auto& row, std::size_t n) {
+               const vla::VReg ones = v.dup(1.0);
+               vla::strip_mine(v, n,
+                               [&](std::uint64_t i, const vla::Predicate& p) {
+                                 const vla::VReg vc = v.ld1(p, row[0] + i);
+                                 v.st1(p, row[1] + i, v.div(p, ones, vc));
+                               });
+             });
 }
 
 // --- SPAI(0) --------------------------------------------------------------------
 
 Spai0Precond::Spai0Precond(ExecContext& ctx, const StencilOperator& A)
-    : m_(A.grid(), A.decomp(), A.ns(), 1) {
-  auto& mutableA = const_cast<StencilOperator&>(A);
-  // Column k of A needs the neighbours' coefficients pointing back at k.
-  std::vector<mpisim::Transfer> transfers;
-  for (grid::DistField* f : {&mutableA.cc(), &mutableA.cw(), &mutableA.ce(),
-                             &mutableA.cs(), &mutableA.cn()}) {
-    auto t = f->exchange_ghosts();
-    f->apply_bc(grid::BcKind::Dirichlet0);
-    transfers.insert(transfers.end(), t.begin(), t.end());
-  }
-  ctx.exchange(transfers, "mpi_halo");
-
+    : DiagonalPrecond(A) {
+  exchange_coefficients(ctx, A);
   const auto& dec = A.decomp();
   par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec.extent(r);
     for (int s = 0; s < A.ns(); ++s) {
-      grid::TileView cc = mutableA.cc().view(r, s);
-      grid::TileView cw = mutableA.cw().view(r, s);
-      grid::TileView ce = mutableA.ce().view(r, s);
-      grid::TileView cs = mutableA.cs().view(r, s);
-      grid::TileView cn = mutableA.cn().view(r, s);
+      const grid::TileView cc = A.cc().view(r, s), cw = A.cw().view(r, s),
+                           ce = A.ce().view(r, s), cs = A.cs().view(r, s),
+                           cn = A.cn().view(r, s);
       grid::TileView mv = m_.view(r, s);
       for (int lj = 0; lj < e.nj; ++lj) {
         for (int li = 0; li < e.ni; ++li) {
@@ -177,33 +137,6 @@ Spai0Precond::Spai0Precond(ExecContext& ctx, const StencilOperator& A)
     rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "precond-build",
                           elements, 12, 40, 8, elements * 48);
   });
-}
-
-void Spai0Precond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  const auto& dec = x.field().decomp();
-  par_ranks(ctx, dec, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = dec.extent(r);
-    const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < x.ns(); ++s) {
-      grid::TileView xv = x.field().view(r, s);
-      grid::TileView yv = y.field().view(r, s);
-      grid::TileView mv = m_.view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        hadamard(rctx.vctx, std::span<const double>(mv.row(lj), n),
-                 std::span<const double>(xv.row(lj), n),
-                 std::span<double>(yv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * x.ns();
-    rctx.commit(r, KernelFamily::Precond, "precond", elements,
-                x.working_set(r, 3));
-  });
-}
-
-bool Spai0Precond::apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
-                              double out[2], double update_a,
-                              const DistVector* update_q) {
-  return diagonal_apply_dot2(ctx, m_, x, y, out, update_a, update_q);
 }
 
 // --- SPAI(1) --------------------------------------------------------------------
@@ -246,16 +179,8 @@ bool cholesky_solve(std::array<std::array<double, 5>, 5>& G,
 
 SpaiPrecond::SpaiPrecond(ExecContext& ctx, const StencilOperator& A)
     : m_(A.grid(), A.decomp(), A.ns()) {
-  auto& mutableA = const_cast<StencilOperator&>(A);
   // Neighbour coefficients are needed across tile interfaces.
-  std::vector<mpisim::Transfer> transfers;
-  for (grid::DistField* f : {&mutableA.cc(), &mutableA.cw(), &mutableA.ce(),
-                             &mutableA.cs(), &mutableA.cn()}) {
-    auto t = f->exchange_ghosts();
-    f->apply_bc(grid::BcKind::Dirichlet0);
-    transfers.insert(transfers.end(), t.begin(), t.end());
-  }
-  ctx.exchange(transfers, "mpi_halo");
+  exchange_coefficients(ctx, A);
 
   const grid::Grid2D& g = A.grid();
   const auto& dec = A.decomp();
@@ -271,11 +196,9 @@ SpaiPrecond::SpaiPrecond(ExecContext& ctx, const StencilOperator& A)
   for (int r = 0; r < dec.nranks(); ++r) {
     const grid::TileExtent& e = dec.extent(r);
     for (int s = 0; s < A.ns(); ++s) {
-      grid::TileView cc = mutableA.cc().view(r, s);
-      grid::TileView cw = mutableA.cw().view(r, s);
-      grid::TileView ce = mutableA.ce().view(r, s);
-      grid::TileView cs = mutableA.cs().view(r, s);
-      grid::TileView cn = mutableA.cn().view(r, s);
+      const grid::TileView cc = A.cc().view(r, s), cw = A.cw().view(r, s),
+                           ce = A.ce().view(r, s), cs = A.cs().view(r, s),
+                           cn = A.cn().view(r, s);
       for (int lj = 0; lj < e.nj; ++lj) {
         for (int li = 0; li < e.ni; ++li) {
           const int gi = e.i0 + li, gj = e.j0 + lj;

@@ -9,6 +9,8 @@
 /// parallel, no triangular solves, and its application is just another
 /// stencil sweep (which is why the paper sees SVE speedup in it).
 /// Jacobi and identity are included as baselines for the ablation bench.
+/// Jacobi and SPAI(0) differ only in how they build their diagonal; both
+/// apply it through DiagonalPrecond, whose sweeps are sweep_rows calls.
 
 #include <memory>
 #include <string>
@@ -34,9 +36,9 @@ public:
   /// *without doing any work* when there is no fused form to run — this
   /// default (stencil-shaped or multilevel M), or any M under
   /// FuseMode::Off; callers then run the unfused kernel chain, which is
-  /// the off lowering.  The diagonal preconditioners (Jacobi, SPAI(0))
-  /// override it with the fused sweep, run under FuseMode::Plan; results
-  /// are bit-identical to the unfused sequence.
+  /// the off lowering.  DiagonalPrecond overrides it with the fused
+  /// sweep, run under FuseMode::Plan; results are bit-identical to the
+  /// unfused sequence.
   virtual bool apply_dot2(ExecContext& /*ctx*/, DistVector& /*x*/,
                           DistVector& /*y*/, double /*out*/[2],
                           double /*update_a*/ = 0.0,
@@ -54,20 +56,31 @@ public:
   std::string name() const override { return "identity"; }
 };
 
-/// M = diag(A)⁻¹.
-class JacobiPrecond final : public Preconditioner {
+/// M = diag(m), a stored diagonal: apply is y ← m ⊙ x ("precond"), and
+/// the fused apply_dot2 folds {x·y, x·x} (and the optional residual
+/// update) into the same sweep ("precond-dot").  Subclasses only build m.
+class DiagonalPrecond : public Preconditioner {
 public:
-  /// Build from the operator's diagonal; `ctx` prices the build.
-  JacobiPrecond(ExecContext& ctx, const StencilOperator& A);
-
   void apply(ExecContext& ctx, DistVector& x, DistVector& y) override;
   bool apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
                   double out[2], double update_a = 0.0,
                   const DistVector* update_q = nullptr) override;
-  std::string name() const override { return "jacobi"; }
 
-private:
-  grid::DistField dinv_;
+  const grid::DistField& diagonal() const { return m_; }
+
+protected:
+  /// Allocates m with A's shape; the subclass constructor fills it.
+  explicit DiagonalPrecond(const StencilOperator& A);
+
+  grid::DistField m_;
+};
+
+/// M = diag(A)⁻¹.
+class JacobiPrecond final : public DiagonalPrecond {
+public:
+  /// Build from the operator's diagonal; `ctx` prices the build.
+  JacobiPrecond(ExecContext& ctx, const StencilOperator& A);
+  std::string name() const override { return "jacobi"; }
 };
 
 /// Diagonal-pattern sparse approximate inverse — SPAI(0).  Column k is
@@ -77,20 +90,10 @@ private:
 /// is V2D's production preconditioner profile: its application is a
 /// pointwise multiply, an order of magnitude cheaper than the matvec,
 /// matching the paper's 14 s preconditioning vs 141 s matvec split.
-class Spai0Precond final : public Preconditioner {
+class Spai0Precond final : public DiagonalPrecond {
 public:
   Spai0Precond(ExecContext& ctx, const StencilOperator& A);
-
-  void apply(ExecContext& ctx, DistVector& x, DistVector& y) override;
-  bool apply_dot2(ExecContext& ctx, DistVector& x, DistVector& y,
-                  double out[2], double update_a = 0.0,
-                  const DistVector* update_q = nullptr) override;
   std::string name() const override { return "spai0"; }
-
-  const grid::DistField& diagonal() const { return m_; }
-
-private:
-  grid::DistField m_;
 };
 
 /// Stencil-pattern sparse approximate inverse — SPAI(1): column m_k

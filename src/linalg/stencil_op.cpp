@@ -66,8 +66,45 @@ void StencilOperator::apply(ExecContext& ctx, DistVector& x,
 void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
                                KernelFamily family,
                                const std::string& region) const {
-  V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_, "species count mismatch");
+  sweep(ctx, x, y, nullptr, nullptr, nullptr, family, region);
+}
 
+double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
+                                  DistVector& y, const DistVector* w) const {
+  if (!ctx.fused()) {
+    apply(ctx, x, y);
+    return DistVector::dot(ctx, w != nullptr ? *w : x, y);
+  }
+  ExactSum dot;
+  sweep(ctx, x, y, nullptr, w, &dot, KernelFamily::Matvec, "matvec-dot");
+  return dot.value();
+}
+
+void StencilOperator::apply_residual(ExecContext& ctx, DistVector& x,
+                                     const DistVector& b, DistVector& r) const {
+  apply_residual_as(ctx, x, b, r, KernelFamily::Matvec,
+                    ctx.fused() ? "matvec-residual" : "matvec");
+}
+
+void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
+                                        const DistVector& b, DistVector& r,
+                                        KernelFamily family,
+                                        const std::string& region) const {
+  if (ctx.fused()) {
+    sweep(ctx, x, r, &b, nullptr, nullptr, family, region);
+    return;
+  }
+  apply_as(ctx, x, r, family, region);
+  r.assign_sub(ctx, b, r);
+}
+
+void StencilOperator::sweep(ExecContext& ctx, DistVector& x, DistVector& y,
+                            const DistVector* b, const DistVector* w,
+                            ExactSum* dot, KernelFamily family,
+                            const std::string& region) const {
+  V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_ &&
+                  (b == nullptr || b->ns() == ns_),
+              "species count mismatch");
   // The halo exchange is part of the matrix-free product.
   grid::DistField& xf = x.field();
   const auto transfers = xf.exchange_ghosts();
@@ -75,32 +112,56 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
   ctx.exchange(transfers);
 
   auto* self = const_cast<StencilOperator*>(this);
+  auto* bf = b != nullptr ? &const_cast<DistVector*>(b)->field() : nullptr;
+  auto* wf = w != nullptr ? &const_cast<DistVector*>(w)->field() : nullptr;
+  const bool fused = b != nullptr || dot != nullptr;
+  // Per-rank exact partials of the dot, merged below — the same exact sum
+  // dot_ganged forms, so the result is bit-identical to the unfused
+  // apply() + dot() and independent of the tiling and host-thread count.
+  std::vector<ExactSum> partial(
+      dot != nullptr ? static_cast<std::size_t>(dec_->nranks()) : 0);
   par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec_->extent(r);
     const auto n = static_cast<std::size_t>(e.ni);
+    ExactSum* acc = dot != nullptr ? &partial[static_cast<std::size_t>(r)]
+                                   : nullptr;
     for (int s = 0; s < ns_; ++s) {
-      grid::TileView xv = xf.view(r, s);
-      grid::TileView yv = y.field().view(r, s);
-      grid::TileView vcc = self->cc_.view(r, s);
-      grid::TileView vcw = self->cw_.view(r, s);
-      grid::TileView vce = self->ce_.view(r, s);
-      grid::TileView vcs = self->cs_.view(r, s);
-      grid::TileView vcn = self->cn_.view(r, s);
+      grid::TileView xv = xf.view(r, s), yv = y.field().view(r, s);
+      grid::TileView cc = self->cc_.view(r, s), cw = self->cw_.view(r, s),
+                     ce = self->ce_.view(r, s), cs = self->cs_.view(r, s),
+                     cn = self->cn_.view(r, s);
+      // Coupling band: csp and the other species' x; residual b; dot w.
+      grid::TileView sp, xo, bv, wv = xv;
+      if (csp_) {
+        sp = self->csp_->view(r, s);
+        xo = xf.view(r, 1 - s);
+      }
+      if (bf != nullptr) bv = bf->view(r, s);
+      if (wf != nullptr) wv = wf->view(r, s);
+      auto in = [n](grid::TileView& v, int lj) {
+        return std::span<const double>(v.row(lj), n);
+      };
+      if (fused) {
+        for (int lj = 0; lj < e.nj; ++lj) {
+          fusion::stencil_row_fused(
+              rctx.vctx, in(cc, lj), in(cw, lj), in(ce, lj), in(cs, lj),
+              in(cn, lj), xv.row(lj), xv.row(lj - 1), xv.row(lj + 1),
+              csp_ ? sp.row(lj) : nullptr, csp_ ? xo.row(lj) : nullptr,
+              bf != nullptr ? bv.row(lj) : nullptr,
+              acc != nullptr ? wv.row(lj) : nullptr, acc,
+              std::span<double>(yv.row(lj), n));
+        }
+        continue;
+      }
       for (int lj = 0; lj < e.nj; ++lj) {
-        stencil_row(rctx.vctx, std::span<const double>(vcc.row(lj), n),
-                    std::span<const double>(vcw.row(lj), n),
-                    std::span<const double>(vce.row(lj), n),
-                    std::span<const double>(vcs.row(lj), n),
-                    std::span<const double>(vcn.row(lj), n), xv.row(lj),
-                    xv.row(lj - 1), xv.row(lj + 1),
+        stencil_row(rctx.vctx, in(cc, lj), in(cw, lj), in(ce, lj), in(cs, lj),
+                    in(cn, lj), xv.row(lj), xv.row(lj - 1), xv.row(lj + 1),
                     std::span<double>(yv.row(lj), n));
       }
       if (csp_) {
-        grid::TileView vsp = self->csp_->view(r, s);
-        grid::TileView xo = xf.view(r, 1 - s);
         for (int lj = 0; lj < e.nj; ++lj) {
-          coupling_row(rctx.vctx, std::span<const double>(vsp.row(lj), n),
-                       xo.row(lj), std::span<double>(yv.row(lj), n));
+          coupling_row(rctx.vctx, in(sp, lj), xo.row(lj),
+                       std::span<double>(yv.row(lj), n));
         }
       }
     }
@@ -115,152 +176,19 @@ void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
       rctx.vctx.record_external(sim::OpClass::FlopFma,
                                 elements * eval_flops_ / 2, 0, 0);
     }
-    // Working set: x (with ghosts), y, five coefficient arrays (+coupling).
-    // The on-the-fly evaluation's table/state reads revisit the same zones
-    // every sweep, so they add traffic (bytes_moved) but not footprint.
-    const int arrays = 7 + (csp_ ? 1 : 0);
+    // Working set: x (with ghosts), y, five coefficient arrays, plus the
+    // coupling, b and a distinct w when present; the dot itself streams
+    // nothing extra.  The on-the-fly evaluation's table/state reads
+    // revisit the same zones every sweep, so they add traffic
+    // (bytes_moved) but not footprint.
+    const int arrays = 7 + (csp_ ? 1 : 0) + (b != nullptr ? 1 : 0) +
+                       (w != nullptr ? 1 : 0);
     rctx.commit(r, family, region, elements, y.working_set(r, arrays));
   });
-}
-
-double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
-                                  DistVector& y, const DistVector* w) const {
-  if (!ctx.fused()) return LinearOperator::apply_dot(ctx, x, y, w);
-  V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_, "species count mismatch");
-  grid::DistField& xf = x.field();
-  const auto transfers = xf.exchange_ghosts();
-  xf.apply_bc(grid::BcKind::Dirichlet0);
-  ctx.exchange(transfers);
-
-  auto* self = const_cast<StencilOperator*>(this);
-  auto* wv = const_cast<DistVector*>(w);
-  const int nranks = dec_->nranks();
-  // Per-rank exact partials, merged below — the same exact sum dot_ganged
-  // forms, so the result is bit-identical to the unfused apply() + dot()
-  // and independent of the tiling and the host-thread count.
-  std::vector<ExactSum> partial(static_cast<std::size_t>(nranks));
-  par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = dec_->extent(r);
-    const auto n = static_cast<std::size_t>(e.ni);
-    ExactSum& acc = partial[static_cast<std::size_t>(r)];
-    for (int s = 0; s < ns_; ++s) {
-      grid::TileView xv = xf.view(r, s);
-      grid::TileView yv = y.field().view(r, s);
-      grid::TileView vcc = self->cc_.view(r, s);
-      grid::TileView vcw = self->cw_.view(r, s);
-      grid::TileView vce = self->ce_.view(r, s);
-      grid::TileView vcs = self->cs_.view(r, s);
-      grid::TileView vcn = self->cn_.view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        const double* csp_row = nullptr;
-        const double* xo_row = nullptr;
-        if (csp_) {
-          csp_row = self->csp_->view(r, s).row(lj);
-          xo_row = xf.view(r, 1 - s).row(lj);
-        }
-        const double* wrow =
-            wv != nullptr ? wv->field().view(r, s).row(lj) : xv.row(lj);
-        fusion::stencil_row_fused(
-            rctx.vctx, std::span<const double>(vcc.row(lj), n),
-            std::span<const double>(vcw.row(lj), n),
-            std::span<const double>(vce.row(lj), n),
-            std::span<const double>(vcs.row(lj), n),
-            std::span<const double>(vcn.row(lj), n), xv.row(lj),
-            xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
-            /*bsub=*/nullptr, wrow, &acc, std::span<double>(yv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
-    if (eval_doubles_read_ > 0 || eval_flops_ > 0) {
-      rctx.vctx.record_external(sim::OpClass::LoadContig,
-                                elements * eval_doubles_read_,
-                                elements * eval_doubles_read_ * sizeof(double),
-                                0);
-      rctx.vctx.record_external(sim::OpClass::FlopFma,
-                                elements * eval_flops_ / 2, 0, 0);
-    }
-    // Working set: the matvec's arrays plus w when it is a distinct
-    // vector; the dot itself streams nothing extra.
-    const int arrays = 7 + (csp_ ? 1 : 0) + (wv != nullptr ? 1 : 0);
-    rctx.commit(r, compiler::KernelFamily::Matvec, "matvec-dot", elements,
-                y.working_set(r, arrays));
-  });
+  if (dot == nullptr) return;
   // The folded dot still pays its single global reduction.
   ctx.allreduce(sizeof(double));
-  ExactSum total;
-  for (const ExactSum& p : partial) total.add(p);
-  return total.value();
-}
-
-void StencilOperator::apply_residual(ExecContext& ctx, DistVector& x,
-                                     const DistVector& b, DistVector& r) const {
-  if (!ctx.fused()) return LinearOperator::apply_residual(ctx, x, b, r);
-  apply_residual_as(ctx, x, b, r, KernelFamily::Matvec, "matvec-residual");
-}
-
-void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
-                                        const DistVector& b, DistVector& r,
-                                        KernelFamily family,
-                                        const std::string& region) const {
-  if (!ctx.fused()) {
-    apply_as(ctx, x, r, family, region);
-    r.assign_sub(ctx, b, r);
-    return;
-  }
-  V2D_REQUIRE(x.ns() == ns_ && b.ns() == ns_ && r.ns() == ns_,
-              "species count mismatch");
-  grid::DistField& xf = x.field();
-  const auto transfers = xf.exchange_ghosts();
-  xf.apply_bc(grid::BcKind::Dirichlet0);
-  ctx.exchange(transfers);
-
-  auto* self = const_cast<StencilOperator*>(this);
-  grid::DistField& bf = const_cast<DistVector&>(b).field();
-  par_ranks(ctx, *dec_, [&](int rank, ExecContext& rctx) {
-    const grid::TileExtent& e = dec_->extent(rank);
-    const auto n = static_cast<std::size_t>(e.ni);
-    for (int s = 0; s < ns_; ++s) {
-      grid::TileView xv = xf.view(rank, s);
-      grid::TileView bv = bf.view(rank, s);
-      grid::TileView rv = r.field().view(rank, s);
-      grid::TileView vcc = self->cc_.view(rank, s);
-      grid::TileView vcw = self->cw_.view(rank, s);
-      grid::TileView vce = self->ce_.view(rank, s);
-      grid::TileView vcs = self->cs_.view(rank, s);
-      grid::TileView vcn = self->cn_.view(rank, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        const double* csp_row = nullptr;
-        const double* xo_row = nullptr;
-        if (csp_) {
-          csp_row = self->csp_->view(rank, s).row(lj);
-          xo_row = xf.view(rank, 1 - s).row(lj);
-        }
-        fusion::stencil_row_fused(
-            rctx.vctx, std::span<const double>(vcc.row(lj), n),
-            std::span<const double>(vcw.row(lj), n),
-            std::span<const double>(vce.row(lj), n),
-            std::span<const double>(vcs.row(lj), n),
-            std::span<const double>(vcn.row(lj), n), xv.row(lj),
-            xv.row(lj - 1), xv.row(lj + 1), csp_row, xo_row,
-            /*bsub=*/bv.row(lj), /*wdot=*/nullptr, /*dot=*/nullptr,
-            std::span<double>(rv.row(lj), n));
-      }
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
-    if (eval_doubles_read_ > 0 || eval_flops_ > 0) {
-      rctx.vctx.record_external(sim::OpClass::LoadContig,
-                                elements * eval_doubles_read_,
-                                elements * eval_doubles_read_ * sizeof(double),
-                                0);
-      rctx.vctx.record_external(sim::OpClass::FlopFma,
-                                elements * eval_flops_ / 2, 0, 0);
-    }
-    // Working set: x (with ghosts), b, r, five coefficient arrays
-    // (+coupling) — one array more than the plain product, two passes
-    // fewer than the unfused apply + assign_sub.
-    const int arrays = 8 + (csp_ ? 1 : 0);
-    rctx.commit(rank, family, region, elements, r.working_set(rank, arrays));
-  });
+  for (const ExactSum& p : partial) dot->add(p);
 }
 
 BandedMatrix StencilOperator::assemble() const {

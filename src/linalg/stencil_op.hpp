@@ -2,8 +2,12 @@
 /// \file stencil_op.hpp
 /// \brief Matrix-free five-point (plus optional species-coupling) operator.
 ///
-/// The operator arising from the second-order finite-difference
-/// discretization of the multigroup diffusion equation:
+/// "Because of its prohibitive size, the sparse linear system matrix is
+/// never stored and the Krylov subspace methods are implemented in
+/// matrix-free form by application of a finite-difference operator to
+/// column vectors."  StencilOperator is that finite-difference operator,
+/// the one the Krylov solvers apply.  It arises from the second-order
+/// finite-difference discretization of the multigroup diffusion equation:
 ///
 ///   (A x)(s,i,j) = cc·x(s,i,j) + cw·x(s,i−1,j) + ce·x(s,i+1,j)
 ///                + cs·x(s,i,j−1) + cn·x(s,i,j+1)  [+ csp·x(ŝ,i,j)]
@@ -17,13 +21,23 @@
 /// With dictionary ordering (i fastest, then j, then species) the
 /// assembled matrix has bands {0, ±1, ±nx1} per species and ±nx1·nx2 for
 /// the coupling — exactly the Fig. 1 pattern.
+///
+/// Every product form (apply, apply_dot, apply_residual and their
+/// attributed variants) is one halo exchange plus one private sweep that
+/// fetches each operand's tile view once per (rank, species) and commits
+/// one priced call per rank.  Under FuseMode::Off the dot and residual
+/// forms run the plain product followed by the separate Table II kernel;
+/// under FuseMode::Plan they fold it into the sweep.
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "grid/dist_field.hpp"
 #include "linalg/banded.hpp"
-#include "linalg/operator.hpp"
+#include "linalg/dist_vector.hpp"
+#include "linalg/exec_context.hpp"
+#include "support/exact_sum.hpp"
 
 namespace v2d::linalg {
 
@@ -38,7 +52,7 @@ namespace v2d::linalg {
 inline constexpr std::uint64_t kMatvecEvalDoublesRead = 35;
 inline constexpr std::uint64_t kMatvecEvalFlops = 30;
 
-class StencilOperator final : public LinearOperator {
+class StencilOperator {
 public:
   StencilOperator(const grid::Grid2D& g, const grid::Decomposition& d, int ns);
 
@@ -81,28 +95,31 @@ public:
   }
   std::uint64_t evaluation_doubles_read() const { return eval_doubles_read_; }
 
-  void apply(ExecContext& ctx, DistVector& x, DistVector& y) const override;
+  /// y ← A·x ("matvec").  `x` is taken mutable because the product
+  /// refreshes its ghost zones (the halo exchange is part of the
+  /// matrix-free product).
+  void apply(ExecContext& ctx, DistVector& x, DistVector& y) const;
 
   /// Same product but attributed to a different kernel family/region —
   /// the SPAI preconditioner application reuses the stencil sweep.
   void apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
                 compiler::KernelFamily family, const std::string& region) const;
 
-  /// MATVEC+DPROD: y ← A·x returning w·y (w null ⇒ x·y).  When fused, the
+  /// MATVEC+DPROD: y ← A·x returning w·y (w null ⇒ x·y, the CG p·Ap
+  /// case), with the reduction priced as one allreduce.  When fused, the
   /// dot rides the stencil rows as one extra FMA (plus a load when w is a
   /// distinct vector), so neither w nor y is re-streamed: one kernel call
-  /// per rank ("matvec-dot") plus one allreduce, the same reduction count
-  /// as the unfused apply() + dot (LinearOperator's default, taken under
-  /// FuseMode::Off).  Bit-identical either way: the global value is the
-  /// same exact sum dot_ganged computes.
+  /// per rank ("matvec-dot").  Otherwise apply() + DistVector::dot.
+  /// Bit-identical either way: the global value is the same exact sum
+  /// dot_ganged computes.
   double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
-                   const DistVector* w = nullptr) const override;
+                   const DistVector* w = nullptr) const;
 
   /// Residual r ← b − A·x.  When fused, one sweep ("matvec-residual": the
   /// b load and subtraction replace the separate A·x write-back + SUB
-  /// pass); otherwise LinearOperator's apply() + assign_sub ("matvec").
+  /// pass); otherwise apply() + assign_sub ("matvec", then "sub").
   void apply_residual(ExecContext& ctx, DistVector& x, const DistVector& b,
-                      DistVector& r) const override;
+                      DistVector& r) const;
 
   /// Residual with explicit attribution (the multigrid smoother and V-cycle
   /// price their residuals under KernelFamily::Precond).  When not fused,
@@ -111,7 +128,8 @@ public:
                          DistVector& r, compiler::KernelFamily family,
                          const std::string& region) const;
 
-  std::int64_t size() const override {
+  /// Number of unknowns (ns · nx1 · nx2).
+  std::int64_t size() const {
     return grid_->zones() * static_cast<std::int64_t>(ns_);
   }
 
@@ -119,6 +137,16 @@ public:
   BandedMatrix assemble() const;
 
 private:
+  /// The one stencil sweep behind every product form: exchange x's halo,
+  /// then per rank run y ← A·x (stencil rows, then coupling rows) — or,
+  /// with `b`, y ← b − A·x, or with `dot`, y ← A·x and *dot += w·y
+  /// (w null ⇒ x), priced as one allreduce — as fused rows, and commit
+  /// one call.  Working set: x, y, five coefficients, plus the coupling,
+  /// b and a distinct w when present.
+  void sweep(ExecContext& ctx, DistVector& x, DistVector& y,
+             const DistVector* b, const DistVector* w, ExactSum* dot,
+             compiler::KernelFamily family, const std::string& region) const;
+
   const grid::Grid2D* grid_;
   const grid::Decomposition* dec_;
   int ns_;

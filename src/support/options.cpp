@@ -36,13 +36,17 @@ const Options::Spec& Options::require_spec(const std::string& name) const {
   return it->second;
 }
 
+namespace {
+bool is_help(const std::string& arg) { return arg == "--help" || arg == "-h"; }
+}  // namespace
+
 void Options::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      positional_.push_back(arg);
-      continue;
-    }
+    if (is_help(arg))
+      throw Error(arg + " is only accepted on a program's command line");
+    if (arg.rfind("--", 0) != 0)
+      throw Error("unexpected argument '" + arg + "' (options start with --)");
     arg = arg.substr(2);
     std::string value;
     bool has_value = false;
@@ -64,6 +68,19 @@ void Options::parse(int argc, const char* const* argv) {
     }
     spec.set = true;
   }
+}
+
+bool Options::parse_command_line(int argc, const char* const* argv,
+                                 const std::string& program,
+                                 std::ostream& out) {
+  for (int i = 1; i < argc; ++i) {
+    if (is_help(argv[i])) {
+      out << usage(program);
+      return false;
+    }
+  }
+  parse(argc, argv);
+  return true;
 }
 
 std::string Options::get(const std::string& name) const {
@@ -117,7 +134,10 @@ double Options::get_double(const std::string& name) const {
 }
 
 bool Options::get_bool(const std::string& name) const {
-  return get(name) == "1" || get(name) == "true";
+  const std::string v = get(name);
+  if (v == "1" || v == "true") return true;
+  if (v == "0" || v == "false") return false;
+  throw Error("option --" + name + " expects 1|true|0|false, got '" + v + "'");
 }
 
 bool Options::was_set(const std::string& name) const {
@@ -133,6 +153,7 @@ std::string Options::usage(const std::string& program) const {
     if (!s.is_flag) os << " <value>  (default: " << s.value << ")";
     os << "\n      " << s.help << "\n";
   }
+  os << "  --help, -h\n      print this usage and exit\n";
   return os.str();
 }
 

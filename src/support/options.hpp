@@ -3,10 +3,13 @@
 /// \brief Tiny declarative command-line parser used by benches and examples.
 ///
 /// Supports `--name value`, `--name=value` and boolean `--flag`.  Unknown
-/// options raise v2d::Error so typos in bench sweeps fail loudly.
+/// options and stray arguments raise v2d::Error so typos in bench sweeps
+/// fail loudly.  A program's command line also answers `--help` and `-h`
+/// (parse_command_line); a job line or any other parse() rejects them.
 
 #include <concepts>
 #include <functional>
+#include <iostream>
 #include <map>
 #include <string>
 #include <utility>
@@ -21,8 +24,16 @@ public:
                const std::string& help);
   Options& add_flag(const std::string& name, const std::string& help);
 
-  /// Parse argv; throws v2d::Error on unknown option or missing value.
+  /// Parse argv; throws v2d::Error on an unknown option, a missing value,
+  /// an argument that is not an option, or a help request.
   void parse(int argc, const char* const* argv);
+
+  /// Parse a program's command line.  When any argument is `--help` or
+  /// `-h`, print usage(program) to `out` and return false without parsing
+  /// anything (the caller then exits 0); otherwise parse() and return true.
+  bool parse_command_line(int argc, const char* const* argv,
+                          const std::string& program,
+                          std::ostream& out = std::cout);
 
   /// Typed getters (throw if the option was never registered).
   std::string get(const std::string& name) const;
@@ -46,12 +57,11 @@ public:
   /// Finite number; throws v2d::Error naming the option for anything else,
   /// including NaN, ±Inf and values strtod reports out of range.
   double get_double(const std::string& name) const;
+  /// `1`/`true` or `0`/`false`; throws v2d::Error naming the option for
+  /// anything else, so `--ganged on` cannot silently read as false.
   bool get_bool(const std::string& name) const;
 
   bool was_set(const std::string& name) const;
-
-  /// Positional arguments left over after option parsing.
-  const std::vector<std::string>& positional() const { return positional_; }
 
   /// Render a --help style usage block.
   std::string usage(const std::string& program) const;
@@ -78,7 +88,6 @@ private:
 
   std::map<std::string, Spec> specs_;
   std::vector<std::string> order_;
-  std::vector<std::string> positional_;
 };
 
 }  // namespace v2d

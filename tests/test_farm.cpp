@@ -294,6 +294,12 @@ TEST(FarmJobFile, ParsesNamesAndOptions) {
 
   EXPECT_THROW(farm::parse_job_line("--no-such-option 3", "x"), Error);
   EXPECT_THROW(farm::parse_job_line("name-only:", "x"), Error);
+  // A job line cannot ask for help, carry a stray argument or spell a
+  // boolean the reader does not know.
+  EXPECT_THROW(farm::parse_job_line("a: --steps 2 --help", "x"), Error);
+  EXPECT_THROW(farm::parse_job_line("a: -h", "x"), Error);
+  EXPECT_THROW(farm::parse_job_line("a: --steps 2 stray", "x"), Error);
+  EXPECT_THROW(farm::parse_job_line("a: --ganged on", "x"), Error);
   // 4294967297 steps must not wrap to a 1-step job.
   EXPECT_THROW(
       farm::parse_job_line("a: --steps 4294967297 --nx1 32 --nx2 32", "x"),

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
 #include <vector>
 
 #include "support/error.hpp"
@@ -53,18 +54,84 @@ TEST(Options, DefaultsAndTypes) {
   EXPECT_FALSE(o.was_set("alpha"));
 }
 
+TEST(Options, BoolAcceptsOnlyKnownSpellings) {
+  for (const char* yes : {"1", "true"}) {
+    Options o;
+    o.add("ganged", "0", "");
+    const char* argv[] = {"prog", "--ganged", yes};
+    o.parse(3, argv);
+    EXPECT_TRUE(o.get_bool("ganged")) << yes;
+  }
+  for (const char* no : {"0", "false"}) {
+    Options o;
+    o.add("ganged", "1", "");
+    const char* argv[] = {"prog", "--ganged", no};
+    o.parse(3, argv);
+    EXPECT_FALSE(o.get_bool("ganged")) << no;
+  }
+  // Anything else is an error naming the option, never a silent false.
+  for (const char* bad : {"on", "yes", "2"}) {
+    Options o;
+    o.add("ganged", "1", "");
+    const char* argv[] = {"prog", "--ganged", bad};
+    o.parse(3, argv);
+    try {
+      (void)o.get_bool("ganged");
+      ADD_FAILURE() << "accepted --ganged " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("--ganged"), std::string::npos)
+          << bad;
+    }
+  }
+}
+
 TEST(Options, ParseBothSyntaxes) {
   Options o;
   o.add("alpha", "0", "").add("beta", "0", "");
   o.add_flag("flag", "");
-  const char* argv[] = {"prog", "--alpha", "3", "--beta=4", "--flag", "pos"};
-  o.parse(6, argv);
+  const char* argv[] = {"prog", "--alpha", "3", "--beta=4", "--flag"};
+  o.parse(5, argv);
   EXPECT_EQ(o.get_int("alpha"), 3);
   EXPECT_EQ(o.get_int("beta"), 4);
   EXPECT_TRUE(o.get_bool("flag"));
-  ASSERT_EQ(o.positional().size(), 1u);
-  EXPECT_EQ(o.positional()[0], "pos");
   EXPECT_TRUE(o.was_set("alpha"));
+  // No program reads a positional argument, so a stray one is an error
+  // (`v2d --steps 5 10` must not run 5 steps).
+  Options p;
+  p.add("alpha", "0", "");
+  const char* pargv[] = {"prog", "--alpha", "3", "pos"};
+  try {
+    p.parse(4, pargv);
+    ADD_FAILURE() << "accepted a positional argument";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'pos'"), std::string::npos);
+  }
+}
+
+TEST(Options, HelpPrintsUsageOnlyOnACommandLine) {
+  for (const char* help : {"--help", "-h"}) {
+    Options o;
+    o.add("alpha", "0", "the alpha value");
+    // Help wins wherever it sits, even after a bad argument.
+    const char* argv[] = {"prog", "--alpha", "3", "stray", help};
+    std::ostringstream out;
+    EXPECT_FALSE(o.parse_command_line(5, argv, "prog", out)) << help;
+    EXPECT_EQ(out.str().rfind("usage: prog", 0), 0u) << help;
+    EXPECT_NE(out.str().find("the alpha value"), std::string::npos) << help;
+    EXPECT_FALSE(o.was_set("alpha")) << help;
+    // Anywhere else (a farm job line) help is an error, with no output.
+    Options j;
+    j.add("alpha", "0", "");
+    const char* jargv[] = {"job", help};
+    EXPECT_THROW(j.parse(2, jargv), Error) << help;
+  }
+  Options o;
+  o.add("alpha", "0", "");
+  const char* argv[] = {"prog", "--alpha", "3"};
+  std::ostringstream out;
+  EXPECT_TRUE(o.parse_command_line(3, argv, "prog", out));
+  EXPECT_TRUE(out.str().empty());
+  EXPECT_EQ(o.get_int("alpha"), 3);
 }
 
 TEST(Options, UnknownOptionThrows) {
@@ -153,6 +220,7 @@ TEST(Options, UsageListsEverything) {
   EXPECT_NE(u.find("--alpha"), std::string::npos);
   EXPECT_NE(u.find("--quiet"), std::string::npos);
   EXPECT_NE(u.find("the alpha value"), std::string::npos);
+  EXPECT_NE(u.find("--help"), std::string::npos);
 }
 
 // --- table ------------------------------------------------------------------
