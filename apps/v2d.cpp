@@ -16,9 +16,9 @@
 ///
 /// `--farm jobs.txt` runs a whole job list through one process (see
 /// farm/job_file.hpp for the format): every line is a full v2d command
-/// line, all jobs share the warm caches and the host pool, and the run
-/// ends with a per-job table plus aggregate throughput.  Exit status is
-/// nonzero when any job failed.
+/// line, each job runs as its own session and all of them share the host
+/// pool, and the run ends with a per-job table plus aggregate throughput.
+/// Exit status is nonzero when any job failed.
 
 #include <cstddef>
 #include <exception>
@@ -91,8 +91,8 @@ int run_farm(const std::string& job_path, const v2d::Options& opt) {
       std::cout << "  " << resilience::format_event(ev) << '\n';
   }
 
-  // Aggregate throughput + shared-runtime effectiveness.  The memo line
-  // is the *process-wide* total (all fork families and farm prototypes).
+  // Aggregate throughput.  The memo line is the *process-wide* total
+  // (every session's fork family).
   const perfmon::MemoCacheStats memo{vla::process_memo_hits(),
                                      vla::process_memo_misses()};
   std::cout << "\nfarm summary:\n"
@@ -105,11 +105,7 @@ int run_farm(const std::string& job_path, const v2d::Options& opt) {
             << " waves\n"
             << "  steps:     " << sum.scenario_steps << " scenario-steps ("
             << TableWriter::num(sum.steps_per_sec, 1) << " steps/s)\n"
-            << "  " << perfmon::format_memo_cache(memo) << '\n'
-            << "  price memo: " << sum.price_hits << " hits, "
-            << sum.price_misses << " misses\n"
-            << "  workspaces: " << sum.workspaces_created << " created, "
-            << sum.workspaces_reused << " reused\n";
+            << "  " << perfmon::format_memo_cache(memo) << '\n';
   return sum.failed == 0 ? 0 : 1;
 }
 

@@ -2,10 +2,9 @@
 /// \brief Farm throughput: batched multi-scenario pricing vs a serial loop.
 ///
 /// The farm's claim is pure throughput: running N jobs through one
-/// FarmScheduler — shared count/price memos, pooled scratch, wave
-/// scheduling across the host pool — prices more scenario-steps per
-/// second than running the same N jobs back-to-back as independent solo
-/// sessions, while every job's fields and simulated clocks stay
+/// FarmScheduler — solo sessions stepped in waves across the host pool —
+/// prices more scenario-steps per second than running the same N jobs
+/// back-to-back, while every job's fields and simulated clocks stay
 /// bit-identical to its solo run (re-verified here on every row).
 ///
 /// Jobs are single-rank by default: a solo 1-rank session cannot use host
@@ -63,9 +62,6 @@ struct Result {
   double sim_elapsed_s = 0.0;  // job 0, profile 0 — deterministic
   bool identical = true;
   std::uint64_t memo_hits = 0;
-  std::uint64_t price_hits = 0;
-  std::size_t workspaces_created = 0;
-  std::uint64_t workspaces_reused = 0;
   std::string speedup_gate = "n/a";
 };
 
@@ -87,16 +83,13 @@ void write_json(const std::string& path, const std::vector<Result>& results,
         "\"farm_seconds\": %.6f, \"speedup\": %.3f, "
         "\"steps_per_sec_serial\": %.2f, \"steps_per_sec_farm\": %.2f, "
         "\"sim_elapsed_s\": %.6f, \"identical\": %s, "
-        "\"memo_hits\": %llu, \"price_hits\": %llu, "
-        "\"workspaces_created\": %zu, \"workspaces_reused\": %llu, "
+        "\"memo_hits\": %llu, "
         "\"nx1\": %d, \"nx2\": %d, \"steps\": %d, \"host_cores\": %d, "
         "\"speedup_gate\": \"%s\"}%s\n",
         r.jobs, r.serial_seconds, r.farm_seconds, r.speedup,
         r.steps_per_sec_serial, r.steps_per_sec_farm, r.sim_elapsed_s,
         r.identical ? "true" : "false",
-        static_cast<unsigned long long>(r.memo_hits),
-        static_cast<unsigned long long>(r.price_hits), r.workspaces_created,
-        static_cast<unsigned long long>(r.workspaces_reused), nx1, nx2, steps,
+        static_cast<unsigned long long>(r.memo_hits), nx1, nx2, steps,
         host_cores, r.speedup_gate.c_str(),
         i + 1 < results.size() ? "," : "");
     os << buf;
@@ -149,8 +142,7 @@ int main(int argc, char** argv) try {
     std::vector<Capture> farmed(static_cast<std::size_t>(njobs));
 
     for (int rep = 0; rep < repeats; ++rep) {
-      // The status quo: N independent back-to-back sessions, each paying
-      // its own context, pricing and workspace setup from cold.
+      // The status quo: N independent back-to-back sessions.
       {
         const auto t0 = std::chrono::steady_clock::now();
         for (int j = 0; j < njobs; ++j) {
@@ -163,7 +155,7 @@ int main(int argc, char** argv) try {
         if (s < r.serial_seconds) r.serial_seconds = s;
       }
 
-      // The farm: same N jobs, one scheduler, shared warm runtime.
+      // The farm: same N jobs, one scheduler, sessions stepped in waves.
       {
         farm::FarmOptions fopt;
         fopt.host_threads = 0;
@@ -185,9 +177,6 @@ int main(int argc, char** argv) try {
         if (s < r.farm_seconds) {
           r.farm_seconds = s;
           r.memo_hits = sum.memo_hits;
-          r.price_hits = sum.price_hits;
-          r.workspaces_created = sum.workspaces_created;
-          r.workspaces_reused = sum.workspaces_reused;
         }
       }
 

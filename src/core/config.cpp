@@ -10,6 +10,20 @@
 
 namespace v2d::core {
 
+namespace {
+
+/// An integer option whose zero has a meaning but whose negatives have
+/// none (a step count, a cadence, a thread count).
+int non_negative(const Options& opt, const std::string& name) {
+  const int v = opt.get_int<int>(name);
+  if (v < 0)
+    throw Error("option --" + name + " must be >= 0, got " +
+                std::to_string(v));
+  return v;
+}
+
+}  // namespace
+
 void RunConfig::register_options(Options& opt) {
   opt.add("problem", "gaussian-pulse",
           "problem name (see --list-problems / the ScenarioRegistry)");
@@ -75,7 +89,7 @@ RunConfig RunConfig::from_options(const Options& opt) {
   c.nx1 = opt.get_int<int>("nx1");
   c.nx2 = opt.get_int<int>("nx2");
   c.ns = opt.get_int<int>("ns");
-  c.steps = opt.get_int<int>("steps");
+  c.steps = non_negative(opt, "steps");
   c.dt = opt.get_double("dt");
   c.kappa_total = opt.get_double("kappa");
   c.kappa_absorb = opt.get_double("kappa-absorb");
@@ -122,13 +136,13 @@ RunConfig RunConfig::from_options(const Options& opt) {
   }
   V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
   c.vector_bits = opt.get_int<unsigned>("vector-bits");
-  c.host_threads = opt.get_int<int>("host-threads");
+  c.host_threads = non_negative(opt, "host-threads");
   c.vla_exec = opt.get("vla-exec");
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
   c.checkpoint_path = opt.get("checkpoint");
-  c.checkpoint_every = opt.get_int<int>("checkpoint-every");
+  c.checkpoint_every = non_negative(opt, "checkpoint-every");
   c.restart_path = opt.get("restart");
   return c;
 }

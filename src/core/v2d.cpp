@@ -154,36 +154,23 @@ std::vector<std::pair<std::string, std::string>> pinned_knobs(
 
 }  // namespace
 
-Simulation::Simulation(const RunConfig& cfg, sim::MachineSpec machine,
-                       SessionShared* shared)
+Simulation::Simulation(const RunConfig& cfg, sim::MachineSpec machine)
     : cfg_(cfg),
       problem_(scenario::ScenarioRegistry::instance().create(cfg.problem)),
       grid_(problem_->make_grid(cfg_)),
       dec_(grid_, mpisim::CartTopology(cfg.nprx1, cfg.nprx2)) {
-  // A farm session must not resize the process-global host pool per job;
-  // the farm configures it once for the whole batch.
-  if (shared == nullptr) set_host_threads(cfg.host_threads);
+  set_host_threads(cfg.host_threads);
   em_ = std::make_unique<mpisim::ExecModel>(
       std::move(machine), resolve_profiles(cfg.compilers), cfg.nranks());
-  const auto exec_mode = vla::vla_exec_mode_from_name(cfg.vla_exec);
-  const auto fuse_mode = linalg::fuse_mode_from_name(cfg.fuse);
-  if (shared != nullptr) {
-    em_->set_price_memo(shared->price_memo());
-    ctx_ = linalg::ExecContext(
-        shared->context_for(cfg.vector_bits, exec_mode), em_.get(),
-        fuse_mode);
-  } else {
-    ctx_ = linalg::ExecContext(vla::VectorArch(cfg.vector_bits), em_.get(),
-                               exec_mode, fuse_mode);
-  }
+  ctx_ = linalg::ExecContext(vla::VectorArch(cfg.vector_bits), em_.get(),
+                             vla::vla_exec_mode_from_name(cfg.vla_exec),
+                             linalg::fuse_mode_from_name(cfg.fuse));
 
   scenario::ProblemSetup setup;
   setup.cfg = &cfg_;
   setup.grid = &grid_;
   setup.dec = &dec_;
   setup.ctx = &ctx_;
-  setup.workspace_pool =
-      shared != nullptr ? &shared->workspace_pool() : nullptr;
   problem_->initialize(setup);
 
   profilers_.resize(em_->nprofiles());

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/session_shared.hpp"
 #include "grid/decomp.hpp"
 #include "grid/grid2d.hpp"
 #include "linalg/dist_vector.hpp"
@@ -35,17 +34,14 @@ namespace v2d::core {
 
 class Simulation {
 public:
-  /// `shared`, when non-null, injects a farm's shared runtime: the
-  /// session's vla::Context forks from the shared per-VL prototype (warm
-  /// count memo), its ExecModel routes pricing through the shared
-  /// PriceMemo, its stepper leases scratch from the shared WorkspacePool,
-  /// and the global host pool is left alone (the farm sizes it once).
-  /// Everything shared is a pure-function cache or scrubbed scratch, so a
-  /// shared session's trajectory/ledgers/clocks are bit-identical to a
-  /// solo one's.  `shared` must outlive the Simulation.
+  /// Builds the whole runtime from scratch: sizes the host pool to
+  /// cfg.host_threads, and gives the session its own vla::Context family
+  /// (count memo), its own ExecModel (clocks, ledgers) and, through the
+  /// problem's stepper, its own solver scratch.  A farm session is built
+  /// the same way; the farm only sets every job's host_threads to its own
+  /// lane count, so the resize is a no-op.
   explicit Simulation(const RunConfig& cfg,
-                      sim::MachineSpec machine = sim::MachineSpec::a64fx(),
-                      SessionShared* shared = nullptr);
+                      sim::MachineSpec machine = sim::MachineSpec::a64fx());
   ~Simulation();
 
   const RunConfig& config() const { return cfg_; }

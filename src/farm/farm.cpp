@@ -4,6 +4,8 @@
 #include <chrono>
 #include <exception>
 #include <fstream>
+#include <memory>
+#include <sstream>
 
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
@@ -81,7 +83,28 @@ JobResult make_result(const FarmJob& job, const Active& a,
 
 }  // namespace
 
-FarmScheduler::FarmScheduler(FarmOptions opt) : opt_(std::move(opt)) {}
+FarmScheduler::FarmScheduler(FarmOptions opt) : opt_(std::move(opt)) {
+  auto require_at_least = [](auto value, decltype(value) least,
+                             const char* field, const char* option) {
+    if (value >= least) return;  // false for NaN as well
+    std::ostringstream os;
+    os << "farm option " << field << " (--" << option << ") must be >= "
+       << least << ", got " << value;
+    throw Error(os.str());
+  };
+  require_at_least(opt_.host_threads, 0, "host_threads", "host-threads");
+  require_at_least(opt_.max_concurrent, 0, "max_concurrent",
+                   "farm-max-concurrent");
+  require_at_least(opt_.max_retries, 0, "max_retries", "farm-max-retries");
+  require_at_least(opt_.backoff_base_waves, 1, "backoff_base_waves",
+                   "farm-backoff-base");
+  require_at_least(opt_.backoff_cap_waves, 1, "backoff_cap_waves",
+                   "farm-backoff-cap");
+  require_at_least(opt_.job_step_budget, 0L, "job_step_budget",
+                   "farm-step-budget");
+  require_at_least(opt_.job_sim_budget, 0.0, "job_sim_budget",
+                   "farm-sim-budget");
+}
 
 std::size_t FarmScheduler::add(FarmJob job) {
   V2D_REQUIRE(!job.name.empty(), "farm job needs a name");
@@ -94,6 +117,9 @@ std::size_t FarmScheduler::add(FarmJob job) {
                     "' share checkpoint path '" + job.cfg.checkpoint_path +
                     "'");
   }
+  // Every session runs on the farm's lanes: its constructor's resize of
+  // the host pool then finds the pool already at this size.
+  job.cfg.host_threads = opt_.host_threads;
   jobs_.push_back(std::move(job));
   return jobs_.size() - 1;
 }
@@ -104,8 +130,8 @@ FarmSummary FarmScheduler::run() {
   FarmSummary out;
   out.jobs.resize(jobs_.size());
 
-  // The farm owns the host pool for the duration of the batch; sessions
-  // constructed with a SessionShared leave it alone.
+  // The farm sizes the host pool once for the batch; every job carries
+  // the same host_threads (see add()), so admission never resizes it.
   set_host_threads(opt_.host_threads);
 
   const std::size_t cap = opt_.max_concurrent > 0
@@ -133,8 +159,7 @@ FarmSummary FarmScheduler::run() {
     ++st.attempts;
     const bool is_retry = st.attempts > 1;
     try {
-      a.sim = std::make_unique<core::Simulation>(job.cfg, opt_.machine,
-                                                 &shared_);
+      a.sim = std::make_unique<core::Simulation>(job.cfg, opt_.machine);
       a.sim->set_fault_injector(st.injector.get());
       std::string resume = job.cfg.restart_path;
       if (is_retry && file_exists(job.cfg.checkpoint_path)) {
@@ -156,8 +181,7 @@ FarmSummary FarmScheduler::run() {
                                      std::to_string(st.attempts) +
                                      " restarting from scratch",
                                  st.attempts});
-          a.sim = std::make_unique<core::Simulation>(job.cfg, opt_.machine,
-                                                     &shared_);
+          a.sim = std::make_unique<core::Simulation>(job.cfg, opt_.machine);
           a.sim->set_fault_injector(st.injector.get());
         }
       } else if (is_retry) {
@@ -260,12 +284,16 @@ FarmSummary FarmScheduler::run() {
       }
 
       // Fold the attempt's session-level recovery events and step count
-      // into the job's persistent state before the session goes away.
+      // into the job's persistent state, and its count-memo counters (its
+      // own family, as in a solo run) into the summary, before the session
+      // goes away.
       if (it->sim != nullptr) {
         const auto& session_events = it->sim->recovery().events;
         st.recovery.insert(st.recovery.end(), session_events.begin(),
                            session_events.end());
         st.steps_driven += it->sim->steps_taken() - it->admitted_at_step;
+        out.memo_hits += it->sim->context().vctx.memo_hits();
+        out.memo_misses += it->sim->context().vctx.memo_misses();
       }
 
       if (failed && cause != "deadline" && st.attempts <= opt_.max_retries) {
@@ -273,11 +301,10 @@ FarmSummary FarmScheduler::run() {
         // cap) waves.  The failed session is destroyed now; re-admission
         // constructs a fresh one from the latest finalized checkpoint.
         const int k = st.attempts;
-        const long base = std::max<long>(opt_.backoff_base_waves, 1);
+        const long base = opt_.backoff_base_waves;
         const int shift = std::min(k - 1, 30);
         const long backoff =
-            std::min(base << shift,
-                     std::max<long>(opt_.backoff_cap_waves, 1));
+            std::min(base << shift, static_cast<long>(opt_.backoff_cap_waves));
         st.recovery.push_back(
             {it->sim != nullptr ? it->sim->steps_taken() : 0, "backoff",
              "attempt " + std::to_string(k) + " failed (" + cause + ": " +
@@ -327,14 +354,6 @@ FarmSummary FarmScheduler::run() {
     out.steps_per_sec =
         static_cast<double>(out.scenario_steps) / out.host_seconds;
   }
-  const auto [mh, mm] = shared_.memo_totals();
-  out.memo_hits = mh;
-  out.memo_misses = mm;
-  const auto ps = shared_.price_memo()->stats();
-  out.price_hits = ps.hits;
-  out.price_misses = ps.misses;
-  out.workspaces_created = shared_.workspace_pool().created();
-  out.workspaces_reused = shared_.workspace_pool().reused();
   return out;
 }
 

@@ -7,18 +7,16 @@
 /// drives them through one long-lived process.  Per wave it steps every
 /// active session once, concurrently on the process host pool (each step
 /// still runs its own par_ranks inside, which executes inline on the
-/// pool's lanes), and admits queued jobs as running ones finish.  All
-/// sessions share one SessionShared runtime: the per-VL count memo, the
-/// same-shape PriceMemo, and the SolverWorkspace pool — so a batch of
-/// same-shape jobs records each kernel shape's KernelCounts and derives
-/// each price once per process instead of once per job.
+/// pool's lanes), and admits queued jobs as running ones finish.
 ///
-/// Isolation contract: jobs share *only* pure-function caches and
-/// scrubbed scratch.  Each job keeps its own ExecModel (clocks, ledgers),
-/// fields and checkpoints, and its trajectory, recorded counts and
-/// simulated clocks are bit-identical to running the job alone — the farm
-/// is purely a host-throughput optimization, pinned by the farm
-/// determinism suite.  Wave interleaving carries no numerical meaning.
+/// Isolation contract: a farm session is a solo session.  Each job is a
+/// core::Simulation built exactly as a solo run builds it — its own
+/// vla::Context family (count memo), ExecModel (clocks, ledgers), solver
+/// scratch, fields and checkpoints — and jobs share only the host pool.
+/// Its trajectory, recorded counts and simulated clocks are bit-identical
+/// to running the job alone: the farm is purely a host-throughput device
+/// (sessions step concurrently), pinned by the farm determinism suite.
+/// Wave interleaving carries no numerical meaning.
 ///
 /// A job that throws (non-convergence, injected fault, bad restart file)
 /// is retried with capped exponential backoff — measured in waves —
@@ -32,12 +30,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/session_shared.hpp"
 #include "core/v2d.hpp"
 #include "resilience/fault_plan.hpp"
 #include "resilience/recovery.hpp"
@@ -46,8 +42,8 @@ namespace v2d::farm {
 
 /// One queued run: a name (unique within the farm, used for reporting)
 /// plus the full RunConfig a solo run would use.  `host_threads` inside
-/// the config is ignored — the farm sizes the host pool once for the
-/// whole batch (FarmOptions::host_threads).
+/// the config is ignored: FarmScheduler::add() overwrites it with
+/// FarmOptions::host_threads, so every session runs on the farm's lanes.
 struct FarmJob {
   std::string name;
   core::RunConfig cfg;
@@ -57,10 +53,9 @@ struct FarmOptions {
   /// Host pool lanes for the whole batch (0 = hardware concurrency).
   int host_threads = 0;
   /// Sessions resident at once (0 = all jobs).  Bounds peak memory: a
-  /// session's fields/scratch live only while it is active.
+  /// session's fields and solver scratch are freed when it retires.
   int max_concurrent = 0;
-  /// Simulated machine every job is priced on.  One farm prices on one
-  /// machine — the shared PriceMemo requires it.
+  /// Simulated machine every job is priced on.
   sim::MachineSpec machine = sim::MachineSpec::a64fx();
   /// Observer called on the scheduler thread for each *successful* job,
   /// after its final checkpoint and just before its session is destroyed
@@ -117,7 +112,7 @@ struct JobResult {
   std::vector<resilience::RecoveryEvent> recovery;
 };
 
-/// Aggregate throughput + shared-runtime statistics for one run().
+/// Aggregate throughput and count-memo statistics for one run().
 struct FarmSummary {
   std::vector<JobResult> jobs;
   std::size_t failed = 0;
@@ -131,19 +126,21 @@ struct FarmSummary {
   std::uint64_t scenario_steps = 0;  ///< farm-driven steps, all jobs
   double jobs_per_sec = 0.0;
   double steps_per_sec = 0.0;
-  /// Analytic count-memo totals across the shared per-VL families.
+  /// Count-memo totals: the sum of every session's own Context family
+  /// counters, failed attempts included, each taken as its session retires.
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  /// Same-shape price-memo totals.
+  /// Always 0: nothing in src/ sets these; perfbench/perfbench.cpp reads them
   std::uint64_t price_hits = 0;
   std::uint64_t price_misses = 0;
-  /// Workspace pool: entries ever created vs acquisitions served by reuse.
   std::size_t workspaces_created = 0;
   std::uint64_t workspaces_reused = 0;
 };
 
 class FarmScheduler {
 public:
+  /// Throws v2d::Error naming the option when a count, cap or budget is
+  /// negative or a backoff is below one wave.
   explicit FarmScheduler(FarmOptions opt = {});
 
   /// Queue a job; returns its index (JobResults come back in add order).
@@ -155,13 +152,9 @@ public:
   /// Run every queued job to completion and report.  Call once.
   FarmSummary run();
 
-  /// The runtime shared across this farm's sessions (tests inspect it).
-  core::SessionShared& shared() { return shared_; }
-
 private:
   FarmOptions opt_;
   std::vector<FarmJob> jobs_;
-  core::SessionShared shared_;
 };
 
 }  // namespace v2d::farm

@@ -17,10 +17,9 @@
 /// works per job, and an unknown option fails with the offending line
 /// number.
 ///
-/// `--fuse off|plan` is a per-job knob: jobs with different fuse modes
-/// can share one farm safely, because primitive and fused-group memo
-/// entries live in disjoint key spaces of the shared per-VL count cache
-/// (see vla::Context::memo_counts).
+/// `--fuse off|plan` is a per-job knob like any other: every job runs as
+/// its own session with its own count memo.  `--host-threads` on a job
+/// line is ignored; the farm's own `--host-threads` sizes every session.
 
 #include <string>
 #include <vector>

@@ -23,9 +23,9 @@
 namespace v2d::linalg {
 
 /// Throws unless `a` and `b` have the same species count, rank count and
-/// tile extent on every rank.  Compared by value: pooled workspaces own
-/// copies of the decomposition, so two compatible fields need not share
-/// its address.
+/// tile extent on every rank.  Compared by value, not by the
+/// decomposition's address: a field on a copy of the same decomposition
+/// is compatible.
 void require_same_shape(const grid::DistField& a, const grid::DistField& b);
 
 /// The rank loop of every streaming tile op.  For each simulated rank

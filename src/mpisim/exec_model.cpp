@@ -47,11 +47,8 @@ void ExecModel::kernel(int rank, compiler::KernelFamily family,
   for (std::size_t p = 0; p < profiles_.size(); ++p) {
     const auto& prof = profiles_[p];
     const sim::CostBreakdown cost =
-        price_memo_
-            ? price_memo_->price(cost_, prof, family, counts,
-                                 working_set_bytes, sharers)
-            : cost_.price(counts, prof.mode(), prof.factors(family),
-                          working_set_bytes, sharers);
+        cost_.price(counts, prof.mode(), prof.factors(family),
+                    working_set_bytes, sharers);
     auto& st = state_[p];
     st.clock[static_cast<std::size_t>(rank)] +=
         cost_.seconds(cost.total_cycles());

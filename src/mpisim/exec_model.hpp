@@ -15,14 +15,12 @@
 /// exact for the balanced tilings V2D uses.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "compiler/profile.hpp"
 #include "mpisim/netcost.hpp"
 #include "mpisim/placement.hpp"
-#include "mpisim/price_memo.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/ledger.hpp"
 
@@ -86,18 +84,6 @@ public:
   void restore_rank(std::size_t p, int rank, double clock,
                     sim::CostLedger ledger);
 
-  /// Route kernel pricing through a shared same-shape memo (the farm hands
-  /// every session's ExecModel one memo so identical (counts, profile,
-  /// working-set, sharers) shapes across sessions are priced once per
-  /// process).  Null (the default) prices directly.  The memo's results are
-  /// bit-identical to direct pricing, so clocks and ledgers are unaffected
-  /// — see price_memo.hpp for the sharing preconditions (same MachineSpec,
-  /// catalog profiles).
-  void set_price_memo(std::shared_ptr<PriceMemo> memo) {
-    price_memo_ = std::move(memo);
-  }
-  const std::shared_ptr<PriceMemo>& price_memo() const { return price_memo_; }
-
 private:
   struct PerProfile {
     NetCost net;
@@ -109,7 +95,6 @@ private:
   std::vector<compiler::CodegenProfile> profiles_;
   Placement placement_;
   std::vector<PerProfile> state_;
-  std::shared_ptr<PriceMemo> price_memo_;
 };
 
 }  // namespace v2d::mpisim

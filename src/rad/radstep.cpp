@@ -1,5 +1,7 @@
 #include "rad/radstep.hpp"
 
+#include <memory>
+
 #include "linalg/precond.hpp"
 #include "support/error.hpp"
 
@@ -15,21 +17,15 @@ RadiationStepper::RadiationStepper(const grid::Grid2D& g,
                                    FldBuilder builder,
                                    linalg::SolveOptions solver_options,
                                    std::string preconditioner,
-                                   linalg::mg::MgOptions mg_options,
-                                   linalg::WorkspacePool* pool)
+                                   linalg::mg::MgOptions mg_options)
     : builder_(std::move(builder)),
       opt_(solver_options),
       precond_kind_(std::move(preconditioner)),
       mg_options_(std::move(mg_options)),
       a_diffusion_(g, d, builder_.ns()),
       a_coupling_(g, d, builder_.ns()),
-      lease_(pool != nullptr ? pool->acquire(g, d, builder_.ns())
-                             : linalg::WorkspacePool::Lease{}),
-      owned_workspace_(pool != nullptr
-                           ? nullptr
-                           : std::make_unique<linalg::SolverWorkspace>(
-                                 g, d, builder_.ns())),
-      solver_(lease_.valid() ? lease_.ws() : *owned_workspace_),
+      workspace_(g, d, builder_.ns()),
+      solver_(workspace_),
       rhs_(g, d, builder_.ns()),
       e_star_(g, d, builder_.ns()),
       e_old_(g, d, builder_.ns()) {

@@ -20,7 +20,6 @@
 /// the three BiCGSTAB call sites at 31–33 % of total time.
 
 #include <array>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,15 +52,10 @@ struct StepStats {
 
 class RadiationStepper {
 public:
-  /// `pool`, when non-null, leases the solver scratch from a shared
-  /// WorkspacePool instead of allocating it privately (farm sessions pass
-  /// the farm's pool; solo runs leave it null).  Pooled scratch is
-  /// scrubbed on lease, so the trajectory is identical either way.
   RadiationStepper(const grid::Grid2D& g, const grid::Decomposition& d,
                    FldBuilder builder, linalg::SolveOptions solver_options = {},
                    std::string preconditioner = "spai0",
-                   linalg::mg::MgOptions mg_options = {},
-                   linalg::WorkspacePool* pool = nullptr);
+                   linalg::mg::MgOptions mg_options = {});
 
   FldBuilder& builder() { return builder_; }
   const linalg::SolveOptions& solver_options() const { return opt_; }
@@ -111,10 +105,9 @@ private:
   linalg::mg::MgOptions mg_options_;
   linalg::StencilOperator a_diffusion_;
   linalg::StencilOperator a_coupling_;
-  /// Scratch shared across all solves: leased from the pool when one was
-  /// given, privately owned otherwise (exactly one of the two is active).
-  linalg::WorkspacePool::Lease lease_;
-  std::unique_ptr<linalg::SolverWorkspace> owned_workspace_;
+  /// Scratch shared across all solves; declared before solver_, which
+  /// borrows it.
+  linalg::SolverWorkspace workspace_;
   linalg::BicgstabSolver solver_;
   linalg::DistVector rhs_, e_star_, e_old_;
 };

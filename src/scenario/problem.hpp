@@ -42,10 +42,6 @@ struct ProblemSetup {
   const grid::Grid2D* grid = nullptr;
   const grid::Decomposition* dec = nullptr;
   linalg::ExecContext* ctx = nullptr;
-  /// Shared solver-scratch pool, or null to allocate scratch privately.
-  /// The farm points every session at one pool; steppers built through
-  /// make_stepper lease from it for the problem's lifetime.
-  linalg::WorkspacePool* workspace_pool = nullptr;
 };
 
 class Problem {

@@ -30,7 +30,7 @@ inline std::unique_ptr<rad::RadiationStepper> make_stepper(
   auto stepper = std::make_unique<rad::RadiationStepper>(
       *setup.grid, *setup.dec, std::move(builder),
       solve_options(*setup.cfg), setup.cfg->preconditioner,
-      setup.cfg->mg_options(), setup.workspace_pool);
+      setup.cfg->mg_options());
   stepper->set_fallbacks(setup.cfg->solver_fallbacks);
   return stepper;
 }

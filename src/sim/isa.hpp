@@ -102,8 +102,8 @@ struct KernelCounts {
     return *this;
   }
 
-  /// Exact equality — two recordings priced identically iff all fields
-  /// match (the same-shape price memo keys on this).
+  /// Exact equality of every field (the fast-path equivalence suite
+  /// compares recordings with it).
   bool operator==(const KernelCounts&) const = default;
 };
 

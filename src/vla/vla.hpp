@@ -71,12 +71,12 @@ inline std::atomic<std::uint64_t>& process_misses() {
 }  // namespace detail
 
 /// Process-wide count-memo statistics, accumulated across *every*
-/// Context family in the process — fork()ed rank contexts and farm-shared
-/// session contexts alike.  Per-family counters (Context::memo_hits /
-/// memo_misses) only see their own fork family, which made the totals a
-/// per-run report; long-lived multi-session processes (the farm) want the
-/// process-wide view, so every memo probe is counted here as well (a hit
-/// once the probing context flushes its recording or is destroyed).
+/// Context family in the process — one per session, rank forks
+/// included.  Per-family counters (Context::memo_hits / memo_misses) only
+/// see their own fork family, which makes them a per-run report;
+/// long-lived multi-session processes (the farm) want the process-wide
+/// view, so every memo probe is counted here as well (a hit once the
+/// probing context flushes its recording or is destroyed).
 inline std::uint64_t process_memo_hits() {
   return detail::process_hits().load(std::memory_order_relaxed);
 }
@@ -191,9 +191,9 @@ public:
   /// this context and folded in when it flushes its recording
   /// (take_counts) or is destroyed.
   ///
-  /// The key space is partitioned by producer so a Context shared across
-  /// farm jobs running different --fuse modes can never read a count
-  /// cached under another mode's kernel: primitive kernel shapes key as
+  /// The key space is partitioned by producer, because one --fuse plan
+  /// session records both primitive kernels and fused groups into one
+  /// memo and neither may read the other's counts: primitive shapes key as
   /// (KernelShape << 56) | n with bit 63 clear, while planner-generated
   /// fused groups key as (1 << 63) | (stamp id << 56) | n, where the
   /// stamp id is assigned from the fused-op signature registry

@@ -43,7 +43,9 @@ TEST(Config, OptionRoundTrip) {
 }
 
 /// An integer option that does not fit its field is an error naming the
-/// option, never a silent wrap (4294967328 narrowed to int is 32).
+/// option, never a silent wrap (4294967328 narrowed to int is 32), and so
+/// is a negative count whose zero has a meaning (`--steps -1` used to run
+/// zero steps and pass).
 TEST(Config, OutOfRangeIntegersThrow) {
   const std::vector<std::vector<const char*>> cases = {
       {"--nx1", "4294967328", "--nx2", "4294967328"},
@@ -52,6 +54,9 @@ TEST(Config, OutOfRangeIntegersThrow) {
       {"--nprx1", "4294967298"},
       {"--vector-bits", "4294967808"},
       {"--vector-bits", "-1"},
+      {"--steps", "-1"},
+      {"--checkpoint-every", "-2"},
+      {"--host-threads", "-5"},
   };
   for (const auto& args : cases) {
     Options opt;

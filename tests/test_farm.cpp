@@ -6,15 +6,19 @@
 /// vector lengths, compiler sets, --vla-exec modes and --fuse settings —
 /// run solo and farmed, and everything observable is compared exactly:
 /// gathered fields, per-profile per-rank simulated clocks, and full cost
-/// ledgers.  Farm scheduling (wave interleaving, shared count/price
-/// memos, pooled scrubbed scratch, host-thread count) must change *none*
-/// of it.  Plus: a mid-farm checkpoint/restart round-trip, failure
-/// isolation, shared-runtime observability, and the job-file parser.
+/// ledgers.  Farm scheduling (wave interleaving, residency cap, host-thread
+/// count) must change *none* of it: a farm session is built exactly like
+/// a solo one and shares only the host pool.  Plus: a mid-farm
+/// checkpoint/restart round-trip, failure isolation, the farm's lane
+/// ownership, option validation, memo-counter totals, and the job-file
+/// parser.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -208,14 +212,14 @@ TEST(FarmScheduling, FailedJobDoesNotSinkTheFarm) {
   EXPECT_EQ(sum.jobs[1].steps, good.steps);
 }
 
-/// Same-shape jobs actually share the warm runtime: the count memo and
-/// price memo serve hits across sessions, and a residency cap of one
-/// recycles a single pooled workspace through every job.
-TEST(FarmScheduling, SharedRuntimeIsReusedAcrossJobs) {
+/// A residency cap of one runs same-shape jobs strictly one after
+/// another; each session's own count memo serves hits, and the farm
+/// counts every driven step.
+TEST(FarmScheduling, ResidencyCapOfOneRunsEveryJob) {
   const core::RunConfig cfg = pulse_config();
   farm::FarmOptions opt;
   opt.host_threads = 1;
-  opt.max_concurrent = 1;  // strictly sequential -> maximal reuse
+  opt.max_concurrent = 1;  // strictly sequential
   farm::FarmScheduler sched(opt);
   sched.add({"a", cfg});
   sched.add({"b", cfg});
@@ -226,16 +230,11 @@ TEST(FarmScheduling, SharedRuntimeIsReusedAcrossJobs) {
   EXPECT_EQ(sum.failed, 0u);
   EXPECT_EQ(sum.scenario_steps, 3u * static_cast<unsigned>(cfg.steps));
   EXPECT_GT(sum.memo_hits, 0u);
-  EXPECT_GT(sum.price_hits, 0u);
-  // One shape, one resident session at a time: one workspace total,
-  // leased back out to jobs b and c.
-  EXPECT_EQ(sum.workspaces_created, 1u);
-  EXPECT_EQ(sum.workspaces_reused, 2u);
   EXPECT_GT(sum.steps_per_sec, 0.0);
 }
 
-/// Sessions farmed on several lanes share one memo family per VL; its
-/// totals still count every probe once and every distinct key as one miss.
+/// The farm's memo totals are the sum of its sessions' own counters, so at
+/// any lane count they equal the totals of the same jobs run solo.
 TEST(FarmScheduling, MemoTotalsInvariantUnderLaneCount) {
   core::RunConfig planned = pulse_config();
   planned.vector_bits = 256;
@@ -246,19 +245,97 @@ TEST(FarmScheduling, MemoTotalsInvariantUnderLaneCount) {
   relax.nx2 = 24;
   relax.steps = 3;
   relax.host_threads = 1;
+  const std::vector<core::RunConfig> cfgs = {pulse_config(), planned, relax};
+
+  std::uint64_t solo_hits = 0, solo_misses = 0;
+  for (const auto& cfg : cfgs) {
+    core::Simulation sim(cfg);
+    sim.run();
+    solo_hits += sim.context().vctx.memo_hits();
+    solo_misses += sim.context().vctx.memo_misses();
+  }
+  EXPECT_GT(solo_hits, 0u);
+  EXPECT_GT(solo_misses, 0u);
+
   for (const int lanes : {1, 3}) {
     farm::FarmOptions opt;
     opt.host_threads = lanes;
     farm::FarmScheduler sched(opt);
-    sched.add({"pulse", pulse_config()});
-    sched.add({"planned", planned});
-    sched.add({"relax", relax});
+    sched.add({"pulse", cfgs[0]});
+    sched.add({"planned", cfgs[1]});
+    sched.add({"relax", cfgs[2]});
     const farm::FarmSummary sum = sched.run();
     set_host_threads(0);
     EXPECT_EQ(sum.failed, 0u);
-    EXPECT_EQ(sum.memo_hits + sum.memo_misses, 181152u) << "lanes=" << lanes;
-    EXPECT_EQ(sum.memo_misses, 21u) << "lanes=" << lanes;
+    EXPECT_EQ(sum.memo_hits, solo_hits) << "lanes=" << lanes;
+    EXPECT_EQ(sum.memo_misses, solo_misses) << "lanes=" << lanes;
   }
+}
+
+/// Every session runs on the farm's lanes, whatever host_threads its job
+/// line asked for: admitting a session never resizes the host pool.
+TEST(FarmScheduling, SessionsRunOnTheFarmsLanes) {
+  core::RunConfig cfg = pulse_config();
+  cfg.host_threads = 1;
+  farm::FarmOptions opt;
+  opt.host_threads = 3;
+  opt.max_concurrent = 1;  // admissions happen between completions
+  int completed = 0;
+  opt.on_job_complete = [&completed](std::size_t, core::Simulation&) {
+    EXPECT_EQ(host_threads(), 3);
+    ++completed;
+  };
+  farm::FarmScheduler sched(opt);
+  sched.add({"a", cfg});
+  sched.add({"b", cfg});
+  const farm::FarmSummary sum = sched.run();
+  set_host_threads(0);
+  EXPECT_EQ(sum.failed, 0u);
+  EXPECT_EQ(completed, 2);
+}
+
+/// A negative count, cap or budget, or a backoff under one wave, is a
+/// structured error naming the option, not a silent default.
+TEST(FarmScheduling, RejectsOutOfRangeOptions) {
+  struct Case {
+    const char* option;
+    void (*set)(farm::FarmOptions&);
+  };
+  const std::vector<Case> cases = {
+      {"--host-threads", [](farm::FarmOptions& o) { o.host_threads = -5; }},
+      {"--farm-max-concurrent",
+       [](farm::FarmOptions& o) { o.max_concurrent = -1; }},
+      {"--farm-max-retries", [](farm::FarmOptions& o) { o.max_retries = -1; }},
+      {"--farm-backoff-base",
+       [](farm::FarmOptions& o) { o.backoff_base_waves = 0; }},
+      {"--farm-backoff-cap",
+       [](farm::FarmOptions& o) { o.backoff_cap_waves = -3; }},
+      {"--farm-step-budget",
+       [](farm::FarmOptions& o) { o.job_step_budget = -1; }},
+      {"--farm-sim-budget",
+       [](farm::FarmOptions& o) { o.job_sim_budget = -0.5; }},
+      {"--farm-sim-budget",
+       [](farm::FarmOptions& o) {
+         o.job_sim_budget = std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+  for (const Case& c : cases) {
+    farm::FarmOptions opt;
+    c.set(opt);
+    try {
+      farm::FarmScheduler sched(opt);
+      ADD_FAILURE() << c.option << " out of range was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(c.option), std::string::npos)
+          << e.what();
+    }
+  }
+  // The boundaries pass: zero counts, caps and budgets (the defaults) and
+  // one-wave backoffs.
+  farm::FarmOptions edge;
+  edge.backoff_base_waves = 1;
+  edge.backoff_cap_waves = 1;
+  EXPECT_NO_THROW(farm::FarmScheduler{edge});
 }
 
 TEST(FarmScheduling, RejectsDuplicateNamesAndSharedCheckpointPaths) {

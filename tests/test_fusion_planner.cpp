@@ -365,10 +365,9 @@ TEST(PlannedSolvers, SimulationPlanPinsFieldsAndBeatsOff) {
           << "profile " << p << " rank " << r;
 }
 
-/// Mixed-fuse farm regression (memo-key separation): off/plan jobs sharing
-/// one farm — and its shared per-VL count caches — reproduce their solo
-/// runs exactly, and a job spelled with the retired `on` runs exactly the
-/// plan path.
+/// Mixed-fuse farm regression: off/plan jobs sharing one farm reproduce
+/// their solo runs exactly, and a job spelled with the retired `on` runs
+/// exactly the plan path.
 TEST(PlannedSolvers, MixedFuseFarmBitIdenticalToSolo) {
   core::RunConfig base;
   base.problem = "gaussian-pulse";

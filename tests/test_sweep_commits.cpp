@@ -316,8 +316,8 @@ TEST(SweepCommits, MultigridDiagonalSweeps) {
 
 // Operands must share the tiling, not just the rank and zone counts: a
 // 2×1 and a 1×2 tiling of one grid agree on both, and walking one with the
-// other's extents reads past its tiles.  A copied decomposition (as pooled
-// workspaces hold) is the same tiling.
+// other's extents reads past its tiles.  A copied decomposition is the
+// same tiling.
 TEST(SweepRows, RejectsOperandsOnAnotherTiling) {
   const grid::Grid2D g(6, 4, 0.0, 1.0, 0.0, 1.0);
   const grid::Decomposition d21(g, mpisim::CartTopology(2, 1));
