@@ -1,7 +1,7 @@
 /// \file v2d.cpp
 /// \brief The unified V2D driver: any registered scenario, one binary.
 ///
-/// Replaces the per-example wiring: every workload in the ScenarioRegistry
+/// Replaces the per-example wiring: every workload in the scenario catalog
 /// runs through the same priced driver spine with the same knobs.
 ///
 ///   ./v2d --list-problems
@@ -144,10 +144,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto& registry = scenario::ScenarioRegistry::instance();
   if (opt.get_bool("list-problems")) {
-    for (const auto& name : registry.names())
-      std::cout << name << '\t' << registry.description(name) << '\n';
+    for (const scenario::Scenario& s : scenario::catalog())
+      std::cout << s.name << '\t' << s.description << '\n';
     return 0;
   }
 
@@ -175,7 +174,7 @@ int main(int argc, char** argv) {
     if (!cfg.restart_path.empty()) sim.restart(cfg.restart_path);
 
     std::cout << "v2d: problem = " << cfg.problem << " ("
-              << registry.description(cfg.problem) << ")\n"
+              << scenario::lookup(cfg.problem).description << ")\n"
               << "     " << cfg.nx1 << "x" << cfg.nx2 << "x" << cfg.ns
               << " unknowns, " << cfg.nranks() << " simulated rank(s) ("
               << cfg.nprx1 << "x" << cfg.nprx2 << ")";

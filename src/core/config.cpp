@@ -12,13 +12,28 @@ namespace v2d::core {
 
 namespace {
 
-/// An integer option whose zero has a meaning but whose negatives have
-/// none (a step count, a cadence, a thread count).
-int non_negative(const Options& opt, const std::string& name) {
+/// An integer option with a floor: 0 for a count whose zero has a meaning
+/// (a step count, a cadence, a thread count), 1 for one that must count
+/// something (a grid extent, a species or tile count, an iteration cap).
+int at_least(const Options& opt, const std::string& name, int lo) {
   const int v = opt.get_int<int>(name);
-  if (v < 0)
-    throw Error("option --" + name + " must be >= 0, got " +
-                std::to_string(v));
+  if (v < lo)
+    throw Error("option --" + name + " must be >= " + std::to_string(lo) +
+                ", got " + std::to_string(v));
+  return v;
+}
+
+/// A real option that must be > 0 (a tolerance, a time step), or >= 0
+/// when `zero_ok` (an opacity, whose zero switches its process off).
+double positive_real(const Options& opt, const std::string& name,
+                     bool zero_ok = false) {
+  const double v = opt.get_double(name);
+  if (v < 0.0 || (v == 0.0 && !zero_ok)) {
+    std::ostringstream os;
+    os << "option --" << name << " must be " << (zero_ok ? ">= 0" : "> 0")
+       << ", got " << v;
+    throw Error(os.str());
+  }
   return v;
 }
 
@@ -26,7 +41,7 @@ int non_negative(const Options& opt, const std::string& name) {
 
 void RunConfig::register_options(Options& opt) {
   opt.add("problem", "gaussian-pulse",
-          "problem name (see --list-problems / the ScenarioRegistry)");
+          "problem name (see --list-problems)");
   opt.add("nx1", "200", "zones in x1");
   opt.add("nx2", "100", "zones in x2");
   opt.add("ns", "2", "radiation species");
@@ -72,7 +87,8 @@ void RunConfig::register_options(Options& opt) {
           "VLA execution backend: native (fast path) | interpret (reference)");
   opt.add("fuse", "off",
           "fused-kernel execution: off (reference kernel-per-pass sequence) "
-          "| plan (planner-generated fused groups; see src/linalg/fusion/); "
+          "| plan (one fused sweep per solver composite; see "
+          "src/linalg/fusion/); "
           "'on' is the retired spelling of plan");
   opt.add("checkpoint", "", "h5lite checkpoint path (empty = none)");
   opt.add("checkpoint-every", "0", "steps between checkpoints (0 = end only)");
@@ -83,22 +99,22 @@ RunConfig RunConfig::from_options(const Options& opt) {
   RunConfig c;
   c.problem = opt.get("problem");
   // Fail at config build time, not at Simulation construction: an unknown
-  // problem name is a usage error and create() lists the catalog in its
-  // message (instantiating a Problem is cheap — it allocates no fields).
-  (void)scenario::ScenarioRegistry::instance().create(c.problem);
-  c.nx1 = opt.get_int<int>("nx1");
-  c.nx2 = opt.get_int<int>("nx2");
-  c.ns = opt.get_int<int>("ns");
-  c.steps = non_negative(opt, "steps");
-  c.dt = opt.get_double("dt");
-  c.kappa_total = opt.get_double("kappa");
-  c.kappa_absorb = opt.get_double("kappa-absorb");
-  c.exchange_kappa = opt.get_double("kappa-exchange");
+  // problem name is a usage error, and the lookup lists the catalog in its
+  // message.
+  (void)scenario::lookup(c.problem);
+  c.nx1 = at_least(opt, "nx1", 1);
+  c.nx2 = at_least(opt, "nx2", 1);
+  c.ns = at_least(opt, "ns", 1);
+  c.steps = at_least(opt, "steps", 0);
+  c.dt = positive_real(opt, "dt");
+  c.kappa_total = positive_real(opt, "kappa", true);
+  c.kappa_absorb = positive_real(opt, "kappa-absorb", true);
+  c.exchange_kappa = positive_real(opt, "kappa-exchange", true);
   c.limiter = rad::limiter_from_name(opt.get("limiter"));
-  c.nprx1 = opt.get_int<int>("nprx1");
-  c.nprx2 = opt.get_int<int>("nprx2");
-  c.rel_tol = opt.get_double("tol");
-  c.max_iterations = opt.get_int<int>("max-iter");
+  c.nprx1 = at_least(opt, "nprx1", 1);
+  c.nprx2 = at_least(opt, "nprx2", 1);
+  c.rel_tol = positive_real(opt, "tol");
+  c.max_iterations = at_least(opt, "max-iter", 1);
   c.ganged = opt.get_bool("ganged");
   c.preconditioner = opt.get("precond");
   c.solver_fallbacks.clear();
@@ -118,8 +134,7 @@ RunConfig RunConfig::from_options(const Options& opt) {
                 "guard must be 'on' or 'off', got '" + g + "'");
     c.guard = g == "on";
   }
-  c.guard_drift = opt.get_double("guard-drift");
-  V2D_REQUIRE(c.guard_drift >= 0.0, "guard-drift must be >= 0");
+  c.guard_drift = positive_real(opt, "guard-drift", true);
   c.mg_coarse_size = opt.get_int<int>("mg-coarse-size");
   c.mg_levels = opt.get_int<int>("mg-levels");
   c.mg_nu_pre = opt.get_int<int>("mg-nu-pre");
@@ -128,6 +143,7 @@ RunConfig RunConfig::from_options(const Options& opt) {
   c.mg_omega = opt.get_double("mg-omega");
   c.mg_cheb_boost = opt.get_double("mg-cheb-boost");
   c.mg_max_direct_zones = opt.get_int("mg-max-direct-zones");
+  linalg::mg::check_options(c.mg_options());
   c.compilers.clear();
   std::stringstream ss(opt.get("compilers"));
   std::string item;
@@ -136,13 +152,13 @@ RunConfig RunConfig::from_options(const Options& opt) {
   }
   V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
   c.vector_bits = opt.get_int<unsigned>("vector-bits");
-  c.host_threads = non_negative(opt, "host-threads");
+  c.host_threads = at_least(opt, "host-threads", 0);
   c.vla_exec = opt.get("vla-exec");
   (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
   c.fuse = opt.get("fuse");
   (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
   c.checkpoint_path = opt.get("checkpoint");
-  c.checkpoint_every = non_negative(opt, "checkpoint-every");
+  c.checkpoint_every = at_least(opt, "checkpoint-every", 0);
   c.restart_path = opt.get("restart");
   return c;
 }

@@ -12,7 +12,7 @@
 namespace v2d::core {
 
 struct RunConfig {
-  // --- problem (a ScenarioRegistry name; see src/scenario/) ---
+  // --- problem (a scenario catalog name; see src/scenario/registry.hpp) ---
   std::string problem = "gaussian-pulse";
   int nx1 = 200;  ///< paper's x1
   int nx2 = 100;  ///< paper's x2
@@ -66,8 +66,8 @@ struct RunConfig {
   /// Fused-kernel execution: "off" (default) keeps the kernel-per-pass
   /// Table II sequence bit-identically — results, counts, ledgers and
   /// clocks.  "plan" runs the solver composites (MATVEC+DPROD, DAXPY₂,
-  /// precond+ganged-dot, fused residual, ...) as planner-generated fused
-  /// groups (src/linalg/fusion/).  Both modes produce identical numerics;
+  /// precond+ganged-dot, fused residual, ...) each as one fused sweep
+  /// (src/linalg/fusion/).  Both modes produce identical numerics;
   /// plan moves fewer bytes, so simulated cycles drop.
   /// "on", the retired spelling of "plan", is accepted and kept as typed
   /// (checkpoints pin the spelling, so old "on" checkpoints resume under

@@ -156,7 +156,7 @@ std::vector<std::pair<std::string, std::string>> pinned_knobs(
 
 Simulation::Simulation(const RunConfig& cfg, sim::MachineSpec machine)
     : cfg_(cfg),
-      problem_(scenario::ScenarioRegistry::instance().create(cfg.problem)),
+      problem_(scenario::lookup(cfg.problem).make()),
       grid_(problem_->make_grid(cfg_)),
       dec_(grid_, mpisim::CartTopology(cfg.nprx1, cfg.nprx2)) {
   set_host_threads(cfg.host_threads);

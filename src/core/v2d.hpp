@@ -8,7 +8,7 @@
 /// checkpoint/restart.  Everything workload-specific — field setup,
 /// per-step physics, analytic references, checkpoint payloads — lives in
 /// the active scenario::Problem, looked up by RunConfig.problem in the
-/// ScenarioRegistry.  Running `steps` timesteps of the default
+/// scenario catalog.  Running `steps` timesteps of the default
 /// configuration (problem = "gaussian-pulse") reproduces the paper's
 /// 300-linear-system workload.
 

@@ -26,12 +26,11 @@ namespace v2d::linalg {
 ///   Off  — every composite issues the original kernel sequence; results,
 ///          recorded counts, ledgers and simulated clocks are bit-identical
 ///          to a build without the fusion layer.
-///   Plan — composites run the groups the fusion planner
-///          (src/linalg/fusion/) derives from their Chain IR, as the
-///          interpreter sweep or as signature-keyed native stamps whose
-///          recording is a memoized dry run of that sweep: fewer memory
-///          passes, fewer kernel calls, reduced bytes_moved in the priced
-///          stream.  Numerics are pinned to Off (same per-element
+///   Plan — each composite runs its Chain IR (src/linalg/fusion/) as one
+///          fused sweep, as the interpreter sweep or as a native stamp
+///          chosen at compile time whose recording is a memoized dry run
+///          of that sweep: fewer memory passes, fewer kernel calls,
+///          reduced bytes_moved in the priced stream.  Numerics are pinned to Off (same per-element
 ///          expressions in the same association order, reductions are the
 ///          same exact sums), so the Krylov trajectory is unchanged — only
 ///          the price is.

@@ -1,17 +1,65 @@
+/// \file fused_exec.cpp
+/// \brief The fused composites: one lowered sweep each, in both backends.
+///
+/// Each composite binds its operands to its chain's slots and calls
+/// `run<Chain, KernelShape>`, which lowers the chain at compile time
+/// (planner.hpp) and runs the sweep as:
+///   - Interpret: the generic sweep below, which walks the GroupProgram's
+///     steps per strip through vla::Context ops (recording op-by-op, like
+///     every other interpreted kernel);
+///   - Native: `stamp_body<G>`, the program unrolled at compile time into
+///     a flat per-element loop and run at the host's vector width through
+///     simd::dispatch, with the recording made by dry-running the
+///     interpreter sweep once per (shape, n) through record_native — the
+///     same memo, under the composite's own KernelShape, as every
+///     primitive kernel.
+/// Both produce bit-identical results: elementwise steps evaluate the same
+/// per-element expressions in the same association order, and each fused
+/// dot is a post-sweep tail that adds the exact sum of its stored
+/// operands' products to the caller's ExactSum — whose value no order of
+/// rows, ranks or threads can change.
+
 #include "linalg/fusion/fused_exec.hpp"
 
-#include <iterator>
-#include <unordered_map>
+#include <cstddef>
 #include <utility>
 
+#include "linalg/fusion/planner.hpp"
+#include "linalg/kernel_counts.hpp"
 #include "support/error.hpp"
 #include "support/simd.hpp"
 #include "vla/loops.hpp"
 
 namespace v2d::linalg::fusion {
 
+namespace {
+
+/// Operand binding for one composite call: slot index → base pointer,
+/// scalar index → value, accumulator index → caller's exact dot.
+/// Temporary slots need no binding (they live in registers).
+struct Bind {
+  double* slot[kMaxSlots] = {};
+  double scal[kMaxScalars] = {};
+  ExactSum* acc[kMaxAccs] = {};
+  std::size_t n = 0;
+};
+
 // --- interpreter backend ------------------------------------------------------
 
+/// The sweep's dot tails: acc[t.acc] += Σ slot[t.slot_a][i]·slot[t.slot_b][i]
+/// for each tail t, exactly.  Both backends run them after the sweep.
+void run_dot_tails(const GroupProgram& g, const Bind& b) {
+  for (std::uint8_t t = 0; t < g.ntails; ++t) {
+    const DotTail& tl = g.tail[t];
+    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], 0, b.slot[tl.slot_b], 0,
+                                b.n, 1);
+  }
+}
+
+/// The generic interpreter sweep (also the reference backend the stamps
+/// are differentially tested against, and the recording of the native
+/// stamps).  In a dry context it records the whole sweep, reduction
+/// epilogue included, but skips the dot tails.
 void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
   using vla::Predicate;
   using vla::VReg;
@@ -92,17 +140,7 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
   }
 }
 
-void run_dot_tails(const GroupProgram& g, const Bind& b) {
-  for (std::uint8_t t = 0; t < g.ntails; ++t) {
-    const DotTail& tl = g.tail[t];
-    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], 0, b.slot[tl.slot_b], 0,
-                                b.n, 1);
-  }
-}
-
 // --- native stamps ------------------------------------------------------------
-
-namespace {
 
 template <GroupProgram G, std::size_t I>
 V2D_SIMD_BODY void stamp_pre(const double* sc, double* r) {
@@ -143,12 +181,12 @@ V2D_SIMD_BODY void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
 /// auto-vectorizes at both widths.  Register slots with compile-time-
 /// constant indices are scalarized by the compiler.
 template <GroupProgram G>
-V2D_SIMD_BODY void stamp_body(const Bind& b) {
+V2D_SIMD_BODY void stamp_body(const Bind* b) {
   double* p[kMaxSlots];
-  for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b.slot[s];
+  for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b->slot[s];
   double sc[kMaxScalars];
-  for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b.scal[s];
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(b.n);
+  for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b->scal[s];
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(b->n);
   for (std::ptrdiff_t i = 0; i < n; ++i) {
     double r[kMaxRegs];
     [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
@@ -160,101 +198,25 @@ V2D_SIMD_BODY void stamp_body(const Bind& b) {
   }
 }
 
-template <GroupProgram G>
-void stamp_generic(const Bind& b) {
-  stamp_body<G>(b);
-}
-
-template <GroupProgram G>
-V2D_SIMD_TARGET_AVX2 void stamp_avx2(const Bind& b) {
-  stamp_body<G>(b);
-}
-
-using StampFn = void (*)(const Bind&);
-
-struct StampEntry {
-  StampFn fn[2] = {};   ///< indexed by simd::Width: generic, AVX2
-  std::uint8_t id = 0;  ///< small sequential id, part of the memo key
-};
-
-std::unordered_map<std::uint64_t, StampEntry>& registry() {
-  static std::unordered_map<std::uint64_t, StampEntry> r;
-  return r;
-}
-
-void register_group(std::uint64_t sig, StampFn generic, StampFn avx2) {
-  auto& r = registry();
-  if (r.find(sig) != r.end()) return;  // identical program already stamped
-  V2D_REQUIRE(r.size() < 127, "fused-stamp id space exhausted");
-  const auto id = static_cast<std::uint8_t>(r.size());
-  r.emplace(sig, StampEntry{{generic, avx2}, id});
-}
-
-template <Chain C>
-void register_chain() {
-  static constexpr FusionPlan P = plan_chain(C);
-  [&]<std::size_t... Gi>(std::index_sequence<Gi...>) {
-    (register_group(P.group[Gi].sig, &stamp_generic<P.group[Gi]>,
-                    &stamp_avx2<P.group[Gi]>),
-     ...);
-  }(std::make_index_sequence<std::size_t{P.ngroups}>{});
-}
-
-/// The built-in chains, in registration order: this order fixes the stamp
-/// ids (and therefore the fused groups' memo keys) deterministically.
-constexpr Chain kBuiltinChains[] = {
-    make_daxpy2_chain(),
-    make_axpy_out_chain(),
-    make_p_update_chain(),
-    make_hadamard_dot2_chain(),
-    make_hadamard_update_dot2_chain(),
-    make_stencil_chain(false, true, false),
-    make_stencil_chain(true, true, false),
-    make_stencil_chain(false, false, true),
-    make_stencil_chain(false, false, false),
-    make_stencil_chain(true, false, true),
-    make_stencil_chain(true, false, false),
-};
-
-/// Register the fixed template set once.
-void ensure_registered() {
-  static const bool once = [] {
-    [&]<std::size_t... Ci>(std::index_sequence<Ci...>) {
-      (register_chain<kBuiltinChains[Ci]>(), ...);
-    }(std::make_index_sequence<std::size(kBuiltinChains)>{});
-    return true;
-  }();
-  (void)once;
+/// Run chain `C` over the binding as one sweep in the context's exec mode.
+/// The native path records exactly as the primitive kernels do: the
+/// interpreter sweep's dry run, memoized under (S, n).
+template <Chain C, KernelShape S>
+void run(vla::Context& ctx, const Bind& bind) {
+  static constexpr GroupProgram G = lower(C);
+  if (!ctx.native()) {
+    run_interpret(ctx, G, bind);
+    return;
+  }
+  record_native(ctx, S, bind.n,
+                [&](vla::Context& dry) { run_interpret(dry, G, bind); });
+  simd::dispatch<&stamp_body<G>>(&bind);
+  run_dot_tails(G, bind);
 }
 
 }  // namespace
 
-void run(vla::Context& ctx, const FusionPlan& plan, const Bind& bind) {
-  for (std::uint8_t gi = 0; gi < plan.ngroups; ++gi) {
-    const GroupProgram& g = plan.group[gi];
-    if (ctx.native()) {
-      ensure_registered();
-      const auto& reg = registry();
-      const auto it = reg.find(g.sig);
-      V2D_REQUIRE(it != reg.end(),
-                  "no native stamp registered for fused-op signature");
-      // Fused-group memo keys live in a signature-keyed space disjoint from
-      // the primitive KernelShape keys (bit 63 set, stamp id in 56..62), so
-      // mixed fuse modes never cross-contaminate the count cache.
-      const std::uint64_t key =
-          (1ull << 63) | (static_cast<std::uint64_t>(it->second.id) << 56) |
-          (bind.n & 0x00ff'ffff'ffff'ffffULL);
-      ctx.record_dry(key,
-                     [&](vla::Context& dry) { run_interpret(dry, g, bind); });
-      it->second.fn[static_cast<std::size_t>(simd::width())](bind);
-      run_dot_tails(g, bind);
-    } else {
-      run_interpret(ctx, g, bind);
-    }
-  }
-}
-
-// --- planner-generated composites ---------------------------------------------
+// --- the composites -----------------------------------------------------------
 
 void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
             std::span<double> x, double b, std::span<const double> q,
@@ -262,8 +224,6 @@ void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
   const std::size_t n = x.size();
   V2D_REQUIRE(p.size() == n && q.size() == n && r.size() == n,
               "daxpy2: length mismatch");
-  static constexpr Chain kChain = make_daxpy2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(p.data());
@@ -272,30 +232,26 @@ void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
   bd.slot[3] = r.data();
   bd.scal[0] = a;
   bd.scal[1] = b;
-  run(ctx, kPlan, bd);
+  run<make_daxpy2_chain(), KernelShape::Daxpy2>(ctx, bd);
 }
 
 void axpy_out(vla::Context& ctx, std::span<const double> x, double a,
               std::span<const double> y, std::span<double> z) {
   const std::size_t n = z.size();
   V2D_REQUIRE(x.size() == n && y.size() == n, "axpy_out: length mismatch");
-  static constexpr Chain kChain = make_axpy_out_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(x.data());
   bd.slot[1] = const_cast<double*>(y.data());
   bd.slot[2] = z.data();
   bd.scal[0] = a;
-  run(ctx, kPlan, bd);
+  run<make_axpy_out_chain(), KernelShape::AxpyOut>(ctx, bd);
 }
 
 void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
               std::span<const double> v, std::span<double> p) {
   const std::size_t n = p.size();
   V2D_REQUIRE(r.size() == n && v.size() == n, "p_update: length mismatch");
-  static constexpr Chain kChain = make_p_update_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(r.data());
@@ -303,7 +259,7 @@ void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
   bd.slot[2] = p.data();
   bd.scal[0] = -w;
   bd.scal[1] = b;
-  run(ctx, kPlan, bd);
+  run<make_p_update_chain(), KernelShape::PUpdate>(ctx, bd);
 }
 
 void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
@@ -311,8 +267,6 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
                    ExactSum& rz, ExactSum& rr) {
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
-  static constexpr Chain kChain = make_hadamard_dot2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(m.data());
@@ -320,7 +274,7 @@ void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
   bd.slot[2] = z.data();
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
-  run(ctx, kPlan, bd);
+  run<make_hadamard_dot2_chain(), KernelShape::HadamardDot2>(ctx, bd);
 }
 
 void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
@@ -330,8 +284,6 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
   const std::size_t n = z.size();
   V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
               "hadamard_update_dot2: length mismatch");
-  static constexpr Chain kChain = make_hadamard_update_dot2_chain();
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
   Bind bd{};
   bd.n = n;
   bd.slot[0] = const_cast<double*>(m.data());
@@ -341,19 +293,9 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
   bd.scal[0] = a;
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
-  run(ctx, kPlan, bd);
+  run<make_hadamard_update_dot2_chain(), KernelShape::HadamardUpdateDot2>(
+      ctx, bd);
 }
-
-namespace {
-
-template <bool Coupled, bool Bsub, bool Self>
-void run_stencil_variant(vla::Context& ctx, const Bind& bd) {
-  static constexpr Chain kChain = make_stencil_chain(Coupled, Bsub, Self);
-  static constexpr FusionPlan kPlan = plan_chain(kChain);
-  run(ctx, kPlan, bd);
-}
-
-}  // namespace
 
 void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
                        std::span<const double> cw, std::span<const double> ce,
@@ -405,19 +347,25 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
 
   if (sub) {
     if (coupled)
-      run_stencil_variant<true, true, false>(ctx, bd);
+      run<make_stencil_chain(true, true, false),
+          KernelShape::StencilSubCoupled>(ctx, bd);
     else
-      run_stencil_variant<false, true, false>(ctx, bd);
+      run<make_stencil_chain(false, true, false), KernelShape::StencilSub>(
+          ctx, bd);
   } else if (self) {
     if (coupled)
-      run_stencil_variant<true, false, true>(ctx, bd);
+      run<make_stencil_chain(true, false, true),
+          KernelShape::StencilDotCoupled>(ctx, bd);
     else
-      run_stencil_variant<false, false, true>(ctx, bd);
+      run<make_stencil_chain(false, false, true), KernelShape::StencilDot>(
+          ctx, bd);
   } else {
     if (coupled)
-      run_stencil_variant<true, false, false>(ctx, bd);
+      run<make_stencil_chain(true, false, false),
+          KernelShape::StencilDotWCoupled>(ctx, bd);
     else
-      run_stencil_variant<false, false, false>(ctx, bd);
+      run<make_stencil_chain(false, false, false), KernelShape::StencilDotW>(
+          ctx, bd);
   }
 }
 

@@ -1,13 +1,13 @@
 #pragma once
 /// \file ir.hpp
-/// \brief Primitive-chain IR for the fusion planner.
+/// \brief Primitive-chain IR of the fused composites.
 ///
-/// A Chain is the planner's input: a short straight-line sequence of
-/// primitive kernel launches (the body of one solver-iteration hot spot)
-/// over a small set of operand slots.  Slots are indices into a caller-
-/// provided binding table (fused_exec.hpp's Bind); the IR itself carries no
-/// pointers, so chains are constexpr values and the planner can run at
-/// compile time for the built-in template set.
+/// A Chain is the input to `lower` (planner.hpp): a short straight-line
+/// sequence of primitive kernel launches (the body of one solver-iteration
+/// hot spot) over a small set of operand slots.  Slots are indices into
+/// the binding table fused_exec.cpp fills from a composite's operands; the
+/// IR itself carries no pointers, so chains are constexpr values, each
+/// lowered into one sweep at compile time.
 ///
 /// Node semantics (all elementwise over i, except Dot):
 ///   Axpy     dst ← src0·scal + src1
@@ -25,7 +25,7 @@
 ///                                             the caller's ExactSum)
 ///
 /// The chain lists which slots are live-out (must reach memory).  Writes to
-/// other slots are temporaries the planner keeps in registers.
+/// other slots are temporaries the sweep keeps in registers.
 
 #include <cstdint>
 
@@ -38,7 +38,6 @@ inline constexpr std::size_t kMaxNodes = 8;
 inline constexpr std::size_t kMaxSlots = 16;
 inline constexpr std::size_t kMaxScalars = 4;
 inline constexpr std::size_t kMaxAccs = 2;
-inline constexpr std::size_t kNameLen = 24;
 
 enum class Prim : std::uint8_t {
   Axpy,
@@ -61,7 +60,6 @@ struct PrimNode {
 };
 
 struct Chain {
-  char name[kNameLen] = {};
   std::uint8_t nnodes = 0;
   std::uint8_t nslots = 0;
   std::uint8_t nscal = 0;
@@ -70,23 +68,17 @@ struct Chain {
   bool live_out[kMaxSlots] = {};
 };
 
-/// Failure path shared by compile-time and runtime planning: reaching it
-/// during constant evaluation is a compile error (the built-in template set
-/// can never ship an illegal chain); at runtime it throws.
-[[noreturn]] inline void plan_fail(const char* msg) {
-  throw Error(std::string("fusion planner: ") + msg);
+/// Failure path shared by compile-time and runtime lowering: reaching it
+/// during constant evaluation is a compile error (no built-in composite can
+/// ship an illegal chain); at runtime it throws.
+[[noreturn]] inline void lower_fail(const char* msg) {
+  throw Error(std::string("fusion lowering: ") + msg);
 }
 
 namespace detail {
 
-constexpr void set_name(Chain& c, const char* name) {
-  std::size_t i = 0;
-  for (; name[i] != '\0' && i + 1 < kNameLen; ++i) c.name[i] = name[i];
-  c.name[i] = '\0';
-}
-
 constexpr void push(Chain& c, PrimNode n) {
-  if (c.nnodes >= kMaxNodes) plan_fail("chain node overflow");
+  if (c.nnodes >= kMaxNodes) lower_fail("chain node overflow");
   c.node[c.nnodes++] = n;
 }
 
@@ -97,7 +89,6 @@ constexpr void push(Chain& c, PrimNode n) {
 /// CG twin update: x ← x + s0·p and r ← r + s1·q (slots p=0 x=1 q=2 r=3).
 constexpr Chain make_daxpy2_chain() {
   Chain c{};
-  detail::set_name(c, "daxpy2");
   c.nslots = 4;
   c.nscal = 2;
   c.live_out[1] = true;
@@ -111,7 +102,6 @@ constexpr Chain make_daxpy2_chain() {
 /// is elided into the FMA's addend).
 constexpr Chain make_axpy_out_chain() {
   Chain c{};
-  detail::set_name(c, "axpy_out");
   c.nslots = 3;
   c.nscal = 1;
   c.live_out[2] = true;
@@ -123,7 +113,6 @@ constexpr Chain make_axpy_out_chain() {
 /// (slots r=0 v=1 p=2, temp t=3).
 constexpr Chain make_p_update_chain() {
   Chain c{};
-  detail::set_name(c, "p_update");
   c.nslots = 4;
   c.nscal = 2;
   c.live_out[2] = true;
@@ -136,7 +125,6 @@ constexpr Chain make_p_update_chain() {
 /// (slots m=0 r=1 z=2).
 constexpr Chain make_hadamard_dot2_chain() {
   Chain c{};
-  detail::set_name(c, "hadamard_dot2");
   c.nslots = 3;
   c.naccs = 2;
   c.live_out[2] = true;
@@ -150,7 +138,6 @@ constexpr Chain make_hadamard_dot2_chain() {
 /// updated residual (slots m=0 q=1 r=2 z=3).
 constexpr Chain make_hadamard_update_dot2_chain() {
   Chain c{};
-  detail::set_name(c, "hadamard_update_dot2");
   c.nslots = 4;
   c.nscal = 1;
   c.naccs = 2;
@@ -173,11 +160,6 @@ constexpr Chain make_hadamard_update_dot2_chain() {
 ///   bsub=false,self=false y ← (A·x) row, acc0 += Σ w·y
 constexpr Chain make_stencil_chain(bool coupled, bool bsub, bool self_w) {
   Chain c{};
-  detail::set_name(c, bsub ? (coupled ? "stencil_sub_coupled" : "stencil_sub")
-                           : (self_w ? (coupled ? "stencil_dot_coupled"
-                                                : "stencil_dot")
-                                     : (coupled ? "stencil_dotw_coupled"
-                                                : "stencil_dotw")));
   std::uint8_t s = 8;  // slots 0..7 = stencil pack
   const std::uint8_t csp = coupled ? s++ : kNone;
   const std::uint8_t xo = coupled ? s++ : kNone;

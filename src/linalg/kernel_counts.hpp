@@ -8,9 +8,13 @@
 /// (shape, n) by dry-running the kernel's own interpreter body
 /// (vla::Context::record_dry) and memoized in the Context's count cache.
 /// The interpreter is the only definition of each kernel's stream; the
-/// equivalence suite (tests/test_vla_fastpath.cpp) pins every shape's op
-/// mix across the full VL range and all tail predicates (empty, partial,
-/// full).
+/// equivalence suite (tests/test_vla_fastpath.cpp) pins every primitive
+/// shape's op mix across the full VL range and all tail predicates (empty,
+/// partial, full), and that no two shapes share a memo key.
+///
+/// The fused composites of --fuse plan (src/linalg/fusion/) are shapes
+/// like any other: each records its interpreter sweep through
+/// record_native under its own value after ProlongRow.
 
 #include <cstdint>
 
@@ -19,7 +23,8 @@
 namespace v2d::linalg {
 
 /// Kernel shapes with memoized recordings.  Values are stable cache-key
-/// tags (packed with n into the Context memo key).
+/// tags (packed with n into the Context memo key), one per primitive
+/// kernel and one per fused composite.
 enum class KernelShape : std::uint8_t {
   Dprod,
   Daxpy,
@@ -36,6 +41,18 @@ enum class KernelShape : std::uint8_t {
   DiagScaleRow,
   RestrictRow,
   ProlongRow,
+  // Fused composites (fusion/fused_exec.cpp), one per lowered chain.
+  Daxpy2,
+  AxpyOut,
+  PUpdate,
+  HadamardDot2,
+  HadamardUpdateDot2,
+  StencilSub,
+  StencilSubCoupled,
+  StencilDot,
+  StencilDotW,
+  StencilDotCoupled,
+  StencilDotWCoupled,
 };
 
 /// Fold the recording of one `shape`(n) call into `ctx`, memoized per

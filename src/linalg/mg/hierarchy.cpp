@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "support/error.hpp"
@@ -139,18 +140,27 @@ double invert_diagonal(ExecContext& ctx, const StencilOperator& A,
 
 }  // namespace
 
+void check_options(const MgOptions& opt) {
+  const auto fail = [](const char* name, const char* bound, auto v) {
+    std::ostringstream os;
+    os << "option --" << name << " must be " << bound << ", got " << v;
+    throw Error(os.str());
+  };
+  if (opt.coarse_size < 1) fail("mg-coarse-size", ">= 1", opt.coarse_size);
+  if (opt.max_levels < 1) fail("mg-levels", ">= 1", opt.max_levels);
+  if (opt.nu_pre < 0) fail("mg-nu-pre", ">= 0", opt.nu_pre);
+  if (opt.nu_post < 0) fail("mg-nu-post", ">= 0", opt.nu_post);
+  if (opt.nu_pre + opt.nu_post < 1)
+    throw Error("options --mg-nu-pre + --mg-nu-post must be >= 1 (an "
+                "unsmoothed coarse correction is singular)");
+  if (!(opt.jacobi_omega > 0.0)) fail("mg-omega", "> 0", opt.jacobi_omega);
+  if (!(opt.cheb_boost > 1.0)) fail("mg-cheb-boost", "> 1", opt.cheb_boost);
+}
+
 MgHierarchy::MgHierarchy(ExecContext& ctx, const StencilOperator& A,
                          MgOptions opt)
     : opt_(std::move(opt)) {
-  V2D_REQUIRE(opt_.coarse_size >= 1 && opt_.max_levels >= 1,
-              "bad multigrid options");
-  V2D_REQUIRE(opt_.nu_pre >= 0 && opt_.nu_post >= 0 &&
-                  opt_.nu_pre + opt_.nu_post >= 1,
-              "multigrid needs at least one smoothing step per cycle "
-              "(nu_pre + nu_post >= 1) — an unsmoothed coarse correction "
-              "is singular");
-  V2D_REQUIRE(opt_.jacobi_omega > 0.0, "weighted-Jacobi damping must be > 0");
-  V2D_REQUIRE(opt_.cheb_boost > 1.0, "Chebyshev boost must exceed 1");
+  check_options(opt_);
   // Level 0 smooths with a cached copy of the fine coefficients: they are
   // frozen for the lifetime of one preconditioner, so the cycle's many
   // sweeps skip V2D's per-application on-the-fly coefficient evaluation —

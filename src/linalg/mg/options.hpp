@@ -26,4 +26,9 @@ struct MgOptions {
   std::int64_t max_direct_zones = 16384;
 };
 
+/// Throw a v2d::Error naming the out-of-range knob by its option
+/// (`--mg-levels`, `--mg-omega`, ...).  The one statement of these bounds:
+/// MgHierarchy and RunConfig::from_options both call it.
+void check_options(const MgOptions& opt);
+
 }  // namespace v2d::linalg::mg

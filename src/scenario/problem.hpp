@@ -18,7 +18,7 @@
 ///     restart works for any registered workload.
 ///
 /// core::Simulation owns one Problem (looked up by RunConfig.problem in
-/// the ScenarioRegistry) and delegates; everything the driver prices —
+/// the scenario catalog, registry.hpp) and delegates; everything the driver prices —
 /// kernels, halo exchanges, allreduces, Io — flows through the same
 /// ExecContext regardless of which problem is active.
 
@@ -48,7 +48,7 @@ class Problem {
 public:
   virtual ~Problem() = default;
 
-  /// Registry key ("gaussian-pulse", "sedov-radhydro", ...).
+  /// Catalog name ("gaussian-pulse", "sedov-radhydro", ...).
   virtual const char* name() const = 0;
 
   /// Domain box for this problem.  Called before any field exists; the

@@ -3,9 +3,8 @@
 /// \brief Factories for the built-in workload catalog.
 ///
 /// Each factory lives in its own translation unit under src/scenario/;
-/// registry.cpp references them all so static-library linking always
-/// pulls the whole catalog in (self-registering static objects would be
-/// dropped by the archiver).
+/// the catalog table in registry.cpp references them all, so
+/// static-library linking always pulls the whole catalog in.
 
 #include <memory>
 

@@ -1,84 +1,55 @@
 #include "scenario/registry.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <string>
+
 #include "scenario/problems.hpp"
 #include "support/error.hpp"
 
 namespace v2d::scenario {
 
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry reg = [] {
-    ScenarioRegistry r;
-    r.add("gaussian-pulse",
-          "the paper's diffusing 2-D Gaussian radiation pulse "
-          "(free-space analytic reference)",
-          make_gaussian_pulse);
-    r.add("sedov-radhydro",
-          "Sedov-like blast with HLL hydro sweeps, 3-solve radiation "
-          "step and radiation-gas exchange (mass-conservation pin)",
-          make_sedov_radhydro);
-    r.add("hotspot-absorber",
-          "radiation diffusion through a nonuniform power-law absorbing "
-          "blob (discrete absorption decay bounds)",
-          make_hotspot_absorber);
-    r.add("two-species-relax",
-          "exchange-dominated two-species relaxation on uniform fields "
-          "(closed-form per-step equilibration reference)",
-          make_two_species_relax);
-    return r;
-  }();
-  return reg;
-}
+namespace {
 
-void ScenarioRegistry::add(const std::string& name,
-                           const std::string& description, Factory factory) {
-  V2D_REQUIRE(!name.empty() && factory != nullptr,
-              "scenario registration needs a name and a factory");
-  // Registering one name twice is always a programming error — the second
-  // factory would silently shadow (or race) the first, and `--problem`
-  // would stop meaning one thing.  Fail at registration time, before the
-  // catalog is ever consulted, and keep the registry unchanged.
-  V2D_REQUIRE(entries_.find(name) == entries_.end(),
-              "scenario '" + name +
-                  "' registered twice (already in the catalog as: " +
-                  entries_.find(name)->second.description + ")");
-  entries_.emplace(name, Entry{description, std::move(factory)});
-}
+constexpr Scenario kCatalog[] = {
+    {"gaussian-pulse",
+     "the paper's diffusing 2-D Gaussian radiation pulse "
+     "(free-space analytic reference)",
+     make_gaussian_pulse},
+    {"hotspot-absorber",
+     "radiation diffusion through a nonuniform power-law absorbing "
+     "blob (discrete absorption decay bounds)",
+     make_hotspot_absorber},
+    {"sedov-radhydro",
+     "Sedov-like blast with HLL hydro sweeps, 3-solve radiation "
+     "step and radiation-gas exchange (mass-conservation pin)",
+     make_sedov_radhydro},
+    {"two-species-relax",
+     "exchange-dominated two-species relaxation on uniform fields "
+     "(closed-form per-step equilibration reference)",
+     make_two_species_relax},
+};
 
-bool ScenarioRegistry::has(const std::string& name) const {
-  return entries_.find(name) != entries_.end();
-}
+// Strictly increasing names: sorted for --list-problems, and no name twice.
+static_assert(std::ranges::adjacent_find(kCatalog, std::greater_equal{},
+                                         &Scenario::name) ==
+              std::end(kCatalog));
 
-std::unique_ptr<Problem> ScenarioRegistry::create(
-    const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    throw Error("unknown problem '" + name + "' (known problems: " +
-                known_names() + ")");
+}  // namespace
+
+std::span<const Scenario> catalog() { return kCatalog; }
+
+const Scenario& lookup(std::string_view name) {
+  for (const Scenario& s : kCatalog)
+    if (s.name == name) return s;
+  std::string known;
+  for (const Scenario& s : kCatalog) {
+    if (!known.empty()) known += ", ";
+    known += s.name;
   }
-  return it->second.factory();
-}
-
-const std::string& ScenarioRegistry::description(
-    const std::string& name) const {
-  const auto it = entries_.find(name);
-  V2D_REQUIRE(it != entries_.end(), "unknown problem '" + name + "'");
-  return it->second.description;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
-
-std::string ScenarioRegistry::known_names() const {
-  std::string out;
-  for (const auto& [name, entry] : entries_) {
-    if (!out.empty()) out += ", ";
-    out += name;
-  }
-  return out;
+  throw Error("unknown problem '" + std::string(name) +
+              "' (known problems: " + known + ")");
 }
 
 }  // namespace v2d::scenario

@@ -1,55 +1,35 @@
 #pragma once
 /// \file registry.hpp
-/// \brief Name-keyed catalog of the workloads the driver can run.
+/// \brief The fixed catalog of workloads the driver can run.
 ///
-/// The registry is the single authority on what `--problem <name>` means:
+/// The catalog is the single authority on what `--problem <name>` means:
 /// RunConfig validation, the Simulation constructor and the `v2d` CLI's
-/// `--list-problems` all consult it.  Built-in problems (problems.hpp)
-/// are registered on first use; nothing in the driver names a concrete
+/// `--list-problems` all consult it.  It is a constant table of the
+/// built-in problems (problems.hpp), sorted by name with no name twice
+/// (checked at compile time); nothing in the driver names a concrete
 /// Problem type.
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
-#include <vector>
+#include <span>
+#include <string_view>
 
 #include "scenario/problem.hpp"
 
 namespace v2d::scenario {
 
-class ScenarioRegistry {
-public:
-  using Factory = std::function<std::unique_ptr<Problem>()>;
-
-  /// The process-wide registry, with the built-in catalog registered.
-  static ScenarioRegistry& instance();
-
-  /// Register a problem under `name`.  `description` is the one-line
-  /// catalog entry shown by `v2d --list-problems`.
-  void add(const std::string& name, const std::string& description,
-           Factory factory);
-
-  bool has(const std::string& name) const;
-
-  /// Instantiate the problem registered under `name`; throws v2d::Error
-  /// listing the known names when `name` is not registered.
-  std::unique_ptr<Problem> create(const std::string& name) const;
-
-  const std::string& description(const std::string& name) const;
-
-  /// Registered names, sorted.
-  std::vector<std::string> names() const;
-
-  /// "gaussian-pulse, hotspot-absorber, ..." — for error messages.
-  std::string known_names() const;
-
-private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-  std::map<std::string, Entry> entries_;
+/// One catalog entry.  `description` is the one-line entry shown by
+/// `v2d --list-problems`.
+struct Scenario {
+  std::string_view name;
+  std::string_view description;
+  std::unique_ptr<Problem> (*make)();
 };
+
+/// Every entry, sorted by name.
+std::span<const Scenario> catalog();
+
+/// The entry named `name`; throws v2d::Error listing the known names when
+/// there is none.
+const Scenario& lookup(std::string_view name);
 
 }  // namespace v2d::scenario

@@ -191,13 +191,10 @@ public:
   /// this context and folded in when it flushes its recording
   /// (take_counts) or is destroyed.
   ///
-  /// The key space is partitioned by producer, because one --fuse plan
-  /// session records both primitive kernels and fused groups into one
-  /// memo and neither may read the other's counts: primitive shapes key as
-  /// (KernelShape << 56) | n with bit 63 clear, while planner-generated
-  /// fused groups key as (1 << 63) | (stamp id << 56) | n, where the
-  /// stamp id is assigned from the fused-op signature registry
-  /// (fusion::GroupProgram::sig) in fixed registration order.
+  /// Every producer keys as (linalg::KernelShape << 56) | n: one --fuse
+  /// plan session records both primitive kernels and fused composites into
+  /// one memo, and each composite has a KernelShape of its own, so none
+  /// reads another's counts.
   template <typename Factory>
   const sim::KernelCounts& memo_counts(std::uint64_t key, Factory&& make) {
     if (front_.counts != nullptr && front_.key == key) {

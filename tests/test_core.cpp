@@ -26,12 +26,15 @@ RunConfig small_config() {
 TEST(Config, OptionRoundTrip) {
   Options opt;
   RunConfig::register_options(opt);
+  // Zero opacities are allowed: each switches its process off.
   const char* argv[] = {"prog",          "--nx1",      "64",
                         "--nprx1",       "4",          "--nprx2",
                         "2",             "--compilers", "gnu,cray",
                         "--ganged",      "0",          "--limiter",
-                        "wilson",        "--precond",  "jacobi"};
-  opt.parse(15, argv);
+                        "wilson",        "--precond",  "jacobi",
+                        "--kappa",       "0",          "--kappa-absorb",
+                        "0",             "--kappa-exchange", "0"};
+  opt.parse(21, argv);
   const RunConfig cfg = RunConfig::from_options(opt);
   EXPECT_EQ(cfg.nx1, 64);
   EXPECT_EQ(cfg.nranks(), 8);
@@ -40,24 +43,14 @@ TEST(Config, OptionRoundTrip) {
   EXPECT_FALSE(cfg.ganged);
   EXPECT_EQ(cfg.limiter, rad::LimiterKind::Wilson);
   EXPECT_EQ(cfg.preconditioner, "jacobi");
+  EXPECT_EQ(cfg.kappa_total, 0.0);
+  EXPECT_EQ(cfg.kappa_absorb, 0.0);
+  EXPECT_EQ(cfg.exchange_kappa, 0.0);
 }
 
-/// An integer option that does not fit its field is an error naming the
-/// option, never a silent wrap (4294967328 narrowed to int is 32), and so
-/// is a negative count whose zero has a meaning (`--steps -1` used to run
-/// zero steps and pass).
-TEST(Config, OutOfRangeIntegersThrow) {
-  const std::vector<std::vector<const char*>> cases = {
-      {"--nx1", "4294967328", "--nx2", "4294967328"},
-      {"--steps", "4294967297"},
-      {"--steps", "99999999999999999999"},
-      {"--nprx1", "4294967298"},
-      {"--vector-bits", "4294967808"},
-      {"--vector-bits", "-1"},
-      {"--steps", "-1"},
-      {"--checkpoint-every", "-2"},
-      {"--host-threads", "-5"},
-  };
+/// Expect `RunConfig::from_options` to reject each command line with an
+/// error naming its first option.
+void expect_each_rejected(const std::vector<std::vector<const char*>>& cases) {
   for (const auto& args : cases) {
     Options opt;
     RunConfig::register_options(opt);
@@ -72,6 +65,56 @@ TEST(Config, OutOfRangeIntegersThrow) {
           << e.what();
     }
   }
+}
+
+/// An integer option that does not fit its field is an error naming the
+/// option, never a silent wrap (4294967328 narrowed to int is 32), and so
+/// is a count below its floor: a negative count whose zero has a meaning
+/// (`--steps -1` used to run zero steps and pass), and a zero or negative
+/// one that must count something (`--ns -1` used to end in a failed
+/// allocation, `--nx1 0` or `--max-iter 0` deep in the library).
+TEST(Config, OutOfRangeIntegersThrow) {
+  expect_each_rejected({
+      {"--nx1", "4294967328", "--nx2", "4294967328"},
+      {"--steps", "4294967297"},
+      {"--steps", "99999999999999999999"},
+      {"--nprx1", "4294967298"},
+      {"--vector-bits", "4294967808"},
+      {"--vector-bits", "-1"},
+      {"--steps", "-1"},
+      {"--checkpoint-every", "-2"},
+      {"--host-threads", "-5"},
+      {"--ns", "-1"},
+      {"--ns", "0"},
+      {"--nx1", "0"},
+      {"--nx2", "-3"},
+      {"--nprx1", "0"},
+      {"--nprx2", "-1"},
+      {"--max-iter", "0"},
+      {"--mg-levels", "-1"},
+      {"--mg-coarse-size", "0"},
+      {"--mg-nu-pre", "-1"},
+      {"--mg-nu-post", "-2"},
+      {"--mg-nu-pre", "0", "--mg-nu-post", "0"},
+  });
+}
+
+/// A real option out of its range is an error naming the option when the
+/// options are read, not at the first solve (`--dt 0`, `--tol 0`) or never
+/// (`--kappa-absorb -1` ran to exit 0).
+TEST(Config, OutOfRangeNumbersThrow) {
+  expect_each_rejected({
+      {"--dt", "0"},
+      {"--dt", "-0.03"},
+      {"--tol", "0"},
+      {"--tol", "-1e-8"},
+      {"--kappa", "-1"},
+      {"--kappa-absorb", "-1"},
+      {"--kappa-exchange", "-0.05"},
+      {"--guard-drift", "-0.1"},
+      {"--mg-omega", "0"},
+      {"--mg-cheb-boost", "1"},
+  });
 }
 
 TEST(SimulationTest, RunsAndConverges) {

@@ -1,15 +1,16 @@
 /// \file test_fusion_planner.cpp
-/// \brief The fusion planner: plan determinism, legality and the
-/// --fuse plan differential contract.
+/// \brief Lowering fused chains: determinism, closed forms, legality and
+/// the --fuse plan differential contract.
 ///
 /// Four layers, extending test_fusion.cpp's composite suite:
-///   1. plan determinism — planning a chain at runtime cuts the same groups
-///      with the same signatures as the compile-time built-in plans;
-///   2. closed forms — each single-group composite records exactly the op
+///   1. determinism — lowering a chain at run time emits the same program
+///      as the compile-time lowering every composite runs;
+///   2. closed forms — each elementwise composite records exactly the op
 ///      mix stated for it here, in the interpreter and on the native path
 ///      (whose recording is a dry run of the interpreter sweep);
-///   3. legality — write-after-read across a reduction cuts the group, and
-///      a reduction over an unstored temporary is rejected outright;
+///   3. legality — a chain one sweep cannot run is rejected: a write to a
+///      slot an earlier reduction read, a reduction over an unstored
+///      temporary, a stencil that is not the first node;
 ///   4. differential — --fuse plan is bit-identical in fields to off
 ///      across solvers × preconditioners × exec modes × VL tail shapes,
 ///      its simulated clocks beat off's, and the retired `on` spelling
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,57 +43,79 @@ using vla::Context;
 using vla::VectorArch;
 using vla::VlaExecMode;
 
-// --- 1. plan determinism ------------------------------------------------------
+// --- 1. determinism -------------------------------------------------------------
 
-TEST(PlanDeterminism, RuntimeChainPlansMatchCompileTimePlans) {
-  // The same planner code runs at compile time (the built-in template set)
-  // and at runtime (ad-hoc chains); both must emit the same plan.  A
-  // group's sig hashes every pre step, body step and tail, so equal
-  // signatures over equal node ranges mean equal programs.
+TEST(Lowering, RuntimeMatchesCompileTime) {
+  // The same lowering runs at compile time (every composite) and at run
+  // time (the legality tests below); both must emit the same program,
+  // byte for byte (GroupProgram is all bytes, so it has no padding).
   constexpr fusion::Chain kChains[] = {
       fusion::make_daxpy2_chain(), fusion::make_p_update_chain(),
       fusion::make_hadamard_update_dot2_chain(),
       fusion::make_stencil_chain(true, false, true)};
-  constexpr fusion::FusionPlan kPlans[] = {
-      fusion::plan_chain(kChains[0]), fusion::plan_chain(kChains[1]),
-      fusion::plan_chain(kChains[2]), fusion::plan_chain(kChains[3])};
-  EXPECT_EQ(kPlans[0].ngroups, 1);
+  constexpr fusion::GroupProgram kLowered[] = {
+      fusion::lower(kChains[0]), fusion::lower(kChains[1]),
+      fusion::lower(kChains[2]), fusion::lower(kChains[3])};
   for (std::size_t c = 0; c < std::size(kChains); ++c) {
-    const fusion::FusionPlan& ct = kPlans[c];
-    const fusion::FusionPlan rt = fusion::plan_chain(kChains[c]);
-    ASSERT_EQ(ct.ngroups, rt.ngroups) << kChains[c].name;
-    for (std::uint8_t gi = 0; gi < ct.ngroups; ++gi) {
-      EXPECT_EQ(ct.group[gi].sig, rt.group[gi].sig) << kChains[c].name;
-      EXPECT_EQ(ct.group[gi].first_node, rt.group[gi].first_node)
-          << kChains[c].name;
-      EXPECT_EQ(ct.group[gi].nnodes, rt.group[gi].nnodes) << kChains[c].name;
-    }
+    const fusion::GroupProgram rt = fusion::lower(kChains[c]);
+    EXPECT_EQ(std::memcmp(&kLowered[c], &rt, sizeof rt), 0) << "chain " << c;
   }
 }
 
 // --- 2. closed forms of the composites ---------------------------------------
 
-/// The op mix of one single-group composite in the strip-mined form every
+/// Operands of one composite call: four rows (one spare element keeps
+/// .data() non-null at n = 0) and two exact accumulators.
+struct Operands {
+  std::vector<double> row[4];
+  ExactSum acc[2];
+  std::span<const double> in(int k, std::size_t n) const {
+    return {row[k].data(), n};
+  }
+  std::span<double> out(int k, std::size_t n) { return {row[k].data(), n}; }
+};
+
+/// The op mix of one elementwise composite in the strip-mined form every
 /// whilelt kernel shares: per call `dups` broadcasts; per strip `loads`
 /// loads, `stores` stores, `fmas` FMAs and `muls` multiplies; and, when it
 /// reduces, one ptrue plus `reduces` horizontal reduces at the end.  The
-/// planner's interpreter sweep is the only definition of these kernels, so
-/// this table is what pins their recorded streams from outside it.
+/// interpreter sweep is the only definition of these kernels, so this
+/// table is what pins their recorded streams from outside it.
 struct CompositeMix {
-  fusion::Chain (*chain)();
+  const char* name;
+  void (*call)(Context&, Operands&, std::size_t n);
   std::uint64_t dups, loads, stores, fmas, muls, reduces;
 };
 
 constexpr CompositeMix kCompositeMixes[] = {
     // z ← x + a·y: the COPY disappears into the DAXPY's addend.
-    {fusion::make_axpy_out_chain, 1, 2, 1, 1, 0, 0},
+    {"axpy_out",
+     [](Context& c, Operands& o, std::size_t n) {
+       fusion::axpy_out(c, o.in(0, n), -1.3, o.in(1, n), o.out(2, n));
+     },
+     1, 2, 1, 1, 0, 0},
     // p ← r + b·(p − w·v): two chained FMAs, p streamed once.
-    {fusion::make_p_update_chain, 2, 3, 1, 2, 0, 0},
+    {"p_update",
+     [](Context& c, Operands& o, std::size_t n) {
+       fusion::p_update(c, o.in(0, n), 0.8, 0.45, o.in(1, n), o.out(2, n));
+     },
+     2, 3, 1, 2, 0, 0},
     // z ← m⊙r with the {z·r, r·r} gang: two zeroed accumulators, two
     // merging FMAs per strip on in-register values.
-    {fusion::make_hadamard_dot2_chain, 2, 2, 1, 2, 1, 2},
+    {"hadamard_dot2",
+     [](Context& c, Operands& o, std::size_t n) {
+       fusion::hadamard_dot2(c, o.in(0, n), o.in(1, n), o.out(2, n),
+                             o.acc[0], o.acc[1]);
+     },
+     2, 2, 1, 2, 1, 2},
     // The residual DAXPY rides the sweep: one more dup, load, FMA, store.
-    {fusion::make_hadamard_update_dot2_chain, 3, 3, 2, 3, 1, 2},
+    {"hadamard_update_dot2",
+     [](Context& c, Operands& o, std::size_t n) {
+       fusion::hadamard_update_dot2(c, o.in(0, n), -0.6, o.in(1, n),
+                                    o.out(2, n), o.out(3, n), o.acc[0],
+                                    o.acc[1]);
+     },
+     3, 3, 2, 3, 1, 2},
 };
 
 sim::KernelCounts expected_counts(const CompositeMix& m, std::uint64_t n,
@@ -125,37 +149,24 @@ sim::KernelCounts expected_counts(const CompositeMix& m, std::uint64_t n,
 TEST(CompositeOpMix, InterpreterAndNativeMatchTheClosedForms) {
   Rng rng(61);
   for (const CompositeMix& m : kCompositeMixes) {
-    const fusion::Chain chain = m.chain();
-    const fusion::FusionPlan plan = fusion::plan_chain(chain);
-    ASSERT_EQ(plan.ngroups, 1) << chain.name;
     for (const unsigned bits : {128u, 256u, 512u, 1024u, 2048u}) {
       const unsigned vl = bits / 64;
       // The FusedKernelSweep tail shapes: empty, partial, full, multi-strip.
       for (const std::uint64_t n :
            {0u, 1u, vl - 1, vl, vl + 1, 3 * vl, 3 * vl + vl / 2, 257u}) {
-        const std::string where = std::string(chain.name) + "/vl" +
+        const std::string where = std::string(m.name) + "/vl" +
                                   std::to_string(vl) + "/n" +
                                   std::to_string(n);
         const sim::KernelCounts want = expected_counts(m, n, vl);
-
-        // Bind every slot to its own buffer (one spare element keeps
-        // .data() non-null at n = 0) and record one call per backend.
-        std::vector<std::vector<double>> buf(chain.nslots);
-        ExactSum acc[fusion::kMaxAccs];
-        fusion::Bind bind{};
-        bind.n = n;
-        for (std::size_t s = 0; s < chain.nslots; ++s) {
-          buf[s].resize(n + 1);
-          for (double& v : buf[s]) v = rng.uniform(-1.0, 1.0);
-          bind.slot[s] = buf[s].data();
+        Operands o;
+        for (auto& row : o.row) {
+          row.resize(n + 1);
+          for (double& v : row) v = rng.uniform(-1.0, 1.0);
         }
-        for (std::size_t k = 0; k < chain.nscal; ++k)
-          bind.scal[k] = rng.uniform(-1.0, 1.0);
-        for (std::size_t k = 0; k < chain.naccs; ++k) bind.acc[k] = &acc[k];
         for (const VlaExecMode mode :
              {VlaExecMode::Interpret, VlaExecMode::Native}) {
           Context ctx(VectorArch(bits), mode);
-          fusion::run(ctx, plan, bind);
+          m.call(ctx, o, n);
           testutil::expect_counts_equal(
               ctx.take_counts(), want,
               where + "/" + vla::vla_exec_mode_name(mode));
@@ -167,11 +178,20 @@ TEST(CompositeOpMix, InterpreterAndNativeMatchTheClosedForms) {
 
 // --- 3. legality --------------------------------------------------------------
 
-/// A node that writes a slot some Dot already in the group reads must not
-/// fuse: the sweep would feed the reduction post-update values.
-TEST(FusionLegality, WriteAfterReadAcrossReductionCutsTheGroup) {
+void expect_rejected(const fusion::Chain& c, const std::string& why) {
+  try {
+    (void)fusion::lower(c);
+    ADD_FAILURE() << "lowered a chain that should fail with: " << why;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what();
+  }
+}
+
+/// The dot tails read memory after the sweep, so a node that writes a
+/// slot an earlier Dot read would feed the reduction post-update values.
+TEST(FusionLegality, WriteAfterReadAcrossReductionIsRejected) {
   fusion::Chain c{};
-  fusion::detail::set_name(c, "war");
   c.nslots = 3;
   c.nscal = 1;
   c.naccs = 1;
@@ -187,16 +207,11 @@ TEST(FusionLegality, WriteAfterReadAcrossReductionCutsTheGroup) {
           fusion::kNone, 0});
   fusion::detail::push(
       c, {fusion::Prim::Axpy, 1, 2, 1, fusion::kNone, 0, fusion::kNone});
-  const auto p = fusion::plan_chain(c);
-  ASSERT_EQ(p.ngroups, 2);
-  EXPECT_EQ(p.group[0].nnodes, 2);  // Mul + Dot fuse
-  EXPECT_EQ(p.group[1].first_node, 2);  // the aliasing writer starts anew
-  EXPECT_EQ(p.group[1].nnodes, 1);
+  expect_rejected(c, "writes a slot an earlier reduction read");
 }
 
 TEST(FusionLegality, ReductionOverUnstoredTemporaryIsRejected) {
   fusion::Chain c{};
-  fusion::detail::set_name(c, "temp-dot");
   c.nslots = 3;
   c.naccs = 1;
   // z ← m ⊙ r with z NOT live-out, then acc += Σ z·r: the exact
@@ -207,7 +222,22 @@ TEST(FusionLegality, ReductionOverUnstoredTemporaryIsRejected) {
   fusion::detail::push(
       c, {fusion::Prim::Dot, fusion::kNone, 2, 1, fusion::kNone,
           fusion::kNone, 0});
-  EXPECT_THROW((void)fusion::plan_chain(c), Error);
+  expect_rejected(c, "reduction reads an unstored temporary");
+}
+
+/// The stencil's 10-load sweep is the backbone: it must be the first node.
+TEST(FusionLegality, StencilAfterTheFirstNodeIsRejected) {
+  fusion::Chain c{};
+  c.nslots = 10;
+  c.live_out[9] = true;
+  // t ← cc ⊙ cw, then y ← five-point row over the pack at slot 0.
+  fusion::detail::push(
+      c, {fusion::Prim::Mul, 8, 0, 1, fusion::kNone, fusion::kNone,
+          fusion::kNone});
+  fusion::detail::push(
+      c, {fusion::Prim::Stencil, 9, 0, fusion::kNone, fusion::kNone,
+          fusion::kNone, fusion::kNone});
+  expect_rejected(c, "stencil must be the chain's first node");
 }
 
 // --- shared solver scaffolding (mirrors test_fusion.cpp) ----------------------

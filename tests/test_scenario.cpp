@@ -1,5 +1,5 @@
 /// \file test_scenario.cpp
-/// \brief The scenario subsystem: registry, catalog correctness, and the
+/// \brief The scenario subsystem: the catalog, its correctness, and the
 /// bit-identity pin of gaussian-pulse against the pre-refactor driver.
 
 #include <gtest/gtest.h>
@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string_view>
+#include <vector>
 
 #include "compiler/profile.hpp"
 #include "core/v2d.hpp"
@@ -23,70 +25,38 @@
 namespace v2d {
 namespace {
 
-// --- registry ----------------------------------------------------------------
+// --- catalog -----------------------------------------------------------------
 
-TEST(ScenarioRegistry, CatalogHoldsTheFourBuiltins) {
-  auto& reg = scenario::ScenarioRegistry::instance();
-  const auto names = reg.names();
-  for (const char* expected : {"gaussian-pulse", "sedov-radhydro",
-                               "hotspot-absorber", "two-species-relax"}) {
-    EXPECT_TRUE(std::find(names.begin(), names.end(), expected) !=
-                names.end())
-        << expected;
-    EXPECT_FALSE(reg.description(expected).empty());
-    auto problem = reg.create(expected);
+TEST(ScenarioCatalog, HoldsTheFourBuiltinsSortedByName) {
+  std::vector<std::string_view> names;
+  for (const scenario::Scenario& s : scenario::catalog())
+    names.push_back(s.name);
+  const std::vector<std::string_view> expected = {
+      "gaussian-pulse", "hotspot-absorber", "sedov-radhydro",
+      "two-species-relax"};
+  EXPECT_EQ(names, expected);
+  for (const std::string_view name : expected) {
+    const scenario::Scenario& s = scenario::lookup(name);
+    EXPECT_FALSE(s.description.empty());
+    auto problem = s.make();
     ASSERT_NE(problem, nullptr);
-    EXPECT_STREQ(problem->name(), expected);
+    EXPECT_EQ(problem->name(), name);
   }
 }
 
-TEST(ScenarioRegistry, DuplicateRegistrationIsAHardError) {
-  // A private registry: duplicate names must fail at registration time
-  // and leave the catalog unchanged.
-  scenario::ScenarioRegistry reg;
-  reg.add("my-problem", "first registration",
-          [] { return scenario::ScenarioRegistry::instance().create(
-                   "gaussian-pulse"); });
+TEST(ScenarioCatalog, UnknownNameListsTheCatalog) {
   try {
-    reg.add("my-problem", "second registration",
-            [] { return scenario::ScenarioRegistry::instance().create(
-                     "gaussian-pulse"); });
+    (void)scenario::lookup("no-such-problem");
     FAIL() << "expected Error";
   } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("my-problem"), std::string::npos);
-    EXPECT_NE(msg.find("registered twice"), std::string::npos);
-    // The message names the entry already holding the slot.
-    EXPECT_NE(msg.find("first registration"), std::string::npos);
-  }
-  // The losing registration did not clobber the catalog entry.
-  EXPECT_EQ(reg.description("my-problem"), "first registration");
-  EXPECT_EQ(reg.names().size(), 1u);
-}
-
-TEST(ScenarioRegistry, BuiltinCatalogRejectsDuplicates) {
-  EXPECT_THROW(scenario::ScenarioRegistry::instance().add(
-                   "gaussian-pulse", "impostor", [] {
-                     return std::unique_ptr<scenario::Problem>();
-                   }),
-               Error);
-  // The built-in entry survived the rejected add.
-  EXPECT_TRUE(scenario::ScenarioRegistry::instance().has("gaussian-pulse"));
-}
-
-TEST(ScenarioRegistry, UnknownNameListsTheCatalog) {
-  try {
-    scenario::ScenarioRegistry::instance().create("no-such-problem");
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("no-such-problem"), std::string::npos);
-    EXPECT_NE(msg.find("gaussian-pulse"), std::string::npos);
-    EXPECT_NE(msg.find("sedov-radhydro"), std::string::npos);
+    EXPECT_STREQ(e.what(),
+                 "unknown problem 'no-such-problem' (known problems: "
+                 "gaussian-pulse, hotspot-absorber, sedov-radhydro, "
+                 "two-species-relax)");
   }
 }
 
-TEST(ScenarioRegistry, RunConfigRejectsUnknownProblemAtBuildTime) {
+TEST(ScenarioCatalog, RunConfigRejectsUnknownProblemAtBuildTime) {
   Options opt;
   core::RunConfig::register_options(opt);
   const char* argv[] = {"prog", "--problem", "typo-pulse"};
@@ -102,7 +72,7 @@ TEST(ScenarioRegistry, RunConfigRejectsUnknownProblemAtBuildTime) {
   }
 }
 
-TEST(ScenarioRegistry, SimulationConstructorRejectsUnknownProblem) {
+TEST(ScenarioCatalog, SimulationConstructorRejectsUnknownProblem) {
   core::RunConfig cfg;
   cfg.problem = "no-such-problem";
   EXPECT_THROW(core::Simulation sim(cfg), Error);

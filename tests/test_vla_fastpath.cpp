@@ -14,7 +14,8 @@
 ///   - the dry-run contract: the body runs once per key per fork family,
 ///     only on a miss, and writes no operand memory;
 ///   - the memo's run/hit/miss accounting across copies, moves and
-///     concurrent misses.
+///     concurrent misses, and that no two KernelShapes (the fused
+///     composites included) share a memo key.
 
 #include <gtest/gtest.h>
 
@@ -90,14 +91,19 @@ struct TransferIndex {
   std::vector<std::int64_t> fm1, f0, f1, f2, near, far;
 };
 
-/// One call of the primitive kernel behind `shape` over n elements, on
-/// fresh random operands.  Every operand row is 2n + 4 wide and passed one
-/// element in, so shifted, ghost and fine-row reads stay in bounds.
-/// Returns the operands as the call left them (DPROD's result appended).
+/// Every KernelShape: the primitive kernels, then the fused composites.
+constexpr std::size_t kNumShapes =
+    static_cast<std::size_t>(KernelShape::StencilDotWCoupled) + 1;
+
+/// One call of the kernel or fused composite behind `shape` over n
+/// elements, on fresh random operands.  Every operand row is 2n + 4 wide
+/// and passed one element in, so shifted, ghost and fine-row reads stay in
+/// bounds.  Returns the operands as the call left them (any dot results
+/// appended).
 std::vector<std::vector<double>> call_kernel(KernelShape shape, Context& ctx,
                                              std::size_t n) {
   Rng rng(40 + static_cast<int>(shape));
-  std::vector<std::vector<double>> buf(10);
+  std::vector<std::vector<double>> buf(12);
   for (auto& b : buf) b = random_vec(2 * n + 4, rng);
   const auto ptr = [&](int k) { return buf[k].data() + 1; };
   const auto in = [&](int k) { return std::span<const double>(ptr(k), n); };
@@ -136,6 +142,51 @@ std::vector<std::vector<double>> call_kernel(KernelShape shape, Context& ctx,
     case KernelShape::ProlongRow:
       mg::prolong_row_add(ctx, ptr(0), ptr(1), idx.tables(), out(2));
       break;
+    case KernelShape::Daxpy2:
+      fusion::daxpy2(ctx, 0.7, in(0), out(1), -0.7, in(2), out(3));
+      break;
+    case KernelShape::AxpyOut:
+      fusion::axpy_out(ctx, in(0), -1.3, in(1), out(2));
+      break;
+    case KernelShape::PUpdate:
+      fusion::p_update(ctx, in(0), 0.8, 0.45, in(1), out(2));
+      break;
+    case KernelShape::HadamardDot2: {
+      ExactSum rz, rr;
+      fusion::hadamard_dot2(ctx, in(0), in(1), out(2), rz, rr);
+      buf.push_back({rz.value(), rr.value()});
+      break;
+    }
+    case KernelShape::HadamardUpdateDot2: {
+      ExactSum rz, rr;
+      fusion::hadamard_update_dot2(ctx, in(0), -0.6, in(1), out(2), out(3), rz,
+                                   rr);
+      buf.push_back({rz.value(), rr.value()});
+      break;
+    }
+    case KernelShape::StencilSub:
+    case KernelShape::StencilSubCoupled:
+    case KernelShape::StencilDot:
+    case KernelShape::StencilDotW:
+    case KernelShape::StencilDotCoupled:
+    case KernelShape::StencilDotWCoupled: {
+      const bool coupled = shape == KernelShape::StencilSubCoupled ||
+                           shape == KernelShape::StencilDotCoupled ||
+                           shape == KernelShape::StencilDotWCoupled;
+      const bool sub = shape == KernelShape::StencilSub ||
+                       shape == KernelShape::StencilSubCoupled;
+      const bool self = shape == KernelShape::StencilDot ||
+                        shape == KernelShape::StencilDotCoupled;
+      ExactSum dot;
+      fusion::stencil_row_fused(
+          ctx, in(0), in(1), in(2), in(3), in(4), ptr(5), ptr(6), ptr(7),
+          coupled ? ptr(8) : nullptr, coupled ? ptr(9) : nullptr,
+          sub ? ptr(10) : nullptr,
+          sub ? nullptr : (self ? ptr(5) : ptr(10)), sub ? nullptr : &dot,
+          out(11));
+      if (!sub) buf.push_back({dot.value()});
+      break;
+    }
   }
   return buf;
 }
@@ -521,22 +572,23 @@ TEST(FastPathCache, RepeatedCallsAccumulateExactly) {
   EXPECT_EQ(seven.bytes_moved(), 7 * once.bytes_moved());
 }
 
+/// Every KernelShape, the fused composites included, keys its own memo
+/// entry: one native context records each shape once at one row length,
+/// misses once per shape, and each recording equals its interpreter run's.
+/// Two shapes sharing a key would hand the second the first's recording.
 TEST(FastPathCache, DistinctShapesWithSameLengthDoNotCollide) {
-  Context ctx(VectorArch(512), VlaExecMode::Native);
-  std::vector<double> x(64, 1.0), y(64, 2.0);
-  daxpy(ctx, 2.0, x, y);
-  const auto after_daxpy = ctx.take_counts();
-  (void)dprod(ctx, x, y);
-  const auto after_dprod = ctx.take_counts();
-  // DPROD has a Reduce, DAXPY a StoreContig; a key collision would leak
-  // one shape's recording into the other.
-  EXPECT_EQ(after_daxpy.instr[static_cast<std::size_t>(sim::OpClass::Reduce)],
-            0u);
-  EXPECT_EQ(after_dprod.instr[static_cast<std::size_t>(sim::OpClass::Reduce)],
-            1u);
-  EXPECT_EQ(
-      after_dprod.instr[static_cast<std::size_t>(sim::OpClass::StoreContig)],
-      0u);
+  const std::size_t n = 37;
+  Context native(VectorArch(512), VlaExecMode::Native);
+  for (std::size_t i = 0; i < kNumShapes; ++i) {
+    const auto shape = static_cast<KernelShape>(i);
+    SCOPED_TRACE("shape " + std::to_string(i));
+    Context interp(VectorArch(512), VlaExecMode::Interpret);
+    call_kernel(shape, interp, n);
+    call_kernel(shape, native, n);
+    expect_counts_equal(interp.take_counts(), native.take_counts());
+  }
+  EXPECT_EQ(native.memo_misses(), kNumShapes);
+  EXPECT_EQ(native.memo_hits(), 0u);
 }
 
 /// Keys A A B A B B record exactly the sum of the six interpreter
