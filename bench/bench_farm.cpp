@@ -16,7 +16,11 @@
 /// bench_rank_parallel.
 ///
 ///   ./bench_farm [--jobs 4,8,16] [--nx1 64 --nx2 32 --steps 2]
-///                [--repeats 2] [--out BENCH_farm.json]
+///                [--repeats 8] [--out BENCH_farm.json]
+///
+/// The serial and farm legs alternate and each keeps its best of
+/// --repeats.  A leg lasts 10–60 ms, so with only 2 repeats one scheduling
+/// hiccup decided a row; 8 give the gate a stable verdict on a 4-vCPU host.
 
 #include <chrono>
 #include <cstdio>
@@ -107,7 +111,7 @@ int main(int argc, char** argv) try {
   opt.add("steps", "2", "time steps per job");
   opt.add("nprx1", "1", "tiles in x1 per job");
   opt.add("nprx2", "1", "tiles in x2 per job");
-  opt.add("repeats", "2", "timing repetitions per batch size (best kept)");
+  opt.add("repeats", "8", "timing repetitions per batch size (best kept)");
   opt.add("out", "BENCH_farm.json", "JSON output path (empty = none)");
   core::RunConfig cfg;
   int repeats = 1;

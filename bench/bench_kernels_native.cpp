@@ -159,10 +159,8 @@ int main(int argc, char** argv) try {
     // its native column over dprod's is the cost of exactness.
     results.push_back(
         measure("dot-exact", n, bits, min_ms, [&](Context& ctx) {
-          if (ctx.native())
-            linalg::dprod_record_only(ctx, x, w);
-          else
-            (void)linalg::dprod(ctx, x, w);
+          linalg::dprod_record_only(ctx, x.data(), w.data(),
+                                    linalg::Tile::row(n));
           ExactSum s;
           s.add_dot_rows(x.data(), 0, w.data(), 0, n, 1);
           g_sink = s.value();

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "compiler/profile.hpp"
+#include "grid/decomp.hpp"
 #include "linalg/exec_context.hpp"
 #include "linalg/precond.hpp"
 #include "scenario/registry.hpp"
@@ -35,6 +37,17 @@ double positive_real(const Options& opt, const std::string& name,
     throw Error(os.str());
   }
   return v;
+}
+
+/// Run `check`, which calls the bound of option --name's value where that
+/// bound lives; an Error it throws is rethrown naming the option.
+template <typename Check>
+void check_option(const Options& opt, const std::string& name, Check&& check) {
+  try {
+    check();
+  } catch (const Error& e) {
+    throw Error("option --" + name + " " + opt.get(name) + ": " + e.what());
+  }
 }
 
 }  // namespace
@@ -101,7 +114,7 @@ RunConfig RunConfig::from_options(const Options& opt) {
   // Fail at config build time, not at Simulation construction: an unknown
   // problem name is a usage error, and the lookup lists the catalog in its
   // message.
-  (void)scenario::lookup(c.problem);
+  check_option(opt, "problem", [&] { (void)scenario::lookup(c.problem); });
   c.nx1 = at_least(opt, "nx1", 1);
   c.nx2 = at_least(opt, "nx2", 1);
   c.ns = at_least(opt, "ns", 1);
@@ -110,28 +123,41 @@ RunConfig RunConfig::from_options(const Options& opt) {
   c.kappa_total = positive_real(opt, "kappa", true);
   c.kappa_absorb = positive_real(opt, "kappa-absorb", true);
   c.exchange_kappa = positive_real(opt, "kappa-exchange", true);
-  c.limiter = rad::limiter_from_name(opt.get("limiter"));
+  check_option(opt, "limiter",
+               [&] { c.limiter = rad::limiter_from_name(opt.get("limiter")); });
   c.nprx1 = at_least(opt, "nprx1", 1);
   c.nprx2 = at_least(opt, "nprx2", 1);
+  // Every problem builds Grid2D(nx1, nx2, …), so its tiles must fit it.
+  check_option(opt, "nprx1",
+               [&] { grid::Decomposition::require_fits(c.nx1, c.nprx1); });
+  check_option(opt, "nprx2",
+               [&] { grid::Decomposition::require_fits(c.nx2, c.nprx2); });
   c.rel_tol = positive_real(opt, "tol");
   c.max_iterations = at_least(opt, "max-iter", 1);
   c.ganged = opt.get_bool("ganged");
   c.preconditioner = opt.get("precond");
+  check_option(opt, "precond", [&] {
+    if (!linalg::is_preconditioner_kind(c.preconditioner))
+      throw Error("unknown preconditioner");
+  });
   c.solver_fallbacks.clear();
   {
     std::stringstream fb(opt.get("solver-fallbacks"));
     std::string kind;
     while (std::getline(fb, kind, ',')) {
       if (kind.empty()) continue;
-      V2D_REQUIRE(linalg::is_preconditioner_kind(kind),
-                  "unknown fallback preconditioner '" + kind + "'");
+      check_option(opt, "solver-fallbacks", [&] {
+        if (!linalg::is_preconditioner_kind(kind))
+          throw Error("unknown fallback preconditioner '" + kind + "'");
+      });
       c.solver_fallbacks.push_back(kind);
     }
   }
   {
     const std::string g = opt.get("guard");
-    V2D_REQUIRE(g == "on" || g == "off",
-                "guard must be 'on' or 'off', got '" + g + "'");
+    check_option(opt, "guard", [&] {
+      if (g != "on" && g != "off") throw Error("expected on|off");
+    });
     c.guard = g == "on";
   }
   c.guard_drift = positive_real(opt, "guard-drift", true);
@@ -148,15 +174,22 @@ RunConfig RunConfig::from_options(const Options& opt) {
   std::stringstream ss(opt.get("compilers"));
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) c.compilers.push_back(item);
+    if (item.empty()) continue;
+    check_option(opt, "compilers",
+                 [&] { (void)compiler::find_profile(item); });
+    c.compilers.push_back(item);
   }
   V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
   c.vector_bits = opt.get_int<unsigned>("vector-bits");
+  check_option(opt, "vector-bits",
+               [&] { (void)vla::VectorArch(c.vector_bits); });
   c.host_threads = at_least(opt, "host-threads", 0);
   c.vla_exec = opt.get("vla-exec");
-  (void)vla::vla_exec_mode_from_name(c.vla_exec);  // validate early
+  check_option(opt, "vla-exec",
+               [&] { (void)vla::vla_exec_mode_from_name(c.vla_exec); });
   c.fuse = opt.get("fuse");
-  (void)linalg::fuse_mode_from_name(c.fuse);  // validate early
+  check_option(opt, "fuse",
+               [&] { (void)linalg::fuse_mode_from_name(c.fuse); });
   c.checkpoint_path = opt.get("checkpoint");
   c.checkpoint_every = at_least(opt, "checkpoint-every", 0);
   c.restart_path = opt.get("restart");

@@ -43,7 +43,7 @@ static_assert(sizeof(sim::RegionCost) ==
 
 void write_ledger(io::Group& group, const sim::CostLedger& ledger) {
   for (const auto& [name, rc] : ledger.regions()) {
-    io::Group& rg = group.create_group(name);
+    io::Group& rg = group.create_group(std::string(name));
     std::vector<std::int64_t> u;
     u.reserve(2 * sim::kNumOpClasses + 6);
     for (std::size_t i = 0; i < sim::kNumOpClasses; ++i)
@@ -91,7 +91,8 @@ sim::CostLedger read_ledger(const io::Group& group) {
     rc.overhead_cycles = fd.f64[2];
     rc.total_cycles = fd.f64[3];
     rc.comm_seconds = fd.f64[4];
-    out.set_region(name, rc);
+    // Names map through the region table; one it lacks is an Error.
+    out.set_region(sim::region_from_name(name), rc);
   }
   return out;
 }
@@ -297,7 +298,8 @@ void Simulation::checkpoint(const std::string& path) {
     const grid::TileExtent& ext = dec_.extent(r);
     const auto elements =
         static_cast<std::uint64_t>(ext.ni) * ext.nj * arrays;
-    ctx_.commit_synthetic(r, compiler::KernelFamily::Io, "checkpoint",
+    ctx_.commit_synthetic(r, compiler::KernelFamily::Io,
+                          sim::Region::Checkpoint,
                           elements, 2, 8, 8, elements * 16);
   }
 

@@ -8,6 +8,7 @@
 /// direction get one extra zone), although every Table I configuration
 /// divides evenly.
 
+#include <string>
 #include <vector>
 
 #include "grid/grid2d.hpp"
@@ -31,8 +32,8 @@ class Decomposition {
 public:
   Decomposition(const Grid2D& grid, mpisim::CartTopology topo)
       : topo_(topo), nx1_(grid.nx1()), nx2_(grid.nx2()) {
-    V2D_REQUIRE(topo.nprx1() <= grid.nx1() && topo.nprx2() <= grid.nx2(),
-                "more tiles than zones in a direction");
+    require_fits(grid.nx1(), topo.nprx1());
+    require_fits(grid.nx2(), topo.nprx2());
     extents_.reserve(static_cast<std::size_t>(topo.size()));
     for (int r = 0; r < topo.size(); ++r) {
       const int px1 = topo.px1_of(r), px2 = topo.px2_of(r);
@@ -65,6 +66,14 @@ public:
       zones += static_cast<std::int64_t>(e.ni) * e.nj;
     }
     V2D_REQUIRE(zones == grid.zones(), "tile extents must tile the grid");
+  }
+
+  /// Throws unless `tiles` tiles fit in a direction of `zones` zones (every
+  /// tile owns at least one zone).
+  static void require_fits(int zones, int tiles) {
+    V2D_REQUIRE(tiles <= zones, "more tiles than zones in a direction (" +
+                                    std::to_string(tiles) + " tiles, " +
+                                    std::to_string(zones) + " zones)");
   }
 
   const mpisim::CartTopology& topology() const { return topo_; }

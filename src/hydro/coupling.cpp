@@ -55,7 +55,7 @@ CouplingResult apply_rad_heating(linalg::ExecContext& ctx, HydroState& gas,
     to_gas[static_cast<std::size_t>(r)] = partial;
     const auto elements =
         static_cast<std::uint64_t>(e.ni) * e.nj * e_rad.ns();
-    rctx.commit_synthetic(r, KernelFamily::Physics, "rad-gas-exchange",
+    rctx.commit_synthetic(r, KernelFamily::Physics, sim::Region::RadGasExchange,
                           elements, 14, 32, 16, elements * 48);
   });
   for (const double v : to_gas) result.energy_to_gas += v;

@@ -101,7 +101,7 @@ double HydroSolver::cfl_dt(ExecContext& ctx, const HydroState& state) const {
     }
     dt_r[static_cast<std::size_t>(r)] = dt;
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj;
-    rctx.commit_synthetic(r, KernelFamily::Hydro, "hydro-cfl", elements, 20,
+    rctx.commit_synthetic(r, KernelFamily::Hydro, sim::Region::HydroCfl, elements, 20,
                           32, 0, elements * 32);
   });
   double dt = std::numeric_limits<double>::max();
@@ -220,7 +220,7 @@ void HydroSolver::sweep(ExecContext& ctx, HydroState& state, double dt,
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj;
     // ~90 flops/zone (one HLL flux per face + update), ~14 doubles read,
     // 4 written.
-    rctx.commit_synthetic(r, KernelFamily::Hydro, "hydro-sweep", elements, 90,
+    rctx.commit_synthetic(r, KernelFamily::Hydro, sim::Region::HydroSweep, elements, 90,
                           112, 32, elements * 144);
   });
 }

@@ -12,7 +12,8 @@ namespace v2d::linalg {
 using compiler::KernelFamily;
 
 void require_same_shape(const grid::DistField& a, const grid::DistField& b) {
-  bool same = a.ns() == b.ns() && a.nranks() == b.nranks();
+  bool same =
+      a.ns() == b.ns() && a.ng() == b.ng() && a.nranks() == b.nranks();
   // Operands walk one extent per rank, so each rank's tile must match.
   for (int r = 0; same && &a.decomp() != &b.decomp() && r < a.nranks(); ++r) {
     const grid::TileExtent& ea = a.decomp().extent(r);
@@ -28,62 +29,63 @@ std::uint64_t DistVector::working_set(int rank, int arrays) const {
          static_cast<std::uint64_t>(e.ni) * e.nj * sizeof(double);
 }
 
-// Each op below is one sweep_rows call; its operand list is the op's
-// working set, outputs last.  A row op's `row` holds the operands' row
-// starts in list order.
+// Each op below is one sweep_tiles call; its operand list is the op's
+// working set, outputs last.  A tile op's `p` holds the operands' tile
+// bases in list order.
+
+using sim::Region;
 
 void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
-  sweep_rows(ctx, KernelFamily::Daxpy, "daxpy", {&x.field_, &field_},
-             [a](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::daxpy(v, a, {row[0], n}, {row[1], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Daxpy, Region::Daxpy, {&x.field_, &field_},
+              [a](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::daxpy(v, a, p[0], p[1], t);
+              });
 }
 
 void DistVector::dscal(ExecContext& ctx, double c, double d) {
-  sweep_rows(ctx, KernelFamily::Dscal, "dscal", {&field_},
-             [c, d](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::dscal(v, c, d, {row[0], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Dscal, Region::Dscal, {&field_},
+              [c, d](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::dscal(v, c, d, p[0], t);
+              });
 }
 
 void DistVector::ddaxpy(ExecContext& ctx, double a, const DistVector& x,
                         double b, const DistVector& y) {
-  sweep_rows(ctx, KernelFamily::Ddaxpy, "ddaxpy",
-             {&x.field_, &y.field_, &field_},
-             [a, b](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::ddaxpy(v, a, {row[0], n}, b, {row[1], n},
-                              {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Ddaxpy, Region::Ddaxpy,
+              {&x.field_, &y.field_, &field_},
+              [a, b](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::ddaxpy(v, a, p[0], b, p[1], p[2], t);
+              });
 }
 
 void DistVector::xpby(ExecContext& ctx, const DistVector& x, double b) {
-  sweep_rows(ctx, KernelFamily::VecMisc, "xpby", {&x.field_, &field_},
-             [b](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::xpby(v, {row[0], n}, b, {row[1], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Xpby, {&x.field_, &field_},
+              [b](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::xpby(v, p[0], b, p[1], t);
+              });
 }
 
 void DistVector::copy_from(ExecContext& ctx, const DistVector& x) {
-  sweep_rows(ctx, KernelFamily::VecMisc, "copy", {&x.field_, &field_},
-             [](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::copy(v, {row[0], n}, {row[1], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Copy, {&x.field_, &field_},
+              [](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::copy(v, p[0], p[1], t);
+              });
 }
 
 void DistVector::fill(ExecContext& ctx, double a) {
-  sweep_rows(ctx, KernelFamily::VecMisc, "fill", {&field_},
-             [a](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::fill(v, a, {row[0], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Fill, {&field_},
+              [a](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::fill(v, a, p[0], t);
+              });
 }
 
 void DistVector::assign_sub(ExecContext& ctx, const DistVector& x,
                             const DistVector& y) {
-  sweep_rows(ctx, KernelFamily::VecMisc, "sub",
-             {&x.field_, &y.field_, &field_},
-             [](vla::Context& v, int, const auto& row, std::size_t n) {
-               linalg::sub(v, {row[0], n}, {row[1], n}, {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Sub,
+              {&x.field_, &y.field_, &field_},
+              [](vla::Context& v, int, const auto& p, const Tile& t) {
+                linalg::sub(v, p[0], p[1], p[2], t);
+              });
 }
 
 void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
@@ -94,12 +96,11 @@ void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
     r.daxpy(ctx, b, q);
     return;
   }
-  sweep_rows(ctx, KernelFamily::Daxpy, "daxpy2",
-             {&p.field_, &q.field_, &x.field_, &r.field_},
-             [a, b](vla::Context& v, int, const auto& row, std::size_t n) {
-               fusion::daxpy2(v, a, {row[0], n}, {row[2], n}, b,
-                              {row[1], n}, {row[3], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Daxpy, Region::Daxpy2,
+              {&p.field_, &q.field_, &x.field_, &r.field_},
+              [a, b](vla::Context& v, int, const auto& o, const Tile& t) {
+                fusion::daxpy2(v, a, o[0], o[2], b, o[1], o[3], t);
+              });
 }
 
 void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
@@ -109,11 +110,11 @@ void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
     daxpy(ctx, a, z);
     return;
   }
-  sweep_rows(ctx, KernelFamily::VecMisc, "axpy",
-             {&x.field_, &z.field_, &field_},
-             [a](vla::Context& v, int, const auto& row, std::size_t n) {
-               fusion::axpy_out(v, {row[0], n}, a, {row[1], n}, {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Axpy,
+              {&x.field_, &z.field_, &field_},
+              [a](vla::Context& v, int, const auto& p, const Tile& t) {
+                fusion::axpy_out(v, p[0], a, p[1], p[2], t);
+              });
 }
 
 void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
@@ -123,12 +124,11 @@ void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
     xpby(ctx, x, b);
     return;
   }
-  sweep_rows(ctx, KernelFamily::VecMisc, "p-update",
-             {&x.field_, &v.field_, &field_},
-             [b, w](vla::Context& vc, int, const auto& row, std::size_t n) {
-               fusion::p_update(vc, {row[0], n}, b, w, {row[1], n},
-                                {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::VecMisc, Region::PUpdate,
+              {&x.field_, &v.field_, &field_},
+              [b, w](vla::Context& vc, int, const auto& p, const Tile& t) {
+                fusion::p_update(vc, p[0], b, w, p[1], p[2], t);
+              });
 }
 
 double DistVector::dot(ExecContext& ctx, const DistVector& x,
@@ -148,40 +148,31 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   // Each inner product is the exact sum of its once-rounded products,
   // rounded once (see support/exact_sum.hpp), so neither the tiling, the
   // SIMD width nor the host-thread count can change its bits.  The VLA
-  // recording below still prices the ordinary strip-mined DPROD the
-  // hardware would run; on the fast path the DPROD is not computed at all
-  // and only its memoized recording is kept — execution and recording
-  // fully decoupled.  Each rank sums its tiles into private partials, so
-  // threads share no state, and the partials merge in any order.
-  const bool fast = ctx.vctx.native();
+  // recording still prices the ordinary strip-mined DPROD the hardware
+  // would run, one tile entry per (pair, species): on the fast path only
+  // its memoized recording is kept, so execution and recording are fully
+  // decoupled.  Each rank sums its tiles into private partials, so threads
+  // share no state, and the partials merge in any order.
   const int nranks = first.nranks();
   const std::size_t np = pairs.size();
   std::vector<ExactSum> partial(static_cast<std::size_t>(nranks) * np);
   par_ranks(ctx, first, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = first.field().decomp().extent(r);
-    const auto ni = static_cast<std::size_t>(e.ni);
     ExactSum* acc = &partial[static_cast<std::size_t>(r) * np];
     for (std::size_t k = 0; k < np; ++k) {
       for (int s = 0; s < first.ns(); ++s) {
-        grid::TileView xv =
+        const grid::TileView xv =
             const_cast<DistVector*>(pairs[k].x)->field().view(r, s);
-        grid::TileView yv =
+        const grid::TileView yv =
             const_cast<DistVector*>(pairs[k].y)->field().view(r, s);
-        for (int lj = 0; lj < e.nj; ++lj) {
-          const std::span<const double> xr(xv.row(lj), ni);
-          const std::span<const double> yr(yv.row(lj), ni);
-          if (fast)
-            linalg::dprod_record_only(rctx.vctx, xr, yr);
-          else
-            (void)linalg::dprod(rctx.vctx, xr, yr);
-        }
-        acc[k].add_dot_rows(xv.row(0), xv.row_stride, yv.row(0),
-                            yv.row_stride, ni, static_cast<std::size_t>(e.nj));
+        const Tile t = tile_of(xv);
+        linalg::dprod_record_only(rctx.vctx, xv.base, yv.base, t);
+        acc[k].add_dot_rows(xv.base, t.stride, yv.base, t.stride, t.ni, t.nj);
       }
     }
     const auto elements =
         static_cast<std::uint64_t>(e.ni) * e.nj * first.ns() * np;
-    rctx.commit(r, KernelFamily::Dprod, "dprod", elements,
+    rctx.commit(r, KernelFamily::Dprod, Region::Dprod, elements,
                 first.working_set(r, 2 * static_cast<int>(np)));
   });
   // One ganged allreduce for all inner products in the gang.

@@ -4,57 +4,64 @@
 ///
 /// A DistVector is an ns-species grid-shaped vector (one DistField) plus
 /// the instrumented BLAS-level operations of the paper's Table II.  Every
-/// streaming operation is one sweep_rows call: one task per simulated rank
-/// (concurrently on the host pool — see par_ranks) runs the VLA kernel
-/// over that rank's tile rows and commits one priced call, so per-rank
-/// clocks advance exactly with the work each simulated processor does.
-/// The diagonal preconditioners and the multigrid smoother's diagonal
-/// sweeps use the same rank loop.
+/// streaming operation is one sweep_tiles call: one task per simulated
+/// rank (concurrently on the host pool — see par_ranks) runs the kernel's
+/// tile entry once per species tile and commits one priced call, so
+/// per-rank clocks advance exactly with the work each simulated processor
+/// does.  The diagonal preconditioners and the multigrid smoother's
+/// diagonal sweeps use the same rank loop.
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "grid/dist_field.hpp"
 #include "linalg/exec_context.hpp"
+#include "linalg/tile.hpp"
 
 namespace v2d::linalg {
 
-/// Throws unless `a` and `b` have the same species count, rank count and
-/// tile extent on every rank.  Compared by value, not by the
-/// decomposition's address: a field on a copy of the same decomposition
-/// is compatible.
+/// Throws unless `a` and `b` have the same species count, ghost width,
+/// rank count and tile extent on every rank (so their tile views share a
+/// row stride).  Compared by value, not by the decomposition's address: a
+/// field on a copy of the same decomposition is compatible.
 void require_same_shape(const grid::DistField& a, const grid::DistField& b);
+
+/// The Tile a view spans: its ni × nj zones at its row stride.
+inline Tile tile_of(const grid::TileView& v) {
+  return {static_cast<std::size_t>(v.ni), static_cast<std::size_t>(v.nj),
+          v.row_stride};
+}
 
 /// The rank loop of every streaming tile op.  For each simulated rank
 /// (concurrently — see par_ranks) and each species, fetch every operand's
-/// TileView once, then call `row_op(vctx, rank, row, ni)` for each tile
-/// row, where row[k] is the start of operand k's row.  Each rank commits
-/// one priced call under `family`/`region`: elements = ni·nj·ns, working
-/// set = N tile arrays.  The operands' shapes are checked once per call,
-/// and fields[0] supplies the tile extents.  Rows are handed out mutable;
-/// the row op writes only the operands it owns.
-template <std::size_t N, typename RowOp>
-void sweep_rows(ExecContext& ctx, compiler::KernelFamily family,
-                const std::string& region,
-                const grid::DistField* const (&fields)[N], RowOp&& row_op) {
+/// TileView once and call `tile_op(vctx, rank, base, tile)` once, where
+/// base[k] is operand k's (li = 0, lj = 0) address and `tile` the rank's
+/// ni × nj extent at the operands' shared row stride: the op runs a tile
+/// entry over the whole tile.  Each rank commits one priced call under
+/// `family`/`region`: elements = ni·nj·ns, working set = N tile arrays.
+/// The operands' shapes are checked once per call, so they share one tile.
+/// Bases are handed out mutable; the op writes only the operands it owns.
+template <std::size_t N, typename TileOp>
+void sweep_tiles(ExecContext& ctx, compiler::KernelFamily family,
+                 sim::Region region,
+                 const grid::DistField* const (&fields)[N], TileOp&& tile_op) {
   const grid::DistField& f0 = *fields[0];
   for (const grid::DistField* f : fields) require_same_shape(f0, *f);
   par_ranks(ctx, f0, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = f0.decomp().extent(r);
-    const auto ni = static_cast<std::size_t>(e.ni);
-    std::array<grid::TileView, N> v;
-    std::array<double*, N> row;
+    std::array<double*, N> base;
+    Tile tile;
     for (int s = 0; s < f0.ns(); ++s) {
-      for (std::size_t k = 0; k < N; ++k)
-        v[k] = const_cast<grid::DistField*>(fields[k])->view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        for (std::size_t k = 0; k < N; ++k) row[k] = v[k].row(lj);
-        row_op(rctx.vctx, r, row, ni);
+      for (std::size_t k = 0; k < N; ++k) {
+        const grid::TileView v =
+            const_cast<grid::DistField*>(fields[k])->view(r, s);
+        base[k] = v.base;
+        tile = tile_of(v);  // one tile: same extents and ghost width
       }
+      tile_op(rctx.vctx, r, base, tile);
     }
+    const grid::TileExtent& e = f0.decomp().extent(r);
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * f0.ns();
     rctx.commit(r, family, region, elements, N * elements * sizeof(double));
   });

@@ -4,8 +4,10 @@
 ///
 /// Every distributed operation takes an ExecContext.  The vla::Context
 /// executes and records; commit() flushes the recording as one priced
-/// kernel call attributed to a rank.  When `em` is null the numerics run
-/// unpriced (unit tests of pure math use this).
+/// kernel call attributed to a rank and to a sim::Region of its ledger
+/// (an id into the fixed region table, so no commit compares a name).
+/// When `em` is null the numerics run unpriced (unit tests of pure math
+/// use this).
 
 #include <cstdint>
 #include <string>
@@ -75,10 +77,9 @@ struct ExecContext {
   ExecContext fork() const { return ExecContext(vctx.fork(), em, fuse); }
 
   /// Flush the recording accumulated since the last commit as one kernel
-  /// call by `rank` touching a `working_set_bytes` footprint.
-  void commit(int rank, compiler::KernelFamily family,
-              const std::string& region, std::uint64_t elements,
-              std::uint64_t working_set_bytes) {
+  /// call by `rank` in `region`, touching a `working_set_bytes` footprint.
+  void commit(int rank, compiler::KernelFamily family, sim::Region region,
+              std::uint64_t elements, std::uint64_t working_set_bytes) {
     sim::KernelCounts counts = vctx.take_counts();
     counts.calls = 1;
     counts.elements = elements;
@@ -90,7 +91,7 @@ struct ExecContext {
   /// VLA recording.  FMA-dominated mix is assumed; loop control is charged
   /// per element.
   void commit_synthetic(int rank, compiler::KernelFamily family,
-                        const std::string& region, std::uint64_t elements,
+                        sim::Region region, std::uint64_t elements,
                         std::uint64_t flops_per_elem,
                         std::uint64_t bytes_read_per_elem,
                         std::uint64_t bytes_written_per_elem,
@@ -119,12 +120,12 @@ struct ExecContext {
   }
 
   void allreduce(std::uint64_t bytes,
-                 const std::string& region = "mpi_allreduce") {
+                 sim::Region region = sim::Region::MpiAllreduce) {
     if (em != nullptr) em->allreduce(bytes, region);
   }
 
   void exchange(const std::vector<mpisim::Transfer>& transfers,
-                const std::string& region = "mpi_halo") {
+                sim::Region region = sim::Region::MpiHalo) {
     if (em != nullptr) em->exchange(transfers, region);
   }
 };

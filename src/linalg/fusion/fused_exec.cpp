@@ -1,22 +1,23 @@
 /// \file fused_exec.cpp
 /// \brief The fused composites: one lowered sweep each, in both backends.
 ///
-/// Each composite binds its operands to its chain's slots and calls
-/// `run<Chain, KernelShape>`, which lowers the chain at compile time
-/// (planner.hpp) and runs the sweep as:
-///   - Interpret: the generic sweep below, which walks the GroupProgram's
-///     steps per strip through vla::Context ops (recording op-by-op, like
-///     every other interpreted kernel);
+/// Each composite is a tile entry: it binds its operands to its chain's
+/// slots over a Tile and calls `run<Chain, KernelShape>`, which lowers the
+/// chain at compile time (planner.hpp) and runs the sweep as:
+///   - Interpret: the generic sweep below, row by row, which walks the
+///     GroupProgram's steps per strip through vla::Context ops (recording
+///     op-by-op, like every other interpreted kernel);
 ///   - Native: `stamp_body<G>`, the program unrolled at compile time into
-///     a flat per-element loop and run at the host's vector width through
-///     simd::dispatch, with the recording made by dry-running the
-///     interpreter sweep once per (shape, n) through record_native — the
-///     same memo, under the composite's own KernelShape, as every
-///     primitive kernel.
+///     a flat per-element loop nest over the tile's rows and run at the
+///     host's vector width through simd::dispatch, with the tile recorded
+///     once through run_tile — nj × the interpreter row's dry run,
+///     memoized per (shape, ni) under the composite's own KernelShape, as
+///     for every primitive kernel.
 /// Both produce bit-identical results: elementwise steps evaluate the same
 /// per-element expressions in the same association order, and each fused
 /// dot is a post-sweep tail that adds the exact sum of its stored
-/// operands' products to the caller's ExactSum — whose value no order of
+/// operands' products to the caller's ExactSum (per row in the
+/// interpreter, per tile natively) — whose value no order or grouping of
 /// rows, ranks or threads can change.
 
 #include "linalg/fusion/fused_exec.hpp"
@@ -35,30 +36,41 @@ namespace v2d::linalg::fusion {
 namespace {
 
 /// Operand binding for one composite call: slot index → base pointer,
-/// scalar index → value, accumulator index → caller's exact dot.
-/// Temporary slots need no binding (they live in registers).
+/// scalar index → value, accumulator index → caller's exact dot, over the
+/// tile `t`.  Temporary slots need no binding (they live in registers).
 struct Bind {
   double* slot[kMaxSlots] = {};
   double scal[kMaxScalars] = {};
   ExactSum* acc[kMaxAccs] = {};
-  std::size_t n = 0;
+  Tile t;
+
+  /// The binding of row j alone (bound slots advanced to that row).
+  Bind row(std::size_t j) const {
+    Bind r = *this;
+    for (double*& s : r.slot)
+      if (s != nullptr) s += t.offset(j);
+    r.t = Tile::row(t.ni);
+    return r;
+  }
 };
 
 // --- interpreter backend ------------------------------------------------------
 
 /// The sweep's dot tails: acc[t.acc] += Σ slot[t.slot_a][i]·slot[t.slot_b][i]
-/// for each tail t, exactly.  Both backends run them after the sweep.
+/// over the binding's tile for each tail t, exactly — one add_dot_rows
+/// call per tail.  Both backends run them after the sweep: the
+/// interpreter once per row, the native stamp once per tile.
 void run_dot_tails(const GroupProgram& g, const Bind& b) {
-  for (std::uint8_t t = 0; t < g.ntails; ++t) {
-    const DotTail& tl = g.tail[t];
-    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], 0, b.slot[tl.slot_b], 0,
-                                b.n, 1);
+  for (std::uint8_t k = 0; k < g.ntails; ++k) {
+    const DotTail& tl = g.tail[k];
+    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], b.t.stride,
+                                b.slot[tl.slot_b], b.t.stride, b.t.ni, b.t.nj);
   }
 }
 
-/// The generic interpreter sweep (also the reference backend the stamps
-/// are differentially tested against, and the recording of the native
-/// stamps).  In a dry context it records the whole sweep, reduction
+/// The generic interpreter sweep over one row (also the reference backend
+/// the stamps are differentially tested against, and the recording of the
+/// native stamps).  In a dry context it records the whole sweep, reduction
 /// epilogue included, but skips the dot tails.
 void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
   using vla::Predicate;
@@ -74,7 +86,7 @@ void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
       acc[s.dst] = ctx.dup(0.0);
   }
 
-  vla::strip_mine(ctx, b.n, [&](std::uint64_t i, const Predicate& p) {
+  vla::strip_mine(ctx, b.t.ni, [&](std::uint64_t i, const Predicate& p) {
     for (std::uint8_t k = 0; k < g.nsteps; ++k) {
       const Step& s = g.step[k];
       switch (s.k) {
@@ -175,121 +187,116 @@ V2D_SIMD_BODY void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
 }
 
 /// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop.  Every program is elementwise once its
-/// dots move to the tails, so each reduces to a plain raw-pointer loop like
-/// the primitive kernels in kernels_native.cpp, which the host compiler
-/// auto-vectorizes at both widths.  Register slots with compile-time-
-/// constant indices are scalarized by the compiler.
+/// into a flat per-element loop, run over every row of the tile.  Every
+/// program is elementwise once its dots move to the tails, so each reduces
+/// to a plain raw-pointer loop nest like the primitive kernels in
+/// kernels_native.cpp, which the host compiler auto-vectorizes at both
+/// widths.  Register slots with compile-time-constant indices are
+/// scalarized by the compiler.
 template <GroupProgram G>
 V2D_SIMD_BODY void stamp_body(const Bind* b) {
   double* p[kMaxSlots];
   for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b->slot[s];
   double sc[kMaxScalars];
   for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b->scal[s];
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(b->n);
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    double r[kMaxRegs];
-    [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
-      (stamp_pre<G, Pi>(sc, r), ...);
-    }(std::make_index_sequence<std::size_t{G.npre}>{});
-    [&]<std::size_t... Si>(std::index_sequence<Si...>) {
-      (stamp_step<G, Si>(p, r, i), ...);
-    }(std::make_index_sequence<std::size_t{G.nsteps}>{});
+  const Tile t = b->t;
+  const auto ni = static_cast<std::ptrdiff_t>(t.ni);
+  for (std::size_t j = 0; j < t.nj; ++j) {
+    // Unbound slots stay null, so rows are element offsets, not advanced
+    // pointers.
+    const std::ptrdiff_t o = t.offset(j);
+    for (std::ptrdiff_t i = o; i < o + ni; ++i) {
+      double r[kMaxRegs];
+      [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
+        (stamp_pre<G, Pi>(sc, r), ...);
+      }(std::make_index_sequence<std::size_t{G.npre}>{});
+      [&]<std::size_t... Si>(std::index_sequence<Si...>) {
+        (stamp_step<G, Si>(p, r, i), ...);
+      }(std::make_index_sequence<std::size_t{G.nsteps}>{});
+    }
   }
 }
 
-/// Run chain `C` over the binding as one sweep in the context's exec mode.
-/// The native path records exactly as the primitive kernels do: the
-/// interpreter sweep's dry run, memoized under (S, n).
+/// Run chain `C` over the binding's tile as one sweep per row in the
+/// context's exec mode.  The native path is a tile entry like the
+/// primitive kernels': the tile is recorded once (the interpreter row's
+/// dry run, memoized under (S, ni), nj times), one stamp runs every row,
+/// and each dot tail adds the whole tile in one exact call.
 template <Chain C, KernelShape S>
 void run(vla::Context& ctx, const Bind& bind) {
   static constexpr GroupProgram G = lower(C);
-  if (!ctx.native()) {
-    run_interpret(ctx, G, bind);
-    return;
-  }
-  record_native(ctx, S, bind.n,
-                [&](vla::Context& dry) { run_interpret(dry, G, bind); });
-  simd::dispatch<&stamp_body<G>>(&bind);
-  run_dot_tails(G, bind);
+  run_tile(
+      ctx, S, bind.t,
+      [&](vla::Context& c, std::size_t j) {
+        run_interpret(c, G, bind.row(j));
+      },
+      [&] {
+        simd::dispatch<&stamp_body<G>>(&bind);
+        run_dot_tails(G, bind);
+      });
 }
 
 }  // namespace
 
 // --- the composites -----------------------------------------------------------
 
-void daxpy2(vla::Context& ctx, double a, std::span<const double> p,
-            std::span<double> x, double b, std::span<const double> q,
-            std::span<double> r) {
-  const std::size_t n = x.size();
-  V2D_REQUIRE(p.size() == n && q.size() == n && r.size() == n,
-              "daxpy2: length mismatch");
+void daxpy2(vla::Context& ctx, double a, const double* p, double* x, double b,
+            const double* q, double* r, Tile t) {
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(p.data());
-  bd.slot[1] = x.data();
-  bd.slot[2] = const_cast<double*>(q.data());
-  bd.slot[3] = r.data();
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(p);
+  bd.slot[1] = x;
+  bd.slot[2] = const_cast<double*>(q);
+  bd.slot[3] = r;
   bd.scal[0] = a;
   bd.scal[1] = b;
   run<make_daxpy2_chain(), KernelShape::Daxpy2>(ctx, bd);
 }
 
-void axpy_out(vla::Context& ctx, std::span<const double> x, double a,
-              std::span<const double> y, std::span<double> z) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(x.size() == n && y.size() == n, "axpy_out: length mismatch");
+void axpy_out(vla::Context& ctx, const double* x, double a, const double* y,
+              double* z, Tile t) {
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(x.data());
-  bd.slot[1] = const_cast<double*>(y.data());
-  bd.slot[2] = z.data();
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(x);
+  bd.slot[1] = const_cast<double*>(y);
+  bd.slot[2] = z;
   bd.scal[0] = a;
   run<make_axpy_out_chain(), KernelShape::AxpyOut>(ctx, bd);
 }
 
-void p_update(vla::Context& ctx, std::span<const double> r, double b, double w,
-              std::span<const double> v, std::span<double> p) {
-  const std::size_t n = p.size();
-  V2D_REQUIRE(r.size() == n && v.size() == n, "p_update: length mismatch");
+void p_update(vla::Context& ctx, const double* r, double b, double w,
+              const double* v, double* p, Tile t) {
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(r.data());
-  bd.slot[1] = const_cast<double*>(v.data());
-  bd.slot[2] = p.data();
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(r);
+  bd.slot[1] = const_cast<double*>(v);
+  bd.slot[2] = p;
   bd.scal[0] = -w;
   bd.scal[1] = b;
   run<make_p_update_chain(), KernelShape::PUpdate>(ctx, bd);
 }
 
-void hadamard_dot2(vla::Context& ctx, std::span<const double> m,
-                   std::span<const double> r, std::span<double> z,
-                   ExactSum& rz, ExactSum& rr) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(m.size() == n && r.size() == n, "hadamard_dot2: length mismatch");
+void hadamard_dot2(vla::Context& ctx, const double* m, const double* r,
+                   double* z, ExactSum& rz, ExactSum& rr, Tile t) {
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(m.data());
-  bd.slot[1] = const_cast<double*>(r.data());
-  bd.slot[2] = z.data();
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(m);
+  bd.slot[1] = const_cast<double*>(r);
+  bd.slot[2] = z;
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
   run<make_hadamard_dot2_chain(), KernelShape::HadamardDot2>(ctx, bd);
 }
 
-void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
-                          double a, std::span<const double> q,
-                          std::span<double> r, std::span<double> z,
-                          ExactSum& rz, ExactSum& rr) {
-  const std::size_t n = z.size();
-  V2D_REQUIRE(m.size() == n && q.size() == n && r.size() == n,
-              "hadamard_update_dot2: length mismatch");
+void hadamard_update_dot2(vla::Context& ctx, const double* m, double a,
+                          const double* q, double* r, double* z, ExactSum& rz,
+                          ExactSum& rr, Tile t) {
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(m.data());
-  bd.slot[1] = const_cast<double*>(q.data());
-  bd.slot[2] = r.data();
-  bd.slot[3] = z.data();
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(m);
+  bd.slot[1] = const_cast<double*>(q);
+  bd.slot[2] = r;
+  bd.slot[3] = z;
   bd.scal[0] = a;
   bd.acc[0] = &rz;
   bd.acc[1] = &rr;
@@ -297,38 +304,33 @@ void hadamard_update_dot2(vla::Context& ctx, std::span<const double> m,
       ctx, bd);
 }
 
-void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
-                       std::span<const double> cw, std::span<const double> ce,
-                       std::span<const double> cs, std::span<const double> cn,
-                       const double* xc, const double* xs, const double* xn,
-                       const double* csp, const double* xo, const double* bsub,
-                       const double* wdot, ExactSum* dot,
-                       std::span<double> y) {
-  const std::size_t n = y.size();
-  V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&
-                  cs.size() == n && cn.size() == n,
-              "stencil_row_fused: coefficient length mismatch");
+void stencil_rows_fused(vla::Context& ctx, const double* cc, const double* cw,
+                        const double* ce, const double* cs, const double* cn,
+                        const double* xc, const double* xs, const double* xn,
+                        const double* csp, const double* xo,
+                        const double* bsub, const double* wdot, ExactSum* dot,
+                        double* y, Tile t) {
   V2D_REQUIRE((csp == nullptr) == (xo == nullptr),
-              "stencil_row_fused: coupling needs both csp and xo");
+              "stencil_rows_fused: coupling needs both csp and xo");
   V2D_REQUIRE(bsub == nullptr || wdot == nullptr,
-              "stencil_row_fused: residual and dot forms are exclusive");
+              "stencil_rows_fused: residual and dot forms are exclusive");
   V2D_REQUIRE((wdot == nullptr) == (dot == nullptr),
-              "stencil_row_fused: dot needs both w and an accumulator");
+              "stencil_rows_fused: dot needs both w and an accumulator");
   V2D_REQUIRE(bsub != nullptr || wdot != nullptr,
-              "stencil_row_fused: need a residual or dot operand "
-              "(use stencil_row/coupling_row otherwise)");
+              "stencil_rows_fused: need a residual or dot operand "
+              "(use stencil_rows/coupling_rows otherwise)");
   const bool coupled = csp != nullptr;
   const bool sub = bsub != nullptr;
   const bool self = wdot == xc;
 
   // Binding mirrors make_stencil_chain's slot layout.
   Bind bd{};
-  bd.n = n;
-  bd.slot[0] = const_cast<double*>(cc.data());
-  bd.slot[1] = const_cast<double*>(cw.data());
-  bd.slot[2] = const_cast<double*>(ce.data());
-  bd.slot[3] = const_cast<double*>(cs.data());
-  bd.slot[4] = const_cast<double*>(cn.data());
+  bd.t = t;
+  bd.slot[0] = const_cast<double*>(cc);
+  bd.slot[1] = const_cast<double*>(cw);
+  bd.slot[2] = const_cast<double*>(ce);
+  bd.slot[3] = const_cast<double*>(cs);
+  bd.slot[4] = const_cast<double*>(cn);
   bd.slot[5] = const_cast<double*>(xc);
   bd.slot[6] = const_cast<double*>(xs);
   bd.slot[7] = const_cast<double*>(xn);
@@ -342,7 +344,7 @@ void stencil_row_fused(vla::Context& ctx, std::span<const double> cc,
     bd.slot[s++] = const_cast<double*>(bsub);
   else if (!self)
     bd.slot[s++] = const_cast<double*>(wdot);
-  bd.slot[s++] = y.data();
+  bd.slot[s++] = y;
   if (dot != nullptr) bd.acc[0] = dot;
 
   if (sub) {

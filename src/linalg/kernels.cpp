@@ -10,210 +10,246 @@ using vla::Context;
 using vla::Predicate;
 using vla::VReg;
 
-double dprod(Context& ctx, std::span<const double> x,
-             std::span<const double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "dprod: length mismatch");
-  if (ctx.native()) {
-    dprod_record_only(ctx, x, y);
-    return native::dprod(x.data(), y.data(), x.size(), ctx.lanes());
-  }
-  return vla::strip_reduce(ctx, x.size(),
+namespace {
+
+// --- interpreter rows: the reference, and every native recording -------------
+
+double dprod_row(Context& ctx, const double* x, const double* y,
+                 std::size_t n) {
+  return vla::strip_reduce(ctx, n,
                            [&](std::uint64_t i, const Predicate& p, VReg acc) {
-                             const VReg vx = ctx.ld1(p, &x[i]);
-                             const VReg vy = ctx.ld1(p, &y[i]);
+                             const VReg vx = ctx.ld1(p, x + i);
+                             const VReg vy = ctx.ld1(p, y + i);
                              // Merging form: a zeroing tail strip would
                              // clobber the accumulator's inactive lanes.
                              return ctx.fma_merge(p, vx, vy, acc);
                            });
 }
 
-void dprod_record_only(Context& ctx, std::span<const double> x,
-                       std::span<const double> y) {
-  record_native(ctx, KernelShape::Dprod, x.size(),
-                [&](Context& dry) { (void)dprod(dry, x, y); });
-}
-
-void daxpy(Context& ctx, double a, std::span<const double> x,
-           std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "daxpy: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Daxpy, x.size(),
-                  [&](Context& dry) { daxpy(dry, a, x, y); });
-    native::daxpy(a, x.data(), y.data(), x.size());
-    return;
-  }
+void daxpy_row(Context& ctx, double a, const double* x, double* y,
+               std::size_t n) {
   const VReg va = ctx.dup(a);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vx, va, vy));
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vx = ctx.ld1(p, x + i);
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, y + i, ctx.fma(p, vx, va, vy));
   });
 }
 
-void dscal(Context& ctx, double c, double d, std::span<double> y) {
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Dscal, y.size(),
-                  [&](Context& dry) { dscal(dry, c, d, y); });
-    native::dscal(c, d, y.data(), y.size());
-    return;
-  }
+void dscal_row(Context& ctx, double c, double d, double* y, std::size_t n) {
   const VReg vc = ctx.dup(c);
   const VReg vd = ctx.dup(-d);
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vy, vd, vc));  // c + (−d)·y
-  });
-}
-
-void ddaxpy(Context& ctx, double a, std::span<const double> x, double b,
-            std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "ddaxpy: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Ddaxpy, x.size(),
-                  [&](Context& dry) { ddaxpy(dry, a, x, b, y, z); });
-    native::ddaxpy(a, x.data(), b, y.data(), z.data(), x.size());
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  const VReg vb = ctx.dup(b);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    const VReg vz = ctx.ld1(p, &z[i]);
-    const VReg t = ctx.fma(p, vx, va, vz);
-    ctx.st1(p, &z[i], ctx.fma(p, vy, vb, t));
-  });
-}
-
-void xpby(Context& ctx, std::span<const double> x, double b,
-          std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "xpby: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Xpby, x.size(),
-                  [&](Context& dry) { xpby(dry, x, b, y); });
-    native::xpby(x.data(), b, y.data(), x.size());
-    return;
-  }
-  const VReg vb = ctx.dup(b);
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vy, vb, vx));
-  });
-}
-
-void copy(Context& ctx, std::span<const double> x, std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "copy: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Copy, x.size(),
-                  [&](Context& dry) { copy(dry, x, y); });
-    native::copy(x.data(), y.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    ctx.st1(p, &y[i], ctx.ld1(p, &x[i]));
-  });
-}
-
-void fill(Context& ctx, double a, std::span<double> y) {
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Fill, y.size(),
-                  [&](Context& dry) { fill(dry, a, y); });
-    native::fill(a, y.data(), y.size());
-    return;
-  }
-  const VReg va = ctx.dup(a);
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    ctx.st1(p, &y[i], va);
-  });
-}
-
-void sub(Context& ctx, std::span<const double> x, std::span<const double> y,
-         std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "sub: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Sub, x.size(),
-                  [&](Context& dry) { sub(dry, x, y, z); });
-    native::sub(x.data(), y.data(), z.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &z[i], ctx.sub(p, vx, vy));
-  });
-}
-
-void hadamard(Context& ctx, std::span<const double> x,
-              std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "hadamard: length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::Hadamard, x.size(),
-                  [&](Context& dry) { hadamard(dry, x, y, z); });
-    native::hadamard(x.data(), y.data(), z.data(), x.size());
-    return;
-  }
-  vla::strip_mine(ctx, x.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vx = ctx.ld1(p, &x[i]);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &z[i], ctx.mul(p, vx, vy));
-  });
-}
-
-void stencil_row(Context& ctx, std::span<const double> cc,
-                 std::span<const double> cw, std::span<const double> ce,
-                 std::span<const double> cs, std::span<const double> cn,
-                 const double* xc, const double* xs, const double* xn,
-                 std::span<double> y) {
-  const std::size_t n = y.size();
-  V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&
-                  cs.size() == n && cn.size() == n,
-              "stencil_row: coefficient length mismatch");
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::StencilRow, n, [&](Context& dry) {
-      stencil_row(dry, cc, cw, ce, cs, cn, xc, xs, xn, y);
-    });
-    native::stencil_row(cc.data(), cw.data(), ce.data(), cs.data(), cn.data(),
-                        xc, xs, xn, y.data(), n);
-    return;
-  }
   vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg vcc = ctx.ld1(p, &cc[i]);
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, y + i, ctx.fma(p, vy, vd, vc));  // c + (−d)·y
+  });
+}
+
+void ddaxpy_row(Context& ctx, double a, const double* x, double b,
+                const double* y, double* z, std::size_t n) {
+  const VReg va = ctx.dup(a);
+  const VReg vb = ctx.dup(b);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vx = ctx.ld1(p, x + i);
+    const VReg vy = ctx.ld1(p, y + i);
+    const VReg vz = ctx.ld1(p, z + i);
+    const VReg t = ctx.fma(p, vx, va, vz);
+    ctx.st1(p, z + i, ctx.fma(p, vy, vb, t));
+  });
+}
+
+void xpby_row(Context& ctx, const double* x, double b, double* y,
+              std::size_t n) {
+  const VReg vb = ctx.dup(b);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vx = ctx.ld1(p, x + i);
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, y + i, ctx.fma(p, vy, vb, vx));
+  });
+}
+
+void copy_row(Context& ctx, const double* x, double* y, std::size_t n) {
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    ctx.st1(p, y + i, ctx.ld1(p, x + i));
+  });
+}
+
+void fill_row(Context& ctx, double a, double* y, std::size_t n) {
+  const VReg va = ctx.dup(a);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    ctx.st1(p, y + i, va);
+  });
+}
+
+void sub_row(Context& ctx, const double* x, const double* y, double* z,
+             std::size_t n) {
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vx = ctx.ld1(p, x + i);
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, z + i, ctx.sub(p, vx, vy));
+  });
+}
+
+void hadamard_row(Context& ctx, const double* x, const double* y, double* z,
+                  std::size_t n) {
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vx = ctx.ld1(p, x + i);
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, z + i, ctx.mul(p, vx, vy));
+  });
+}
+
+void stencil_row(Context& ctx, const double* cc, const double* cw,
+                 const double* ce, const double* cs, const double* cn,
+                 const double* xc, const double* xs, const double* xn,
+                 double* y, std::size_t n) {
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vcc = ctx.ld1(p, cc + i);
     const VReg vxc = ctx.ld1(p, xc + i);
     VReg acc = ctx.mul(p, vcc, vxc);
-    const VReg vcw = ctx.ld1(p, &cw[i]);
+    const VReg vcw = ctx.ld1(p, cw + i);
     const VReg vxw = ctx.ld1(p, xc + i - 1);  // unaligned shifted load
     acc = ctx.fma(p, vcw, vxw, acc);
-    const VReg vce = ctx.ld1(p, &ce[i]);
+    const VReg vce = ctx.ld1(p, ce + i);
     const VReg vxe = ctx.ld1(p, xc + i + 1);
     acc = ctx.fma(p, vce, vxe, acc);
-    const VReg vcs = ctx.ld1(p, &cs[i]);
+    const VReg vcs = ctx.ld1(p, cs + i);
     const VReg vxs = ctx.ld1(p, xs + i);
     acc = ctx.fma(p, vcs, vxs, acc);
-    const VReg vcn = ctx.ld1(p, &cn[i]);
+    const VReg vcn = ctx.ld1(p, cn + i);
     const VReg vxn = ctx.ld1(p, xn + i);
     acc = ctx.fma(p, vcn, vxn, acc);
-    ctx.st1(p, &y[i], acc);
+    ctx.st1(p, y + i, acc);
   });
 }
 
-void coupling_row(Context& ctx, std::span<const double> csp, const double* xo,
-                  std::span<double> y) {
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::CouplingRow, y.size(),
-                  [&](Context& dry) { coupling_row(dry, csp, xo, y); });
-    native::coupling_row(csp.data(), xo, y.data(), y.size());
-    return;
-  }
-  vla::strip_mine(ctx, y.size(), [&](std::uint64_t i, const Predicate& p) {
-    const VReg vc = ctx.ld1(p, &csp[i]);
+void coupling_row(Context& ctx, const double* csp, const double* xo, double* y,
+                  std::size_t n) {
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vc = ctx.ld1(p, csp + i);
     const VReg vx = ctx.ld1(p, xo + i);
-    const VReg vy = ctx.ld1(p, &y[i]);
-    ctx.st1(p, &y[i], ctx.fma(p, vc, vx, vy));
+    const VReg vy = ctx.ld1(p, y + i);
+    ctx.st1(p, y + i, ctx.fma(p, vc, vx, vy));
   });
+}
+
+}  // namespace
+
+// --- tile entries ---------------------------------------------------------------
+
+double dprod(Context& ctx, std::span<const double> x,
+             std::span<const double> y) {
+  V2D_REQUIRE(x.size() == y.size(), "dprod: length mismatch");
+  if (!ctx.native()) return dprod_row(ctx, x.data(), y.data(), x.size());
+  dprod_record_only(ctx, x.data(), y.data(), Tile::row(x.size()));
+  return native::dprod(x.data(), y.data(), x.size(), ctx.lanes());
+}
+
+void dprod_record_only(Context& ctx, const double* x, const double* y,
+                       Tile t) {
+  run_tile(
+      ctx, KernelShape::Dprod, t,
+      [&](Context& c, std::size_t j) {
+        (void)dprod_row(c, x + t.offset(j), y + t.offset(j), t.ni);
+      },
+      [] {});
+}
+
+void daxpy(Context& ctx, double a, const double* x, double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::Daxpy, t,
+      [&](Context& c, std::size_t j) {
+        daxpy_row(c, a, x + t.offset(j), y + t.offset(j), t.ni);
+      },
+      [&] { native::daxpy(a, x, y, t); });
+}
+
+void dscal(Context& ctx, double c, double d, double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::Dscal, t,
+      [&](Context& v, std::size_t j) { dscal_row(v, c, d, y + t.offset(j), t.ni); },
+      [&] { native::dscal(c, d, y, t); });
+}
+
+void ddaxpy(Context& ctx, double a, const double* x, double b, const double* y,
+            double* z, Tile t) {
+  run_tile(
+      ctx, KernelShape::Ddaxpy, t,
+      [&](Context& c, std::size_t j) {
+        ddaxpy_row(c, a, x + t.offset(j), b, y + t.offset(j), z + t.offset(j),
+                   t.ni);
+      },
+      [&] { native::ddaxpy(a, x, b, y, z, t); });
+}
+
+void xpby(Context& ctx, const double* x, double b, double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::Xpby, t,
+      [&](Context& c, std::size_t j) {
+        xpby_row(c, x + t.offset(j), b, y + t.offset(j), t.ni);
+      },
+      [&] { native::xpby(x, b, y, t); });
+}
+
+void copy(Context& ctx, const double* x, double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::Copy, t,
+      [&](Context& c, std::size_t j) {
+        copy_row(c, x + t.offset(j), y + t.offset(j), t.ni);
+      },
+      [&] { native::copy(x, y, t); });
+}
+
+void fill(Context& ctx, double a, double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::Fill, t,
+      [&](Context& c, std::size_t j) { fill_row(c, a, y + t.offset(j), t.ni); },
+      [&] { native::fill(a, y, t); });
+}
+
+void sub(Context& ctx, const double* x, const double* y, double* z, Tile t) {
+  run_tile(
+      ctx, KernelShape::Sub, t,
+      [&](Context& c, std::size_t j) {
+        sub_row(c, x + t.offset(j), y + t.offset(j), z + t.offset(j), t.ni);
+      },
+      [&] { native::sub(x, y, z, t); });
+}
+
+void hadamard(Context& ctx, const double* x, const double* y, double* z,
+              Tile t) {
+  run_tile(
+      ctx, KernelShape::Hadamard, t,
+      [&](Context& c, std::size_t j) {
+        hadamard_row(c, x + t.offset(j), y + t.offset(j), z + t.offset(j),
+                     t.ni);
+      },
+      [&] { native::hadamard(x, y, z, t); });
+}
+
+void stencil_rows(Context& ctx, const double* cc, const double* cw,
+                  const double* ce, const double* cs, const double* cn,
+                  const double* xc, const double* xs, const double* xn,
+                  double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::StencilRow, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        stencil_row(c, cc + o, cw + o, ce + o, cs + o, cn + o, xc + o, xs + o,
+                    xn + o, y + o, t.ni);
+      },
+      [&] { native::stencil(cc, cw, ce, cs, cn, xc, xs, xn, y, t); });
+}
+
+void coupling_rows(Context& ctx, const double* csp, const double* xo,
+                   double* y, Tile t) {
+  run_tile(
+      ctx, KernelShape::CouplingRow, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        coupling_row(c, csp + o, xo + o, y + o, t.ni);
+      },
+      [&] { native::coupling(csp, xo, y, t); });
 }
 
 }  // namespace v2d::linalg

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "linalg/mg/smoother.hpp"
 #include "support/error.hpp"
 
 namespace v2d::linalg::mg {
@@ -85,7 +86,7 @@ void galerkin_coarsen(ExecContext& ctx, const StencilOperator& fineA,
     const auto elements = static_cast<std::uint64_t>(ce.ni) * ce.nj *
                           static_cast<std::uint64_t>(fineA.ns());
     // ~16 flops/zone over 20 reads, 5 writes.
-    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "mg-build", elements,
+    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, sim::Region::MgBuild, elements,
                           16, 160, 40, elements * 200);
   });
 }
@@ -129,7 +130,7 @@ double invert_diagonal(ExecContext& ctx, const StencilOperator& A,
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj *
                           static_cast<std::uint64_t>(A.ns());
-    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "mg-build", elements,
+    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, sim::Region::MgBuild, elements,
                           8, 48, 8, elements * 56);
     lam_rank[static_cast<std::size_t>(r)] = lam;
   });
@@ -155,6 +156,11 @@ void check_options(const MgOptions& opt) {
                 "unsmoothed coarse correction is singular)");
   if (!(opt.jacobi_omega > 0.0)) fail("mg-omega", "> 0", opt.jacobi_omega);
   if (!(opt.cheb_boost > 1.0)) fail("mg-cheb-boost", "> 1", opt.cheb_boost);
+  try {
+    (void)make_smoother(opt);  // the smoother catalog
+  } catch (const Error& e) {
+    throw Error(std::string("option --mg-smoother: ") + e.what());
+  }
 }
 
 MgHierarchy::MgHierarchy(ExecContext& ctx, const StencilOperator& A,
@@ -182,7 +188,7 @@ MgHierarchy::MgHierarchy(ExecContext& ctx, const StencilOperator& A,
                           static_cast<std::uint64_t>(A.ns());
     // Evaluate-once: the stored-coefficient fill costs one evaluation
     // sweep (the same per-element price a single matvec would pay).
-    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "mg-build", elements,
+    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, sim::Region::MgBuild, elements,
                           kMatvecEvalFlops, kMatvecEvalDoublesRead * 8, 40,
                           elements * 48);
   });
@@ -251,7 +257,7 @@ MgHierarchy::MgHierarchy(ExecContext& ctx, const StencilOperator& A,
   coarse_lu_ = std::make_unique<BandedLU>(coarsest.op->assemble());
   const auto n = static_cast<std::uint64_t>(coarsest.op->size());
   par_ranks(ctx, *coarsest.decomp, [&](int r, ExecContext& rctx) {
-    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "mg-coarse-factor", n,
+    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, sim::Region::MgCoarseFactor, n,
                           coarse_lu_->factor_flops() / std::max<std::uint64_t>(
                                                            1, n),
                           16, 16, n * 8 *

@@ -9,52 +9,30 @@ namespace v2d::linalg::mg {
 using vla::Predicate;
 using vla::VReg;
 
-void diag_correct_row(vla::Context& ctx, double omega,
-                      std::span<const double> d, std::span<const double> r,
-                      std::span<double> x) {
-  const std::uint64_t n = x.size();
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::DiagCorrectRow, n, [&](vla::Context& dry) {
-      diag_correct_row(dry, omega, d, r, x);
-    });
-    native::diag_correct_row(omega, d.data(), r.data(), x.data(), n);
-    return;
-  }
+namespace {
+
+// --- interpreter rows: the reference, and every native recording -------------
+
+void diag_correct_row(vla::Context& ctx, double omega, const double* d,
+                      const double* r, double* x, std::size_t n) {
   const VReg w = ctx.dup(omega);
   vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg t = ctx.mul(p, ctx.ld1(p, &d[i]), ctx.ld1(p, &r[i]));
-    ctx.st1(p, &x[i], ctx.fma(p, w, t, ctx.ld1(p, &x[i])));
+    const VReg t = ctx.mul(p, ctx.ld1(p, d + i), ctx.ld1(p, r + i));
+    ctx.st1(p, x + i, ctx.fma(p, w, t, ctx.ld1(p, x + i)));
   });
 }
 
-void diag_scale_row(vla::Context& ctx, double omega, std::span<const double> d,
-                    std::span<const double> r, std::span<double> z) {
-  const std::uint64_t n = z.size();
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::DiagScaleRow, n, [&](vla::Context& dry) {
-      diag_scale_row(dry, omega, d, r, z);
-    });
-    native::diag_scale_row(omega, d.data(), r.data(), z.data(), n);
-    return;
-  }
+void diag_scale_row(vla::Context& ctx, double omega, const double* d,
+                    const double* r, double* z, std::size_t n) {
   const VReg w = ctx.dup(omega);
   vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
-    const VReg t = ctx.mul(p, ctx.ld1(p, &d[i]), ctx.ld1(p, &r[i]));
-    ctx.st1(p, &z[i], ctx.mul(p, w, t));
+    const VReg t = ctx.mul(p, ctx.ld1(p, d + i), ctx.ld1(p, r + i));
+    ctx.st1(p, z + i, ctx.mul(p, w, t));
   });
 }
 
 void restrict_row(vla::Context& ctx, const double* const fine[4],
-                  const TransferTables& tab, std::span<double> coarse) {
-  const std::uint64_t n = coarse.size();
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::RestrictRow, n, [&](vla::Context& dry) {
-      restrict_row(dry, fine, tab, coarse);
-    });
-    native::restrict_row(fine, tab.fm1.data(), tab.f0.data(), tab.f1.data(),
-                         tab.f2.data(), coarse.data(), n);
-    return;
-  }
+                  const TransferTables& tab, double* coarse, std::size_t n) {
   // Separable full-weighting factors: (1/4)·w_i·w_j with w = (1/4, 3/4).
   const double wj[4] = {0.25, 0.75, 0.75, 0.25};
   const VReg vq = ctx.dup(0.25);
@@ -75,22 +53,13 @@ void restrict_row(vla::Context& ctx, const double* const fine[4],
       const VReg w = ctx.dup(0.25 * wj[dj]);
       acc = ctx.fma_merge(p, w, row, acc);
     }
-    ctx.st1(p, &coarse[i], acc);
+    ctx.st1(p, coarse + i, acc);
   });
 }
 
 void prolong_row_add(vla::Context& ctx, const double* cnear,
                      const double* cfar, const TransferTables& tab,
-                     std::span<double> fine) {
-  const std::uint64_t n = fine.size();
-  if (ctx.native()) {
-    record_native(ctx, KernelShape::ProlongRow, n, [&](vla::Context& dry) {
-      prolong_row_add(dry, cnear, cfar, tab, fine);
-    });
-    native::prolong_row_add(cnear, cfar, tab.near.data(), tab.far.data(),
-                            fine.data(), n);
-    return;
-  }
+                     double* fine, std::size_t n) {
   const VReg vq = ctx.dup(0.25);
   const VReg vt = ctx.dup(0.75);
   vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
@@ -102,11 +71,72 @@ void prolong_row_add(vla::Context& ctx, const double* cnear,
     VReg rf = ctx.mul(p, vt, ctx.ld1_gather(p, cfar, near));
     rf = ctx.fma(p, vq, ctx.ld1_gather(p, cfar, far), rf);
     // … then in j, and accumulate into the fine row.
-    VReg y = ctx.ld1(p, &fine[i]);
+    VReg y = ctx.ld1(p, fine + i);
     y = ctx.fma(p, vt, rn, y);
     y = ctx.fma(p, vq, rf, y);
-    ctx.st1(p, &fine[i], y);
+    ctx.st1(p, fine + i, y);
   });
+}
+
+}  // namespace
+
+// --- tile entries ---------------------------------------------------------------
+
+void diag_correct_rows(vla::Context& ctx, double omega, const double* d,
+                       const double* r, double* x, Tile t) {
+  run_tile(
+      ctx, KernelShape::DiagCorrectRow, t,
+      [&](vla::Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        diag_correct_row(c, omega, d + o, r + o, x + o, t.ni);
+      },
+      [&] { native::diag_correct(omega, d, r, x, t); });
+}
+
+void diag_scale_rows(vla::Context& ctx, double omega, const double* d,
+                     const double* r, double* z, Tile t) {
+  run_tile(
+      ctx, KernelShape::DiagScaleRow, t,
+      [&](vla::Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        diag_scale_row(c, omega, d + o, r + o, z + o, t.ni);
+      },
+      [&] { native::diag_scale(omega, d, r, z, t); });
+}
+
+void restrict_rows(vla::Context& ctx, const double* const fine[4],
+                   std::ptrdiff_t fine_step, const TransferTables& tab,
+                   double* coarse, Tile t) {
+  run_tile(
+      ctx, KernelShape::RestrictRow, t,
+      [&](vla::Context& c, std::size_t j) {
+        const std::ptrdiff_t fo = static_cast<std::ptrdiff_t>(j) * fine_step;
+        const double* const rows[4] = {fine[0] + fo, fine[1] + fo,
+                                       fine[2] + fo, fine[3] + fo};
+        restrict_row(c, rows, tab, coarse + t.offset(j), t.ni);
+      },
+      [&] {
+        native::restrict_rows(fine, fine_step, tab.fm1.data(), tab.f0.data(),
+                              tab.f1.data(), tab.f2.data(), coarse, t);
+      });
+}
+
+void prolong_rows_add(vla::Context& ctx, const double* coarse,
+                      std::ptrdiff_t coarse_stride, const TransferTables& tab,
+                      double* fine, Tile t) {
+  run_tile(
+      ctx, KernelShape::ProlongRow, t,
+      [&](vla::Context& c, std::size_t j) {
+        const double* cnear =
+            coarse + static_cast<std::ptrdiff_t>(j / 2) * coarse_stride;
+        const double* cfar =
+            cnear + ((j & 1) ? coarse_stride : -coarse_stride);
+        prolong_row_add(c, cnear, cfar, tab, fine + t.offset(j), t.ni);
+      },
+      [&] {
+        native::prolong_rows_add(coarse, coarse_stride, tab.near.data(),
+                                 tab.far.data(), fine, t);
+      });
 }
 
 }  // namespace v2d::linalg::mg

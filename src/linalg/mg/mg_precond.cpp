@@ -28,7 +28,7 @@ void MgPrecond::vcycle(ExecContext& ctx, int l, DistVector& x, DistVector& b) {
   // Every V-cycle level starts from a zero correction.
   smoother_->smooth(ctx, lvl, x, b, opt.nu_pre, /*zero_guess=*/true);
   lvl.op->apply_residual_as(ctx, x, b, lvl.r, KernelFamily::Precond,
-                            "mg-residual");
+                            sim::Region::MgResidual);
 
   MgLevel& next = hierarchy_.level(l + 1);
   restrict_full_weighting(ctx, lvl.r, *next.b);
@@ -43,7 +43,7 @@ void MgPrecond::coarse_solve(ExecContext& ctx, DistVector& x, DistVector& b) {
   // Gather the coarse rhs to every rank (modelled as one allreduce of the
   // full coarse vector), solve redundantly, keep the owned tile.
   std::vector<double> rhs = b.field().gather_global();
-  ctx.allreduce(rhs.size() * sizeof(double), "mg-coarse-gather");
+  ctx.allreduce(rhs.size() * sizeof(double), sim::Region::MgCoarseGather);
   lu.solve(rhs);
 
   const auto& dec = x.field().decomp();
@@ -61,7 +61,7 @@ void MgPrecond::coarse_solve(ExecContext& ctx, DistVector& x, DistVector& b) {
     // Each rank runs the identical banded solve: ~2·(kl+ku) flops per row
     // over a (kl+ku+1)-wide band working set.
     rctx.commit_synthetic(
-        r, KernelFamily::Precond, "mg-coarse-solve", n,
+        r, KernelFamily::Precond, sim::Region::MgCoarseSolve, n,
         lu.solve_flops() / std::max<std::uint64_t>(1, n), 32, 8,
         n * 8 *
             static_cast<std::uint64_t>(lu.lower_bandwidth() +

@@ -6,29 +6,28 @@
 namespace v2d::linalg::mg {
 
 using compiler::KernelFamily;
+using sim::Region;
 
 namespace {
 
 /// x ← x + ω·dinv ⊙ r   (the weighted-Jacobi correction, fused).
 void diag_correct(ExecContext& ctx, const grid::DistField& dinv,
                   const DistVector& r, DistVector& x, double omega) {
-  sweep_rows(ctx, KernelFamily::Precond, "mg-smooth",
-             {&dinv, &r.field(), &x.field()},
-             [omega](vla::Context& v, int, const auto& row, std::size_t n) {
-               diag_correct_row(v, omega, {row[0], n}, {row[1], n},
-                                {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Precond, Region::MgSmooth,
+              {&dinv, &r.field(), &x.field()},
+              [omega](vla::Context& v, int, const auto& p, const Tile& t) {
+                diag_correct_rows(v, omega, p[0], p[1], p[2], t);
+              });
 }
 
 /// z ← ω·dinv ⊙ r   (scaled diagonal application).
 void diag_scale(ExecContext& ctx, const grid::DistField& dinv,
                 const DistVector& r, DistVector& z, double omega) {
-  sweep_rows(ctx, KernelFamily::Precond, "mg-smooth",
-             {&dinv, &r.field(), &z.field()},
-             [omega](vla::Context& v, int, const auto& row, std::size_t n) {
-               diag_scale_row(v, omega, {row[0], n}, {row[1], n},
-                              {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Precond, Region::MgSmooth,
+              {&dinv, &r.field(), &z.field()},
+              [omega](vla::Context& v, int, const auto& p, const Tile& t) {
+                diag_scale_rows(v, omega, p[0], p[1], p[2], t);
+              });
 }
 
 /// r ← b − A·x, attributed to the smoother.  When fused the subtraction
@@ -37,7 +36,8 @@ void diag_scale(ExecContext& ctx, const grid::DistField& dinv,
 /// half is already the single fused diag_correct kernel).
 void residual(ExecContext& ctx, MgLevel& lvl, DistVector& x, DistVector& b,
               DistVector& r) {
-  lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond, "mg-smooth");
+  lvl.op->apply_residual_as(ctx, x, b, r, KernelFamily::Precond,
+                            Region::MgSmooth);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
   grid::DistField& ff = fine.field();
   const auto transfers = ff.exchange_ghosts_full();
   ff.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching P
-  ctx.exchange(transfers, "mpi_halo");
+  ctx.exchange(transfers);
 
   const auto& cdec = coarse.field().decomp();
   const auto& fdec = ff.decomp();
@@ -89,19 +89,17 @@ void restrict_full_weighting(ExecContext& ctx, DistVector& fine,
   const int ns = fine.ns();
   par_ranks(ctx, cdec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& ce = cdec.extent(r);
-    const auto n = static_cast<std::size_t>(ce.ni);
     for (int s = 0; s < ns; ++s) {
-      grid::TileView fv = ff.view(r, s);
-      grid::TileView cv = coarse.field().view(r, s);
-      for (int lcj = 0; lcj < ce.nj; ++lcj) {
-        const double* frows[4] = {fv.row(2 * lcj - 1), fv.row(2 * lcj),
-                                  fv.row(2 * lcj + 1), fv.row(2 * lcj + 2)};
-        restrict_row(rctx.vctx, frows, tab.spans(),
-                     std::span<double>(cv.row(lcj), n));
-      }
+      const grid::TileView fv = ff.view(r, s);
+      const grid::TileView cv = coarse.field().view(r, s);
+      // Coarse row j reads fine rows 2j−1 … 2j+2.
+      const double* const frows[4] = {fv.row(-1), fv.row(0), fv.row(1),
+                                      fv.row(2)};
+      restrict_rows(rctx.vctx, frows, 2 * fv.row_stride, tab.spans(), cv.base,
+                    tile_of(cv));
     }
     const auto elements = static_cast<std::uint64_t>(ce.ni) * ce.nj * ns;
-    rctx.commit(r, KernelFamily::Precond, "mg-restrict", elements,
+    rctx.commit(r, KernelFamily::Precond, sim::Region::MgRestrict, elements,
                 fine.working_set(r, 1) + coarse.working_set(r, 1));
   });
 }
@@ -113,7 +111,7 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
   // Bilinear interpolation reaches diagonally: corner ghosts required.
   const auto transfers = cf.exchange_ghosts_full();
   cf.apply_bc(grid::BcKind::Dirichlet0);  // zero extension, matching R
-  ctx.exchange(transfers, "mpi_halo");
+  ctx.exchange(transfers);
 
   const auto& cdec = cf.decomp();
   const auto& fdec = fine.field().decomp();
@@ -128,19 +126,14 @@ void prolong_bilinear_add(ExecContext& ctx, DistVector& coarse,
   const int ns = fine.ns();
   par_ranks(ctx, fdec, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& fe = fdec.extent(r);
-    const auto n = static_cast<std::size_t>(fe.ni);
     for (int s = 0; s < ns; ++s) {
-      grid::TileView cv = cf.view(r, s);
-      grid::TileView fv = fine.field().view(r, s);
-      for (int lfj = 0; lfj < fe.nj; ++lfj) {
-        const int cj_near = lfj / 2;
-        const int cj_far = cj_near + ((lfj & 1) ? 1 : -1);
-        prolong_row_add(rctx.vctx, cv.row(cj_near), cv.row(cj_far),
-                        tab.spans(), std::span<double>(fv.row(lfj), n));
-      }
+      const grid::TileView cv = cf.view(r, s);
+      const grid::TileView fv = fine.field().view(r, s);
+      prolong_rows_add(rctx.vctx, cv.base, cv.row_stride, tab.spans(), fv.base,
+                       tile_of(fv));
     }
     const auto elements = static_cast<std::uint64_t>(fe.ni) * fe.nj * ns;
-    rctx.commit(r, KernelFamily::Precond, "mg-prolong", elements,
+    rctx.commit(r, KernelFamily::Precond, sim::Region::MgProlong, elements,
                 fine.working_set(r, 2) + coarse.working_set(r, 1));
   });
 }

@@ -13,6 +13,7 @@
 namespace v2d::linalg {
 
 using compiler::KernelFamily;
+using sim::Region;
 
 namespace {
 
@@ -27,7 +28,7 @@ void exchange_coefficients(ExecContext& ctx, const StencilOperator& A) {
     f->apply_bc(grid::BcKind::Dirichlet0);
     transfers.insert(transfers.end(), t.begin(), t.end());
   }
-  ctx.exchange(transfers, "mpi_halo");
+  ctx.exchange(transfers);
 }
 
 }  // namespace
@@ -44,11 +45,11 @@ DiagonalPrecond::DiagonalPrecond(const StencilOperator& A)
     : m_(A.grid(), A.decomp(), A.ns(), 1) {}
 
 void DiagonalPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  sweep_rows(ctx, KernelFamily::Precond, "precond",
-             {&m_, &x.field(), &y.field()},
-             [](vla::Context& v, int, const auto& row, std::size_t n) {
-               hadamard(v, {row[0], n}, {row[1], n}, {row[2], n});
-             });
+  sweep_tiles(ctx, KernelFamily::Precond, Region::Precond,
+              {&m_, &x.field(), &y.field()},
+              [](vla::Context& v, int, const auto& p, const Tile& t) {
+                hadamard(v, p[0], p[1], p[2], t);
+              });
 }
 
 bool DiagonalPrecond::apply_dot2(ExecContext& ctx, DistVector& x,
@@ -62,22 +63,21 @@ bool DiagonalPrecond::apply_dot2(ExecContext& ctx, DistVector& x,
   std::vector<std::array<ExactSum, 2>> partial(
       static_cast<std::size_t>(x.nranks()));
   if (update_q != nullptr) {
-    sweep_rows(ctx, KernelFamily::Precond, "precond-dot",
-               {&m_, &update_q->field(), &x.field(), &y.field()},
-               [&](vla::Context& v, int r, const auto& row, std::size_t n) {
-                 auto& acc = partial[static_cast<std::size_t>(r)];
-                 fusion::hadamard_update_dot2(v, {row[0], n}, update_a,
-                                              {row[1], n}, {row[2], n},
-                                              {row[3], n}, acc[0], acc[1]);
-               });
+    sweep_tiles(ctx, KernelFamily::Precond, Region::PrecondDot,
+                {&m_, &update_q->field(), &x.field(), &y.field()},
+                [&](vla::Context& v, int r, const auto& p, const Tile& t) {
+                  auto& acc = partial[static_cast<std::size_t>(r)];
+                  fusion::hadamard_update_dot2(v, p[0], update_a, p[1], p[2],
+                                               p[3], acc[0], acc[1], t);
+                });
   } else {
-    sweep_rows(ctx, KernelFamily::Precond, "precond-dot",
-               {&m_, &x.field(), &y.field()},
-               [&](vla::Context& v, int r, const auto& row, std::size_t n) {
-                 auto& acc = partial[static_cast<std::size_t>(r)];
-                 fusion::hadamard_dot2(v, {row[0], n}, {row[1], n},
-                                       {row[2], n}, acc[0], acc[1]);
-               });
+    sweep_tiles(ctx, KernelFamily::Precond, Region::PrecondDot,
+                {&m_, &x.field(), &y.field()},
+                [&](vla::Context& v, int r, const auto& p, const Tile& t) {
+                  auto& acc = partial[static_cast<std::size_t>(r)];
+                  fusion::hadamard_dot2(v, p[0], p[1], p[2], acc[0], acc[1],
+                                        t);
+                });
   }
   ctx.allreduce(2 * sizeof(double));
   ExactSum xy, xx;
@@ -94,16 +94,21 @@ bool DiagonalPrecond::apply_dot2(ExecContext& ctx, DistVector& x,
 
 JacobiPrecond::JacobiPrecond(ExecContext& ctx, const StencilOperator& A)
     : DiagonalPrecond(A) {
-  sweep_rows(ctx, KernelFamily::PrecondBuild, "precond-build",
-             {&A.cc(), &m_},
-             [](vla::Context& v, int, const auto& row, std::size_t n) {
-               const vla::VReg ones = v.dup(1.0);
-               vla::strip_mine(v, n,
-                               [&](std::uint64_t i, const vla::Predicate& p) {
-                                 const vla::VReg vc = v.ld1(p, row[0] + i);
-                                 v.st1(p, row[1] + i, v.div(p, ones, vc));
-                               });
-             });
+  // Set-up only, so it runs the interpreter row by row in either mode.
+  sweep_tiles(
+      ctx, KernelFamily::PrecondBuild, Region::PrecondBuild, {&A.cc(), &m_},
+      [](vla::Context& v, int, const auto& base, const Tile& t) {
+        for (std::size_t j = 0; j < t.nj; ++j) {
+          const double* c = base[0] + t.offset(j);
+          double* m = base[1] + t.offset(j);
+          const vla::VReg ones = v.dup(1.0);
+          vla::strip_mine(v, t.ni,
+                          [&](std::uint64_t i, const vla::Predicate& p) {
+                            const vla::VReg vc = v.ld1(p, c + i);
+                            v.st1(p, m + i, v.div(p, ones, vc));
+                          });
+        }
+      });
 }
 
 // --- SPAI(0) --------------------------------------------------------------------
@@ -134,7 +139,7 @@ Spai0Precond::Spai0Precond(ExecContext& ctx, const StencilOperator& A)
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * A.ns();
     // ~12 flops/zone, 5 coefficient reads, 1 write.
-    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, "precond-build",
+    rctx.commit_synthetic(r, KernelFamily::PrecondBuild, Region::PrecondBuild,
                           elements, 12, 40, 8, elements * 48);
   });
 }
@@ -265,13 +270,13 @@ SpaiPrecond::SpaiPrecond(ExecContext& ctx, const StencilOperator& A)
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * A.ns();
     // ~350 flops/zone (B, BᵀB, 5×5 Cholesky, two solves), ~15 doubles read,
     // 5 written.
-    ctx.commit_synthetic(r, KernelFamily::PrecondBuild, "precond-build",
+    ctx.commit_synthetic(r, KernelFamily::PrecondBuild, Region::PrecondBuild,
                          elements, 350, 120, 40, elements * 160);
   }
 }
 
 void SpaiPrecond::apply(ExecContext& ctx, DistVector& x, DistVector& y) {
-  m_.apply_as(ctx, x, y, KernelFamily::Precond, "precond");
+  m_.apply_as(ctx, x, y, KernelFamily::Precond, Region::Precond);
 }
 
 bool is_preconditioner_kind(const std::string& kind) {

@@ -10,7 +10,7 @@
 /// stencil sweep (which is why the paper sees SVE speedup in it).
 /// Jacobi and identity are included as baselines for the ablation bench.
 /// Jacobi and SPAI(0) differ only in how they build their diagonal; both
-/// apply it through DiagonalPrecond, whose sweeps are sweep_rows calls.
+/// apply it through DiagonalPrecond, whose sweeps are sweep_tiles calls.
 
 #include <memory>
 #include <string>

@@ -11,6 +11,7 @@
 namespace v2d::linalg {
 
 using compiler::KernelFamily;
+using sim::Region;
 
 StencilOperator::StencilOperator(const grid::Grid2D& g,
                                  const grid::Decomposition& d, int ns)
@@ -60,12 +61,11 @@ void StencilOperator::zero_boundary_coefficients() {
 
 void StencilOperator::apply(ExecContext& ctx, DistVector& x,
                             DistVector& y) const {
-  apply_as(ctx, x, y, KernelFamily::Matvec, "matvec");
+  apply_as(ctx, x, y, KernelFamily::Matvec, Region::Matvec);
 }
 
 void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
-                               KernelFamily family,
-                               const std::string& region) const {
+                               KernelFamily family, Region region) const {
   sweep(ctx, x, y, nullptr, nullptr, nullptr, family, region);
 }
 
@@ -76,20 +76,20 @@ double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
     return DistVector::dot(ctx, w != nullptr ? *w : x, y);
   }
   ExactSum dot;
-  sweep(ctx, x, y, nullptr, w, &dot, KernelFamily::Matvec, "matvec-dot");
+  sweep(ctx, x, y, nullptr, w, &dot, KernelFamily::Matvec, Region::MatvecDot);
   return dot.value();
 }
 
 void StencilOperator::apply_residual(ExecContext& ctx, DistVector& x,
                                      const DistVector& b, DistVector& r) const {
   apply_residual_as(ctx, x, b, r, KernelFamily::Matvec,
-                    ctx.fused() ? "matvec-residual" : "matvec");
+                    ctx.fused() ? Region::MatvecResidual : Region::Matvec);
 }
 
 void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
                                         const DistVector& b, DistVector& r,
                                         KernelFamily family,
-                                        const std::string& region) const {
+                                        Region region) const {
   if (ctx.fused()) {
     sweep(ctx, x, r, &b, nullptr, nullptr, family, region);
     return;
@@ -101,7 +101,7 @@ void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
 void StencilOperator::sweep(ExecContext& ctx, DistVector& x, DistVector& y,
                             const DistVector* b, const DistVector* w,
                             ExactSum* dot, KernelFamily family,
-                            const std::string& region) const {
+                            Region region) const {
   V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_ &&
                   (b == nullptr || b->ns() == ns_),
               "species count mismatch");
@@ -122,48 +122,32 @@ void StencilOperator::sweep(ExecContext& ctx, DistVector& x, DistVector& y,
       dot != nullptr ? static_cast<std::size_t>(dec_->nranks()) : 0);
   par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = dec_->extent(r);
-    const auto n = static_cast<std::size_t>(e.ni);
     ExactSum* acc = dot != nullptr ? &partial[static_cast<std::size_t>(r)]
                                    : nullptr;
     for (int s = 0; s < ns_; ++s) {
       grid::TileView xv = xf.view(r, s), yv = y.field().view(r, s);
-      grid::TileView cc = self->cc_.view(r, s), cw = self->cw_.view(r, s),
-                     ce = self->ce_.view(r, s), cs = self->cs_.view(r, s),
-                     cn = self->cn_.view(r, s);
+      const double* cc = self->cc_.view(r, s).base;
+      const double* cw = self->cw_.view(r, s).base;
+      const double* ce = self->ce_.view(r, s).base;
+      const double* cs = self->cs_.view(r, s).base;
+      const double* cn = self->cn_.view(r, s).base;
       // Coupling band: csp and the other species' x; residual b; dot w.
-      grid::TileView sp, xo, bv, wv = xv;
-      if (csp_) {
-        sp = self->csp_->view(r, s);
-        xo = xf.view(r, 1 - s);
-      }
-      if (bf != nullptr) bv = bf->view(r, s);
-      if (wf != nullptr) wv = wf->view(r, s);
-      auto in = [n](grid::TileView& v, int lj) {
-        return std::span<const double>(v.row(lj), n);
-      };
+      const double* sp = csp_ ? self->csp_->view(r, s).base : nullptr;
+      const double* xo = csp_ ? xf.view(r, 1 - s).base : nullptr;
+      const double* bv = bf != nullptr ? bf->view(r, s).base : nullptr;
+      const double* wv = acc == nullptr ? nullptr
+                         : wf != nullptr ? wf->view(r, s).base
+                                         : xv.base;
+      const Tile t = tile_of(xv);
       if (fused) {
-        for (int lj = 0; lj < e.nj; ++lj) {
-          fusion::stencil_row_fused(
-              rctx.vctx, in(cc, lj), in(cw, lj), in(ce, lj), in(cs, lj),
-              in(cn, lj), xv.row(lj), xv.row(lj - 1), xv.row(lj + 1),
-              csp_ ? sp.row(lj) : nullptr, csp_ ? xo.row(lj) : nullptr,
-              bf != nullptr ? bv.row(lj) : nullptr,
-              acc != nullptr ? wv.row(lj) : nullptr, acc,
-              std::span<double>(yv.row(lj), n));
-        }
+        fusion::stencil_rows_fused(rctx.vctx, cc, cw, ce, cs, cn, xv.base,
+                                   xv.row(-1), xv.row(1), sp, xo, bv, wv, acc,
+                                   yv.base, t);
         continue;
       }
-      for (int lj = 0; lj < e.nj; ++lj) {
-        stencil_row(rctx.vctx, in(cc, lj), in(cw, lj), in(ce, lj), in(cs, lj),
-                    in(cn, lj), xv.row(lj), xv.row(lj - 1), xv.row(lj + 1),
-                    std::span<double>(yv.row(lj), n));
-      }
-      if (csp_) {
-        for (int lj = 0; lj < e.nj; ++lj) {
-          coupling_row(rctx.vctx, in(sp, lj), xo.row(lj),
-                       std::span<double>(yv.row(lj), n));
-        }
-      }
+      stencil_rows(rctx.vctx, cc, cw, ce, cs, cn, xv.base, xv.row(-1),
+                   xv.row(1), yv.base, t);
+      if (csp_) coupling_rows(rctx.vctx, sp, xo, yv.base, t);
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
     if (eval_doubles_read_ > 0 || eval_flops_ > 0) {

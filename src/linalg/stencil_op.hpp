@@ -24,14 +24,14 @@
 ///
 /// Every product form (apply, apply_dot, apply_residual and their
 /// attributed variants) is one halo exchange plus one private sweep that
-/// fetches each operand's tile view once per (rank, species) and commits
-/// one priced call per rank.  Under FuseMode::Off the dot and residual
+/// fetches each operand's tile view once per (rank, species), hands the
+/// whole tile to the kernels' tile entries and commits one priced call
+/// per rank.  Under FuseMode::Off the dot and residual
 /// forms run the plain product followed by the separate Table II kernel;
 /// under FuseMode::Plan they fold it into the sweep.
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "grid/dist_field.hpp"
 #include "linalg/banded.hpp"
@@ -103,7 +103,7 @@ public:
   /// Same product but attributed to a different kernel family/region —
   /// the SPAI preconditioner application reuses the stencil sweep.
   void apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
-                compiler::KernelFamily family, const std::string& region) const;
+                compiler::KernelFamily family, sim::Region region) const;
 
   /// MATVEC+DPROD: y ← A·x returning w·y (w null ⇒ x·y, the CG p·Ap
   /// case), with the reduction priced as one allreduce.  When fused, the
@@ -126,7 +126,7 @@ public:
   /// apply_as() under the same family and region, then assign_sub.
   void apply_residual_as(ExecContext& ctx, DistVector& x, const DistVector& b,
                          DistVector& r, compiler::KernelFamily family,
-                         const std::string& region) const;
+                         sim::Region region) const;
 
   /// Number of unknowns (ns · nx1 · nx2).
   std::int64_t size() const {
@@ -138,14 +138,15 @@ public:
 
 private:
   /// The one stencil sweep behind every product form: exchange x's halo,
-  /// then per rank run y ← A·x (stencil rows, then coupling rows) — or,
-  /// with `b`, y ← b − A·x, or with `dot`, y ← A·x and *dot += w·y
-  /// (w null ⇒ x), priced as one allreduce — as fused rows, and commit
-  /// one call.  Working set: x, y, five coefficients, plus the coupling,
-  /// b and a distinct w when present.
+  /// then per rank and species tile run y ← A·x (the stencil tile entry,
+  /// then the coupling tile entry) — or, with `b`, y ← b − A·x, or with
+  /// `dot`, y ← A·x and *dot += w·y (w null ⇒ x), priced as one
+  /// allreduce — as one fused tile entry, and commit one call.  Working
+  /// set: x, y, five coefficients, plus the coupling, b and a distinct w
+  /// when present.
   void sweep(ExecContext& ctx, DistVector& x, DistVector& y,
              const DistVector* b, const DistVector* w, ExactSum* dot,
-             compiler::KernelFamily family, const std::string& region) const;
+             compiler::KernelFamily family, sim::Region region) const;
 
   const grid::Grid2D* grid_;
   const grid::Decomposition* dec_;

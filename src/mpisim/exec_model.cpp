@@ -39,8 +39,7 @@ ExecModel::ExecModel(sim::MachineSpec machine,
 }
 
 void ExecModel::kernel(int rank, compiler::KernelFamily family,
-                       const std::string& region,
-                       const sim::KernelCounts& counts,
+                       sim::Region region, const sim::KernelCounts& counts,
                        std::uint64_t working_set_bytes) {
   const auto sharers =
       static_cast<std::uint32_t>(placement_.ranks_on_cmg(rank));
@@ -57,7 +56,7 @@ void ExecModel::kernel(int rank, compiler::KernelFamily family,
 }
 
 void ExecModel::exchange(const std::vector<Transfer>& transfers,
-                         const std::string& region) {
+                         sim::Region region) {
   for (auto& st : state_) {
     // Phase start per rank: one round of neighbour-max over the transfer
     // graph (nonblocking sends/recvs cannot complete before both ends
@@ -103,7 +102,7 @@ void ExecModel::exchange(const std::vector<Transfer>& transfers,
   }
 }
 
-void ExecModel::allreduce(std::uint64_t bytes, const std::string& region) {
+void ExecModel::allreduce(std::uint64_t bytes, sim::Region region) {
   // A 1-rank "allreduce" is a no-op (NetCost prices it at zero): recording
   // a ledger entry carrying the payload bytes would put phantom
   // communication volume into single-rank breakdowns.

@@ -5,7 +5,8 @@
 /// The V2D numerics run exactly once; every instrumented kernel call and
 /// communication event is priced *simultaneously* under every registered
 /// compiler profile (pricing is cheap; re-running physics is not).  Each
-/// profile maintains its own per-rank clock and per-rank cost ledger, so
+/// profile maintains its own per-rank clock and per-rank cost ledger
+/// (keyed by sim::Region ids, so pricing compares no names), so
 /// after a run you can ask "what did this execution cost under Cray with
 /// SVE?" and "under GNU?" from the same trajectory.
 ///
@@ -15,7 +16,7 @@
 /// exact for the balanced tilings V2D uses.
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "compiler/profile.hpp"
@@ -50,22 +51,29 @@ public:
   const sim::CostModel& cost_model() const { return cost_; }
   const Placement& placement() const { return placement_; }
 
-  /// Price a kernel call executed by `rank`.  Thread-safe for distinct
-  /// ranks: only `rank`'s clock and ledger slots are written (pricing
-  /// itself is const), so rank-parallel host execution may call this
-  /// concurrently from par_ranks tasks.
-  void kernel(int rank, compiler::KernelFamily family,
-              const std::string& region, const sim::KernelCounts& counts,
+  /// Price a kernel call executed by `rank` into `region` of its ledgers.
+  /// Thread-safe for distinct ranks: only `rank`'s clock and ledger slots
+  /// are written (pricing itself is const), so rank-parallel host
+  /// execution may call this concurrently from par_ranks tasks.
+  void kernel(int rank, compiler::KernelFamily family, sim::Region region,
+              const sim::KernelCounts& counts,
               std::uint64_t working_set_bytes);
+  /// The same, with the region given by name (looked up in the region
+  /// table; an unknown name is a v2d::Error).
+  void kernel(int rank, compiler::KernelFamily family, std::string_view region,
+              const sim::KernelCounts& counts,
+              std::uint64_t working_set_bytes) {
+    kernel(rank, family, sim::region_from_name(region), counts,
+           working_set_bytes);
+  }
 
   /// Price a halo-exchange phase (all transfers logically concurrent).
   /// A serial barrier point: must not run concurrently with kernel().
-  void exchange(const std::vector<Transfer>& transfers,
-                const std::string& region);
+  void exchange(const std::vector<Transfer>& transfers, sim::Region region);
 
   /// Price a ganged allreduce of `bytes` payload; synchronizes all ranks.
   /// A serial barrier point: must not run concurrently with kernel().
-  void allreduce(std::uint64_t bytes, const std::string& region);
+  void allreduce(std::uint64_t bytes, sim::Region region);
 
   /// Simulated wall-clock of profile p = slowest rank's clock.
   double elapsed(std::size_t p) const;

@@ -192,7 +192,7 @@ void fill_diffusion(const grid::Grid2D& g, const grid::Decomposition& dec,
     // ~70 flops/zone (4 face limiters + geometry), ~13 doubles read, 6
     // written; branchy short loops — the Physics family prices this with
     // low vectorized fraction.
-    rctx.commit_synthetic(r, KernelFamily::Physics, "physics-assembly",
+    rctx.commit_synthetic(r, KernelFamily::Physics, sim::Region::PhysicsAssembly,
                           elements, 70, 104, 48, elements * 152);
   });
 }
@@ -219,7 +219,7 @@ void FldBuilder::build_diffusion(ExecContext& ctx, DistVector& e_limiter,
       }
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
-    rctx.commit_synthetic(r, KernelFamily::Physics, "physics-rhs", elements, 2,
+    rctx.commit_synthetic(r, KernelFamily::Physics, sim::Region::PhysicsRhs, elements, 2,
                           8, 8, elements * 16);
   });
 }
@@ -266,7 +266,7 @@ void FldBuilder::build_coupling(ExecContext& ctx, DistVector& e_limiter,
       }
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
-    rctx.commit_synthetic(r, KernelFamily::Physics, "physics-coupling",
+    rctx.commit_synthetic(r, KernelFamily::Physics, sim::Region::PhysicsCoupling,
                           elements, 12, 32, 24, elements * 56);
   });
 }
@@ -309,7 +309,7 @@ void FldBuilder::update_temperature(ExecContext& ctx,
       }
     }
     const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj;
-    rctx.commit_synthetic(r, KernelFamily::Physics, "physics-temperature",
+    rctx.commit_synthetic(r, KernelFamily::Physics, sim::Region::PhysicsTemperature,
                           elements, 16, 32, 8, elements * 40);
   });
 }

@@ -36,11 +36,12 @@ namespace v2d::vla {
 ///   Interpret — the reference backend: every ld1/fma/st1 loops lane-by-lane
 ///               over a VReg and records its instruction op-by-op.
 ///   Native    — the fast path: kernels run as raw-pointer loops the host
-///               compiler can auto-vectorize.  The recording comes from the
-///               kernel's own interpreter body, run once per (kernel shape,
-///               n) in a dry context that records every op but touches no
-///               memory (Context::record_dry), and memoized per Context
-///               family.  The interpreter is thus the only definition of
+///               compiler can auto-vectorize, one body per tile with the
+///               row loop inside.  The recording comes from the kernel's
+///               own interpreter row, run once per (kernel shape, n) in a
+///               dry context that records every op but touches no memory
+///               (Context::record_dry), memoized per Context family, and
+///               added once per tile as nj × the row's.  The interpreter is thus the only definition of
 ///               what a kernel issues; results are bit-identical to it, as
 ///               the equivalence suite (tests/test_vla_fastpath.cpp) pins.
 enum class VlaExecMode : std::uint8_t {
@@ -206,21 +207,25 @@ public:
     return *front_.counts;
   }
 
-  /// Fold the memoized recording of `body` under `key` (one kernel call's
-  /// stream, with calls == elements == 0; those fields belong to
-  /// ExecContext::commit) into the recording.  On a miss, `body(dry)` runs
+  /// Fold `times` copies of the memoized recording of `body` under `key`
+  /// (one kernel row's stream, with calls == elements == 0; those fields
+  /// belong to ExecContext::commit) into the recording — a native tile
+  /// entry records its `nj` rows with one call.  The copies count as
+  /// `times` memo probes, exactly as `times` calls of one copy would: the
+  /// first probes the memo unless it repeats the previous key, and every
+  /// other one lengthens the pending run.  On a miss, `body(dry)` runs
   /// once, outside the cache lock, in a dry Interpret-mode context at this
   /// VL: every op records exactly as the interpreter does, but
   /// ld1/st1/gather/scatter touch no memory, so the body may be a kernel's
   /// own interpreter path over live operands.  The body must not branch on
-  /// a loaded value (loads yield zeros).  A hit runs nothing, and a call
-  /// repeating the previous key only lengthens the pending run, which is
-  /// folded in as run × counts (exact: counts are integers) on the next
-  /// key change or when the recording is read.
+  /// a loaded value (loads yield zeros).  A hit runs nothing; the pending
+  /// run is folded in as run × counts (exact: counts are integers) on the
+  /// next key change or when the recording is read.
   template <typename Body>
-  void record_dry(std::uint64_t key, Body&& body) {
+  void record_dry(std::uint64_t key, std::uint64_t times, Body&& body) {
+    if (times == 0) return;
     if (front_.counts != nullptr && front_.key == key) {
-      ++run_;
+      run_ += times;
       return;
     }
     counts_ += memo_counts(key, [&] {
@@ -230,6 +235,7 @@ public:
       body(dry);
       return dry.take_counts();
     });
+    run_ += times - 1;
   }
 
   /// Count-memo statistics, accumulated across this context

@@ -21,7 +21,7 @@ inline void expect_ledgers_identical(const sim::CostLedger& a,
   auto ia = a.regions().begin();
   for (auto ib = b.regions().begin(); ib != b.regions().end(); ++ia, ++ib) {
     ASSERT_EQ(ia->first, ib->first) << where;
-    const std::string tag = where + " " + ia->first;
+    const std::string tag = where + " " + std::string(ia->first);
     const sim::RegionCost& ra = ia->second;
     const sim::RegionCost& rb = ib->second;
     for (std::size_t i = 0; i < sim::kNumOpClasses; ++i) {

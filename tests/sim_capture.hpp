@@ -66,7 +66,7 @@ inline void expect_ledgers_equal(const sim::CostLedger& a,
   auto ib = b.regions().begin();
   for (; ia != a.regions().end(); ++ia, ++ib) {
     ASSERT_EQ(ia->first, ib->first) << where;
-    const std::string at = where + "/" + ia->first;
+    const std::string at = where + "/" + std::string(ia->first);
     const sim::RegionCost& ra = ia->second;
     const sim::RegionCost& rb = ib->second;
     EXPECT_EQ(ra.compute_cycles, rb.compute_cycles) << at;

@@ -99,6 +99,39 @@ TEST(Config, OutOfRangeIntegersThrow) {
   });
 }
 
+/// A value outside a bound that lives in the library is an error naming the
+/// option when the options are read, through that bound itself:
+/// VectorArch's vector-length range, the decomposition's tiles-vs-zones
+/// check against --nx1/--nx2, the compiler-profile catalog, the
+/// preconditioner kinds and the multigrid smoother catalog.  Before, each
+/// failed only inside the library when a session was built (a bare
+/// `requirement failed` naming no option), and `--mg-smoother nope` under
+/// the default SPAI(0) preconditioner ran to exit 0.  Every message names
+/// the option and its value.
+TEST(Config, ValuesOutsideALibraryBoundThrow) {
+  expect_each_rejected({
+      {"--vector-bits", "100"},
+      {"--vector-bits", "0"},
+      {"--vector-bits", "4096"},
+      {"--nprx1", "300"},
+      {"--nprx2", "101"},
+      {"--nprx1", "65", "--nx1", "64"},
+      {"--compilers", "nope"},
+      {"--compilers", "gnu,nope"},
+      {"--precond", "nope"},
+      {"--mg-smoother", "nope"},
+      {"--mg-smoother", "nope", "--precond", "mg"},
+      // Catalog lookups that failed at parse time already, but named the
+      // value only.
+      {"--problem", "nope"},
+      {"--limiter", "nope"},
+      {"--solver-fallbacks", "jacobi,nope"},
+      {"--guard", "maybe"},
+      {"--vla-exec", "nope"},
+      {"--fuse", "nope"},
+  });
+}
+
 /// A real option out of its range is an error naming the option when the
 /// options are read, not at the first solve (`--dt 0`, `--tol 0`) or never
 /// (`--kappa-absorb -1` ran to exit 0).

@@ -413,6 +413,34 @@ TEST(FarmJobFile, ParsesFilesWithCommentsAndRejectsDuplicates) {
   std::remove(path.c_str());
 }
 
+/// A job line with a value its library bound rejects stops the whole file
+/// while it is read, naming the line and the option, so no job of the file
+/// runs.  Each of these lines used to pass the parser and fail only when
+/// its session was built, after the good job ahead of it had run.
+TEST(FarmJobFile, BadValueStopsTheFileBeforeAnyJobRuns) {
+  const std::string path = temp_path("farm_bad_value_jobs.txt");
+  const std::string good = "--problem gaussian-pulse --steps 1 --nx1 16 --nx2 8";
+  for (const std::string bad :
+       {"--vector-bits 100", "--nprx1 100", "--compilers nope",
+        "--precond nope", "--mg-smoother nope --precond mg"}) {
+    {
+      std::ofstream out(path);
+      out << "good: " << good << "\n"
+          << "bad: " << good << " " << bad << "\n";
+    }
+    try {
+      (void)farm::parse_job_file(path);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path + ":2:"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.substr(0, bad.find(' '))), std::string::npos)
+          << what;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(FarmJobFile, EmptyOrCommentOnlyFileFailsEarly) {
   const std::string path = temp_path("farm_empty_jobs.txt");
   {

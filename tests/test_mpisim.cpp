@@ -242,7 +242,7 @@ TEST(ExecModelTest, AllreduceSynchronizesClocks) {
   ExecModel em(sim::MachineSpec::a64fx(), two_profiles(), 4);
   em.kernel(1, compiler::KernelFamily::Matvec, "matvec", small_kernel(),
             16 * 1024);
-  em.allreduce(16, "mpi_allreduce");
+  em.allreduce(16, sim::Region::MpiAllreduce);
   for (int r = 0; r < 4; ++r) {
     EXPECT_DOUBLE_EQ(em.rank_time(0, r), em.elapsed(0));
   }
@@ -251,7 +251,7 @@ TEST(ExecModelTest, AllreduceSynchronizesClocks) {
 
 TEST(ExecModelTest, ExchangeChargesBothEnds) {
   ExecModel em(sim::MachineSpec::a64fx(), two_profiles(), 2);
-  em.exchange({Transfer{0, 1, 4096, false}}, "mpi_halo");
+  em.exchange({Transfer{0, 1, 4096, false}}, sim::Region::MpiHalo);
   EXPECT_GT(em.rank_time(0, 0), 0.0);
   EXPECT_GT(em.rank_time(0, 1), 0.0);
 }
@@ -261,7 +261,7 @@ TEST(ExecModelTest, ExchangeLedgersCountReceivedVolume) {
   // its bytes too, not only the sender's (received halo volume used to
   // vanish from per-rank breakdowns).
   ExecModel em(sim::MachineSpec::a64fx(), two_profiles(), 2);
-  em.exchange({Transfer{0, 1, 4096, false}}, "mpi_halo");
+  em.exchange({Transfer{0, 1, 4096, false}}, sim::Region::MpiHalo);
   for (const int r : {0, 1}) {
     const auto& entry = em.ledger(0, r).at("mpi_halo");
     EXPECT_EQ(entry.comm_messages, 1u) << "rank " << r;
@@ -270,7 +270,7 @@ TEST(ExecModelTest, ExchangeLedgersCountReceivedVolume) {
   // A bidirectional pair: each rank sent one and received one message.
   ExecModel em2(sim::MachineSpec::a64fx(), two_profiles(), 2);
   em2.exchange({Transfer{0, 1, 4096, false}, Transfer{1, 0, 2048, false}},
-               "mpi_halo");
+               sim::Region::MpiHalo);
   for (const int r : {0, 1}) {
     const auto& entry = em2.ledger(0, r).at("mpi_halo");
     EXPECT_EQ(entry.comm_messages, 2u) << "rank " << r;
@@ -282,12 +282,12 @@ TEST(ExecModelTest, SingleRankAllreduceLeavesLedgerClean) {
   // NetCost::allreduce is zero at one rank; recording a payload-carrying
   // ledger entry anyway put phantom bytes into single-rank breakdowns.
   ExecModel em(sim::MachineSpec::a64fx(), two_profiles(), 1);
-  em.allreduce(1024, "mpi_allreduce");
+  em.allreduce(1024, sim::Region::MpiAllreduce);
   EXPECT_FALSE(em.ledger(0, 0).has("mpi_allreduce"));
   EXPECT_DOUBLE_EQ(em.elapsed(0), 0.0);
   // Multi-rank jobs still record exactly one entry per rank per call.
   ExecModel em2(sim::MachineSpec::a64fx(), two_profiles(), 2);
-  em2.allreduce(1024, "mpi_allreduce");
+  em2.allreduce(1024, sim::Region::MpiAllreduce);
   for (const int r : {0, 1}) {
     const auto& entry = em2.ledger(0, r).at("mpi_allreduce");
     EXPECT_EQ(entry.comm_messages, 1u);
@@ -298,8 +298,8 @@ TEST(ExecModelTest, SingleRankAllreduceLeavesLedgerClean) {
 TEST(ExecModelTest, StridedTransfersCostMore) {
   ExecModel a(sim::MachineSpec::a64fx(), two_profiles(), 2);
   ExecModel b(sim::MachineSpec::a64fx(), two_profiles(), 2);
-  a.exchange({Transfer{0, 1, 4096, false}}, "h");
-  b.exchange({Transfer{0, 1, 4096, true}}, "h");
+  a.exchange({Transfer{0, 1, 4096, false}}, sim::Region::MpiHalo);
+  b.exchange({Transfer{0, 1, 4096, true}}, sim::Region::MpiHalo);
   EXPECT_GT(b.elapsed(0), a.elapsed(0));
 }
 
@@ -308,14 +308,15 @@ TEST(ExecModelTest, ExchangeWaitsForLateNeighbour) {
   em.kernel(1, compiler::KernelFamily::Matvec, "matvec", small_kernel(),
             16 * 1024);
   const double t1 = em.rank_time(0, 1);
-  em.exchange({Transfer{1, 0, 1024, false}}, "mpi_halo");
+  em.exchange({Transfer{1, 0, 1024, false}}, sim::Region::MpiHalo);
   // Rank 0 cannot finish the exchange before rank 1 even arrived.
   EXPECT_GT(em.rank_time(0, 0), t1);
 }
 
 TEST(ExecModelTest, ResetClearsState) {
   ExecModel em(sim::MachineSpec::a64fx(), two_profiles(), 2);
-  em.kernel(0, compiler::KernelFamily::Matvec, "m", small_kernel(), 1024);
+  em.kernel(0, compiler::KernelFamily::Matvec, "matvec", small_kernel(),
+            1024);
   em.reset();
   EXPECT_DOUBLE_EQ(em.elapsed(0), 0.0);
   EXPECT_TRUE(em.merged_ledger(0).regions().empty());

@@ -21,7 +21,7 @@ sim::CostLedger make_ledger(double cycles, std::uint64_t fma_lanes) {
   c.record(sim::OpClass::LoadContig, 8, 4);
   c.bytes_read = 256;
   c.bytes_written = 128;
-  l.add_kernel("k", c, cost);
+  l.add_kernel(sim::Region::Matvec, c, cost);
   return l;
 }
 
@@ -40,7 +40,7 @@ TEST(Papi, EventSetDeltas) {
   // More work lands in the ledger.
   sim::CostBreakdown cost;
   cost.compute_cycles = 500.0;
-  l.add_kernel("k2", sim::KernelCounts{}, cost);
+  l.add_kernel(sim::Region::Dprod, sim::KernelCounts{}, cost);
   const auto v = es.stop(l);
   EXPECT_EQ(v[static_cast<std::size_t>(Event::TotalCycles)], 500u);
   EXPECT_EQ(v[static_cast<std::size_t>(Event::FpOps)], 0u);

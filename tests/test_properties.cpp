@@ -101,7 +101,7 @@ TEST(Properties, MsgQueueMatchesAnalyticHaloCost) {
     transfers.push_back({r, r + 1, bytes, false});
     transfers.push_back({r + 1, r, bytes, false});
   }
-  em.exchange(transfers, "halo");
+  em.exchange(transfers, sim::Region::MpiHalo);
   const double analytic = em.elapsed(0);
 
   EXPECT_GT(queue_max, 0.0);

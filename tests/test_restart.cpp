@@ -158,6 +158,40 @@ TEST(Restart, CheckpointWithRetiredFuseOnStillRestarts) {
       "plan", "on");
 }
 
+/// A checkpoint ledger maps its region names through the fixed region
+/// table, so a name outside it is an Error naming it rather than a region
+/// that enters the restored totals.
+TEST(Restart, CheckpointLedgerWithUnknownRegionRejected) {
+  const std::string path = temp_path("v2d_bogus_region.h5l");
+  core::RunConfig cfg = base_config("gaussian-pulse", "native");
+  cfg.steps = 1;
+  core::Simulation sim(cfg);
+  sim.run();
+  sim.checkpoint(path);
+  {
+    io::H5File f = io::H5File::load(path);
+    io::Group& ledger =
+        f.root().group("exec").group("profile-0").group("ledger-0");
+    // A well-shaped copy of a real region under a name no region has.
+    const io::Group& real = ledger.group("matvec");
+    io::Group& bogus = ledger.create_group("bogus-region");
+    bogus.write("u", std::span<const std::int64_t>(real.dataset("u").i64),
+                {real.dataset("u").i64.size()});
+    bogus.write("f", std::span<const double>(real.dataset("f").f64),
+                {real.dataset("f").f64.size()});
+    f.save(path);
+  }
+  core::Simulation resumed(cfg);
+  try {
+    resumed.restart(path);
+    ADD_FAILURE() << "a ledger region outside the table was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("bogus-region"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 // --- cadence contract --------------------------------------------------------
 
 std::uint64_t checkpoint_calls(const core::Simulation& sim) {

@@ -247,8 +247,8 @@ TEST(Ledger, AccumulatesRegions) {
   cost.overhead_cycles = 10;
   KernelCounts c;
   c.record(OpClass::FlopFma, 8, 10);
-  l.add_kernel("matvec", c, cost);
-  l.add_kernel("matvec", c, cost);
+  l.add_kernel(Region::Matvec, c, cost);
+  l.add_kernel(Region::Matvec, c, cost);
   EXPECT_EQ(l.at("matvec").counts.flops(), 2u * 160);
   EXPECT_DOUBLE_EQ(l.at("matvec").total_cycles, 2 * 110.0);
   EXPECT_DOUBLE_EQ(l.total_cycles(), 220.0);
@@ -256,10 +256,10 @@ TEST(Ledger, AccumulatesRegions) {
 
 TEST(Ledger, CommBookkeeping) {
   CostLedger l;
-  l.add_comm("halo", 1.5e-6, 4, 4096);
-  l.add_comm("halo", 0.5e-6, 2, 1024);
-  EXPECT_DOUBLE_EQ(l.at("halo").comm_seconds, 2.0e-6);
-  EXPECT_EQ(l.at("halo").comm_messages, 6u);
+  l.add_comm(Region::MpiHalo, 1.5e-6, 4, 4096);
+  l.add_comm(Region::MpiHalo, 0.5e-6, 2, 1024);
+  EXPECT_DOUBLE_EQ(l.at("mpi_halo").comm_seconds, 2.0e-6);
+  EXPECT_EQ(l.at("mpi_halo").comm_messages, 6u);
   EXPECT_DOUBLE_EQ(l.total_comm_seconds(), 2.0e-6);
 }
 
@@ -268,12 +268,12 @@ TEST(Ledger, MergeAndSort) {
   CostBreakdown big, small;
   big.compute_cycles = 1000;
   small.compute_cycles = 1;
-  a.add_kernel("big", KernelCounts{}, big);
-  b.add_kernel("small", KernelCounts{}, small);
+  a.add_kernel(Region::Xpby, KernelCounts{}, big);
+  b.add_kernel(Region::Axpy, KernelCounts{}, small);
   a.merge(b);
   const auto order = a.by_cost();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "big");
+  EXPECT_EQ(order[0], "xpby");
 }
 
 TEST(Ledger, UnknownRegionThrows) {
@@ -285,8 +285,8 @@ TEST(Ledger, TotalSecondsCombinesComputeAndComm) {
   CostLedger l;
   CostBreakdown cost;
   cost.compute_cycles = 1.8e9;  // 1 s at 1.8 GHz
-  l.add_kernel("k", KernelCounts{}, cost);
-  l.add_comm("c", 0.5, 1, 8);
+  l.add_kernel(Region::Matvec, KernelCounts{}, cost);
+  l.add_comm(Region::MpiAllreduce, 0.5, 1, 8);
   EXPECT_NEAR(l.total_seconds(1.8e9), 1.5, 1e-12);
 }
 

@@ -95,7 +95,7 @@ void expect_commits(
       ExecContext ctx(vla::VectorArch(512), &em, mode, fuse);
       op(ctx);
 
-      std::map<std::string, std::vector<Commit>> by_region;
+      std::map<std::string, std::vector<Commit>, std::less<>> by_region;
       for (const Commit& c : expected(fuse)) by_region[c.region].push_back(c);
       const compiler::CodegenProfile& prof = em.profile(0);
       for (int r = 0; r < t.dec.nranks(); ++r) {
@@ -233,7 +233,7 @@ TEST(SweepCommits, StencilOperatorForms) {
                    [&](ExecContext& ctx) { A.apply(ctx, x, y); });
     expect_commits(t, "apply_as" + c, s, always({{P, "precond", s}}),
                    [&](ExecContext& ctx) {
-                     A.apply_as(ctx, x, y, P, "precond");
+                     A.apply_as(ctx, x, y, P, sim::Region::Precond);
                    });
     // p·Ap: the dot's w is x, so the fused sweep streams nothing extra.
     expect_commits(t, "apply_dot" + c, s,
@@ -251,7 +251,7 @@ TEST(SweepCommits, StencilOperatorForms) {
                    by_fuse({{P, "mg-smooth", s}, sub},
                            {{P, "mg-smooth", s + 1}}),
                    [&](ExecContext& ctx) {
-                     A.apply_residual_as(ctx, x, b, y, P, "mg-smooth");
+                     A.apply_residual_as(ctx, x, b, y, P, sim::Region::MgSmooth);
                    });
   }
 }

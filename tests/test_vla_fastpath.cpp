@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <latch>
@@ -136,11 +137,14 @@ std::vector<std::vector<double>> call_kernel(KernelShape shape, Context& ctx,
       break;
     case KernelShape::RestrictRow: {
       const double* const fine[4] = {ptr(0), ptr(1), ptr(2), ptr(3)};
-      mg::restrict_row(ctx, fine, idx.tables(), out(4));
+      mg::restrict_rows(ctx, fine, 0, idx.tables(), ptr(4), Tile::row(n));
       break;
     }
     case KernelShape::ProlongRow:
-      mg::prolong_row_add(ctx, ptr(0), ptr(1), idx.tables(), out(2));
+      // Fine row 0 reads coarse row 0 (parent) and row −1, both in
+      // operand 0, n + 2 apart.
+      mg::prolong_rows_add(ctx, ptr(0) + n + 2, static_cast<std::ptrdiff_t>(n + 2),
+                           idx.tables(), ptr(2), Tile::row(n));
       break;
     case KernelShape::Daxpy2:
       fusion::daxpy2(ctx, 0.7, in(0), out(1), -0.7, in(2), out(3));
@@ -363,8 +367,8 @@ TEST_P(FastPathSweep, RestrictRow) {
   const mg::TransferTables tab = idx.tables();
   std::vector<double> yi(nc), yn(nc);
   Context ci = interp_ctx(), cx = native_ctx();
-  mg::restrict_row(ci, frows, tab, yi);
-  mg::restrict_row(cx, frows, tab, yn);
+  mg::restrict_rows(ci, frows, 0, tab, yi.data(), Tile::row(nc));
+  mg::restrict_rows(cx, frows, 0, tab, yn.data(), Tile::row(nc));
   expect_bits_equal(yi, yn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -372,15 +376,18 @@ TEST_P(FastPathSweep, RestrictRow) {
 TEST_P(FastPathSweep, ProlongRow) {
   Rng rng(21);
   const std::size_t nf = n();
-  // Coarse rows are ⌈nf/2⌉ wide with one readable ghost on each side.
-  const std::size_t ncw = nf / 2 + 2;
-  const auto cnear = random_vec(ncw + 2, rng), cfar = random_vec(ncw + 2, rng);
+  // Coarse rows are ⌈nf/2⌉ wide with one readable ghost on each side;
+  // fine row 0 reads coarse row 0 (parent) and the row below it.
+  const std::size_t ncw = nf / 2 + 4;
+  const auto coarse = random_vec(2 * ncw, rng);
+  const double* cnear = coarse.data() + ncw + 1;
+  const auto cstride = static_cast<std::ptrdiff_t>(ncw);
   const TransferIndex idx(nf);
   const mg::TransferTables tab = idx.tables();
   auto yi = random_vec(nf, rng), yn = yi;
   Context ci = interp_ctx(), cx = native_ctx();
-  mg::prolong_row_add(ci, cnear.data() + 1, cfar.data() + 1, tab, yi);
-  mg::prolong_row_add(cx, cnear.data() + 1, cfar.data() + 1, tab, yn);
+  mg::prolong_rows_add(ci, cnear, cstride, tab, yi.data(), Tile::row(nf));
+  mg::prolong_rows_add(cx, cnear, cstride, tab, yn.data(), Tile::row(nf));
   expect_bits_equal(yi, yn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -558,6 +565,207 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{4}, std::size_t{5},
                                          std::size_t{6}, std::size_t{7})));
 
+// --- tile entries --------------------------------------------------------------
+
+/// Operands for one tile entry of any KernelShape: twelve buffers laid out
+/// as ghosted tiles at row stride 2·ni + 4, the tile's row 0 starting two
+/// rows and one column in, so shifted, ghost, fine-row (restriction) and
+/// parity-row (prolongation) reads all stay inside; plus the two exact
+/// accumulators the dot tails add into.
+struct TileOperands {
+  TileOperands(std::size_t ni, std::size_t nj, int seed)
+      : stride(static_cast<std::ptrdiff_t>(2 * ni + 4)), idx(ni) {
+    Rng rng(seed);
+    // Restriction reads fine rows −1 … 2·nj of its operand.
+    for (auto& b : buf) b = random_vec((2 * nj + 4) * (2 * ni + 4), rng);
+    acc[0].add(0.5);
+    acc[1].add(-0.25);
+  }
+  double* base(int k) { return buf[k].data() + 2 * stride + 1; }
+
+  std::ptrdiff_t stride;
+  std::array<std::vector<double>, 12> buf;
+  ExactSum acc[2];
+  TransferIndex idx;
+};
+
+void expect_operands_equal(const TileOperands& a, const TileOperands& b,
+                           const char* what) {
+  SCOPED_TRACE(what);
+  for (std::size_t k = 0; k < a.buf.size(); ++k)
+    expect_bits_equal(a.buf[k], b.buf[k]);
+  for (int i = 0; i < 2; ++i) {
+    const double va = a.acc[i].value(), vb = b.acc[i].value();
+    EXPECT_EQ(std::memcmp(&va, &vb, sizeof va), 0) << "dot tail " << i;
+  }
+}
+
+/// The tile entry of `shape` over operand rows j0 … j0 + t.nj − 1 (t.stride
+/// is the operands' stride); with t.nj = 1 this is the row call of row j0.
+void call_tile(KernelShape shape, Context& ctx, TileOperands& o, Tile t,
+               std::size_t j0) {
+  const std::ptrdiff_t s = o.stride;
+  const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(j0) * s;
+  const auto p = [&](int k) { return o.base(k) + at; };
+  switch (shape) {
+    case KernelShape::Dprod: dprod_record_only(ctx, p(0), p(1), t); break;
+    case KernelShape::Daxpy: daxpy(ctx, 1.5, p(0), p(1), t); break;
+    case KernelShape::Dscal: dscal(ctx, 0.5, 2.0, p(0), t); break;
+    case KernelShape::Ddaxpy: ddaxpy(ctx, 1.5, p(0), -0.5, p(1), p(2), t); break;
+    case KernelShape::Xpby: xpby(ctx, p(0), 0.3, p(1), t); break;
+    case KernelShape::Copy: copy(ctx, p(0), p(1), t); break;
+    case KernelShape::Fill: fill(ctx, -2.5, p(0), t); break;
+    case KernelShape::Sub: sub(ctx, p(0), p(1), p(2), t); break;
+    case KernelShape::Hadamard: hadamard(ctx, p(0), p(1), p(2), t); break;
+    case KernelShape::StencilRow:
+      stencil_rows(ctx, p(0), p(1), p(2), p(3), p(4), p(5), p(5) - s,
+                   p(5) + s, p(8), t);
+      break;
+    case KernelShape::CouplingRow: coupling_rows(ctx, p(0), p(1), p(2), t); break;
+    case KernelShape::DiagCorrectRow:
+      mg::diag_correct_rows(ctx, 0.8, p(0), p(1), p(2), t);
+      break;
+    case KernelShape::DiagScaleRow:
+      mg::diag_scale_rows(ctx, 1.25, p(0), p(1), p(2), t);
+      break;
+    case KernelShape::RestrictRow: {
+      // Coarse row j reads fine rows 2j − 1 … 2j + 2 of operand 0.
+      const double* f = o.base(0) + 2 * at;
+      const double* const fine[4] = {f - s, f, f + s, f + 2 * s};
+      mg::restrict_rows(ctx, fine, 2 * s, o.idx.tables(), p(4), t);
+      break;
+    }
+    case KernelShape::ProlongRow: {
+      // Fine row j reads coarse rows j/2 and j/2 ± 1 of operand 0.  The row
+      // call of an odd row keeps its parity through a negated stride.
+      const double* c = o.base(0) + static_cast<std::ptrdiff_t>(j0 / 2) * s;
+      mg::prolong_rows_add(ctx, c, j0 % 2 == 1 ? -s : s, o.idx.tables(), p(2),
+                           t);
+      break;
+    }
+    case KernelShape::Daxpy2:
+      fusion::daxpy2(ctx, 0.7, p(0), p(1), -0.7, p(2), p(3), t);
+      break;
+    case KernelShape::AxpyOut:
+      fusion::axpy_out(ctx, p(0), -1.3, p(1), p(2), t);
+      break;
+    case KernelShape::PUpdate:
+      fusion::p_update(ctx, p(0), 0.8, 0.45, p(1), p(2), t);
+      break;
+    case KernelShape::HadamardDot2:
+      fusion::hadamard_dot2(ctx, p(0), p(1), p(2), o.acc[0], o.acc[1], t);
+      break;
+    case KernelShape::HadamardUpdateDot2:
+      fusion::hadamard_update_dot2(ctx, p(0), -0.6, p(1), p(2), p(3),
+                                   o.acc[0], o.acc[1], t);
+      break;
+    case KernelShape::StencilSub:
+    case KernelShape::StencilSubCoupled:
+    case KernelShape::StencilDot:
+    case KernelShape::StencilDotW:
+    case KernelShape::StencilDotCoupled:
+    case KernelShape::StencilDotWCoupled: {
+      const bool coupled = shape == KernelShape::StencilSubCoupled ||
+                           shape == KernelShape::StencilDotCoupled ||
+                           shape == KernelShape::StencilDotWCoupled;
+      const bool sub = shape == KernelShape::StencilSub ||
+                       shape == KernelShape::StencilSubCoupled;
+      const bool self = shape == KernelShape::StencilDot ||
+                        shape == KernelShape::StencilDotCoupled;
+      fusion::stencil_rows_fused(
+          ctx, p(0), p(1), p(2), p(3), p(4), p(5), p(5) - s, p(5) + s,
+          coupled ? p(8) : nullptr, coupled ? p(9) : nullptr,
+          sub ? p(10) : nullptr, sub ? nullptr : (self ? p(5) : p(10)),
+          sub ? nullptr : &o.acc[0], p(11), t);
+      break;
+    }
+  }
+}
+
+/// Parameterized over (vector bits, tile shape): rows shorter than one
+/// vector and rows of two vectors plus a ragged tail, each as one row and
+/// as several, always at a stride wider than the row (ghost columns).
+class TileEntrySweep
+    : public ::testing::TestWithParam<std::tuple<unsigned, int>> {
+protected:
+  std::size_t vl() const { return std::get<0>(GetParam()) / 64; }
+  int shape() const { return std::get<1>(GetParam()); }
+  /// Below one vector (not a multiple of it), or two vectors and 3.
+  std::size_t ni() const { return shape() < 2 ? vl() - 1 : 2 * vl() + 3; }
+  /// One row, or three or four.
+  std::size_t nj() const {
+    return shape() % 2 == 0 ? 1 : 3 + static_cast<std::size_t>(shape() / 2);
+  }
+  Context interp_ctx() const {
+    return Context(VectorArch(std::get<0>(GetParam())), VlaExecMode::Interpret);
+  }
+  Context native_ctx() const {
+    return Context(VectorArch(std::get<0>(GetParam())), VlaExecMode::Native);
+  }
+};
+
+/// Every tile entry, in both exec modes, equals nj interpreter row calls:
+/// bit-identical operands and dot tails, an identical recording, and the
+/// memo probes of nj native row calls (one miss, nj − 1 hits).
+TEST_P(TileEntrySweep, MatchesInterpreterRows) {
+  for (std::size_t i = 0; i < kNumShapes; ++i) {
+    const auto shape = static_cast<KernelShape>(i);
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const TileOperands start(ni(), nj(), 60 + static_cast<int>(i));
+    const Tile t{ni(), nj(), start.stride};
+    const Tile row{ni(), 1, start.stride};
+
+    TileOperands rows = start, native_rows = start, tile = start,
+                 interp_tile = start;
+    Context ci = interp_ctx(), cr = native_ctx(), cx = native_ctx(),
+            ct = interp_ctx();
+    for (std::size_t j = 0; j < nj(); ++j) {
+      call_tile(shape, ci, rows, row, j);
+      call_tile(shape, cr, native_rows, row, j);
+    }
+    call_tile(shape, cx, tile, t, 0);
+    call_tile(shape, ct, interp_tile, t, 0);
+
+    expect_operands_equal(rows, tile, "native tile");
+    expect_operands_equal(rows, native_rows, "native rows");
+    expect_operands_equal(rows, interp_tile, "interpreted tile");
+    EXPECT_EQ(cx.memo_misses(), 1u);
+    EXPECT_EQ(cx.memo_hits(), nj() - 1);
+    EXPECT_EQ(cr.memo_misses(), cx.memo_misses());
+    EXPECT_EQ(cr.memo_hits(), cx.memo_hits());
+    const sim::KernelCounts want = ci.take_counts();
+    EXPECT_EQ(cx.take_counts(), want);
+    EXPECT_EQ(cr.take_counts(), want);
+    EXPECT_EQ(ct.take_counts(), want);
+  }
+}
+
+/// Every native tile body, and the fused composites' per-tile dot tails,
+/// give the same bits at the generic width and at AVX2.
+TEST_P(TileEntrySweep, WidthEquivalence) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  const simd::Width host = simd::width();
+  for (std::size_t i = 0; i < kNumShapes; ++i) {
+    const auto shape = static_cast<KernelShape>(i);
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const TileOperands start(ni(), nj(), 60 + static_cast<int>(i));
+    TileOperands got[2] = {start, start};
+    const simd::Width widths[] = {simd::Width::Generic, simd::Width::Avx2};
+    for (int w = 0; w < 2; ++w) {
+      simd::set_width(widths[w]);
+      Context ctx = native_ctx();
+      call_tile(shape, ctx, got[w], Tile{ni(), nj(), start.stride}, 0);
+    }
+    simd::set_width(host);
+    expect_operands_equal(got[0], got[1], "generic vs AVX2");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVlsAndTileShapes, TileEntrySweep,
+    ::testing::Combine(::testing::Values(128u, 512u, 2048u),
+                       ::testing::Values(0, 1, 2, 3)));
+
 TEST(FastPathCache, RepeatedCallsAccumulateExactly) {
   Context ctx(VectorArch(512), VlaExecMode::Native);
   std::vector<double> x(100, 1.0), y(100, 2.0);
@@ -676,7 +884,7 @@ TEST(FastPathCache, ConcurrentMissOfOneKeyCountsOnce) {
     for (int t = 0; t < kThreads; ++t)
       threads.emplace_back([&, t] {
         Context c = proto.fork();
-        c.record_dry(0x2a, body);
+        c.record_dry(0x2a, 1, body);
         recorded[t] = c.take_counts();
       });
   }
@@ -701,18 +909,18 @@ TEST(DryRun, BodyRunsOncePerKeyPerFamilyOnlyOnAMiss) {
   };
   Context ctx(VectorArch(256), VlaExecMode::Native);
   EXPECT_FALSE(ctx.dry());
-  ctx.record_dry(7, body);
+  ctx.record_dry(7, 1, body);
   EXPECT_EQ(runs, 1);
-  ctx.record_dry(7, body);  // run of the front key
-  ctx.record_dry(8, body);  // a second key misses
-  ctx.record_dry(7, body);  // back to the first: a map hit
+  ctx.record_dry(7, 1, body);  // run of the front key
+  ctx.record_dry(8, 1, body);  // a second key misses
+  ctx.record_dry(7, 1, body);  // back to the first: a map hit
   EXPECT_EQ(runs, 2);
   Context fork = ctx.fork();
-  fork.record_dry(7, body);
-  fork.record_dry(8, body);
+  fork.record_dry(7, 1, body);
+  fork.record_dry(8, 1, body);
   EXPECT_EQ(runs, 2);
   Context other(VectorArch(256), VlaExecMode::Native);  // a new family
-  other.record_dry(7, body);
+  other.record_dry(7, 1, body);
   EXPECT_EQ(runs, 3);
   EXPECT_EQ(ctx.memo_misses(), 2u);
   EXPECT_EQ(other.memo_misses(), 1u);
@@ -747,7 +955,7 @@ TEST(DryRun, WritesNoOperandMemory) {
     std::vector<double> scratch = out;  // the interpreter's own output
     kernel(ci, std::span<double>(scratch.data() + 1, n));
     Context cx(VectorArch(512), VlaExecMode::Native);
-    cx.record_dry(1, [&](Context& dry) { kernel(dry, y); });
+    cx.record_dry(1, 1, [&](Context& dry) { kernel(dry, y); });
     untouched(what);
     EXPECT_EQ(cx.take_counts(), ci.take_counts()) << what;
   };
@@ -758,16 +966,17 @@ TEST(DryRun, WritesNoOperandMemory) {
     stencil_row(c, in, in2, in, in2, in, x.data() + 1, w.data() + 1,
                 x.data() + 1, o);
   });
-  check("restrict_row", [&](Context& c, std::span<double> o) {
-    mg::restrict_row(c, fine, idx.tables(), o);
+  check("restrict_rows", [&](Context& c, std::span<double> o) {
+    mg::restrict_rows(c, fine, 0, idx.tables(), o.data(), Tile::row(n));
   });
-  check("prolong_row_add", [&](Context& c, std::span<double> o) {
-    mg::prolong_row_add(c, x.data() + 1, w.data() + 1, idx.tables(), o);
+  check("prolong_rows_add", [&](Context& c, std::span<double> o) {
+    mg::prolong_rows_add(c, x.data() + n + 3, static_cast<std::ptrdiff_t>(n + 2),
+                         idx.tables(), o.data(), Tile::row(n));
   });
 
   // One fused dot group: z ← m ⊙ r with rz += Σ z·r and rr += Σ r·r.
   Context cx(VectorArch(512), VlaExecMode::Native);
-  cx.record_dry(2, [&](Context& dry) {
+  cx.record_dry(2, 1, [&](Context& dry) {
     fusion::hadamard_dot2(dry, in, in2, y, rz, rr);
   });
   untouched("hadamard_dot2");
