@@ -21,12 +21,21 @@
 /// The serial and farm legs alternate and each keeps its best of
 /// --repeats.  A leg lasts 10–60 ms, so with only 2 repeats one scheduling
 /// hiccup decided a row; 8 give the gate a stable verdict on a 4-vCPU host.
+///
+/// hardware_concurrency() counts the cores a host has, not the ones it
+/// gives this process now.  Before each batch size the bench therefore
+/// times a fixed compute loop on 1 thread and on min(jobs, host cores)
+/// threads started together, and records the ratio of their throughputs
+/// as host_parallelism: near the thread count on an idle host, near 1
+/// when other work holds the cores.  It is reported beside the gate, which
+/// it does not change.
 
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,12 +75,45 @@ struct Result {
   double sim_elapsed_s = 0.0;  // job 0, profile 0 — deterministic
   bool identical = true;
   std::uint64_t memo_hits = 0;
+  double host_parallelism = 1.0;  // measured before the row's legs
   std::string speedup_gate = "n/a";
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+volatile std::uint64_t g_spin_sink = 0;
+
+/// A fixed, allocation-free compute loop: a chain of 2^23 dependent
+/// multiply-adds, about 10–20 ms on one core.
+void spin() {
+  std::uint64_t h = 1;
+  for (std::uint32_t i = 0; i < (1u << 23); ++i)
+    h = h * 6364136223846793005ull + 1442695040888963407ull;
+  g_spin_sink = h;
+}
+
+/// The loop's throughput on `threads` threads started together, over its
+/// throughput on one: the parallelism the host gives this process now.
+double measure_host_parallelism(int threads) {
+  const auto t0 = std::chrono::steady_clock::now();
+  spin();
+  const double one = seconds_since(t0);
+  std::latch go(1);
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&go] {
+      go.wait();
+      spin();
+    });
+  const auto t1 = std::chrono::steady_clock::now();
+  go.count_down();
+  for (std::thread& th : pool) th.join();
+  const double many = seconds_since(t1);
+  return threads * one / many;
 }
 
 void write_json(const std::string& path, const std::vector<Result>& results,
@@ -89,12 +131,12 @@ void write_json(const std::string& path, const std::vector<Result>& results,
         "\"sim_elapsed_s\": %.6f, \"identical\": %s, "
         "\"memo_hits\": %llu, "
         "\"nx1\": %d, \"nx2\": %d, \"steps\": %d, \"host_cores\": %d, "
-        "\"speedup_gate\": \"%s\"}%s\n",
+        "\"host_parallelism\": %.2f, \"speedup_gate\": \"%s\"}%s\n",
         r.jobs, r.serial_seconds, r.farm_seconds, r.speedup,
         r.steps_per_sec_serial, r.steps_per_sec_farm, r.sim_elapsed_s,
         r.identical ? "true" : "false",
         static_cast<unsigned long long>(r.memo_hits), nx1, nx2, steps,
-        host_cores, r.speedup_gate.c_str(),
+        host_cores, r.host_parallelism, r.speedup_gate.c_str(),
         i + 1 < results.size() ? "," : "");
     os << buf;
   }
@@ -140,6 +182,8 @@ int main(int argc, char** argv) try {
   for (const int njobs : batch_sizes) {
     Result r;
     r.jobs = njobs;
+    r.host_parallelism =
+        measure_host_parallelism(std::max(1, std::min(njobs, host_cores)));
     r.serial_seconds = 1e300;
     r.farm_seconds = 1e300;
     std::vector<Capture> solo(static_cast<std::size_t>(njobs));
@@ -225,14 +269,16 @@ int main(int argc, char** argv) try {
                     std::to_string(cfg.steps) + " step(s)/job, " +
                     std::to_string(cfg.nranks()) + " rank(s)/job)");
   table.set_columns({"jobs", "serial (s)", "farm (s)", "speedup",
-                     "steps/s farm", "bit-identical", "gate"});
+                     "steps/s farm", "bit-identical", "host parallelism",
+                     "gate"});
   for (const Result& r : results) {
     table.add_row({TableWriter::integer(r.jobs),
                    TableWriter::num(r.serial_seconds, 4),
                    TableWriter::num(r.farm_seconds, 4),
                    TableWriter::num(r.speedup, 2),
                    TableWriter::num(r.steps_per_sec_farm, 1),
-                   r.identical ? "yes" : "NO", r.speedup_gate});
+                   r.identical ? "yes" : "NO",
+                   TableWriter::num(r.host_parallelism, 2), r.speedup_gate});
   }
   table.print(std::cout);
   std::cout << "host cores: " << host_cores << "\n";

@@ -9,11 +9,16 @@
 /// speedup column is pure instrumentation overhead removed; it bounds how
 /// long the simulation benches take at scale.  The dot-exact row is the
 /// solver's inner product (support/exact_sum.hpp) on dprod's vectors, so
-/// its native ns/elem over dprod's records what exactness costs.
+/// its native ns/elem over dprod's records what exactness costs.  The
+/// dot-gang3 row is BiCGSTAB's gang {t·s, t·t, s·s} from two vectors in one
+/// sweep, in ns per pair and element, and the dot-exact-wide row spreads
+/// the factors over enough binades that the exact dot re-anchors and takes
+/// its third fold.
 /// Self-timed, no external benchmark dependency; emits BENCH_kernels.json
 /// for CI trend tracking.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -41,6 +46,20 @@ std::vector<double> make_vec(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> v(n);
   for (auto& x : v) x = rng.uniform(0.5, 1.5);
+  return v;
+}
+
+/// Factors in [1, 2) with random signs, scaled by 2^−k for k uniform in
+/// [0, 20] and by 2^(rise·i/n), in eight steps, along the vector.
+std::vector<double> spread_vec(std::size_t n, std::uint64_t seed, int rise) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double m = rng.uniform(1.0, 2.0);
+    const int e = rise * static_cast<int>(i * 8 / n) / 8 -
+                  static_cast<int>(rng.below(21));
+    v[i] = std::ldexp(rng.below(2) != 0 ? m : -m, e);
+  }
   return v;
 }
 
@@ -85,10 +104,11 @@ struct Result {
   double speedup() const { return interp_ns_per_elem / native_ns_per_elem; }
 };
 
-/// Run `body(ctx)` under both backends and record ns/element.
+/// Run `body(ctx)` under both backends and record ns per element, where a
+/// call processes `elems` elements (n unless given).
 template <typename Body>
 Result measure(const std::string& name, std::size_t n, unsigned bits,
-               double min_ms, Body&& body) {
+               double min_ms, Body&& body, std::size_t elems = 0) {
   Context interp{VectorArch(bits), VlaExecMode::Interpret};
   Context fast{VectorArch(bits), VlaExecMode::Native};
   Result res;
@@ -97,8 +117,9 @@ Result measure(const std::string& name, std::size_t n, unsigned bits,
   res.vl_bits = bits;
   const double si = seconds_per_call([&] { body(interp); }, min_ms);
   const double sn = seconds_per_call([&] { body(fast); }, min_ms);
-  res.interp_ns_per_elem = 1e9 * si / static_cast<double>(n);
-  res.native_ns_per_elem = 1e9 * sn / static_cast<double>(n);
+  const auto per = static_cast<double>(elems == 0 ? n : elems);
+  res.interp_ns_per_elem = 1e9 * si / per;
+  res.native_ns_per_elem = 1e9 * sn / per;
   res.scalar_ns_per_elem = 0.0;
   return res;
 }
@@ -166,6 +187,40 @@ int main(int argc, char** argv) try {
           g_sink = s.value();
           (void)ctx.take_counts();
         }));
+    // BiCGSTAB's gang {t·s, t·t, s·s}: three priced DPRODs, one exact sweep
+    // over the two vectors, in ns per pair and element.
+    results.push_back(measure(
+        "dot-gang3", n, bits, min_ms,
+        [&](Context& ctx) {
+          const linalg::Tile t = linalg::Tile::row(n);
+          linalg::dprod_record_only(ctx, x.data(), w.data(), t);
+          linalg::dprod_record_only(ctx, x.data(), x.data(), t);
+          linalg::dprod_record_only(ctx, w.data(), w.data(), t);
+          ExactSum ts, tt, ss;
+          ExactSum::Gang gang(0, n, 1);
+          gang.add(x.data(), w.data(), &ts);
+          gang.add(x.data(), x.data(), &tt);
+          gang.add(w.data(), w.data(), &ss);
+          gang.sweep();
+          g_sink = ts.value() + tt.value() + ss.value();
+          (void)ctx.take_counts();
+        },
+        3 * n));
+    // The exact dot on factors spread over 20 binades each and rising by 32
+    // binades along the vector: its lanes re-anchor at each rise, and the
+    // smallest products need the third fold.
+    {
+      const auto xw = spread_vec(n, 13, 32), ww = spread_vec(n, 14, 0);
+      results.push_back(
+          measure("dot-exact-wide", n, bits, min_ms, [&](Context& ctx) {
+            linalg::dprod_record_only(ctx, xw.data(), ww.data(),
+                                      linalg::Tile::row(n));
+            ExactSum s;
+            s.add_dot_rows(xw.data(), 0, ww.data(), 0, n, 1);
+            g_sink = s.value();
+            (void)ctx.take_counts();
+          }));
+    }
     results.push_back(measure("daxpy", n, bits, min_ms, [&](Context& ctx) {
       linalg::daxpy(ctx, 1.0000001, x, y);
       (void)ctx.take_counts();

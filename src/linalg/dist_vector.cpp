@@ -151,24 +151,29 @@ std::vector<double> DistVector::dot_ganged(ExecContext& ctx,
   // recording still prices the ordinary strip-mined DPROD the hardware
   // would run, one tile entry per (pair, species): on the fast path only
   // its memoized recording is kept, so execution and recording are fully
-  // decoupled.  Each rank sums its tiles into private partials, so threads
-  // share no state, and the partials merge in any order.
+  // decoupled.  The sums run as one gang sweep per (rank, species), which
+  // loads each distinct vector of the pairs once.  Each rank sums its tiles
+  // into private partials, so threads share no state, and the partials
+  // merge in any order.
   const int nranks = first.nranks();
   const std::size_t np = pairs.size();
   std::vector<ExactSum> partial(static_cast<std::size_t>(nranks) * np);
   par_ranks(ctx, first, [&](int r, ExecContext& rctx) {
     const grid::TileExtent& e = first.field().decomp().extent(r);
     ExactSum* acc = &partial[static_cast<std::size_t>(r) * np];
-    for (std::size_t k = 0; k < np; ++k) {
-      for (int s = 0; s < first.ns(); ++s) {
+    for (int s = 0; s < first.ns(); ++s) {
+      const Tile t = tile_of(
+          const_cast<DistVector&>(first).field().view(r, s));
+      ExactSum::Gang gang(t.stride, t.ni, t.nj);
+      for (std::size_t k = 0; k < np; ++k) {
         const grid::TileView xv =
             const_cast<DistVector*>(pairs[k].x)->field().view(r, s);
         const grid::TileView yv =
             const_cast<DistVector*>(pairs[k].y)->field().view(r, s);
-        const Tile t = tile_of(xv);
         linalg::dprod_record_only(rctx.vctx, xv.base, yv.base, t);
-        acc[k].add_dot_rows(xv.base, t.stride, yv.base, t.stride, t.ni, t.nj);
+        gang.add(xv.base, yv.base, &acc[k]);
       }
+      gang.sweep();
     }
     const auto elements =
         static_cast<std::uint64_t>(e.ni) * e.nj * first.ns() * np;

@@ -57,15 +57,17 @@ struct Bind {
 // --- interpreter backend ------------------------------------------------------
 
 /// The sweep's dot tails: acc[t.acc] += Σ slot[t.slot_a][i]·slot[t.slot_b][i]
-/// over the binding's tile for each tail t, exactly — one add_dot_rows
-/// call per tail.  Both backends run them after the sweep: the
-/// interpreter once per row, the native stamp once per tile.
+/// over the binding's tile for each tail t, exactly — one gang sweep for
+/// the tails (ExactSum::Gang), which loads each slot they read once.  Both
+/// backends run them after the sweep: the interpreter once per row, the
+/// native stamp once per tile.
 void run_dot_tails(const GroupProgram& g, const Bind& b) {
+  ExactSum::Gang gang(b.t.stride, b.t.ni, b.t.nj);
   for (std::uint8_t k = 0; k < g.ntails; ++k) {
     const DotTail& tl = g.tail[k];
-    b.acc[tl.acc]->add_dot_rows(b.slot[tl.slot_a], b.t.stride,
-                                b.slot[tl.slot_b], b.t.stride, b.t.ni, b.t.nj);
+    gang.add(b.slot[tl.slot_a], b.slot[tl.slot_b], b.acc[tl.acc]);
   }
+  gang.sweep();
 }
 
 /// The generic interpreter sweep over one row (also the reference backend

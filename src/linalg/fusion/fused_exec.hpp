@@ -11,7 +11,7 @@
 /// interpreter row under the composite's own KernelShape
 /// (fused_exec.cpp).  Both backends give bit-identical results, and every
 /// fused dot adds the exact sum of its stored operands' products to the
-/// caller's ExactSum — natively in one add_dot_rows call per tile — so the
+/// caller's ExactSum — natively in one gang sweep per tile — so the
 /// composites match the unfused kernel sequence bit for bit.  The span
 /// overloads are row calls: the tile entry with nj = 1.
 ///

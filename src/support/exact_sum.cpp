@@ -1,10 +1,12 @@
 #include "support/exact_sum.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "support/simd.hpp"
 
@@ -21,192 +23,538 @@ constexpr std::int64_t kAbsMask = 0x7fffffffffffffff;
 /// 2^11 − 1 adds keep |chunk| < 2^63.
 constexpr std::int32_t kCarryBudget = (1 << 11) - 1;
 
-// --- block kernel -----------------------------------------------------------
+// --- tile kernel --------------------------------------------------------------
 //
-// A block is a set of whole rows (or one slice of a long row) of at most
-// kBlock products.  Pass 1 finds the largest |product|; its binade E anchors
-// three folds whose lane accumulators start at 1.5·2^k for
-// k = E + 14, E − 26, E − 66.  A lane receives at most 2^11 adds per block,
-// each under 2^(k−13), so it never leaves the binade [2^k, 2^(k+1)): every
-// fold is a FastTwoSum whose high part lands on the ulp grid 2^(k−52)
-// exactly and whose residue, at most half that ulp, feeds the next fold.
-// A product leaves a residue after the third fold only when it has bits
-// below 2^(E−118); then (or when a lane is somehow out of its binade, or a
-// product is not finite) the block is summed product by product instead.
+// A sweep walks a tile in segments: whole rows, or slices of kCap groups of
+// a longer row.  Each pair keeps its own lanes, anchor and window (the
+// products folded since its last spill).  See exact_sum.hpp for the scheme
+// and why each path is exact.
 
-constexpr std::size_t kBlock = 2048;  ///< products per block (≤ 2^11 / lane)
-constexpr int kFolds = 3;
-constexpr int kFoldHead = 14;    ///< k₁ − E
-constexpr int kFoldStride = 40;  ///< k_f − k_{f+1}
+/// Adds per lane between spills: one per group of products.
+constexpr int kCapLog2 = 8;
+constexpr std::size_t kCap = std::size_t{1} << kCapLog2;
+/// k₁ − A: kCap adds below 2^(A+1) move a first-fold lane by at most half
+/// its binade.
+constexpr int kFoldHead = 10;
+/// k_f − k_{f+1}: kCap residues of at most 2^(k_f − 53) move a lane of the
+/// next fold by at most half its binade.
+constexpr int kFoldStride = 44;
+static_assert(kFoldHead >= kCapLog2 + 2 && kFoldStride <= 52 - kCapLog2,
+              "the add cap bounds each lane's drift to half its binade");
+constexpr int kMaxFolds = 3;
+/// Registers of lanes per fold for a lone pair (a gang's pairs take one
+/// each): enough independent lane chains to overlap.  A refold uses as
+/// many, so it never adds more often per lane than the sweep did.
+constexpr int kRegs = 4;
+/// A re-anchor puts the anchor this many binades above the row's maximum.
+constexpr int kHeadroom = 2;
 /// Lowest anchor whose third fold is still a normal binade (k₃ ≥ −1022).
 /// Its grid is 2^−1074, so every double folds without residue.
-constexpr int kMinAnchor = -1022 + 2 * kFoldStride - kFoldHead;
+constexpr int kMinAnchor = -1022 + (kMaxFolds - 1) * kFoldStride - kFoldHead;
 /// Highest anchor whose first fold is still a finite binade (k₁ ≤ 1023).
 constexpr int kMaxAnchor = 1023 - kFoldHead;
 
+/// The pairs of one sweep, as a template argument: pair k multiplies
+/// operand a[k] by operand b[k] (a[k] ≤ b[k]), so each operand register is
+/// loaded once per group and read by every pair that uses it.
+struct Shape {
+  int nops = 0;
+  int npairs = 0;
+  std::uint8_t a[ExactSum::Gang::kMax] = {};
+  std::uint8_t b[ExactSum::Gang::kMax] = {};
+  constexpr bool operator==(const Shape&) const = default;
+};
+
+constexpr Shape kSquare{1, 1, {0}, {0}};   // x·x
+constexpr Shape kProduct{2, 1, {0}, {1}};  // x·y
+/// The shapes with a sweep of their own: the lone dots, the solvers'
+/// gangs and the three cross dots of three vectors, their operands
+/// numbered in order of first use.  Any other gang runs one pair per
+/// sweep.
+constexpr Shape kShapes[] = {
+    kSquare,
+    kProduct,
+    {2, 2, {0, 0}, {1, 0}},        // CG: {r·z, r·r}
+    {2, 2, {0, 1}, {1, 1}},        // fused CG tails: {z·r, r·r}
+    {2, 3, {0, 0, 1}, {1, 0, 1}},  // BiCGSTAB: {t·s, t·t, s·s}
+    {3, 2, {0, 1}, {0, 2}},        // BiCGSTAB: {b·b, r̂·r}
+    {3, 3, {0, 1, 1}, {0, 2, 1}},  // CG: {b·b, r·z, r·r}
+    {3, 3, {0, 0, 1}, {1, 2, 2}},  // three vectors' cross dots
+};
+
+/// Position of `s` in kShapes, or the table's size when it has none.
+constexpr std::size_t shape_index(const Shape& s) {
+  std::size_t i = 0;
+  while (i < std::size(kShapes) && !(kShapes[i] == s)) ++i;
+  return i;
+}
+
 /// The kernel bodies are instantiated per register width: 16 bytes for the
-/// generic build (SSE2), 32 for AVX2.  Each fold keeps two registers of
-/// lanes, so the generic body runs 4 lanes per fold and the AVX2 body 8.
+/// generic build (SSE2), 32 for AVX2.
 template <int Bytes>
 struct Reg {
   typedef double D __attribute__((vector_size(Bytes)));
   typedef std::int64_t I __attribute__((vector_size(Bytes)));
+  typedef std::uint64_t U __attribute__((vector_size(Bytes)));
   static constexpr std::size_t kLanes = Bytes / sizeof(double);
 };
 
-/// One register of lanes of the three folds, plus the OR of their last
-/// residues.
-template <int Bytes>
-struct Folds {
-  typename Reg<Bytes>::D f0, f1, f2;
+/// One pair's lane state: F folds of R registers of lanes, the largest
+/// |product| folded since the segment began (per lane), and the OR of the
+/// last fold's residues.  The sweeps pass it by reference, so a caller's
+/// own row loop can carry it in registers.
+template <int Bytes, int F, int R>
+struct Lanes {
+  typename Reg<Bytes>::D f[F][R];
+  typename Reg<Bytes>::D mx;
   typename Reg<Bytes>::I resid;
 };
 
-/// A block's three fold totals, each an exact integer count of its fold's
-/// ulp (2^(k−52) with k = anchor + kFoldHead − f·kFoldStride), or
-/// exact = false when the block must be summed product by product.
-struct FoldTotals {
-  std::int64_t units[kFolds];
-  int anchor;
-  bool exact;
+/// One pair's window in a sweep: its anchor, the bound 2^(anchor + 1) its
+/// products must stay below, and the products folded since its last spill
+/// (row-major indices [start, …) of the tile, `groups` adds per lane).
+struct Window {
+  int anchor = kMinAnchor;
+  double limit = 0.0;
+  std::size_t start = 0;
+  std::size_t groups = 0;
 };
 
-template <int Bytes>
-V2D_SIMD_BODY void fold(Folds<Bytes>& q, const double* px, const double* py) {
-  using D = typename Reg<Bytes>::D;
-  using I = typename Reg<Bytes>::I;
-  D vx, vy;
-  std::memcpy(&vx, px, sizeof vx);
-  std::memcpy(&vy, py, sizeof vy);
-  D e = vx * vy;
-  D s = q.f0 + e;
-  e -= s - q.f0;
-  q.f0 = s;
-  s = q.f1 + e;
-  e -= s - q.f1;
-  q.f1 = s;
-  s = q.f2 + e;
-  e -= s - q.f2;
-  q.f2 = s;
-  q.resid |= (I)e;
+/// Biased binade of fold f's lanes at anchor a.
+constexpr std::uint64_t fold_binade(int a, int f) {
+  return static_cast<std::uint64_t>(a + kFoldHead - f * kFoldStride + 1023);
 }
 
-/// Pass 1: max |x_i·y_i| over the block (NaN products are ignored here and
-/// caught by pass 2's residues).
-template <int Bytes>
-V2D_SIMD_BODY double block_max_abs_product(const double* x, std::ptrdiff_t xs,
-                                           const double* y, std::ptrdiff_t ys,
-                                           std::size_t ni, std::size_t nj) {
-  using D = typename Reg<Bytes>::D;
-  using I = typename Reg<Bytes>::I;
-  constexpr std::size_t L = Reg<Bytes>::kLanes;
-  I abs, zero;
-  for (std::size_t l = 0; l < L; ++l) {
-    abs[l] = kAbsMask;
-    zero[l] = 0;
-  }
-  D m0 = (D)zero, m1 = (D)zero;
+/// Binade of m ≥ 0: −1023 for zero and subnormals, 1024 for +Inf.
+int binade(double m) {
+  return static_cast<int>(std::bit_cast<std::uint64_t>(m) >> 52) - 1023;
+}
+
+/// The anchor for a largest |product| m ≥ 0 (clamped to the fold range).
+int anchor_for(double m) {
+  return std::clamp(binade(m) + kHeadroom, kMinAnchor, kMaxAnchor);
+}
+
+/// max |x_i·y_i| over i < n (a NaN product is skipped; the spill catches
+/// it).
+double max_abs_product(const double* x, const double* y, std::size_t n) {
   double m = 0.0;
-  for (std::size_t j = 0; j < nj; ++j) {
-    const double* xr = x + static_cast<std::ptrdiff_t>(j) * xs;
-    const double* yr = y + static_cast<std::ptrdiff_t>(j) * ys;
-    std::size_t i = 0;
-    for (; i + 2 * L <= ni; i += 2 * L) {
-      D x0, x1, y0, y1;
-      std::memcpy(&x0, xr + i, sizeof x0);
-      std::memcpy(&x1, xr + i + L, sizeof x1);
-      std::memcpy(&y0, yr + i, sizeof y0);
-      std::memcpy(&y1, yr + i + L, sizeof y1);
-      const D p0 = (D)((I)(x0 * y0) & abs);
-      const D p1 = (D)((I)(x1 * y1) & abs);
-      m0 = p0 > m0 ? p0 : m0;  // maxpd: a NaN p leaves m as it was
-      m1 = p1 > m1 ? p1 : m1;
-    }
-    for (; i < ni; ++i) {
-      const double p = std::fabs(xr[i] * yr[i]);
-      if (p > m) m = p;
-    }
-  }
-  for (std::size_t l = 0; l < L; ++l) {
-    if (m0[l] > m) m = m0[l];
-    if (m1[l] > m) m = m1[l];
-  }
+  for (std::size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i] * y[i]));
   return m;
 }
 
-/// One block: pass 1 anchors the folds, pass 2 folds every product into
-/// the lane accumulators (zero-padded tails keep each row on the lane
-/// grid), and the lanes are read back as exact fold totals.
-template <int Bytes>
-V2D_SIMD_BODY void fold_block(const double* x, std::ptrdiff_t xs,
-                              const double* y, std::ptrdiff_t ys,
-                              std::size_t ni, std::size_t nj, FoldTotals* out) {
-  constexpr std::size_t L = Reg<Bytes>::kLanes;
-  // mx is +0 or positive and never NaN; an infinite product lands here as
-  // an anchor of 1024.
-  const double mx = block_max_abs_product<Bytes>(x, xs, y, ys, ni, nj);
-  out->anchor = std::max(
-      static_cast<int>(std::bit_cast<std::uint64_t>(mx) >> 52) - 1023,
-      kMinAnchor);
-  out->exact = out->anchor <= kMaxAnchor;
-  if (!out->exact) return;
-  std::uint64_t binade[kFolds];
-  double c[kFolds];
-  for (int f = 0; f < kFolds; ++f) {
-    binade[f] = static_cast<std::uint64_t>(out->anchor + kFoldHead -
-                                           f * kFoldStride + 1023);
-    c[f] = std::bit_cast<double>(binade[f] << 52 | 1ull << 51);
+/// Empty lanes at anchor a: each of fold f's lanes at 1.5·2^k_f.
+template <int Bytes, int F, int R>
+V2D_SIMD_BODY void reset(Lanes<Bytes, F, R>& s, int a) {
+  using D = typename Reg<Bytes>::D;
+  for (int f = 0; f < F; ++f) {
+    const double c =
+        std::bit_cast<double>(fold_binade(a, f) << 52 | 1ull << 51);
+    for (int r = 0; r < R; ++r) s.f[f][r] = D{} + c;
   }
-
-  Folds<Bytes> lo;
-  for (std::size_t l = 0; l < L; ++l) {
-    lo.f0[l] = c[0];
-    lo.f1[l] = c[1];
-    lo.f2[l] = c[2];
-    lo.resid[l] = 0;
-  }
-  Folds<Bytes> hi = lo;
-  for (std::size_t j = 0; j < nj; ++j) {
-    const double* xr = x + static_cast<std::ptrdiff_t>(j) * xs;
-    const double* yr = y + static_cast<std::ptrdiff_t>(j) * ys;
-    std::size_t i = 0;
-    for (; i + 2 * L <= ni; i += 2 * L) {
-      fold(lo, xr + i, yr + i);
-      fold(hi, xr + i + L, yr + i + L);
-    }
-    if (i < ni) {
-      double tx[2 * L] = {}, ty[2 * L] = {};
-      for (std::size_t t = 0; i + t < ni; ++t) {
-        tx[t] = xr[i + t];
-        ty[t] = yr[i + t];
-      }
-      fold(lo, tx, ty);
-      fold(hi, tx + L, ty + L);
-    }
-  }
-
-  // Each lane holds 1.5·2^k plus its fold's exact total; in the binade the
-  // mantissa field minus 2^51 counts that total in ulps.
-  std::uint64_t resid = 0, outside = 0;
-  for (int f = 0; f < kFolds; ++f) out->units[f] = 0;
-  const auto take = [&](int f, double lane) {
-    const auto b = std::bit_cast<std::uint64_t>(lane);
-    outside |= (b >> 52) ^ binade[f];
-    out->units[f] += static_cast<std::int64_t>(b & kMantMask) - (1ll << 51);
-  };
-  for (std::size_t l = 0; l < L; ++l) {
-    take(0, lo.f0[l]);
-    take(0, hi.f0[l]);
-    take(1, lo.f1[l]);
-    take(1, hi.f1[l]);
-    take(2, lo.f2[l]);
-    take(2, hi.f2[l]);
-    resid |= static_cast<std::uint64_t>(lo.resid[l] | hi.resid[l]);
-  }
-  out->exact = (resid & ~kSignBit) == 0 && outside == 0;
+  s.mx = D{};
+  s.resid = typename Reg<Bytes>::I{};
 }
 
+/// Pair K of shape S folds N registers of products, read at the operand
+/// pointers q[d], into its lane registers R0 … R0 + N − 1.  Pairs that
+/// share an operand read the same address, which the compiler loads once.
+template <int Bytes, int F, int R, Shape S, std::size_t K, int R0, int N>
+V2D_SIMD_BODY void fold_pair(Lanes<Bytes, F, R>& s, const double* const* q) {
+  using D = typename Reg<Bytes>::D;
+  using I = typename Reg<Bytes>::I;
+  // The group's largest |product|, merged into the running maximum once.
+  // maxpd keeps its second operand when the compare meets a NaN, so the
+  // running maximum never holds one.  A NaN in the first register can hide
+  // the group's other products from it, but the NaN also reaches the lanes
+  // and sends the whole window to the product-by-product sum.
+  D m;
+  for (int r = 0; r < N; ++r) {
+    D x, y;
+    std::memcpy(&x, q[S.a[K]] + r * Reg<Bytes>::kLanes, sizeof x);
+    std::memcpy(&y, q[S.b[K]] + r * Reg<Bytes>::kLanes, sizeof y);
+    const D p = x * y;
+    const D ap = (D)((I)p & kAbsMask);
+    m = r == 0 ? ap : (ap > m ? ap : m);
+    D e = p;
+    for (int f = 0; f < F; ++f) {
+      const D t = s.f[f][R0 + r] + e;
+      e -= t - s.f[f][R0 + r];
+      s.f[f][R0 + r] = t;
+    }
+    s.resid |= (I)e;
+  }
+  s.mx = m > s.mx ? m : s.mx;
+}
+
+template <int Bytes, int F, int R, Shape S, int R0, int N, std::size_t... K>
+V2D_SIMD_BODY void fold_pairs(Lanes<Bytes, F, R>* s, const double* const* q,
+                              std::index_sequence<K...>) {
+  (fold_pair<Bytes, F, R, S, K, R0, N>(s[K], q), ...);
+}
+
+/// Every pair folds N registers of products at offset i of the row
+/// pointers p[d] into its lane registers R0 … R0 + N − 1.
+template <int Bytes, int F, int R, Shape S, int R0, int N>
+V2D_SIMD_BODY void fold_group(Lanes<Bytes, F, R>* s, const double* const* p,
+                              std::size_t i) {
+  const double* q[S.nops];
+  for (int d = 0; d < S.nops; ++d) q[d] = p[d] + i;
+  fold_pairs<Bytes, F, R, S, R0, N>(
+      s, q, std::make_index_sequence<static_cast<std::size_t>(S.npairs)>{});
+}
+
+/// A segment's last len − i < R·L products: whole registers into lane
+/// registers R0, R0 + 1, …, then one zero-padded register.  Each lane
+/// takes at most one of them, so the tail counts as one group.
+template <int Bytes, int F, int R, Shape S, int R0>
+V2D_SIMD_BODY void fold_tail(Lanes<Bytes, F, R>* s, const double* const* p,
+                             std::size_t i, std::size_t len) {
+  constexpr std::size_t L = Reg<Bytes>::kLanes;
+  if constexpr (R0 < R) {
+    if (i + L <= len) {
+      fold_group<Bytes, F, R, S, R0, 1>(s, p, i);
+      fold_tail<Bytes, F, R, S, R0 + 1>(s, p, i + L, len);
+    } else if (i < len) {
+      double pad[S.nops][L] = {};
+      const double* tp[S.nops];
+      for (int d = 0; d < S.nops; ++d) {
+        std::copy(p[d] + i, p[d] + len, pad[d]);
+        tp[d] = pad[d];
+      }
+      fold_group<Bytes, F, R, S, R0, 1>(s, tp, 0);
+    }
+  }
+}
+
+/// Fold the `len` products of each pair that start at the row pointers
+/// p[d]: (len + R·L − 1) / (R·L) adds per lane.  The lanes should be
+/// locals (see take), so that they stay in registers.
+template <int Bytes, int F, int R, Shape S>
+V2D_SIMD_BODY void fold_segment(Lanes<Bytes, F, R>* s, const double* const* p,
+                                std::size_t len) {
+  constexpr std::size_t G = R * Reg<Bytes>::kLanes;
+  std::size_t i = 0;
+  for (; i + G <= len; i += G) fold_group<Bytes, F, R, S, 0, R>(s, p, i);
+  fold_tail<Bytes, F, R, S, 0>(s, p, i, len);
+}
+
+/// Copy lanes register by register: a whole-struct copy may become a
+/// string move, after which the compiler no longer keeps them in
+/// registers.
+template <int Bytes, int F, int R>
+V2D_SIMD_BODY void take(Lanes<Bytes, F, R>& to, const Lanes<Bytes, F, R>& from) {
+  for (int f = 0; f < F; ++f)
+    for (int r = 0; r < R; ++r) to.f[f][r] = from.f[f][r];
+  to.mx = from.mx;
+  to.resid = from.resid;
+}
+
+/// The largest |product| folded since the lanes' maxima were cleared.
+template <int Bytes, int F, int R>
+V2D_SIMD_BODY double max_product(const Lanes<Bytes, F, R>& s) {
+  double out = s.mx[0];
+  for (std::size_t l = 1; l < Reg<Bytes>::kLanes; ++l)
+    out = std::max(out, s.mx[l]);
+  return out;
+}
+
+/// Read the fold totals of lanes anchored at a: units[f] counts fold f's
+/// ulp 2^(k_f − 52).  Each lane holds 1.5·2^k_f plus its share of the
+/// fold's total; in the binade the mantissa field minus 2^51 counts that
+/// share in ulps.  False when a lane ended outside its binade or the last
+/// fold kept a residue: then the folds do not hold the exact sum.
+template <int Bytes, int F, int R>
+V2D_SIMD_BODY bool totals(const Lanes<Bytes, F, R>& s, int a,
+                          std::int64_t* units) {
+  using U = typename Reg<Bytes>::U;
+  U bad = (U)s.resid & ~kSignBit;
+  for (int f = 0; f < F; ++f) {
+    const std::uint64_t bin = fold_binade(a, f);
+    U sum{};
+    for (int r = 0; r < R; ++r) {
+      const U b = (U)s.f[f][r];
+      bad |= (b >> 52) ^ bin;
+      sum += (b & kMantMask) - (1ull << 51);
+    }
+    std::uint64_t total = 0;
+    for (std::size_t l = 0; l < Reg<Bytes>::kLanes; ++l) total += sum[l];
+    units[f] = static_cast<std::int64_t>(total);
+  }
+  std::uint64_t any = 0;
+  for (std::size_t l = 0; l < Reg<Bytes>::kLanes; ++l) any |= bad[l];
+  return any == 0;
+}
+
+/// The row pieces (row j, columns [i, i + len)) of the row-major product
+/// range [w, end) of a tile ni wide.
+struct Pieces {
+  std::size_t ni, w, end;
+  bool next(std::size_t& j, std::size_t& i, std::size_t& len) {
+    if (w >= end) return false;
+    j = w / ni;
+    i = w - j * ni;
+    len = std::min(ni - i, end - w);
+    w += len;
+    return true;
+  }
+};
+
 }  // namespace
+
+/// The tile sweeps, as members so that their spills reach the chunks.
+struct ExactSum::Sweep {
+  /// One sweep: the distinct operands' tile bases and row strides, the
+  /// pairs' accumulators in shape order, and the tile's extent.
+  struct Args {
+    const double* op[Gang::kMax] = {};
+    std::ptrdiff_t stride[Gang::kMax] = {};
+    ExactSum* acc[Gang::kMax] = {};
+    std::size_t ni = 0, nj = 0;
+  };
+
+  /// One pair's products [w0, w1) of an ni-wide tile, added at `anchor`
+  /// outside the sweep's lanes: by three folds when `fold` is set, and
+  /// product by product when it is not or the folds cannot hold them.
+  struct Redo {
+    const double* x;
+    std::ptrdiff_t xs;
+    const double* y;
+    std::ptrdiff_t ys;
+    ExactSum* acc;
+    std::size_t ni, w0, w1;
+    int anchor;
+    bool fold;
+  };
+
+  /// Fold a redo's range into fresh three-fold lanes; true with the totals
+  /// in `units` when they hold its exact sum.
+  template <int Bytes, Shape S>
+  static V2D_SIMD_BODY bool refold(const Redo& r, std::int64_t* units) {
+    Lanes<Bytes, kMaxFolds, kRegs> s;
+    reset(s, r.anchor);
+    std::size_t j, i, len;
+    for (Pieces pc{r.ni, r.w0, r.w1}; pc.next(j, i, len);) {
+      const auto row = static_cast<std::ptrdiff_t>(j);
+      const double* p[2] = {r.x + row * r.xs + i, r.y + row * r.ys + i};
+      fold_segment<Bytes, kMaxFolds, kRegs, S>(&s, p, len);
+    }
+    return totals(s, r.anchor, units);
+  }
+
+  template <int Bytes>
+  static V2D_SIMD_BODY void redo(const Redo* r) {
+    if (r->fold) {
+      std::int64_t units[kMaxFolds];
+      const bool exact = r->x == r->y && r->xs == r->ys
+                             ? refold<Bytes, kSquare>(*r, units)
+                             : refold<Bytes, kProduct>(*r, units);
+      if (exact) {
+        r->acc->add_fold_totals(units, kMaxFolds, r->anchor);
+        return;
+      }
+    }
+    std::size_t j, i, len;
+    for (Pieces pc{r->ni, r->w0, r->w1}; pc.next(j, i, len);) {
+      const auto row = static_cast<std::ptrdiff_t>(j);
+      r->acc->add_products(r->x + row * r->xs + i, r->xs,
+                           r->y + row * r->ys + i, r->ys, len, 1);
+    }
+  }
+
+  /// Pair K's products [w0, w1) again, outside the sweep's lanes.
+  template <Shape S, std::size_t K>
+  static void redo_pair(const Args* a, int anchor, std::size_t w0,
+                        std::size_t w1, bool fold) {
+    const Redo r{a->op[S.a[K]], a->stride[S.a[K]], a->op[S.b[K]],
+                 a->stride[S.b[K]], a->acc[K], a->ni, w0, w1, anchor, fold};
+    simd::dispatch<&redo<16>, &redo<32>>(&r);
+  }
+
+  /// Start a pair's window at product `start`, with empty lanes.
+  template <int Bytes, int R>
+  static V2D_SIMD_BODY void open(Lanes<Bytes, 2, R>& s, Window& w, int anchor,
+                                 std::size_t start) {
+    reset(s, anchor);
+    w.anchor = anchor;
+    w.limit = std::bit_cast<double>(
+        static_cast<std::uint64_t>(anchor + 1 + 1023) << 52);
+    w.start = start;
+    w.groups = 0;
+  }
+
+  /// Add pair K's window, which ends before product `end`, to its
+  /// accumulator, and open the next one there.
+  template <int Bytes, int R, Shape S, std::size_t K>
+  static V2D_SIMD_BODY void spill(Lanes<Bytes, 2, R>& s, Window& w,
+                                  const Args* a, std::size_t end) {
+    if (w.groups > 0) {
+      std::int64_t units[2];
+      if (totals(s, w.anchor, units))
+        a->acc[K]->add_fold_totals(units, 2, w.anchor);
+      else
+        redo_pair<S, K>(a, w.anchor, w.start, end, true);
+    }
+    open(s, w, w.anchor, end);
+  }
+
+  /// Pair K before the segment of `groups` groups at product `at`: spill
+  /// when the segment would take its lanes past the cap, then copy them to
+  /// the segment's register copy with its maximum cleared.
+  template <int Bytes, int R, Shape S, std::size_t K>
+  static V2D_SIMD_BODY void begin(Lanes<Bytes, 2, R>* row,
+                                  Lanes<Bytes, 2, R>* lanes, Window* win,
+                                  const Args* a, std::size_t at,
+                                  std::size_t groups) {
+    if (win[K].groups + groups > kCap)
+      spill<Bytes, R, S, K>(lanes[K], win[K], a, at);
+    take(row[K], lanes[K]);
+    row[K].mx = typename Reg<Bytes>::D{};
+  }
+
+  /// Pair K after the segment: keep the register copy when its products
+  /// met the bound.  Otherwise the lanes still hold the rows before it:
+  /// spill them, and fold the segment again at its own maximum plus the
+  /// headroom (product by product when that anchor leaves the fold range).
+  template <int Bytes, int R, Shape S, std::size_t K>
+  static V2D_SIMD_BODY void end(const Lanes<Bytes, 2, R>* row,
+                                Lanes<Bytes, 2, R>* lanes, Window* win,
+                                const Args* a, const double* const* p,
+                                std::size_t at, std::size_t len,
+                                std::size_t groups) {
+    Window& w = win[K];
+    const double m = max_product(row[K]);
+    if (m < w.limit) {
+      take(lanes[K], row[K]);
+      w.groups += groups;
+      return;
+    }
+    spill<Bytes, R, S, K>(lanes[K], w, a, at);
+    if (binade(m) > kMaxAnchor) {
+      redo_pair<S, K>(a, w.anchor, at, at + len, false);
+      open(lanes[K], w, w.anchor, at + len);
+      return;
+    }
+    open(lanes[K], w, anchor_for(m), at);
+    constexpr Shape kOne = S.a[K] == S.b[K] ? kSquare : kProduct;
+    const double* q[2] = {p[S.a[K]], p[S.b[K]]};
+    Lanes<Bytes, 2, R> one;
+    take(one, lanes[K]);
+    fold_segment<Bytes, 2, R, kOne>(&one, q, len);
+    take(lanes[K], one);
+    w.groups = groups;
+  }
+
+  /// One tile for every pair of shape S, segment by segment.  Each segment
+  /// folds into a register copy of the lanes, which replaces them only
+  /// where the segment met the bound: the lanes left alone are the
+  /// rollback.
+  template <int Bytes, Shape S, std::size_t... K>
+  static V2D_SIMD_BODY void sweep(const Args* a, std::index_sequence<K...>) {
+    constexpr int R = S.npairs == 1 ? kRegs : 1;
+    constexpr std::size_t G = R * Reg<Bytes>::kLanes;
+    const std::size_t ni = a->ni, nj = a->nj;
+    const std::size_t seg = std::min(ni, kCap * G);
+
+    Lanes<Bytes, 2, R> lanes[S.npairs];
+    Window win[S.npairs];
+    (open(lanes[K], win[K],
+          anchor_for(max_abs_product(a->op[S.a[K]], a->op[S.b[K]],
+                                     std::min(ni, G))),
+          0),
+     ...);
+    const double* p[S.nops];
+    for (std::size_t j = 0; j < nj; ++j) {
+      for (std::size_t i = 0; i < ni; i += seg) {
+        const std::size_t len = std::min(seg, ni - i);
+        const std::size_t groups = (len + G - 1) / G, at = j * ni + i;
+        for (int d = 0; d < S.nops; ++d)
+          p[d] = a->op[d] + static_cast<std::ptrdiff_t>(j) * a->stride[d] +
+                 static_cast<std::ptrdiff_t>(i);
+        Lanes<Bytes, 2, R> row[S.npairs];
+        (begin<Bytes, R, S, K>(row, lanes, win, a, at, groups), ...);
+        fold_segment<Bytes, 2, R, S>(row, p, len);
+        (end<Bytes, R, S, K>(row, lanes, win, a, p, at, len, groups), ...);
+      }
+    }
+    (spill<Bytes, R, S, K>(lanes[K], win[K], a, nj * ni), ...);
+  }
+
+  template <int Bytes, Shape S>
+  static V2D_SIMD_BODY void tile(const Args* a) {
+    sweep<Bytes, S>(
+        a, std::make_index_sequence<static_cast<std::size_t>(S.npairs)>{});
+  }
+
+  template <std::size_t I>
+  static void run_shape(const Args* a) {
+    simd::dispatch<&tile<16, kShapes[I]>, &tile<32, kShapes[I]>>(a);
+  }
+
+  /// The sweep of shape kShapes[shape].
+  static void run(std::size_t shape, const Args& a) {
+    static constexpr auto kRun =
+        []<std::size_t... I>(std::index_sequence<I...>) {
+          return std::array<void (*)(const Args*), sizeof...(I)>{
+              &run_shape<I>...};
+        }(std::make_index_sequence<std::size(kShapes)>{});
+    kRun[shape](&a);
+  }
+};
+
+bool ExactSum::Gang::fit(const double* x, const double* y, ExactSum* acc) {
+  if (npairs_ == kMax) return false;
+  int n = nops_;
+  const auto index = [&](const double* v) {
+    for (int d = 0; d < n; ++d)
+      if (op_[d] == v) return d;
+    if (n == kMax) return -1;
+    op_[n] = v;
+    return n++;
+  };
+  const int ix = index(x), iy = index(y);
+  if (ix < 0 || iy < 0) return false;
+  nops_ = n;
+  a_[npairs_] = static_cast<std::uint8_t>(std::min(ix, iy));
+  b_[npairs_] = static_cast<std::uint8_t>(std::max(ix, iy));
+  acc_[npairs_++] = acc;
+  return true;
+}
+
+void ExactSum::Gang::add(const double* x, const double* y, ExactSum* acc) {
+  if (fit(x, y, acc)) return;
+  sweep();
+  fit(x, y, acc);
+}
+
+void ExactSum::Gang::sweep() {
+  if (npairs_ == 0 || ni_ == 0 || nj_ == 0) {
+    npairs_ = nops_ = 0;
+    return;
+  }
+  Shape s{nops_, npairs_};
+  for (int k = 0; k < npairs_; ++k) {
+    s.a[k] = a_[k];
+    s.b[k] = b_[k];
+  }
+  const std::size_t shape = shape_index(s);
+  if (shape == std::size(kShapes)) {
+    for (int k = 0; k < npairs_; ++k)
+      acc_[k]->add_dot_rows(op_[a_[k]], stride_, op_[b_[k]], stride_, ni_,
+                            nj_);
+  } else {
+    Sweep::Args a;
+    a.ni = ni_;
+    a.nj = nj_;
+    for (int d = 0; d < nops_; ++d) {
+      a.op[d] = op_[d];
+      a.stride[d] = stride_;
+    }
+    for (int k = 0; k < npairs_; ++k) a.acc[k] = acc_[k];
+    Sweep::run(shape, a);
+  }
+  npairs_ = nops_ = 0;
+}
 
 void ExactSum::add(double v) {
   const auto u = std::bit_cast<std::uint64_t>(v);
@@ -252,10 +600,13 @@ void ExactSum::add(const ExactSum& o) {
   count_add(o.pending_ + 1);
 }
 
-void ExactSum::add_fold_totals(const std::int64_t* units, int pos) {
-  // Each total moves at most three chunks by < 2^32, and the three totals
-  // together still move any one chunk by < 2^52: one add for the budget.
-  for (int f = 0; f < kFolds; ++f, pos -= kFoldStride) {
+void ExactSum::add_fold_totals(const std::int64_t* units, int nfolds,
+                               int anchor) {
+  // Fold f's ulp is 2^(k_f − 52), which weighs 2^(pos − 1074).  Each total
+  // moves at most three chunks by < 2^32, and the totals together still
+  // move any one chunk by < 2^52: one add for the budget.
+  int pos = anchor + kFoldHead + 1022;
+  for (int f = 0; f < nfolds; ++f, pos -= kFoldStride) {
     if (units[f] == 0) continue;
     const std::uint64_t m = units[f] < 0
                                 ? 0 - static_cast<std::uint64_t>(units[f])
@@ -305,22 +656,18 @@ void ExactSum::add_dot_rows(const double* x, std::ptrdiff_t x_stride,
                             const double* y, std::ptrdiff_t y_stride,
                             std::size_t ni, std::size_t nj) {
   if (ni == 0 || nj == 0) return;
-  const std::size_t cols_per_block = std::min(ni, kBlock);
-  const std::size_t rows_per_block = std::max<std::size_t>(1, kBlock / ni);
-  for (std::size_t j = 0; j < nj; j += rows_per_block) {
-    const std::size_t rows = std::min(rows_per_block, nj - j);
-    const double* xb = x + static_cast<std::ptrdiff_t>(j) * x_stride;
-    const double* yb = y + static_cast<std::ptrdiff_t>(j) * y_stride;
-    for (std::size_t i = 0; i < ni; i += cols_per_block) {
-      const std::size_t cols = std::min(cols_per_block, ni - i);
-      FoldTotals t{};
-      simd::dispatch<&fold_block<16>, &fold_block<32>>(
-          xb + i, x_stride, yb + i, y_stride, cols, rows, &t);
-      if (t.exact)
-        add_fold_totals(t.units, t.anchor + kFoldHead + 1022);
-      else
-        add_products(xb + i, x_stride, yb + i, y_stride, cols, rows);
-    }
+  Sweep::Args a;
+  a.ni = ni;
+  a.nj = nj;
+  a.acc[0] = this;
+  a.op[0] = x;
+  a.stride[0] = x_stride;
+  if (x == y && x_stride == y_stride) {
+    Sweep::run(shape_index(kSquare), a);
+  } else {
+    a.op[1] = y;
+    a.stride[1] = y_stride;
+    Sweep::run(shape_index(kProduct), a);
   }
 }
 

@@ -11,10 +11,12 @@
 #include <sstream>
 #include <vector>
 
+#include "exact_sum_cases.hpp"
 #include "support/error.hpp"
 #include "support/exact_sum.hpp"
 #include "support/options.hpp"
 #include "support/rng.hpp"
+#include "support/simd.hpp"
 #include "support/table.hpp"
 #include "support/units.hpp"
 
@@ -307,63 +309,7 @@ TEST(Units, Rate) {
 
 // --- exact_sum --------------------------------------------------------------
 
-/// Independent slow reference: every addend is added bit by bit into a
-/// 2,300-bit two's-complement integer counting units of 2^−1074, and the
-/// result is rounded by reading bits.
-class SlowSum {
-public:
-  void add(double v) {
-    const auto u = std::bit_cast<std::uint64_t>(v);
-    const int e = static_cast<int>((u >> 52) & 0x7ff);
-    std::uint64_t m = u & ((1ull << 52) - 1);
-    if (e == 0x7ff) {
-      special_ = true;
-      return;
-    }
-    if (e != 0) m |= 1ull << 52;
-    std::vector<int> t(kBits, 0);
-    for (int k = 0; k < 53; ++k) t[std::max(e, 1) - 1 + k] = (m >> k) & 1;
-    if ((u >> 63) != 0) negate(t);
-    int carry = 0;
-    for (int k = 0; k < kBits; ++k) {
-      const int sum = bits_[k] + t[k] + carry;
-      bits_[k] = sum & 1;
-      carry = sum >> 1;
-    }
-  }
-
-  double value() const {
-    EXPECT_FALSE(special_) << "SlowSum handles finite addends only";
-    std::vector<int> mag = bits_;
-    const bool neg = mag[kBits - 1] != 0;
-    if (neg) negate(mag);
-    int msb = kBits - 1;
-    while (msb >= 0 && mag[msb] == 0) --msb;
-    if (msb < 0) return 0.0;
-    const int lsb = std::max(msb - 52, 0);
-    std::uint64_t mant = 0;
-    for (int k = msb; k >= lsb; --k) mant = 2 * mant + mag[k];
-    const bool round = lsb > 0 && mag[lsb - 1] != 0;
-    bool sticky = false;
-    for (int k = 0; k + 1 < lsb; ++k) sticky = sticky || mag[k] != 0;
-    if (round && (sticky || (mant & 1) != 0)) ++mant;
-    const double r = std::ldexp(static_cast<double>(mant), lsb - 1074);
-    return neg ? -r : r;
-  }
-
-private:
-  static constexpr int kBits = 2300;
-  static void negate(std::vector<int>& b) {
-    int carry = 1;
-    for (int& bit : b) {
-      const int sum = (bit ^ 1) + carry;
-      bit = sum & 1;
-      carry = sum >> 1;
-    }
-  }
-  std::vector<int> bits_ = std::vector<int>(kBits, 0);
-  bool special_ = false;
-};
+using exact_cases::SlowSum;
 
 std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 
@@ -586,6 +532,125 @@ TEST(ExactSum, CarryHeadroomOverTwoMillionLargeAdds) {
   both.add(down);
   both.add(0x1p-1074);
   EXPECT_EQ(bits_of(both.value()), bits_of(0x1p-1074));
+}
+
+/// Run `check` at the generic width and, where the CPU has it, at AVX2.
+template <typename Check>
+void at_each_width(Check&& check) {
+  const simd::Width host = simd::width();
+  for (const simd::Width w : {simd::Width::Generic, simd::Width::Avx2}) {
+    if (w == simd::Width::Avx2 && !simd::avx2_supported()) continue;
+    SCOPED_TRACE(simd::width_name(w));
+    simd::set_width(w);
+    check();
+  }
+  simd::set_width(host);
+}
+
+TEST(ExactSum, OnePassPathsMatchSlowSum) {
+  // Rising rows (a re-anchor and rollback on every row), a huge product in
+  // the last row, spans needing the third fold or the product-by-product
+  // sum, one-element rows past the add cap, rows longer than a segment,
+  // all-zero rows and subnormal-only tiles.
+  for (const exact_cases::DotTile& t : exact_cases::one_pass_tiles()) {
+    const std::uint64_t want = bits_of(t.slow());
+    at_each_width([&] { EXPECT_EQ(bits_of(t.exact()), want) << t.name; });
+  }
+}
+
+TEST(ExactSum, GangEqualsSeparateDotsAndSlowSum) {
+  // Every gang shape with a sweep of its own, and gangs that run pair by
+  // pair, over tiles that re-anchor, spill and take every fallback.
+  for (const exact_cases::GangTile& g : exact_cases::gang_tiles()) {
+    std::uint64_t slow[3][3];
+    for (int a = 0; a < 3; ++a)
+      for (int b = a; b < 3; ++b) slow[a][b] = slow[b][a] = bits_of(g.slow(a, b));
+    for (const auto& pairs : exact_cases::gang_patterns()) {
+      at_each_width([&] {
+        const std::vector<double> got = exact_cases::run_gang(g, pairs);
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const auto [a, b] = pairs[k];
+          EXPECT_EQ(bits_of(got[k]), bits_of(g.rows(a, b)))
+              << g.name << " pair " << k << " of " << pairs.size();
+          EXPECT_EQ(bits_of(got[k]), slow[a][b])
+              << g.name << " pair " << k << " of " << pairs.size();
+        }
+      });
+    }
+  }
+}
+
+TEST(ExactSum, GangKeepsOnePairsSpecialValueToItself) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  at_each_width([&] {
+    EXPECT_TRUE(std::isnan(exact_cases::special_gang(
+        std::numeric_limits<double>::quiet_NaN())[1]));
+    EXPECT_EQ(exact_cases::special_gang(1e308)[1], kInf);
+    EXPECT_EQ(exact_cases::special_gang(-1e308)[1], -kInf);
+    EXPECT_EQ(exact_cases::special_gang(-kInf)[1], -kInf);
+  });
+}
+
+TEST(ExactSum, TwoFoldsHoldAWorstCaseWindowAtTheCap) {
+  // Products 1.5 + k·2^−52 whose residue after the first fold (grid 2^−40
+  // at this anchor) is ±2007·2^−52, just under half its ulp.  In `worst`
+  // the same columns always take the + residue, so their second-fold lanes
+  // drift by 2^8 such residues per window, the most the add cap allows;
+  // in `spread` every lane alternates.  Both tiles hold the same products
+  // in each row.  The folds derived from the cap keep every lane in its
+  // binade, so both take the same two-fold spills and end in the same
+  // accumulator state; a fold stride too wide for the cap sends `worst`
+  // to the product-by-product sum, which ends in another state.
+  constexpr std::size_t kCols = 16, kRows = 256;
+  constexpr bool kPattern[kCols] = {1, 1, 0, 1, 0, 1, 0, 0,
+                                    1, 1, 0, 1, 0, 1, 0, 0};
+  Rng r(31);
+  std::vector<double> worst(kCols * kRows), spread(kCols * kRows);
+  const std::vector<double> ones(kCols * kRows, 1.0);
+  SlowSum slow;
+  for (std::size_t j = 0; j < kRows; ++j) {
+    std::vector<double> plus, minus;
+    for (std::size_t k = 0; k < kCols / 2; ++k) {
+      const std::uint64_t base = (1ull << 51) + 4096 * r.below(1ull << 38);
+      plus.push_back(1.0 + std::ldexp(static_cast<double>(base + 2007), -52));
+      minus.push_back(1.0 + std::ldexp(static_cast<double>(base - 2007), -52));
+    }
+    std::size_t np = 0, nm = 0, sp = 0, sm = 0;
+    for (std::size_t i = 0; i < kCols; ++i) {
+      worst[j * kCols + i] = kPattern[i] ? plus[np++] : minus[nm++];
+      const bool up = kPattern[i] == (j % 2 == 0);
+      spread[j * kCols + i] = up ? plus[sp++] : minus[sm++];
+      slow.add(worst[j * kCols + i]);
+    }
+  }
+  at_each_width([&] {
+    ExactSum w, s;
+    w.add_dot_rows(worst.data(), kCols, ones.data(), kCols, kCols, kRows);
+    s.add_dot_rows(spread.data(), kCols, ones.data(), kCols, kCols, kRows);
+    EXPECT_EQ(bits_of(w.value()), bits_of(slow.value()));
+    EXPECT_EQ(bits_of(s.value()), bits_of(slow.value()));
+    EXPECT_TRUE(w == s) << "the worst-case window left the two-fold path";
+  });
+}
+
+TEST(ExactSum, GangSweepsWhenAPairDoesNotFit) {
+  // A fourth operand, then a fourth pair, each start a new gang; every
+  // pair still reaches its own accumulator, once.
+  const double v[4] = {1.0, 2.0, 3.0, 4.0};
+  ExactSum acc[5];
+  ExactSum::Gang g(0, 1, 1);
+  g.add(&v[0], &v[1], &acc[0]);
+  g.add(&v[1], &v[2], &acc[1]);
+  g.add(&v[2], &v[3], &acc[2]);
+  g.add(&v[3], &v[3], &acc[3]);
+  g.add(&v[0], &v[0], &acc[4]);
+  g.sweep();
+  g.sweep();  // an empty gang sweeps nothing
+  EXPECT_EQ(acc[0].value(), 2.0);
+  EXPECT_EQ(acc[1].value(), 6.0);
+  EXPECT_EQ(acc[2].value(), 12.0);
+  EXPECT_EQ(acc[3].value(), 16.0);
+  EXPECT_EQ(acc[4].value(), 1.0);
 }
 
 }  // namespace

@@ -23,12 +23,14 @@
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/v2d.hpp"
+#include "exact_sum_cases.hpp"
 #include "linalg/fusion/fused_exec.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "linalg/kernels.hpp"
@@ -765,6 +767,82 @@ INSTANTIATE_TEST_SUITE_P(
     AllVlsAndTileShapes, TileEntrySweep,
     ::testing::Combine(::testing::Values(128u, 512u, 2048u),
                        ::testing::Values(0, 1, 2, 3)));
+
+/// Run `value()` at the generic width and at AVX2, restoring the host's.
+template <typename Value>
+std::array<double, 2> at_both_widths(Value&& value) {
+  const simd::Width host = simd::width();
+  std::array<double, 2> out{};
+  const simd::Width widths[] = {simd::Width::Generic, simd::Width::Avx2};
+  for (int w = 0; w < 2; ++w) {
+    simd::set_width(widths[w]);
+    out[static_cast<std::size_t>(w)] = value();
+  }
+  simd::set_width(host);
+  return out;
+}
+
+/// The one-pass exact-dot kernel gives SlowSum's bits at both widths on
+/// every path: re-anchors with rollback, spills at the add cap, the third
+/// fold, the product-by-product sum, zero and subnormal tiles
+/// (exact_sum_cases.hpp).
+TEST(ExactSumWidthEquivalence, OnePassPaths) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  for (const exact_cases::DotTile& t : exact_cases::one_pass_tiles()) {
+    const std::uint64_t want = exact_cases::bits_of(t.slow());
+    const auto got = at_both_widths([&] { return t.exact(); });
+    EXPECT_EQ(exact_cases::bits_of(got[0]), want) << t.name << " generic";
+    EXPECT_EQ(exact_cases::bits_of(got[1]), want) << t.name << " avx2";
+  }
+}
+
+/// Each gang sweep gives, pair by pair, SlowSum's bits and those of
+/// separate add_dot_rows calls at both widths.
+TEST(ExactSumWidthEquivalence, GangPaths) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  for (const exact_cases::GangTile& g : exact_cases::gang_tiles()) {
+    std::uint64_t slow[3][3];
+    for (int a = 0; a < 3; ++a)
+      for (int b = a; b < 3; ++b)
+        slow[a][b] = slow[b][a] = exact_cases::bits_of(g.slow(a, b));
+    for (const auto& pairs : exact_cases::gang_patterns()) {
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const auto [a, b] = pairs[k];
+        const std::uint64_t want = slow[a][b];
+        const auto gang =
+            at_both_widths([&] { return exact_cases::run_gang(g, pairs)[k]; });
+        const auto rows = at_both_widths([&] { return g.rows(a, b); });
+        for (int w = 0; w < 2; ++w) {
+          const auto wi = static_cast<std::size_t>(w);
+          EXPECT_EQ(exact_cases::bits_of(gang[wi]), want)
+              << g.name << " pair " << k << " of " << pairs.size()
+              << (w == 0 ? " generic" : " avx2");
+          EXPECT_EQ(exact_cases::bits_of(rows[wi]), want)
+              << g.name << " rows " << a << "·" << b
+              << (w == 0 ? " generic" : " avx2");
+        }
+      }
+    }
+  }
+}
+
+/// A NaN or infinite product stays with its own pair of a gang at both
+/// widths; the gang's other pairs keep their exact sums.
+TEST(ExactSumWidthEquivalence, GangSpecialValues) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto nan = at_both_widths([] {
+    return exact_cases::special_gang(std::numeric_limits<double>::quiet_NaN())[1];
+  });
+  const auto pos = at_both_widths([] { return exact_cases::special_gang(1e308)[1]; });
+  const auto neg = at_both_widths([] { return exact_cases::special_gang(-kInf)[1]; });
+  for (int w = 0; w < 2; ++w) {
+    const auto wi = static_cast<std::size_t>(w);
+    EXPECT_TRUE(std::isnan(nan[wi]));
+    EXPECT_EQ(pos[wi], kInf);
+    EXPECT_EQ(neg[wi], -kInf);
+  }
+}
 
 TEST(FastPathCache, RepeatedCallsAccumulateExactly) {
   Context ctx(VectorArch(512), VlaExecMode::Native);

@@ -267,6 +267,21 @@ def check_farm(current, baseline, tol):
     return errors
 
 
+def print_farm_rows(current, errors):
+    """One line per row: its speedup, its gate verdict and the parallelism
+    the host gave the bench just before the row's legs (host_parallelism),
+    so a failing floor can be told from a busy host."""
+    for row in sorted(current, key=lambda r: r["jobs"]):
+        tag = f"farm jobs={row['jobs']}"
+        failed = any(e.startswith(tag + ":") for e in errors)
+        par = row.get("host_parallelism")
+        par_text = "n/a" if par is None else f"{par:.2f}"
+        print(f"{tag}: speedup {row['speedup']:.2f}, "
+              f"gate {row.get('speedup_gate', '<missing>')}, "
+              f"{'FAIL' if failed else 'ok'}; host_parallelism {par_text} "
+              f"of {row['host_cores']} cores")
+
+
 def check_resilience(current, baseline, tol):
     del tol  # no host-speedup ratio to relax; floors + exact fields only
     errors = []
@@ -349,8 +364,11 @@ def main():
     if args.subset and args.kind != "rank_parallel":
         ap.error("--subset is only supported for rank_parallel")
     kwargs = {"subset": True} if args.subset else {}
-    errors = CHECKS[args.kind](load(args.current), load(args.baseline),
-                               args.tol, **kwargs)
+    current = load(args.current)
+    errors = CHECKS[args.kind](current, load(args.baseline), args.tol,
+                               **kwargs)
+    if args.kind == "farm":
+        print_farm_rows(current, errors)
     if errors:
         print(f"check_bench: {len(errors)} regression(s) vs "
               f"{args.baseline}:", file=sys.stderr)
