@@ -5,8 +5,8 @@
 /// Runs the same Jacobi/SPAI(0)-preconditioned CG solve on the FLD
 /// diffusion system twice per configuration — FuseMode::Off (the Table II
 /// kernel-per-pass reference) and FuseMode::Plan (the MATVEC+DPROD,
-/// DAXPY₂, precond+ganged-dot and fused-residual composites emitted by the
-/// fusion planner, src/linalg/fusion/) — across grid sizes and the full
+/// DAXPY₂, precond+ganged-dot and fused-residual composites of
+/// src/linalg/fusion/) — across grid sizes and the full
 /// architectural VL range.  Fusion must not change the trajectory (the
 /// solves are verified bit-identical here, not just in the tests), so
 /// every delta in the three reported currencies is pure pass-elimination:

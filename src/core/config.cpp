@@ -8,6 +8,7 @@
 #include "linalg/precond.hpp"
 #include "scenario/registry.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "vla/vla.hpp"
 
 namespace v2d::core {
@@ -184,6 +185,8 @@ RunConfig RunConfig::from_options(const Options& opt) {
   check_option(opt, "vector-bits",
                [&] { (void)vla::VectorArch(c.vector_bits); });
   c.host_threads = at_least(opt, "host-threads", 0);
+  check_option(opt, "host-threads",
+               [&] { check_host_threads(c.host_threads); });
   c.vla_exec = opt.get("vla-exec");
   check_option(opt, "vla-exec",
                [&] { (void)vla::vla_exec_mode_from_name(c.vla_exec); });

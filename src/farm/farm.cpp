@@ -93,6 +93,12 @@ FarmScheduler::FarmScheduler(FarmOptions opt) : opt_(std::move(opt)) {
     throw Error(os.str());
   };
   require_at_least(opt_.host_threads, 0, "host_threads", "host-threads");
+  try {
+    check_host_threads(opt_.host_threads);
+  } catch (const Error& e) {
+    throw Error(std::string("farm option host_threads (--host-threads): ") +
+                e.what());
+  }
   require_at_least(opt_.max_concurrent, 0, "max_concurrent",
                    "farm-max-concurrent");
   require_at_least(opt_.max_retries, 0, "max_retries", "farm-max-retries");

@@ -23,19 +23,18 @@ namespace v2d::linalg {
 /// Whether the solvers' composite operations (MATVEC+DPROD, fused
 /// residual, DAXPY₂, COPY+DAXPY, the BiCGSTAB p-update, precond+ganged-dot)
 /// run as one fused pass or as the kernel-per-pass Table II sequence.  Each
-/// composite owns both lowerings, so the solvers read as one algorithm.
+/// composite owns both forms, so the solvers read as one algorithm.
 ///
 ///   Off  — every composite issues the original kernel sequence; results,
 ///          recorded counts, ledgers and simulated clocks are bit-identical
 ///          to a build without the fusion layer.
-///   Plan — each composite runs its Chain IR (src/linalg/fusion/) as one
-///          fused sweep, as the interpreter sweep or as a native stamp
-///          chosen at compile time whose recording is a memoized dry run
-///          of that sweep: fewer memory passes, fewer kernel calls,
-///          reduced bytes_moved in the priced stream.  Numerics are pinned to Off (same per-element
-///          expressions in the same association order, reductions are the
-///          same exact sums), so the Krylov trajectory is unchanged — only
-///          the price is.
+///   Plan — each composite runs as one fused kernel (src/linalg/fusion/):
+///          an interpreter row, or a native tile body whose recording is a
+///          memoized dry run of that row — fewer memory passes, fewer
+///          kernel calls, reduced bytes_moved in the priced stream.
+///          Numerics are pinned to Off (same per-element expressions in the
+///          same association order, reductions are the same exact sums),
+///          so the Krylov trajectory is unchanged — only the price is.
 enum class FuseMode : std::uint8_t {
   Off,
   Plan,
@@ -67,7 +66,7 @@ struct ExecContext {
               FuseMode fuse_mode = FuseMode::Off)
       : vctx(std::move(v)), em(model), fuse(fuse_mode) {}
 
-  /// True when composite operations should run their fused lowering.
+  /// True when composite operations should run their fused form.
   bool fused() const { return fuse == FuseMode::Plan; }
 
   /// Rank-local child context for par_ranks: shares the pricer and the

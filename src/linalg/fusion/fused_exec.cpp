@@ -1,31 +1,29 @@
 /// \file fused_exec.cpp
-/// \brief The fused composites: one lowered sweep each, in both backends.
+/// \brief The fused composites, written like the primitive kernels.
 ///
-/// Each composite is a tile entry: it binds its operands to its chain's
-/// slots over a Tile and calls `run<Chain, KernelShape>`, which lowers the
-/// chain at compile time (planner.hpp) and runs the sweep as:
-///   - Interpret: the generic sweep below, row by row, which walks the
-///     GroupProgram's steps per strip through vla::Context ops (recording
-///     op-by-op, like every other interpreted kernel);
-///   - Native: `stamp_body<G>`, the program unrolled at compile time into
-///     a flat per-element loop nest over the tile's rows and run at the
-///     host's vector width through simd::dispatch, with the tile recorded
-///     once through run_tile — nj × the interpreter row's dry run,
-///     memoized per (shape, ni) under the composite's own KernelShape, as
-///     for every primitive kernel.
-/// Both produce bit-identical results: elementwise steps evaluate the same
-/// per-element expressions in the same association order, and each fused
-/// dot is a post-sweep tail that adds the exact sum of its stored
-/// operands' products to the caller's ExactSum (per row in the
-/// interpreter, per tile natively) — whose value no order or grouping of
-/// rows, ranks or threads can change.
+/// Each composite is a tile entry like those in kernels.cpp: an
+/// interpreter row that computes and records strip by strip through
+/// vla::Context ops, and a V2D_SIMD_BODY tile body that evaluates the same
+/// per-element expressions in the same order over every row of the tile,
+/// at the host's vector width through simd::dispatch.  run_tile picks one
+/// by exec mode; natively the tile is recorded once, nj × the row's
+/// memoized dry run under the composite's own KernelShape.  Rows branch
+/// only on which operands are present, never on a loaded value, as the dry
+/// run requires (vla.hpp).
+///
+/// A fused dot is a tail: one ExactSum::Gang sweep over the operands after
+/// the sweep, which adds the exact sum of their products to the caller's
+/// accumulator — per row in the interpreter, after the row's recorded
+/// ptrue and horizontal reduces, and per tile natively.  No order or
+/// grouping of rows, ranks or threads can change that value, so both
+/// backends and the unfused kernel sequence agree bit for bit.
 
 #include "linalg/fusion/fused_exec.hpp"
 
 #include <cstddef>
-#include <utility>
+#include <initializer_list>
+#include <type_traits>
 
-#include "linalg/fusion/planner.hpp"
 #include "linalg/kernel_counts.hpp"
 #include "support/error.hpp"
 #include "support/simd.hpp"
@@ -33,280 +31,301 @@
 
 namespace v2d::linalg::fusion {
 
+using vla::Context;
+using vla::Predicate;
+using vla::VReg;
+
 namespace {
 
-/// Operand binding for one composite call: slot index → base pointer,
-/// scalar index → value, accumulator index → caller's exact dot, over the
-/// tile `t`.  Temporary slots need no binding (they live in registers).
-struct Bind {
-  double* slot[kMaxSlots] = {};
-  double scal[kMaxScalars] = {};
-  ExactSum* acc[kMaxAccs] = {};
-  Tile t;
-
-  /// The binding of row j alone (bound slots advanced to that row).
-  Bind row(std::size_t j) const {
-    Bind r = *this;
-    for (double*& s : r.slot)
-      if (s != nullptr) s += t.offset(j);
-    r.t = Tile::row(t.ni);
-    return r;
-  }
+/// One fused dot: *acc += Σ x·y.
+struct Dot {
+  const double* x;
+  const double* y;
+  ExactSum* acc;
 };
 
-// --- interpreter backend ------------------------------------------------------
-
-/// The sweep's dot tails: acc[t.acc] += Σ slot[t.slot_a][i]·slot[t.slot_b][i]
-/// over the binding's tile for each tail t, exactly — one gang sweep for
-/// the tails (ExactSum::Gang), which loads each slot they read once.  Both
-/// backends run them after the sweep: the interpreter once per row, the
-/// native stamp once per tile.
-void run_dot_tails(const GroupProgram& g, const Bind& b) {
-  ExactSum::Gang gang(b.t.stride, b.t.ni, b.t.nj);
-  for (std::uint8_t k = 0; k < g.ntails; ++k) {
-    const DotTail& tl = g.tail[k];
-    gang.add(b.slot[tl.slot_a], b.slot[tl.slot_b], b.acc[tl.acc]);
-  }
+/// The dot tails of one sweep over `t`, in one gang sweep that loads each
+/// operand once.  A tail reads memory after the sweep, so each operand must
+/// be an input or an output the sweep stored, and nothing later in the
+/// sweep may overwrite it: then the tail sees the values the sweep's dot
+/// FMAs saw.
+void dot_tails(Tile t, std::initializer_list<Dot> dots) {
+  ExactSum::Gang gang(t.stride, t.ni, t.nj);
+  for (const Dot& d : dots) gang.add(d.x, d.y, d.acc);
   gang.sweep();
 }
 
-/// The generic interpreter sweep over one row (also the reference backend
-/// the stamps are differentially tested against, and the recording of the
-/// native stamps).  In a dry context it records the whole sweep, reduction
-/// epilogue included, but skips the dot tails.
-void run_interpret(vla::Context& ctx, const GroupProgram& g, const Bind& b) {
-  using vla::Predicate;
-  using vla::VReg;
+/// The recorded end of a row with dots: a ptrue and one horizontal reduce
+/// per lane accumulator.  Their values are the hardware's; the results are
+/// the exact tails, which a dry run skips.
+void reduce_epilogue(Context& ctx, std::initializer_list<VReg> accs) {
+  const Predicate full = ctx.ptrue();
+  for (const VReg& acc : accs) (void)ctx.reduce_add(full, acc);
+}
 
-  VReg reg[kMaxRegs];
-  VReg acc[kMaxAccs];
-  for (std::uint8_t i = 0; i < g.npre; ++i) {
-    const Step& s = g.pre[i];
-    if (s.k == StepKind::DupScal)
-      reg[s.dst] = ctx.dup(b.scal[s.a]);
-    else
-      acc[s.dst] = ctx.dup(0.0);
-  }
+// --- interpreter rows: the reference, and every native recording -------------
 
-  vla::strip_mine(ctx, b.t.ni, [&](std::uint64_t i, const Predicate& p) {
-    for (std::uint8_t k = 0; k < g.nsteps; ++k) {
-      const Step& s = g.step[k];
-      switch (s.k) {
-        case StepKind::Load:
-          reg[s.dst] = ctx.ld1(p, b.slot[s.a] + i);
-          break;
-        case StepKind::Stencil: {
-          // The canonical five-point sweep: mul then four chained FMAs,
-          // coefficient load before the matching solution load.
-          const VReg vcc = ctx.ld1(p, b.slot[s.a + 0] + i);
-          const VReg vxc = ctx.ld1(p, b.slot[s.a + 5] + i);
-          VReg a2 = ctx.mul(p, vcc, vxc);
-          const VReg vcw = ctx.ld1(p, b.slot[s.a + 1] + i);
-          const VReg vxw = ctx.ld1(p, b.slot[s.a + 5] + i - 1);
-          a2 = ctx.fma(p, vcw, vxw, a2);
-          const VReg vce = ctx.ld1(p, b.slot[s.a + 2] + i);
-          const VReg vxe = ctx.ld1(p, b.slot[s.a + 5] + i + 1);
-          a2 = ctx.fma(p, vce, vxe, a2);
-          const VReg vcs = ctx.ld1(p, b.slot[s.a + 3] + i);
-          const VReg vxs = ctx.ld1(p, b.slot[s.a + 6] + i);
-          a2 = ctx.fma(p, vcs, vxs, a2);
-          const VReg vcn = ctx.ld1(p, b.slot[s.a + 4] + i);
-          const VReg vxn = ctx.ld1(p, b.slot[s.a + 7] + i);
-          a2 = ctx.fma(p, vcn, vxn, a2);
-          reg[s.dst] = a2;
-          reg[s.b] = vxc;
-          break;
-        }
-        case StepKind::Fma:
-          reg[s.dst] = ctx.fma(p, reg[s.a], reg[s.b], reg[s.c]);
-          break;
-        case StepKind::Mul:
-          reg[s.dst] = ctx.mul(p, reg[s.a], reg[s.b]);
-          break;
-        case StepKind::Sub:
-          reg[s.dst] = ctx.sub(p, reg[s.a], reg[s.b]);
-          break;
-        case StepKind::Store:
-          ctx.st1(p, b.slot[s.dst] + i, reg[s.a]);
-          break;
-        case StepKind::DotAcc:
-          // Merging form: a zeroing tail strip would clobber the lanes
-          // accumulated so far.
-          acc[s.dst] = ctx.fma_merge(p, reg[s.a], reg[s.b], acc[s.dst]);
-          break;
-        case StepKind::DupScal:
-        case StepKind::DupAcc:
-          break;  // prologue-only kinds
-      }
-    }
+void daxpy2_row(Context& ctx, double a, const double* p, double* x, double b,
+                const double* q, double* r, std::size_t n) {
+  const VReg va = ctx.dup(a);
+  const VReg vb = ctx.dup(b);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& pr) {
+    const VReg vp = ctx.ld1(pr, p + i);
+    const VReg vx = ctx.ld1(pr, x + i);
+    ctx.st1(pr, x + i, ctx.fma(pr, vp, va, vx));
+    const VReg vq = ctx.ld1(pr, q + i);
+    const VReg vr = ctx.ld1(pr, r + i);
+    ctx.st1(pr, r + i, ctx.fma(pr, vq, vb, vr));
   });
+}
 
-  if (g.naccs > 0) {
-    // The lane-accumulated values are the hardware's; the returned results
-    // are the exact dot tails, identical in both exec modes (and to the
-    // unfused dot path).  A dry run records the epilogue but leaves the
-    // caller's accumulators alone.
-    const Predicate full = ctx.ptrue();
-    for (std::uint8_t i = 0; i < g.npre; ++i)
-      if (g.pre[i].k == StepKind::DupAcc)
-        (void)ctx.reduce_add(full, acc[g.pre[i].dst]);
-    if (!ctx.dry()) run_dot_tails(g, b);
+void axpy_out_row(Context& ctx, const double* x, double a, const double* y,
+                  double* z, std::size_t n) {
+  const VReg va = ctx.dup(a);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vy = ctx.ld1(p, y + i);
+    const VReg vx = ctx.ld1(p, x + i);
+    ctx.st1(p, z + i, ctx.fma(p, vy, va, vx));  // the COPY is the addend
+  });
+}
+
+void p_update_row(Context& ctx, const double* r, double b, double w,
+                  const double* v, double* p, std::size_t n) {
+  const VReg vw = ctx.dup(-w);
+  const VReg vb = ctx.dup(b);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& pr) {
+    const VReg vv = ctx.ld1(pr, v + i);
+    const VReg vp = ctx.ld1(pr, p + i);
+    const VReg t = ctx.fma(pr, vv, vw, vp);  // p − w·v, kept in a register
+    const VReg vr = ctx.ld1(pr, r + i);
+    ctx.st1(pr, p + i, ctx.fma(pr, t, vb, vr));
+  });
+}
+
+/// z ← m ⊙ r with rz += Σ z·r and rr += Σ r·r, after r ← r + a·q when q is
+/// given.  The tails read z and r, which nothing after their dot FMAs
+/// writes.
+void hadamard_dot2_row(Context& ctx, const double* m, double a,
+                       const double* q, double* r, double* z, ExactSum& rz,
+                       ExactSum& rr, std::size_t n) {
+  VReg va;
+  if (q != nullptr) va = ctx.dup(a);
+  VReg acc_rz = ctx.dup(0.0);
+  VReg acc_rr = ctx.dup(0.0);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    VReg vm, vr;
+    if (q != nullptr) {
+      const VReg vq = ctx.ld1(p, q + i);
+      const VReg vr0 = ctx.ld1(p, r + i);
+      vr = ctx.fma(p, vq, va, vr0);
+      ctx.st1(p, r + i, vr);
+      vm = ctx.ld1(p, m + i);
+    } else {
+      vm = ctx.ld1(p, m + i);
+      vr = ctx.ld1(p, r + i);
+    }
+    const VReg vz = ctx.mul(p, vm, vr);
+    ctx.st1(p, z + i, vz);
+    // Merging form: a zeroing tail strip would clobber the lanes
+    // accumulated so far.
+    acc_rz = ctx.fma_merge(p, vz, vr, acc_rz);
+    acc_rr = ctx.fma_merge(p, vr, vr, acc_rr);
+  });
+  reduce_epilogue(ctx, {acc_rz, acc_rr});
+  if (!ctx.dry()) dot_tails(Tile::row(n), {{z, r, &rz}, {r, r, &rr}});
+}
+
+/// The six stencil composites: the five-point row of A·x, plus csp ⊙ xo
+/// when coupled, then y ← b − (A·x) when b is given, or else y ← A·x with
+/// *dot += Σ w·y, where w == xc reuses the center tap.  The tail reads w,
+/// an input, and y, which nothing after its store writes.
+void stencil_fused_row(Context& ctx, const double* cc, const double* cw,
+                       const double* ce, const double* cs, const double* cn,
+                       const double* xc, const double* xs, const double* xn,
+                       const double* csp, const double* xo, const double* b,
+                       const double* w, ExactSum* dot, double* y,
+                       std::size_t n) {
+  VReg acc;
+  if (dot != nullptr) acc = ctx.dup(0.0);
+  vla::strip_mine(ctx, n, [&](std::uint64_t i, const Predicate& p) {
+    const VReg vcc = ctx.ld1(p, cc + i);
+    const VReg vxc = ctx.ld1(p, xc + i);
+    VReg ax = ctx.mul(p, vcc, vxc);
+    const VReg vcw = ctx.ld1(p, cw + i);
+    const VReg vxw = ctx.ld1(p, xc + i - 1);
+    ax = ctx.fma(p, vcw, vxw, ax);
+    const VReg vce = ctx.ld1(p, ce + i);
+    const VReg vxe = ctx.ld1(p, xc + i + 1);
+    ax = ctx.fma(p, vce, vxe, ax);
+    const VReg vcs = ctx.ld1(p, cs + i);
+    const VReg vxs = ctx.ld1(p, xs + i);
+    ax = ctx.fma(p, vcs, vxs, ax);
+    const VReg vcn = ctx.ld1(p, cn + i);
+    const VReg vxn = ctx.ld1(p, xn + i);
+    ax = ctx.fma(p, vcn, vxn, ax);
+    if (csp != nullptr) {
+      const VReg vsp = ctx.ld1(p, csp + i);
+      const VReg vxo = ctx.ld1(p, xo + i);
+      ax = ctx.fma(p, vsp, vxo, ax);
+    }
+    if (b != nullptr) {
+      const VReg vb = ctx.ld1(p, b + i);
+      ctx.st1(p, y + i, ctx.sub(p, vb, ax));
+      return;
+    }
+    ctx.st1(p, y + i, ax);
+    const VReg vw = w == xc ? vxc : ctx.ld1(p, w + i);
+    acc = ctx.fma_merge(p, vw, ax, acc);
+  });
+  if (dot == nullptr) return;
+  reduce_epilogue(ctx, {acc});
+  if (!ctx.dry()) dot_tails(Tile::row(n), {{w, y, dot}});
+}
+
+// --- native tile bodies -------------------------------------------------------
+
+V2D_SIMD_BODY void daxpy2_body(double a, const double* p, double* x, double b,
+                               const double* q, double* r, Tile t) {
+  for (std::size_t j = 0; j < t.nj; ++j, p += t.stride, x += t.stride,
+                   q += t.stride, r += t.stride) {
+    for (std::size_t i = 0; i < t.ni; ++i) {
+      x[i] = p[i] * a + x[i];
+      r[i] = q[i] * b + r[i];
+    }
   }
 }
 
-// --- native stamps ------------------------------------------------------------
-
-template <GroupProgram G, std::size_t I>
-V2D_SIMD_BODY void stamp_pre(const double* sc, double* r) {
-  constexpr Step S = G.pre[I];
-  if constexpr (S.k == StepKind::DupScal) r[S.dst] = sc[S.a];
+V2D_SIMD_BODY void axpy_out_body(const double* x, double a, const double* y,
+                                 double* z, Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, x += t.stride, y += t.stride, z += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) z[i] = y[i] * a + x[i];
 }
 
-template <GroupProgram G, std::size_t I>
-V2D_SIMD_BODY void stamp_step(double* const* p, double* r, std::ptrdiff_t i) {
-  constexpr Step S = G.step[I];
-  if constexpr (S.k == StepKind::Load) {
-    r[S.dst] = p[S.a][i];
-  } else if constexpr (S.k == StepKind::Stencil) {
-    double acc = p[S.a + 0][i] * p[S.a + 5][i];
-    acc = p[S.a + 1][i] * p[S.a + 5][i - 1] + acc;
-    acc = p[S.a + 2][i] * p[S.a + 5][i + 1] + acc;
-    acc = p[S.a + 3][i] * p[S.a + 6][i] + acc;
-    acc = p[S.a + 4][i] * p[S.a + 7][i] + acc;
-    r[S.dst] = acc;
-    r[S.b] = p[S.a + 5][i];
-  } else if constexpr (S.k == StepKind::Fma) {
-    r[S.dst] = r[S.a] * r[S.b] + r[S.c];
-  } else if constexpr (S.k == StepKind::Mul) {
-    r[S.dst] = r[S.a] * r[S.b];
-  } else if constexpr (S.k == StepKind::Sub) {
-    r[S.dst] = r[S.a] - r[S.b];
-  } else if constexpr (S.k == StepKind::Store) {
-    p[S.dst][i] = r[S.a];
+V2D_SIMD_BODY void p_update_body(const double* r, double b, double w,
+                                 const double* v, double* p, Tile t) {
+  const double mw = -w;
+  for (std::size_t j = 0; j < t.nj;
+       ++j, r += t.stride, v += t.stride, p += t.stride) {
+    for (std::size_t i = 0; i < t.ni; ++i) {
+      const double s = v[i] * mw + p[i];
+      p[i] = s * b + r[i];
+    }
   }
-  // DotAcc emits nothing here: the dots are exact tails over the stored
-  // slots after the sweep (run_dot_tails).
 }
 
-/// One stamped-out native kernel: the GroupProgram unrolled at compile time
-/// into a flat per-element loop, run over every row of the tile.  Every
-/// program is elementwise once its dots move to the tails, so each reduces
-/// to a plain raw-pointer loop nest like the primitive kernels in
-/// kernels_native.cpp, which the host compiler auto-vectorizes at both
-/// widths.  Register slots with compile-time-constant indices are
-/// scalarized by the compiler.
-template <GroupProgram G>
-V2D_SIMD_BODY void stamp_body(const Bind* b) {
-  double* p[kMaxSlots];
-  for (std::size_t s = 0; s < kMaxSlots; ++s) p[s] = b->slot[s];
-  double sc[kMaxScalars];
-  for (std::size_t s = 0; s < kMaxScalars; ++s) sc[s] = b->scal[s];
-  const Tile t = b->t;
+// Bodies with optional operands index rows by element offset, so that an
+// absent (null) operand is never advanced.
+
+template <bool Update>
+V2D_SIMD_BODY void hadamard_dot2_body(const double* m, double a,
+                                      const double* q, double* r, double* z,
+                                      Tile t) {
   const auto ni = static_cast<std::ptrdiff_t>(t.ni);
   for (std::size_t j = 0; j < t.nj; ++j) {
-    // Unbound slots stay null, so rows are element offsets, not advanced
-    // pointers.
     const std::ptrdiff_t o = t.offset(j);
     for (std::ptrdiff_t i = o; i < o + ni; ++i) {
-      double r[kMaxRegs];
-      [&]<std::size_t... Pi>(std::index_sequence<Pi...>) {
-        (stamp_pre<G, Pi>(sc, r), ...);
-      }(std::make_index_sequence<std::size_t{G.npre}>{});
-      [&]<std::size_t... Si>(std::index_sequence<Si...>) {
-        (stamp_step<G, Si>(p, r, i), ...);
-      }(std::make_index_sequence<std::size_t{G.nsteps}>{});
+      double ri = r[i];
+      if constexpr (Update) {
+        ri = q[i] * a + ri;
+        r[i] = ri;
+      }
+      z[i] = m[i] * ri;
     }
   }
 }
 
-/// Run chain `C` over the binding's tile as one sweep per row in the
-/// context's exec mode.  The native path is a tile entry like the
-/// primitive kernels': the tile is recorded once (the interpreter row's
-/// dry run, memoized under (S, ni), nj times), one stamp runs every row,
-/// and each dot tail adds the whole tile in one exact call.
-template <Chain C, KernelShape S>
-void run(vla::Context& ctx, const Bind& bind) {
-  static constexpr GroupProgram G = lower(C);
+template <bool Coupled, bool Residual>
+V2D_SIMD_BODY void stencil_fused_body(
+    const double* cc, const double* cw, const double* ce, const double* cs,
+    const double* cn, const double* xc, const double* xs, const double* xn,
+    const double* csp, const double* xo, const double* b, double* y, Tile t) {
+  const auto ni = static_cast<std::ptrdiff_t>(t.ni);
+  for (std::size_t j = 0; j < t.nj; ++j) {
+    const std::ptrdiff_t o = t.offset(j);
+    for (std::ptrdiff_t i = o; i < o + ni; ++i) {
+      double ax = cc[i] * xc[i];
+      ax = cw[i] * xc[i - 1] + ax;
+      ax = ce[i] * xc[i + 1] + ax;
+      ax = cs[i] * xs[i] + ax;
+      ax = cn[i] * xn[i] + ax;
+      if constexpr (Coupled) ax = csp[i] * xo[i] + ax;
+      if constexpr (Residual) ax = b[i] - ax;
+      y[i] = ax;
+    }
+  }
+}
+
+/// The two hadamard composites: `Update` adds r ← r + a·q to the sweep.
+template <bool Update>
+void hadamard_dot2_tile(Context& ctx, const double* m, double a,
+                        const double* q, double* r, double* z, ExactSum& rz,
+                        ExactSum& rr, Tile t) {
   run_tile(
-      ctx, S, bind.t,
-      [&](vla::Context& c, std::size_t j) {
-        run_interpret(c, G, bind.row(j));
+      ctx, Update ? KernelShape::HadamardUpdateDot2 : KernelShape::HadamardDot2,
+      t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        hadamard_dot2_row(c, m + o, a, Update ? q + o : nullptr, r + o, z + o,
+                          rz, rr, t.ni);
       },
       [&] {
-        simd::dispatch<&stamp_body<G>>(&bind);
-        run_dot_tails(G, bind);
+        simd::dispatch<&hadamard_dot2_body<Update>>(m, a, q, r, z, t);
+        dot_tails(t, {{z, r, &rz}, {r, r, &rr}});
       });
 }
 
 }  // namespace
 
-// --- the composites -----------------------------------------------------------
+// --- tile entries ---------------------------------------------------------------
 
-void daxpy2(vla::Context& ctx, double a, const double* p, double* x, double b,
+void daxpy2(Context& ctx, double a, const double* p, double* x, double b,
             const double* q, double* r, Tile t) {
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(p);
-  bd.slot[1] = x;
-  bd.slot[2] = const_cast<double*>(q);
-  bd.slot[3] = r;
-  bd.scal[0] = a;
-  bd.scal[1] = b;
-  run<make_daxpy2_chain(), KernelShape::Daxpy2>(ctx, bd);
+  run_tile(
+      ctx, KernelShape::Daxpy2, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        daxpy2_row(c, a, p + o, x + o, b, q + o, r + o, t.ni);
+      },
+      [&] { simd::dispatch<&daxpy2_body>(a, p, x, b, q, r, t); });
 }
 
-void axpy_out(vla::Context& ctx, const double* x, double a, const double* y,
+void axpy_out(Context& ctx, const double* x, double a, const double* y,
               double* z, Tile t) {
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(x);
-  bd.slot[1] = const_cast<double*>(y);
-  bd.slot[2] = z;
-  bd.scal[0] = a;
-  run<make_axpy_out_chain(), KernelShape::AxpyOut>(ctx, bd);
+  run_tile(
+      ctx, KernelShape::AxpyOut, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        axpy_out_row(c, x + o, a, y + o, z + o, t.ni);
+      },
+      [&] { simd::dispatch<&axpy_out_body>(x, a, y, z, t); });
 }
 
-void p_update(vla::Context& ctx, const double* r, double b, double w,
+void p_update(Context& ctx, const double* r, double b, double w,
               const double* v, double* p, Tile t) {
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(r);
-  bd.slot[1] = const_cast<double*>(v);
-  bd.slot[2] = p;
-  bd.scal[0] = -w;
-  bd.scal[1] = b;
-  run<make_p_update_chain(), KernelShape::PUpdate>(ctx, bd);
+  run_tile(
+      ctx, KernelShape::PUpdate, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        p_update_row(c, r + o, b, w, v + o, p + o, t.ni);
+      },
+      [&] { simd::dispatch<&p_update_body>(r, b, w, v, p, t); });
 }
 
-void hadamard_dot2(vla::Context& ctx, const double* m, const double* r,
-                   double* z, ExactSum& rz, ExactSum& rr, Tile t) {
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(m);
-  bd.slot[1] = const_cast<double*>(r);
-  bd.slot[2] = z;
-  bd.acc[0] = &rz;
-  bd.acc[1] = &rr;
-  run<make_hadamard_dot2_chain(), KernelShape::HadamardDot2>(ctx, bd);
+void hadamard_dot2(Context& ctx, const double* m, const double* r, double* z,
+                   ExactSum& rz, ExactSum& rr, Tile t) {
+  // Without the update, r is only read.
+  hadamard_dot2_tile<false>(ctx, m, 0.0, nullptr, const_cast<double*>(r), z,
+                            rz, rr, t);
 }
 
-void hadamard_update_dot2(vla::Context& ctx, const double* m, double a,
+void hadamard_update_dot2(Context& ctx, const double* m, double a,
                           const double* q, double* r, double* z, ExactSum& rz,
                           ExactSum& rr, Tile t) {
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(m);
-  bd.slot[1] = const_cast<double*>(q);
-  bd.slot[2] = r;
-  bd.slot[3] = z;
-  bd.scal[0] = a;
-  bd.acc[0] = &rz;
-  bd.acc[1] = &rr;
-  run<make_hadamard_update_dot2_chain(), KernelShape::HadamardUpdateDot2>(
-      ctx, bd);
+  hadamard_dot2_tile<true>(ctx, m, a, q, r, z, rz, rr, t);
 }
 
-void stencil_rows_fused(vla::Context& ctx, const double* cc, const double* cw,
+void stencil_rows_fused(Context& ctx, const double* cc, const double* cw,
                         const double* ce, const double* cs, const double* cn,
                         const double* xc, const double* xs, const double* xn,
                         const double* csp, const double* xo,
@@ -323,54 +342,40 @@ void stencil_rows_fused(vla::Context& ctx, const double* cc, const double* cw,
               "(use stencil_rows/coupling_rows otherwise)");
   const bool coupled = csp != nullptr;
   const bool sub = bsub != nullptr;
-  const bool self = wdot == xc;
+  const KernelShape shape =
+      sub ? (coupled ? KernelShape::StencilSubCoupled : KernelShape::StencilSub)
+      : wdot == xc
+          ? (coupled ? KernelShape::StencilDotCoupled : KernelShape::StencilDot)
+          : (coupled ? KernelShape::StencilDotWCoupled
+                     : KernelShape::StencilDotW);
 
-  // Binding mirrors make_stencil_chain's slot layout.
-  Bind bd{};
-  bd.t = t;
-  bd.slot[0] = const_cast<double*>(cc);
-  bd.slot[1] = const_cast<double*>(cw);
-  bd.slot[2] = const_cast<double*>(ce);
-  bd.slot[3] = const_cast<double*>(cs);
-  bd.slot[4] = const_cast<double*>(cn);
-  bd.slot[5] = const_cast<double*>(xc);
-  bd.slot[6] = const_cast<double*>(xs);
-  bd.slot[7] = const_cast<double*>(xn);
-  std::uint8_t s = 8;
-  if (coupled) {
-    bd.slot[s++] = const_cast<double*>(csp);
-    bd.slot[s++] = const_cast<double*>(xo);
-  }
-  ++s;  // the stencil temp slot lives in registers only
-  if (sub)
-    bd.slot[s++] = const_cast<double*>(bsub);
-  else if (!self)
-    bd.slot[s++] = const_cast<double*>(wdot);
-  bd.slot[s++] = y;
-  if (dot != nullptr) bd.acc[0] = dot;
-
-  if (sub) {
-    if (coupled)
-      run<make_stencil_chain(true, true, false),
-          KernelShape::StencilSubCoupled>(ctx, bd);
-    else
-      run<make_stencil_chain(false, true, false), KernelShape::StencilSub>(
-          ctx, bd);
-  } else if (self) {
-    if (coupled)
-      run<make_stencil_chain(true, false, true),
-          KernelShape::StencilDotCoupled>(ctx, bd);
-    else
-      run<make_stencil_chain(false, false, true), KernelShape::StencilDot>(
-          ctx, bd);
-  } else {
-    if (coupled)
-      run<make_stencil_chain(true, false, false),
-          KernelShape::StencilDotWCoupled>(ctx, bd);
-    else
-      run<make_stencil_chain(false, false, false), KernelShape::StencilDotW>(
-          ctx, bd);
-  }
+  const auto body = [&]<bool C, bool R>(std::bool_constant<C>,
+                                        std::bool_constant<R>) {
+    simd::dispatch<&stencil_fused_body<C, R>>(cc, cw, ce, cs, cn, xc, xs, xn,
+                                              csp, xo, bsub, y, t);
+  };
+  run_tile(
+      ctx, shape, t,
+      [&](Context& c, std::size_t j) {
+        const std::ptrdiff_t o = t.offset(j);
+        const auto at = [o](const double* v) {
+          return v != nullptr ? v + o : nullptr;
+        };
+        stencil_fused_row(c, cc + o, cw + o, ce + o, cs + o, cn + o, xc + o,
+                          xs + o, xn + o, at(csp), at(xo), at(bsub), at(wdot),
+                          dot, y + o, t.ni);
+      },
+      [&] {
+        if (coupled && sub)
+          body(std::true_type{}, std::true_type{});
+        else if (coupled)
+          body(std::true_type{}, std::false_type{});
+        else if (sub)
+          body(std::false_type{}, std::true_type{});
+        else
+          body(std::false_type{}, std::false_type{});
+        if (dot != nullptr) dot_tails(t, {{wdot, y, dot}});
+      });
 }
 
 }  // namespace v2d::linalg::fusion

@@ -4,16 +4,15 @@
 ///
 /// Each entry point below is a tile entry (linalg::Tile: base pointers,
 /// nj rows of ni elements at a row stride) that runs one solver hot-loop
-/// chain (ir.hpp) as a single sweep, lowered at compile time (planner.hpp)
-/// and run in the context's exec mode: the interpreter sweep row by row,
-/// or a native stamp picked at compile time that runs every row of the
-/// tile, with the tile recorded once as nj × the memoized dry run of the
-/// interpreter row under the composite's own KernelShape
-/// (fused_exec.cpp).  Both backends give bit-identical results, and every
-/// fused dot adds the exact sum of its stored operands' products to the
-/// caller's ExactSum — natively in one gang sweep per tile — so the
-/// composites match the unfused kernel sequence bit for bit.  The span
-/// overloads are row calls: the tile entry with nj = 1.
+/// sequence as a single sweep, written like the primitive kernels
+/// (fused_exec.cpp): an interpreter row, run row by row, and a native body
+/// that runs every row of the tile, with the tile recorded once as nj ×
+/// the memoized dry run of the interpreter row under the composite's own
+/// KernelShape.  Both backends give bit-identical results, and every fused
+/// dot adds the exact sum of its operands' products to the caller's
+/// ExactSum — natively in one gang sweep per tile — so the composites
+/// match the unfused kernel sequence bit for bit.  The span overloads are
+/// row calls: the tile entry with nj = 1.
 ///
 /// The composite operations (StencilOperator::apply_dot/apply_residual*,
 /// DistVector::daxpy2/assign_axpy/p_update, the diagonal preconditioners'

@@ -11,13 +11,13 @@
 /// row's recording, counted as nj memo probes — exactly what nj row calls
 /// record, since the memo folds a run of one key into run × counts.
 /// The interpreter is the only definition of each kernel's stream; the
-/// equivalence suite (tests/test_vla_fastpath.cpp) pins every primitive
-/// shape's op mix across the full VL range and all tail predicates (empty,
-/// partial, full), and that no two shapes share a memo key.
+/// equivalence suite (tests/test_vla_fastpath.cpp) pins every shape's op
+/// mix across the full VL range and all tail predicates (empty, partial,
+/// full), and that no two shapes share a memo key.
 ///
 /// The fused composites of --fuse plan (src/linalg/fusion/) are shapes
-/// like any other: each records its interpreter sweep through
-/// record_native under its own value after ProlongRow.
+/// like any other: each records its interpreter row through run_tile under
+/// its own value after ProlongRow.
 
 #include <cstdint>
 
@@ -45,7 +45,7 @@ enum class KernelShape : std::uint8_t {
   DiagScaleRow,
   RestrictRow,
   ProlongRow,
-  // Fused composites (fusion/fused_exec.cpp), one per lowered chain.
+  // Fused composites (fusion/fused_exec.cpp), one per composite form.
   Daxpy2,
   AxpyOut,
   PUpdate,

@@ -1,5 +1,10 @@
 #include "support/thread_pool.hpp"
 
+#include <algorithm>
+#include <string>
+
+#include "support/error.hpp"
+
 namespace v2d {
 
 namespace {
@@ -10,18 +15,29 @@ thread_local bool t_in_pool_task = false;
 
 int default_host_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
+  return hc > 0 ? static_cast<int>(std::min<unsigned>(hc, kMaxHostThreads))
+                : 1;
 }
 
 }  // namespace
 
 ThreadPool::ThreadPool(int threads) : size_(threads < 1 ? 1 : threads) {
-  workers_.reserve(static_cast<std::size_t>(size_ - 1));
-  for (int t = 0; t + 1 < size_; ++t)
-    workers_.emplace_back([this] { worker_loop(); });
+  // Unwinding past a joinable std::thread would call std::terminate.
+  try {
+    workers_.reserve(static_cast<std::size_t>(size_ - 1));
+    for (int t = 0; t + 1 < size_; ++t)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (const std::exception& e) {
+    stop();
+    throw Error("started " + std::to_string(workers_.size()) + " of " +
+                std::to_string(size_ - 1) + " host worker threads: " +
+                e.what());
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() {
   {
     std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
@@ -109,7 +125,14 @@ std::shared_ptr<ThreadPool> host_pool() {
   return g_host_pool;
 }
 
+void check_host_threads(int threads) {
+  if (threads > kMaxHostThreads)
+    throw Error("host threads must be <= " + std::to_string(kMaxHostThreads) +
+                ", got " + std::to_string(threads));
+}
+
 void set_host_threads(int threads) {
+  check_host_threads(threads);
   const int n = threads > 0 ? threads : default_host_threads();
   std::lock_guard<std::mutex> lk(g_host_pool_mu);
   if (g_host_pool && g_host_pool->size() == n) return;

@@ -25,6 +25,8 @@ class ThreadPool {
 public:
   /// A pool with `threads` execution lanes in total.  The calling thread
   /// participates in every run(), so `threads - 1` workers are spawned.
+  /// If one cannot start, the workers already started are stopped and
+  /// joined, and the failure is thrown as a v2d::Error.
   explicit ThreadPool(int threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -52,6 +54,8 @@ private:
 
   void worker_loop();
   void execute(Job& job);
+  /// Stop and join every started worker.
+  void stop();
 
   int size_ = 1;
   std::mutex mu_;
@@ -69,9 +73,19 @@ private:
 /// a replaced pool lives until its last in-flight region releases it.
 std::shared_ptr<ThreadPool> host_pool();
 
+/// The most lanes the global pool may have.  A larger request is a usage
+/// error, never an attempt to start that many threads; the
+/// hardware-concurrency default is clamped to it.
+inline constexpr int kMaxHostThreads = 1024;
+
+/// Throw a v2d::Error unless `threads` <= kMaxHostThreads.  Option readers
+/// call it so that the error names their option.
+void check_host_threads(int threads);
+
 /// Resize the global pool (`threads <= 0` restores the hardware-concurrency
-/// default).  Regions already running keep the old pool alive and finish
-/// on it; only subsequent parallel_for calls see the new size.
+/// default; above kMaxHostThreads it throws).  Regions already running keep
+/// the old pool alive and finish on it; only subsequent parallel_for calls
+/// see the new size.
 void set_host_threads(int threads);
 
 /// Current lane count of the global pool.

@@ -10,6 +10,7 @@
 #include "core/v2d.hpp"
 #include "io/h5lite.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 
 namespace v2d::core {
 namespace {
@@ -72,8 +73,11 @@ void expect_each_rejected(const std::vector<std::vector<const char*>>& cases) {
 /// is a count below its floor: a negative count whose zero has a meaning
 /// (`--steps -1` used to run zero steps and pass), and a zero or negative
 /// one that must count something (`--ns -1` used to end in a failed
-/// allocation, `--nx1 0` or `--max-iter 0` deep in the library).
+/// allocation, `--nx1 0` or `--max-iter 0` deep in the library).  A host
+/// thread count above the pool's bound is rejected before any pool exists
+/// (`--host-threads 100000000` used to abort while starting threads).
 TEST(Config, OutOfRangeIntegersThrow) {
+  const std::string threads = std::to_string(kMaxHostThreads + 1);
   expect_each_rejected({
       {"--nx1", "4294967328", "--nx2", "4294967328"},
       {"--steps", "4294967297"},
@@ -84,6 +88,7 @@ TEST(Config, OutOfRangeIntegersThrow) {
       {"--steps", "-1"},
       {"--checkpoint-every", "-2"},
       {"--host-threads", "-5"},
+      {"--host-threads", threads.c_str()},
       {"--ns", "-1"},
       {"--ns", "0"},
       {"--nx1", "0"},

@@ -303,6 +303,9 @@ TEST(FarmScheduling, RejectsOutOfRangeOptions) {
   };
   const std::vector<Case> cases = {
       {"--host-threads", [](farm::FarmOptions& o) { o.host_threads = -5; }},
+      // Rejected in the constructor, before run() sizes the pool.
+      {"--host-threads",
+       [](farm::FarmOptions& o) { o.host_threads = kMaxHostThreads + 1; }},
       {"--farm-max-concurrent",
        [](farm::FarmOptions& o) { o.max_concurrent = -1; }},
       {"--farm-max-retries", [](farm::FarmOptions& o) { o.max_retries = -1; }},

@@ -2,16 +2,18 @@
 /// \brief Fused-kernel execution layer: composite kernels, solver wiring
 /// and the FuseMode contract.
 ///
-/// Three layers of pins, mirroring test_vla_fastpath.cpp:
-///   1. every planner-generated composite kernel (fusion::) is
-///      bit-identical between the interpreter and native backends, with
-///      identical KernelCounts, across all architectural VLs and tail
-///      shapes;
+/// Three layers of pins, mirroring test_vla_fastpath.cpp (which pins each
+/// composite's recorded op mix):
+///   1. every composite kernel (fusion::) is bit-identical between the
+///      interpreter and native backends, with identical KernelCounts,
+///      across all architectural VLs and tail shapes;
 ///   2. every composite reproduces its unfused kernel chain bit-for-bit
 ///      (same per-element association order, same exact reductions);
 ///   3. a CG/BiCGSTAB solve with --fuse plan matches --fuse off exactly —
 ///      same iterates, same reduction count, bit-identical solution —
-///      while the fused simulated clock is strictly cheaper.
+///      across preconditioners, exec modes, tilings and host thread counts
+///      (test_fusion_planner.cpp extends this to VL tail shapes, whole
+///      simulations, farms and restarts).
 /// Plus the BiCGSTAB edge paths (zero rhs, exact breakdown, indefinite
 /// operator) and the SolveStats stop-reason contract.
 
@@ -20,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +34,7 @@
 #include "linalg/precond.hpp"
 #include "linalg/stencil_op.hpp"
 #include "perfmon/perf_stat.hpp"
+#include "solver_problem.hpp"
 #include "support/exact_sum.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -38,6 +42,12 @@
 namespace v2d::linalg {
 namespace {
 
+using testutil::expect_same_trajectory;
+using testutil::fill_operator;
+using testutil::Problem;
+using testutil::randomize;
+using testutil::SolveOutcome;
+using testutil::zone_noise;
 using vla::Context;
 using vla::VectorArch;
 using vla::VlaExecMode;
@@ -351,48 +361,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- 2. solver-level fuse plan/off identity ----------------------------------
 
-struct Problem {
-  grid::Grid2D g;
-  grid::Decomposition d;
-  StencilOperator A;
-
-  Problem(int nx1, int nx2, int ns, int px1 = 1, int px2 = 1)
-      : g(nx1, nx2, 0.0, 1.0, 0.0, 1.0),
-        d(g, mpisim::CartTopology(px1, px2)),
-        A(g, d, ns) {}
-};
-
-double zone_noise(std::uint64_t seed, int s, int i, int j) {
-  Rng r(seed ^ (static_cast<std::uint64_t>(s) * 73856093u +
-                static_cast<std::uint64_t>(i) * 19349663u +
-                static_cast<std::uint64_t>(j) * 83492791u));
-  return r.uniform();
-}
-
-void fill_operator(StencilOperator& A, std::uint64_t seed, double skew = 0.0) {
-  const auto& dec = A.decomp();
-  for (int r = 0; r < dec.nranks(); ++r) {
-    const grid::TileExtent& e = dec.extent(r);
-    for (int s = 0; s < A.ns(); ++s) {
-      auto cc = A.cc().view(r, s), cw = A.cw().view(r, s),
-           ce = A.ce().view(r, s), cs = A.cs().view(r, s),
-           cn = A.cn().view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj) {
-        for (int li = 0; li < e.ni; ++li) {
-          const int gi = e.i0 + li, gj = e.j0 + lj;
-          const double w = 0.5 + zone_noise(seed, s, gi, gj);
-          cw(li, lj) = -w * (1.0 + skew * zone_noise(seed + 1, s, gi, gj));
-          ce(li, lj) = -w;
-          cs(li, lj) = -w * (1.0 - skew * zone_noise(seed + 2, s, gi, gj));
-          cn(li, lj) = -w;
-          cc(li, lj) = 4.5 * w + 0.5;
-        }
-      }
-    }
-  }
-  A.zero_boundary_coefficients();
-}
-
 void fill_coupling(StencilOperator& A, std::uint64_t seed) {
   A.enable_coupling();
   const auto& dec = A.decomp();
@@ -407,44 +375,8 @@ void fill_coupling(StencilOperator& A, std::uint64_t seed) {
   }
 }
 
-void randomize(DistVector& v, std::uint64_t seed) {
-  auto& f = v.field();
-  for (int r = 0; r < f.decomp().nranks(); ++r) {
-    const grid::TileExtent& e = f.decomp().extent(r);
-    for (int s = 0; s < v.ns(); ++s) {
-      auto view = f.view(r, s);
-      for (int lj = 0; lj < e.nj; ++lj)
-        for (int li = 0; li < e.ni; ++li)
-          view(li, lj) =
-              2.0 * zone_noise(seed, s, e.i0 + li, e.j0 + lj) - 1.0;
-    }
-  }
-}
-
-struct SolveOutcome {
-  SolveStats stats;
-  std::vector<double> x;
-};
-
 ExecContext make_ctx(VlaExecMode mode, FuseMode fuse) {
   return ExecContext(VectorArch(512), nullptr, mode, fuse);
-}
-
-/// Fused and unfused solves must agree on everything observable from the
-/// algorithm: iterates, reduction count, residual, stop reason, solution
-/// bits — per solver, preconditioner, exec mode and tiling.
-void expect_same_trajectory(const SolveOutcome& off, const SolveOutcome& on,
-                            const std::string& label) {
-  EXPECT_EQ(off.stats.iterations, on.stats.iterations) << label;
-  EXPECT_EQ(off.stats.converged, on.stats.converged) << label;
-  EXPECT_EQ(off.stats.global_reductions, on.stats.global_reductions) << label;
-  EXPECT_EQ(off.stats.final_relative_residual,
-            on.stats.final_relative_residual)
-      << label;
-  EXPECT_STREQ(off.stats.stop_reason, on.stats.stop_reason) << label;
-  ASSERT_EQ(off.x.size(), on.x.size());
-  for (std::size_t i = 0; i < off.x.size(); ++i)
-    ASSERT_EQ(off.x[i], on.x[i]) << label << " zone " << i;
 }
 
 TEST(FusedSolvers, CgMatchesUnfusedAcrossPrecondsModesAndTilings) {
@@ -537,34 +469,6 @@ TEST(FusedSolvers, FusedTrajectoryInvariantUnderHostThreads) {
     }
   }
   set_host_threads(0);
-}
-
-/// End-to-end: the full radiation driver under --fuse plan reproduces the
-/// unfused trajectory bit-for-bit while every compiler profile's simulated
-/// clock gets strictly cheaper (fewer bytes moved, fewer instructions).
-TEST(FusedSolvers, SimulationPinnedAndSimulatedTimeReduced) {
-  core::RunConfig cfg;
-  cfg.nx1 = 48;
-  cfg.nx2 = 24;
-  cfg.ns = 2;
-  cfg.steps = 2;
-  cfg.compilers = {"cray", "gnu"};
-
-  cfg.fuse = "off";
-  core::Simulation unfused(cfg);
-  unfused.run();
-
-  cfg.fuse = "plan";
-  core::Simulation fused(cfg);
-  fused.run();
-
-  const double eu = unfused.total_energy();
-  const double ef = fused.total_energy();
-  EXPECT_EQ(std::memcmp(&eu, &ef, sizeof eu), 0);
-  EXPECT_DOUBLE_EQ(unfused.analytic_error(), fused.analytic_error());
-  for (std::size_t p = 0; p < 2; ++p) {
-    EXPECT_LT(fused.elapsed(p), unfused.elapsed(p)) << "profile " << p;
-  }
 }
 
 // --- 3. BiCGSTAB edge paths & the stop-reason contract ------------------------

@@ -3,7 +3,7 @@
 #
 #   tools/identity_set.sh PARENT_V2D CHANGE_V2D
 #
-# Runs the twelve identity-set configurations (ROADMAP.md) with both
+# Runs the thirteen identity-set configurations (ROADMAP.md) with both
 # binaries, each with --checkpoint, and compares stdout (minus the
 # "checkpoint written to" line) and the checkpoint file byte for byte.
 # Prints one line per configuration and exits 1 on any difference or
@@ -34,6 +34,7 @@ configs=(
   "mg-jacobi-2x2|--nx1 128 --nx2 64 --steps 4 --precond mg --nprx1 2 --nprx2 2"
   "mg-chebyshev-plan|--nx1 128 --nx2 64 --steps 4 --precond mg --mg-smoother chebyshev --fuse plan"
   "classic-interpret|--nx1 64 --nx2 32 --steps 3 --ganged 0 --vla-exec interpret"
+  "plan-interpret|--nx1 64 --nx2 32 --steps 3 --fuse plan --vla-exec interpret --nprx1 2 --nprx2 1"
   "jacobi-vl128|--steps 6 --precond jacobi --vector-bits 128"
   "jacobi-vl2048-plan|--steps 6 --precond jacobi --vector-bits 2048 --fuse plan"
   "two-species-relax|--problem two-species-relax --steps 6"
