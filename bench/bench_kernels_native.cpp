@@ -170,6 +170,7 @@ int main(int argc, char** argv) try {
     const auto x = make_vec(n, 1), w = make_vec(n, 2);
     auto y = make_vec(n, 3);
     std::vector<double> z(n);
+    const linalg::Tile row = linalg::Tile::row(n);
 
     results.push_back(measure("dprod", n, bits, min_ms, [&](Context& ctx) {
       g_sink = linalg::dprod(ctx, x, w);
@@ -222,7 +223,7 @@ int main(int argc, char** argv) try {
           }));
     }
     results.push_back(measure("daxpy", n, bits, min_ms, [&](Context& ctx) {
-      linalg::daxpy(ctx, 1.0000001, x, y);
+      linalg::daxpy(ctx, 1.0000001, x.data(), y.data(), row);
       (void)ctx.take_counts();
     }));
     // Plain scalar daxpy: the floor the native path is chasing.
@@ -238,31 +239,32 @@ int main(int argc, char** argv) try {
       results.back().scalar_ns_per_elem = 1e9 * s / static_cast<double>(n);
     }
     results.push_back(measure("dscal", n, bits, min_ms, [&](Context& ctx) {
-      linalg::dscal(ctx, 0.75, 0.9999999, y);
+      linalg::dscal(ctx, 0.75, 0.9999999, y.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("ddaxpy", n, bits, min_ms, [&](Context& ctx) {
-      linalg::ddaxpy(ctx, 1.0000001, x, 0.9999999, w, y);
+      linalg::ddaxpy(ctx, 1.0000001, x.data(), 0.9999999, w.data(), y.data(),
+                     row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("xpby", n, bits, min_ms, [&](Context& ctx) {
-      linalg::xpby(ctx, x, 0.9999999, y);
+      linalg::xpby(ctx, x.data(), 0.9999999, y.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("copy", n, bits, min_ms, [&](Context& ctx) {
-      linalg::copy(ctx, x, z);
+      linalg::copy(ctx, x.data(), z.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("fill", n, bits, min_ms, [&](Context& ctx) {
-      linalg::fill(ctx, 1.25, z);
+      linalg::fill(ctx, 1.25, z.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("sub", n, bits, min_ms, [&](Context& ctx) {
-      linalg::sub(ctx, x, w, z);
+      linalg::sub(ctx, x.data(), w.data(), z.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(measure("hadamard", n, bits, min_ms, [&](Context& ctx) {
-      linalg::hadamard(ctx, x, w, z);
+      linalg::hadamard(ctx, x.data(), w.data(), z.data(), row);
       (void)ctx.take_counts();
     }));
 
@@ -272,13 +274,15 @@ int main(int argc, char** argv) try {
     const auto xc = make_vec(n + 2, 10), xs = make_vec(n, 11),
                xn = make_vec(n, 12);
     results.push_back(measure("matvec", n, bits, min_ms, [&](Context& ctx) {
-      linalg::stencil_row(ctx, cc, cw, ce, cs, cn, xc.data() + 1, xs.data(),
-                          xn.data(), z);
+      linalg::stencil_rows(ctx, cc.data(), cw.data(), ce.data(), cs.data(),
+                           cn.data(), xc.data() + 1, xs.data(), xn.data(),
+                           z.data(), row);
       (void)ctx.take_counts();
     }));
     results.push_back(
         measure("mg-smooth", n, bits, min_ms, [&](Context& ctx) {
-          linalg::mg::diag_correct_row(ctx, 0.8, x, w, y);
+          linalg::mg::diag_correct_rows(ctx, 0.8, x.data(), w.data(),
+                                        y.data(), row);
           (void)ctx.take_counts();
         }));
   }

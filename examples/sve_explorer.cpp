@@ -29,6 +29,7 @@ sim::KernelCounts record_kernel(const std::string& kernel, unsigned bits,
   vla::Context ctx{vla::VectorArch(bits)};
   Rng rng(1);
   std::vector<double> x(n), y(n), z(n);
+  const linalg::Tile row = linalg::Tile::row(n);
   for (std::size_t i = 0; i < n; ++i) {
     x[i] = rng.uniform(0.5, 1.5);
     y[i] = rng.uniform(0.5, 1.5);
@@ -37,16 +38,16 @@ sim::KernelCounts record_kernel(const std::string& kernel, unsigned bits,
   if (kernel == "dprod") {
     (void)linalg::dprod(ctx, x, y);
   } else if (kernel == "daxpy") {
-    linalg::daxpy(ctx, 1.5, x, y);
+    linalg::daxpy(ctx, 1.5, x.data(), y.data(), row);
   } else if (kernel == "dscal") {
-    linalg::dscal(ctx, 0.75, 1.5, y);
+    linalg::dscal(ctx, 0.75, 1.5, y.data(), row);
   } else if (kernel == "ddaxpy") {
-    linalg::ddaxpy(ctx, 1.5, x, 0.5, y, z);
+    linalg::ddaxpy(ctx, 1.5, x.data(), 0.5, y.data(), z.data(), row);
   } else if (kernel == "matvec") {
     // One stencil row per n elements plus the V2D evaluation overhead.
     std::vector<double> xg(n + 2, 1.0);
-    linalg::stencil_row(ctx, x, y, z, x, y, xg.data() + 1, x.data(), y.data(),
-                        z);
+    linalg::stencil_rows(ctx, x.data(), y.data(), z.data(), x.data(), y.data(),
+                         xg.data() + 1, x.data(), y.data(), z.data(), row);
     ctx.record_external(sim::OpClass::LoadContig,
                         n * linalg::kMatvecEvalDoublesRead,
                         n * linalg::kMatvecEvalDoublesRead * 8, 0);

@@ -25,11 +25,6 @@ const char* kernel_family_name(KernelFamily f) {
   return "?";
 }
 
-const sim::CodegenFactors& CodegenProfile::factors(KernelFamily f) const {
-  auto it = overrides_.find(f);
-  return it == overrides_.end() ? defaults_ : it->second;
-}
-
 CodegenProfile CodegenProfile::without_sve() const {
   CodegenProfile out = *this;
   out.name_ += " (no-SVE)";

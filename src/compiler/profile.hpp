@@ -9,7 +9,7 @@
 /// sim::CodegenFactors plus an MPI stack cost model.  Profiles are *pricing*
 /// inputs — the numerics never change across profiles.
 
-#include <map>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -56,27 +56,22 @@ struct MpiStackModel {
 /// A complete compiler configuration.
 class CodegenProfile {
 public:
+  /// Every family starts at `defaults`; set_family tunes one.
   CodegenProfile(std::string name, sim::ExecMode mode,
                  sim::CodegenFactors defaults, MpiStackModel mpi)
-      : name_(std::move(name)),
-        mode_(mode),
-        defaults_(defaults),
-        mpi_(std::move(mpi)) {}
+      : name_(std::move(name)), mode_(mode), mpi_(std::move(mpi)) {
+    families_.fill(defaults);
+  }
 
   const std::string& name() const { return name_; }
   sim::ExecMode mode() const { return mode_; }
   const MpiStackModel& mpi() const { return mpi_; }
 
-  /// Factors for a family (override if present, else defaults).
-  const sim::CodegenFactors& factors(KernelFamily f) const;
-
-  void set_family(KernelFamily f, sim::CodegenFactors factors) {
-    overrides_[f] = factors;
+  const sim::CodegenFactors& factors(KernelFamily f) const {
+    return families_[static_cast<std::size_t>(f)];
   }
-  sim::CodegenFactors& family(KernelFamily f) {
-    auto it = overrides_.find(f);
-    if (it == overrides_.end()) it = overrides_.emplace(f, defaults_).first;
-    return it->second;
+  void set_family(KernelFamily f, const sim::CodegenFactors& factors) {
+    families_[static_cast<std::size_t>(f)] = factors;
   }
 
   /// A copy of this profile with SVE disabled (scalar pricing), as produced
@@ -90,9 +85,8 @@ public:
 private:
   std::string name_;
   sim::ExecMode mode_;
-  sim::CodegenFactors defaults_;
   MpiStackModel mpi_;
-  std::map<KernelFamily, sim::CodegenFactors> overrides_;
+  std::array<sim::CodegenFactors, kNumKernelFamilies> families_;
 };
 
 /// Vendor presets (constants calibrated against the paper's own single-

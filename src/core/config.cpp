@@ -180,7 +180,9 @@ RunConfig RunConfig::from_options(const Options& opt) {
                  [&] { (void)compiler::find_profile(item); });
     c.compilers.push_back(item);
   }
-  V2D_REQUIRE(!c.compilers.empty(), "need at least one compiler profile");
+  check_option(opt, "compilers", [&] {
+    if (c.compilers.empty()) throw Error("need at least one compiler profile");
+  });
   c.vector_bits = opt.get_int<unsigned>("vector-bits");
   check_option(opt, "vector-bits",
                [&] { (void)vla::VectorArch(c.vector_bits); });

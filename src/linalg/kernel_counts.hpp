@@ -15,9 +15,11 @@
 /// mix across the full VL range and all tail predicates (empty, partial,
 /// full), and that no two shapes share a memo key.
 ///
-/// The fused composites of --fuse plan (src/linalg/fusion/) are shapes
-/// like any other: each records its interpreter row through run_tile under
-/// its own value after ProlongRow.
+/// Every kernel, whether primitive (kernels.cpp), multigrid
+/// (mg/mg_kernels.cpp) or fused composite (fusion/fused_exec.cpp), is an
+/// interpreter row, a V2D_SIMD_BODY body and one tile entry in one file;
+/// the tile entry hands the row and the body to run_tile under the
+/// kernel's own KernelShape.
 
 #include <cstdint>
 

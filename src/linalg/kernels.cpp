@@ -1,8 +1,8 @@
 #include "linalg/kernels.hpp"
 
 #include "linalg/kernel_counts.hpp"
-#include "linalg/kernels_native.hpp"
 #include "support/error.hpp"
+#include "support/simd.hpp"
 
 namespace v2d::linalg {
 
@@ -133,6 +133,103 @@ void coupling_row(Context& ctx, const double* csp, const double* xo, double* y,
   });
 }
 
+// --- native tile bodies -------------------------------------------------------
+
+V2D_SIMD_BODY double dprod_body(const double* x, const double* y,
+                                std::size_t n, unsigned vl) {
+  // Strip-wise accumulation: lane l of the accumulator register sums the
+  // elements with index ≡ l (mod VL), exactly like the interpreter's
+  // fma_merge chain, so the final lane-order reduce rounds identically.
+  double acc[vla::kMaxLanes] = {};
+  std::size_t i = 0;
+  for (; i + vl <= n; i += vl)
+    for (unsigned l = 0; l < vl; ++l) acc[l] = x[i + l] * y[i + l] + acc[l];
+  for (unsigned l = 0; i + l < n; ++l) acc[l] = x[i + l] * y[i + l] + acc[l];
+  double s = 0.0;
+  for (unsigned l = 0; l < vl; ++l) s += acc[l];
+  return s;
+}
+
+// Each tile body walks the rows, advancing every operand by the row
+// stride, around the row's streaming element loop.
+
+V2D_SIMD_BODY void daxpy_body(double a, const double* x, double* y, Tile t) {
+  for (std::size_t j = 0; j < t.nj; ++j, x += t.stride, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = x[i] * a + y[i];
+}
+
+V2D_SIMD_BODY void dscal_body(double c, double d, double* y, Tile t) {
+  const double md = -d;
+  for (std::size_t j = 0; j < t.nj; ++j, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = y[i] * md + c;
+}
+
+V2D_SIMD_BODY void ddaxpy_body(double a, const double* x, double b,
+                               const double* y, double* z, Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, x += t.stride, y += t.stride, z += t.stride) {
+    for (std::size_t i = 0; i < t.ni; ++i) {
+      const double s = x[i] * a + z[i];
+      z[i] = y[i] * b + s;
+    }
+  }
+}
+
+V2D_SIMD_BODY void xpby_body(const double* x, double b, double* y, Tile t) {
+  for (std::size_t j = 0; j < t.nj; ++j, x += t.stride, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = y[i] * b + x[i];
+}
+
+V2D_SIMD_BODY void copy_body(const double* x, double* y, Tile t) {
+  for (std::size_t j = 0; j < t.nj; ++j, x += t.stride, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = x[i];
+}
+
+V2D_SIMD_BODY void fill_body(double a, double* y, Tile t) {
+  for (std::size_t j = 0; j < t.nj; ++j, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = a;
+}
+
+V2D_SIMD_BODY void sub_body(const double* x, const double* y, double* z,
+                            Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, x += t.stride, y += t.stride, z += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) z[i] = x[i] - y[i];
+}
+
+V2D_SIMD_BODY void hadamard_body(const double* x, const double* y, double* z,
+                                 Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, x += t.stride, y += t.stride, z += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) z[i] = x[i] * y[i];
+}
+
+V2D_SIMD_BODY void stencil_body(const double* cc, const double* cw,
+                                const double* ce, const double* cs,
+                                const double* cn, const double* xc,
+                                const double* xs, const double* xn, double* y,
+                                Tile t) {
+  const auto ni = static_cast<std::ptrdiff_t>(t.ni);
+  for (std::size_t j = 0; j < t.nj; ++j) {
+    const std::ptrdiff_t o = t.offset(j);
+    for (std::ptrdiff_t i = o; i < o + ni; ++i) {
+      double acc = cc[i] * xc[i];
+      acc = cw[i] * xc[i - 1] + acc;
+      acc = ce[i] * xc[i + 1] + acc;
+      acc = cs[i] * xs[i] + acc;
+      acc = cn[i] * xn[i] + acc;
+      y[i] = acc;
+    }
+  }
+}
+
+V2D_SIMD_BODY void coupling_body(const double* csp, const double* xo,
+                                 double* y, Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, csp += t.stride, xo += t.stride, y += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) y[i] = csp[i] * xo[i] + y[i];
+}
+
 }  // namespace
 
 // --- tile entries ---------------------------------------------------------------
@@ -142,7 +239,8 @@ double dprod(Context& ctx, std::span<const double> x,
   V2D_REQUIRE(x.size() == y.size(), "dprod: length mismatch");
   if (!ctx.native()) return dprod_row(ctx, x.data(), y.data(), x.size());
   dprod_record_only(ctx, x.data(), y.data(), Tile::row(x.size()));
-  return native::dprod(x.data(), y.data(), x.size(), ctx.lanes());
+  return simd::dispatch<&dprod_body>(x.data(), y.data(), x.size(),
+                                     ctx.lanes());
 }
 
 void dprod_record_only(Context& ctx, const double* x, const double* y,
@@ -161,14 +259,14 @@ void daxpy(Context& ctx, double a, const double* x, double* y, Tile t) {
       [&](Context& c, std::size_t j) {
         daxpy_row(c, a, x + t.offset(j), y + t.offset(j), t.ni);
       },
-      [&] { native::daxpy(a, x, y, t); });
+      [&] { simd::dispatch<&daxpy_body>(a, x, y, t); });
 }
 
 void dscal(Context& ctx, double c, double d, double* y, Tile t) {
   run_tile(
       ctx, KernelShape::Dscal, t,
       [&](Context& v, std::size_t j) { dscal_row(v, c, d, y + t.offset(j), t.ni); },
-      [&] { native::dscal(c, d, y, t); });
+      [&] { simd::dispatch<&dscal_body>(c, d, y, t); });
 }
 
 void ddaxpy(Context& ctx, double a, const double* x, double b, const double* y,
@@ -179,7 +277,7 @@ void ddaxpy(Context& ctx, double a, const double* x, double b, const double* y,
         ddaxpy_row(c, a, x + t.offset(j), b, y + t.offset(j), z + t.offset(j),
                    t.ni);
       },
-      [&] { native::ddaxpy(a, x, b, y, z, t); });
+      [&] { simd::dispatch<&ddaxpy_body>(a, x, b, y, z, t); });
 }
 
 void xpby(Context& ctx, const double* x, double b, double* y, Tile t) {
@@ -188,7 +286,7 @@ void xpby(Context& ctx, const double* x, double b, double* y, Tile t) {
       [&](Context& c, std::size_t j) {
         xpby_row(c, x + t.offset(j), b, y + t.offset(j), t.ni);
       },
-      [&] { native::xpby(x, b, y, t); });
+      [&] { simd::dispatch<&xpby_body>(x, b, y, t); });
 }
 
 void copy(Context& ctx, const double* x, double* y, Tile t) {
@@ -197,14 +295,14 @@ void copy(Context& ctx, const double* x, double* y, Tile t) {
       [&](Context& c, std::size_t j) {
         copy_row(c, x + t.offset(j), y + t.offset(j), t.ni);
       },
-      [&] { native::copy(x, y, t); });
+      [&] { simd::dispatch<&copy_body>(x, y, t); });
 }
 
 void fill(Context& ctx, double a, double* y, Tile t) {
   run_tile(
       ctx, KernelShape::Fill, t,
       [&](Context& c, std::size_t j) { fill_row(c, a, y + t.offset(j), t.ni); },
-      [&] { native::fill(a, y, t); });
+      [&] { simd::dispatch<&fill_body>(a, y, t); });
 }
 
 void sub(Context& ctx, const double* x, const double* y, double* z, Tile t) {
@@ -213,7 +311,7 @@ void sub(Context& ctx, const double* x, const double* y, double* z, Tile t) {
       [&](Context& c, std::size_t j) {
         sub_row(c, x + t.offset(j), y + t.offset(j), z + t.offset(j), t.ni);
       },
-      [&] { native::sub(x, y, z, t); });
+      [&] { simd::dispatch<&sub_body>(x, y, z, t); });
 }
 
 void hadamard(Context& ctx, const double* x, const double* y, double* z,
@@ -224,7 +322,7 @@ void hadamard(Context& ctx, const double* x, const double* y, double* z,
         hadamard_row(c, x + t.offset(j), y + t.offset(j), z + t.offset(j),
                      t.ni);
       },
-      [&] { native::hadamard(x, y, z, t); });
+      [&] { simd::dispatch<&hadamard_body>(x, y, z, t); });
 }
 
 void stencil_rows(Context& ctx, const double* cc, const double* cw,
@@ -238,7 +336,9 @@ void stencil_rows(Context& ctx, const double* cc, const double* cw,
         stencil_row(c, cc + o, cw + o, ce + o, cs + o, cn + o, xc + o, xs + o,
                     xn + o, y + o, t.ni);
       },
-      [&] { native::stencil(cc, cw, ce, cs, cn, xc, xs, xn, y, t); });
+      [&] {
+        simd::dispatch<&stencil_body>(cc, cw, ce, cs, cn, xc, xs, xn, y, t);
+      });
 }
 
 void coupling_rows(Context& ctx, const double* csp, const double* xo,
@@ -249,7 +349,7 @@ void coupling_rows(Context& ctx, const double* csp, const double* xo,
         const std::ptrdiff_t o = t.offset(j);
         coupling_row(c, csp + o, xo + o, y + o, t.ni);
       },
-      [&] { native::coupling(csp, xo, y, t); });
+      [&] { simd::dispatch<&coupling_body>(csp, xo, y, t); });
 }
 
 }  // namespace v2d::linalg

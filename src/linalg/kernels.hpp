@@ -10,21 +10,24 @@
 ///   DDAXPY  — z ← a·x + b·y + z
 /// plus the small helpers the BiCGSTAB restructuring needs (XPBY, COPY).
 ///
-/// Every kernel is written once against the VLA layer in the canonical
-/// whilelt strip-mined form, as one interpreter row; the vla::Context both
-/// computes the result and records the instruction stream for pricing.
-/// Each kernel has one entry point, the tile entry: base pointers and a
-/// Tile (nj rows of ni elements at a row stride; see tile.hpp).  The
-/// interpreter runs it row by row.  The native path records the tile once
-/// (nj × the row's memoized recording) and runs one dispatched body with
-/// the row loop inside (kernels_native.hpp).  The span overloads are row
-/// calls: the tile entry with nj = 1.  Operands must not alias except
-/// where a parameter is explicitly an in/out vector.
+/// Every kernel is written once, in kernels.cpp, as an interpreter row, a
+/// native body and one tile entry.  The row runs the canonical whilelt
+/// strip-mined loop through the VLA layer, whose vla::Context both computes
+/// the result and records the instruction stream for pricing.  The body is
+/// a V2D_SIMD_BODY loop nest over a whole tile that evaluates the row's
+/// per-element expressions in the same order, run at the host's vector
+/// width (support/simd.hpp).  The tile entry takes base pointers and a
+/// Tile (nj rows of ni elements at a row stride; see tile.hpp): the
+/// interpreter runs the row nj times, and the native path records the tile
+/// once (nj × the row's memoized recording, kernel_counts.hpp) and runs
+/// the body.  A row call is the tile entry with Tile::row(n).  DPROD, the
+/// plain strip-wise dot, is the one entry that takes spans and returns a
+/// value.  Operands must not alias except where a parameter is explicitly
+/// an in/out vector.
 
 #include <span>
 
 #include "linalg/tile.hpp"
-#include "support/error.hpp"
 #include "vla/loops.hpp"
 #include "vla/vla.hpp"
 
@@ -83,73 +86,5 @@ void stencil_rows(vla::Context& ctx, const double* cc, const double* cw,
 /// Species-coupling rank-one add: y ← y + csp ⊙ xo (other species' vector).
 void coupling_rows(vla::Context& ctx, const double* csp, const double* xo,
                    double* y, Tile t);
-
-// --- row calls: the tile entries with nj = 1 ---------------------------------
-
-inline void daxpy(vla::Context& ctx, double a, std::span<const double> x,
-                  std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "daxpy: length mismatch");
-  daxpy(ctx, a, x.data(), y.data(), Tile::row(y.size()));
-}
-
-inline void dscal(vla::Context& ctx, double c, double d, std::span<double> y) {
-  dscal(ctx, c, d, y.data(), Tile::row(y.size()));
-}
-
-inline void ddaxpy(vla::Context& ctx, double a, std::span<const double> x,
-                   double b, std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "ddaxpy: length mismatch");
-  ddaxpy(ctx, a, x.data(), b, y.data(), z.data(), Tile::row(z.size()));
-}
-
-inline void xpby(vla::Context& ctx, std::span<const double> x, double b,
-                 std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "xpby: length mismatch");
-  xpby(ctx, x.data(), b, y.data(), Tile::row(y.size()));
-}
-
-inline void copy(vla::Context& ctx, std::span<const double> x,
-                 std::span<double> y) {
-  V2D_REQUIRE(x.size() == y.size(), "copy: length mismatch");
-  copy(ctx, x.data(), y.data(), Tile::row(y.size()));
-}
-
-inline void fill(vla::Context& ctx, double a, std::span<double> y) {
-  fill(ctx, a, y.data(), Tile::row(y.size()));
-}
-
-inline void sub(vla::Context& ctx, std::span<const double> x,
-                std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "sub: length mismatch");
-  sub(ctx, x.data(), y.data(), z.data(), Tile::row(z.size()));
-}
-
-inline void hadamard(vla::Context& ctx, std::span<const double> x,
-                     std::span<const double> y, std::span<double> z) {
-  V2D_REQUIRE(x.size() == y.size() && y.size() == z.size(),
-              "hadamard: length mismatch");
-  hadamard(ctx, x.data(), y.data(), z.data(), Tile::row(z.size()));
-}
-
-inline void stencil_row(vla::Context& ctx, std::span<const double> cc,
-                        std::span<const double> cw, std::span<const double> ce,
-                        std::span<const double> cs, std::span<const double> cn,
-                        const double* xc, const double* xs, const double* xn,
-                        std::span<double> y) {
-  const std::size_t n = y.size();
-  V2D_REQUIRE(cc.size() == n && cw.size() == n && ce.size() == n &&
-                  cs.size() == n && cn.size() == n,
-              "stencil_row: coefficient length mismatch");
-  stencil_rows(ctx, cc.data(), cw.data(), ce.data(), cs.data(), cn.data(), xc,
-               xs, xn, y.data(), Tile::row(n));
-}
-
-inline void coupling_row(vla::Context& ctx, std::span<const double> csp,
-                         const double* xo, std::span<double> y) {
-  V2D_REQUIRE(csp.size() == y.size(), "coupling_row: length mismatch");
-  coupling_rows(ctx, csp.data(), xo, y.data(), Tile::row(y.size()));
-}
 
 }  // namespace v2d::linalg

@@ -156,6 +156,8 @@ void check_options(const MgOptions& opt) {
                 "unsmoothed coarse correction is singular)");
   if (!(opt.jacobi_omega > 0.0)) fail("mg-omega", "> 0", opt.jacobi_omega);
   if (!(opt.cheb_boost > 1.0)) fail("mg-cheb-boost", "> 1", opt.cheb_boost);
+  if (opt.max_direct_zones < 1)
+    fail("mg-max-direct-zones", ">= 1", opt.max_direct_zones);
   try {
     (void)make_smoother(opt);  // the smoother catalog
   } catch (const Error& e) {

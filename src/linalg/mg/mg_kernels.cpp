@@ -1,7 +1,7 @@
 #include "linalg/mg/mg_kernels.hpp"
 
 #include "linalg/kernel_counts.hpp"
-#include "linalg/kernels_native.hpp"
+#include "support/simd.hpp"
 #include "vla/loops.hpp"
 
 namespace v2d::linalg::mg {
@@ -78,6 +78,77 @@ void prolong_row_add(vla::Context& ctx, const double* cnear,
   });
 }
 
+// --- native tile bodies -------------------------------------------------------
+
+V2D_SIMD_BODY void diag_correct_body(double omega, const double* d,
+                                     const double* r, double* x, Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, d += t.stride, r += t.stride, x += t.stride) {
+    for (std::size_t i = 0; i < t.ni; ++i) {
+      const double s = d[i] * r[i];
+      x[i] = omega * s + x[i];
+    }
+  }
+}
+
+V2D_SIMD_BODY void diag_scale_body(double omega, const double* d,
+                                   const double* r, double* z, Tile t) {
+  for (std::size_t j = 0; j < t.nj;
+       ++j, d += t.stride, r += t.stride, z += t.stride)
+    for (std::size_t i = 0; i < t.ni; ++i) z[i] = omega * (d[i] * r[i]);
+}
+
+V2D_SIMD_BODY void restrict_body(const double* const* fine,
+                                 std::ptrdiff_t fine_step,
+                                 const std::int64_t* fm1,
+                                 const std::int64_t* f0,
+                                 const std::int64_t* f1,
+                                 const std::int64_t* f2, double* coarse,
+                                 Tile t) {
+  constexpr double kQ = 0.25, kT = 0.75;
+  constexpr double wj[4] = {0.25, 0.75, 0.75, 0.25};
+  for (std::size_t j = 0; j < t.nj; ++j, coarse += t.stride) {
+    const std::ptrdiff_t fo = static_cast<std::ptrdiff_t>(j) * fine_step;
+    for (std::size_t c = 0; c < t.ni; ++c) {
+      double acc = 0.0;
+      for (int dj = 0; dj < 4; ++dj) {
+        const double* frow = fine[dj] + fo;
+        // Row value 1/4·a + 3/4·b + 3/4·c + 1/4·d in the interpreter's
+        // association order (mul, then three chained FMAs).
+        double row = kQ * frow[fm1[c]];
+        row = kT * frow[f0[c]] + row;
+        row = kT * frow[f1[c]] + row;
+        row = kQ * frow[f2[c]] + row;
+        acc = (0.25 * wj[dj]) * row + acc;
+      }
+      coarse[c] = acc;
+    }
+  }
+}
+
+V2D_SIMD_BODY void prolong_add_body(const double* coarse,
+                                    std::ptrdiff_t coarse_stride,
+                                    const std::int64_t* near,
+                                    const std::int64_t* far, double* fine,
+                                    Tile t) {
+  constexpr double kQ = 0.25, kT = 0.75;
+  for (std::size_t j = 0; j < t.nj; ++j, fine += t.stride) {
+    const double* cnear =
+        coarse + static_cast<std::ptrdiff_t>(j / 2) * coarse_stride;
+    const double* cfar = cnear + ((j & 1) ? coarse_stride : -coarse_stride);
+    for (std::size_t f = 0; f < t.ni; ++f) {
+      double rn = kT * cnear[near[f]];
+      rn = kQ * cnear[far[f]] + rn;
+      double rf = kT * cfar[near[f]];
+      rf = kQ * cfar[far[f]] + rf;
+      double y = fine[f];
+      y = kT * rn + y;
+      y = kQ * rf + y;
+      fine[f] = y;
+    }
+  }
+}
+
 }  // namespace
 
 // --- tile entries ---------------------------------------------------------------
@@ -90,7 +161,7 @@ void diag_correct_rows(vla::Context& ctx, double omega, const double* d,
         const std::ptrdiff_t o = t.offset(j);
         diag_correct_row(c, omega, d + o, r + o, x + o, t.ni);
       },
-      [&] { native::diag_correct(omega, d, r, x, t); });
+      [&] { simd::dispatch<&diag_correct_body>(omega, d, r, x, t); });
 }
 
 void diag_scale_rows(vla::Context& ctx, double omega, const double* d,
@@ -101,7 +172,7 @@ void diag_scale_rows(vla::Context& ctx, double omega, const double* d,
         const std::ptrdiff_t o = t.offset(j);
         diag_scale_row(c, omega, d + o, r + o, z + o, t.ni);
       },
-      [&] { native::diag_scale(omega, d, r, z, t); });
+      [&] { simd::dispatch<&diag_scale_body>(omega, d, r, z, t); });
 }
 
 void restrict_rows(vla::Context& ctx, const double* const fine[4],
@@ -116,8 +187,9 @@ void restrict_rows(vla::Context& ctx, const double* const fine[4],
         restrict_row(c, rows, tab, coarse + t.offset(j), t.ni);
       },
       [&] {
-        native::restrict_rows(fine, fine_step, tab.fm1.data(), tab.f0.data(),
-                              tab.f1.data(), tab.f2.data(), coarse, t);
+        simd::dispatch<&restrict_body>(fine, fine_step, tab.fm1.data(),
+                                       tab.f0.data(), tab.f1.data(),
+                                       tab.f2.data(), coarse, t);
       });
 }
 
@@ -134,8 +206,9 @@ void prolong_rows_add(vla::Context& ctx, const double* coarse,
         prolong_row_add(c, cnear, cfar, tab, fine + t.offset(j), t.ni);
       },
       [&] {
-        native::prolong_rows_add(coarse, coarse_stride, tab.near.data(),
-                                 tab.far.data(), fine, t);
+        simd::dispatch<&prolong_add_body>(coarse, coarse_stride,
+                                          tab.near.data(), tab.far.data(),
+                                          fine, t);
       });
 }
 

@@ -3,18 +3,18 @@
 /// \brief Multigrid tile kernels with interpreter and native paths.
 ///
 /// The smoother's diagonal sweeps and the inter-grid transfers are hot
-/// enough inside a V-cycle to need the same dual-mode treatment as the
-/// Table II kernels: each is one tile entry (linalg::Tile) that in
-/// VlaExecMode::Interpret runs its predicated whilelt row through the
-/// vla::Context row by row, and in VlaExecMode::Native records the tile
-/// once (nj × the row's memoized dry run, kernel_counts.hpp) and runs one
-/// raw-pointer body with the row loop inside (kernels_native.hpp).
+/// enough inside a V-cycle to be written like the Table II kernels
+/// (kernels.hpp): each is an interpreter row, a native body and one tile
+/// entry in mg_kernels.cpp.  In VlaExecMode::Interpret the entry runs the
+/// predicated whilelt row through the vla::Context row by row; in
+/// VlaExecMode::Native it records the tile once (nj × the row's memoized
+/// dry run, kernel_counts.hpp) and runs the V2D_SIMD_BODY body with the
+/// row loop inside.  A row call is the tile entry with Tile::row(n).
 
 #include <cstdint>
 #include <span>
 
 #include "linalg/tile.hpp"
-#include "support/error.hpp"
 #include "vla/vla.hpp"
 
 namespace v2d::linalg::mg {
@@ -48,25 +48,5 @@ void restrict_rows(vla::Context& ctx, const double* const fine[4],
 void prolong_rows_add(vla::Context& ctx, const double* coarse,
                       std::ptrdiff_t coarse_stride, const TransferTables& tab,
                       double* fine, Tile t);
-
-// --- row calls: the tile entries with nj = 1 ---------------------------------
-
-inline void diag_correct_row(vla::Context& ctx, double omega,
-                             std::span<const double> d,
-                             std::span<const double> r, std::span<double> x) {
-  V2D_REQUIRE(d.size() == x.size() && r.size() == x.size(),
-              "diag_correct_row: length mismatch");
-  diag_correct_rows(ctx, omega, d.data(), r.data(), x.data(),
-                    Tile::row(x.size()));
-}
-
-inline void diag_scale_row(vla::Context& ctx, double omega,
-                           std::span<const double> d,
-                           std::span<const double> r, std::span<double> z) {
-  V2D_REQUIRE(d.size() == z.size() && r.size() == z.size(),
-              "diag_scale_row: length mismatch");
-  diag_scale_rows(ctx, omega, d.data(), r.data(), z.data(),
-                  Tile::row(z.size()));
-}
 
 }  // namespace v2d::linalg::mg

@@ -73,7 +73,9 @@ void expect_each_rejected(const std::vector<std::vector<const char*>>& cases) {
 /// is a count below its floor: a negative count whose zero has a meaning
 /// (`--steps -1` used to run zero steps and pass), and a zero or negative
 /// one that must count something (`--ns -1` used to end in a failed
-/// allocation, `--nx1 0` or `--max-iter 0` deep in the library).  A host
+/// allocation, `--nx1 0` or `--max-iter 0` deep in the library,
+/// `--mg-max-direct-zones -5` nowhere under SPAI(0) and as "coarsening
+/// stalled" at the first multigrid build).  A host
 /// thread count above the pool's bound is rejected before any pool exists
 /// (`--host-threads 100000000` used to abort while starting threads).
 TEST(Config, OutOfRangeIntegersThrow) {
@@ -101,6 +103,8 @@ TEST(Config, OutOfRangeIntegersThrow) {
       {"--mg-nu-pre", "-1"},
       {"--mg-nu-post", "-2"},
       {"--mg-nu-pre", "0", "--mg-nu-post", "0"},
+      {"--mg-max-direct-zones", "0"},
+      {"--mg-max-direct-zones", "-5"},
   });
 }
 
@@ -111,8 +115,9 @@ TEST(Config, OutOfRangeIntegersThrow) {
 /// preconditioner kinds and the multigrid smoother catalog.  Before, each
 /// failed only inside the library when a session was built (a bare
 /// `requirement failed` naming no option), and `--mg-smoother nope` under
-/// the default SPAI(0) preconditioner ran to exit 0.  Every message names
-/// the option and its value.
+/// the default SPAI(0) preconditioner ran to exit 0.  An empty
+/// `--compilers` list failed the same bare way.  Every message names the
+/// option and its value.
 TEST(Config, ValuesOutsideALibraryBoundThrow) {
   expect_each_rejected({
       {"--vector-bits", "100"},
@@ -123,6 +128,8 @@ TEST(Config, ValuesOutsideALibraryBoundThrow) {
       {"--nprx1", "65", "--nx1", "64"},
       {"--compilers", "nope"},
       {"--compilers", "gnu,nope"},
+      {"--compilers", ","},
+      {"--compilers", ""},
       {"--precond", "nope"},
       {"--mg-smoother", "nope"},
       {"--mg-smoother", "nope", "--precond", "mg"},

@@ -98,6 +98,7 @@ protected:
       default: return 257;
     }
   }
+  Tile row() const { return Tile::row(n()); }
   Context interp_ctx() const {
     return Context(VectorArch(bits()), VlaExecMode::Interpret);
   }
@@ -112,8 +113,10 @@ TEST_P(FusedKernelSweep, Daxpy2) {
   auto xi = random_vec(n(), rng), xn = xi;
   auto ri = random_vec(n(), rng), rn = ri;
   Context ci = interp_ctx(), cx = native_ctx();
-  fusion::daxpy2(ci, 0.7, p, xi, -0.7, q, ri);
-  fusion::daxpy2(cx, 0.7, p, xn, -0.7, q, rn);
+  fusion::daxpy2(ci, 0.7, p.data(), xi.data(), -0.7, q.data(), ri.data(),
+                 row());
+  fusion::daxpy2(cx, 0.7, p.data(), xn.data(), -0.7, q.data(), rn.data(),
+                 row());
   expect_bits_equal(xi, xn);
   expect_bits_equal(ri, rn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -124,8 +127,8 @@ TEST_P(FusedKernelSweep, AxpyOut) {
   const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
-  fusion::axpy_out(ci, x, -1.3, y, zi);
-  fusion::axpy_out(cx, x, -1.3, y, zn);
+  fusion::axpy_out(ci, x.data(), -1.3, y.data(), zi.data(), row());
+  fusion::axpy_out(cx, x.data(), -1.3, y.data(), zn.data(), row());
   expect_bits_equal(zi, zn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -135,8 +138,8 @@ TEST_P(FusedKernelSweep, PUpdate) {
   const auto r = random_vec(n(), rng), v = random_vec(n(), rng);
   auto pi = random_vec(n(), rng), pn = pi;
   Context ci = interp_ctx(), cx = native_ctx();
-  fusion::p_update(ci, r, 0.8, 0.45, v, pi);
-  fusion::p_update(cx, r, 0.8, 0.45, v, pn);
+  fusion::p_update(ci, r.data(), 0.8, 0.45, v.data(), pi.data(), row());
+  fusion::p_update(cx, r.data(), 0.8, 0.45, v.data(), pn.data(), row());
   expect_bits_equal(pi, pn);
   expect_counts_equal(ci.take_counts(), cx.take_counts());
 }
@@ -147,8 +150,8 @@ TEST_P(FusedKernelSweep, HadamardDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   ExactSum rzi, rri, rzn, rrn;
-  fusion::hadamard_dot2(ci, m, r, zi, rzi, rri);
-  fusion::hadamard_dot2(cx, m, r, zn, rzn, rrn);
+  fusion::hadamard_dot2(ci, m.data(), r.data(), zi.data(), rzi, rri, row());
+  fusion::hadamard_dot2(cx, m.data(), r.data(), zn.data(), rzn, rrn, row());
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
   EXPECT_EQ(rri.value(), rrn.value());
@@ -162,8 +165,10 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   std::vector<double> zi(n()), zn(n());
   Context ci = interp_ctx(), cx = native_ctx();
   ExactSum rzi, rri, rzn, rrn;
-  fusion::hadamard_update_dot2(ci, m, -0.6, q, ri, zi, rzi, rri);
-  fusion::hadamard_update_dot2(cx, m, -0.6, q, rn, zn, rzn, rrn);
+  fusion::hadamard_update_dot2(ci, m.data(), -0.6, q.data(), ri.data(),
+                               zi.data(), rzi, rri, row());
+  fusion::hadamard_update_dot2(cx, m.data(), -0.6, q.data(), rn.data(),
+                               zn.data(), rzn, rrn, row());
   expect_bits_equal(ri, rn);
   expect_bits_equal(zi, zn);
   EXPECT_EQ(rzi.value(), rzn.value());
@@ -177,9 +182,10 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
   auto r_ref = rr2, r_fused = rr2;
   std::vector<double> z_ref(n()), z_fused(n());
   ExactSum rz_f, rr_f;
-  fusion::hadamard_update_dot2(cx, m, -0.6, q, r_fused, z_fused, rz_f, rr_f);
-  daxpy(plain, -0.6, q, r_ref);
-  hadamard(plain, m, r_ref, z_ref);
+  fusion::hadamard_update_dot2(cx, m.data(), -0.6, q.data(), r_fused.data(),
+                               z_fused.data(), rz_f, rr_f, row());
+  daxpy(plain, -0.6, q.data(), r_ref.data(), row());
+  hadamard(plain, m.data(), r_ref.data(), z_ref.data(), row());
   expect_bits_equal(r_fused, r_ref);
   expect_bits_equal(z_fused, z_ref);
   ExactSum rz_ref, rr_ref;
@@ -196,7 +202,7 @@ TEST_P(FusedKernelSweep, HadamardUpdateDot2) {
 /// Shared operands for the stencil composites; xc has a ghost each side.
 /// Buffers are padded by one element so .data() stays non-null at n = 0
 /// (tile rows are never empty in production, but the kernels' empty-loop
-/// behaviour is still pinned); spans are built at the true length.
+/// behaviour is still pinned); each call runs over Tile::row(n).
 struct StencilOperands {
   std::size_t n;
   std::vector<double> cc, cw, ce, cs, cn, csp, xc, xs, xn, xo, b, w;
@@ -215,10 +221,6 @@ struct StencilOperands {
         xo(random_vec(n + 1, rng)),
         b(random_vec(n + 1, rng)),
         w(random_vec(n + 1, rng)) {}
-
-  std::span<const double> s(const std::vector<double>& v) const {
-    return {v.data(), n};
-  }
 };
 
 TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
@@ -232,14 +234,14 @@ TEST_P(FusedKernelSweep, StencilDotSelfAndOther) {
       const double* csp = coupled ? op.csp.data() : nullptr;
       const double* xo = coupled ? op.xo.data() : nullptr;
       const double* wi = self ? op.xc.data() + 1 : op.w.data();
-      fusion::stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                                op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                                op.xs.data(), op.xn.data(), csp, xo, nullptr,
-                                wi, &di, yi);
-      fusion::stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                                op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                                op.xs.data(), op.xn.data(), csp, xo, nullptr,
-                                wi, &dn, yn);
+      fusion::stencil_rows_fused(ci, op.cc.data(), op.cw.data(), op.ce.data(),
+                                 op.cs.data(), op.cn.data(), op.xc.data() + 1,
+                                 op.xs.data(), op.xn.data(), csp, xo, nullptr,
+                                 wi, &di, yi.data(), row());
+      fusion::stencil_rows_fused(cx, op.cc.data(), op.cw.data(), op.ce.data(),
+                                 op.cs.data(), op.cn.data(), op.xc.data() + 1,
+                                 op.xs.data(), op.xn.data(), csp, xo, nullptr,
+                                 wi, &dn, yn.data(), row());
       expect_bits_equal(yi, yn);
       EXPECT_EQ(di.value(), dn.value());
       expect_counts_equal(ci.take_counts(), cx.take_counts());
@@ -255,14 +257,14 @@ TEST_P(FusedKernelSweep, StencilSub) {
     Context ci = interp_ctx(), cx = native_ctx();
     const double* csp = coupled ? op.csp.data() : nullptr;
     const double* xo = coupled ? op.xo.data() : nullptr;
-    fusion::stencil_row_fused(ci, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                              op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                              op.xs.data(), op.xn.data(), csp, xo,
-                              op.b.data(), nullptr, nullptr, ri);
-    fusion::stencil_row_fused(cx, op.s(op.cc), op.s(op.cw), op.s(op.ce),
-                              op.s(op.cs), op.s(op.cn), op.xc.data() + 1,
-                              op.xs.data(), op.xn.data(), csp, xo,
-                              op.b.data(), nullptr, nullptr, rn);
+    fusion::stencil_rows_fused(ci, op.cc.data(), op.cw.data(), op.ce.data(),
+                               op.cs.data(), op.cn.data(), op.xc.data() + 1,
+                               op.xs.data(), op.xn.data(), csp, xo,
+                               op.b.data(), nullptr, nullptr, ri.data(), row());
+    fusion::stencil_rows_fused(cx, op.cc.data(), op.cw.data(), op.ce.data(),
+                               op.cs.data(), op.cn.data(), op.xc.data() + 1,
+                               op.xs.data(), op.xn.data(), csp, xo,
+                               op.b.data(), nullptr, nullptr, rn.data(), row());
     expect_bits_equal(ri, rn);
     expect_counts_equal(ci.take_counts(), cx.take_counts());
   }
@@ -274,42 +276,43 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   Rng rng(37);
   StencilOperands op(n(), rng);
   Context fused = native_ctx(), plain = native_ctx();
-  const auto cc = op.s(op.cc), cw = op.s(op.cw), ce = op.s(op.ce),
-             cs = op.s(op.cs), cn = op.s(op.cn), b = op.s(op.b),
-             w = op.s(op.w);
+  const double *cc = op.cc.data(), *cw = op.cw.data(), *ce = op.ce.data(),
+               *cs = op.cs.data(), *cn = op.cn.data(), *b = op.b.data(),
+               *w = op.w.data();
+  const Tile t = row();
 
   // DAXPY₂ == DAXPY ; DAXPY.
   {
-    std::vector<double> xf(b.begin(), b.end()), xr = xf;
-    std::vector<double> rf(w.begin(), w.end()), rr = rf;
-    fusion::daxpy2(fused, 0.9, cc, xf, -0.9, cw, rf);
-    daxpy(plain, 0.9, cc, xr);
-    daxpy(plain, -0.9, cw, rr);
+    std::vector<double> xf(b, b + n()), xr = xf;
+    std::vector<double> rf(w, w + n()), rr = rf;
+    fusion::daxpy2(fused, 0.9, cc, xf.data(), -0.9, cw, rf.data(), t);
+    daxpy(plain, 0.9, cc, xr.data(), t);
+    daxpy(plain, -0.9, cw, rr.data(), t);
     expect_bits_equal(xf, xr);
     expect_bits_equal(rf, rr);
   }
   // AxpyOut == COPY ; DAXPY.
   {
     std::vector<double> zf(n()), zr(n());
-    fusion::axpy_out(fused, cc, -0.4, cw, zf);
-    copy(plain, cc, zr);
-    daxpy(plain, -0.4, cw, zr);
+    fusion::axpy_out(fused, cc, -0.4, cw, zf.data(), t);
+    copy(plain, cc, zr.data(), t);
+    daxpy(plain, -0.4, cw, zr.data(), t);
     expect_bits_equal(zf, zr);
   }
   // PUpdate == DAXPY ; XPBY.
   {
-    std::vector<double> pf(cs.begin(), cs.end()), pr = pf;
-    fusion::p_update(fused, cc, 1.7, 0.3, cw, pf);
-    daxpy(plain, -0.3, cw, pr);
-    xpby(plain, cc, 1.7, pr);
+    std::vector<double> pf(cs, cs + n()), pr = pf;
+    fusion::p_update(fused, cc, 1.7, 0.3, cw, pf.data(), t);
+    daxpy(plain, -0.3, cw, pr.data(), t);
+    xpby(plain, cc, 1.7, pr.data(), t);
     expect_bits_equal(pf, pr);
   }
   // HadamardDot2 == HADAMARD ; exact {z·r, r·r}.
   {
     std::vector<double> zf(n()), zr(n());
     ExactSum rz, rr2;
-    fusion::hadamard_dot2(fused, cc, cw, zf, rz, rr2);
-    hadamard(plain, cc, cw, zr);
+    fusion::hadamard_dot2(fused, cc, cw, zf.data(), rz, rr2, t);
+    hadamard(plain, cc, cw, zr.data(), t);
     expect_bits_equal(zf, zr);
     ExactSum rz_ref, rr_ref;
     for (std::size_t i = 0; i < n(); ++i) {
@@ -322,26 +325,27 @@ TEST_P(FusedKernelSweep, CompositesMatchUnfusedChains) {
   // Fused residual == STENCIL ; SUB  (uncoupled and coupled).
   for (const bool coupled : {false, true}) {
     std::vector<double> rf(n()), qr(n()), rr3(n());
-    fusion::stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                              op.xs.data(), op.xn.data(),
-                              coupled ? op.csp.data() : nullptr,
-                              coupled ? op.xo.data() : nullptr, op.b.data(),
-                              nullptr, nullptr, rf);
-    stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
-                op.xn.data(), qr);
-    if (coupled) coupling_row(plain, op.s(op.csp), op.xo.data(), qr);
-    sub(plain, b, qr, rr3);
+    fusion::stencil_rows_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
+                               op.xs.data(), op.xn.data(),
+                               coupled ? op.csp.data() : nullptr,
+                               coupled ? op.xo.data() : nullptr, b, nullptr,
+                               nullptr, rf.data(), t);
+    stencil_rows(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
+                 op.xn.data(), qr.data(), t);
+    if (coupled)
+      coupling_rows(plain, op.csp.data(), op.xo.data(), qr.data(), t);
+    sub(plain, b, qr.data(), rr3.data(), t);
     expect_bits_equal(rf, rr3);
   }
   // Fused MATVEC+DPROD == STENCIL ; exact w·y.
   {
     std::vector<double> yf(n()), yr(n());
     ExactSum df;
-    fusion::stencil_row_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
-                              op.xs.data(), op.xn.data(), nullptr, nullptr,
-                              nullptr, op.w.data(), &df, yf);
-    stencil_row(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
-                op.xn.data(), yr);
+    fusion::stencil_rows_fused(fused, cc, cw, ce, cs, cn, op.xc.data() + 1,
+                               op.xs.data(), op.xn.data(), nullptr, nullptr,
+                               nullptr, w, &df, yf.data(), t);
+    stencil_rows(plain, cc, cw, ce, cs, cn, op.xc.data() + 1, op.xs.data(),
+                 op.xn.data(), yr.data(), t);
     expect_bits_equal(yf, yr);
     ExactSum dr;
     for (std::size_t i = 0; i < n(); ++i) dr.add(w[i] * yr[i]);
@@ -621,22 +625,23 @@ TEST(MemoCache, CountersTrackHitsAndMisses) {
   EXPECT_EQ(ctx.memo_hits(), 0u);
   EXPECT_EQ(ctx.memo_misses(), 0u);
   std::vector<double> x(100, 1.0), y(100, 2.0);
-  daxpy(ctx, 2.0, x, y);
+  const Tile row = Tile::row(100);
+  daxpy(ctx, 2.0, x.data(), y.data(), row);
   EXPECT_EQ(ctx.memo_misses(), 1u);
   EXPECT_EQ(ctx.memo_hits(), 0u);
-  for (int i = 0; i < 5; ++i) daxpy(ctx, 2.0, x, y);
+  for (int i = 0; i < 5; ++i) daxpy(ctx, 2.0, x.data(), y.data(), row);
   EXPECT_EQ(ctx.memo_misses(), 1u);
   EXPECT_EQ(ctx.memo_hits(), 5u);
   // Forks share the fork family's counters; a fork's hits become visible
   // when it flushes its recording.
   Context child = ctx.fork();
-  daxpy(child, 2.0, x, y);
+  daxpy(child, 2.0, x.data(), y.data(), row);
   (void)ctx.take_counts();
   (void)child.take_counts();
   EXPECT_EQ(ctx.memo_hits(), 6u);
 
   const auto before = perfmon::MemoCacheStats::of(ctx);
-  daxpy(ctx, 2.0, x, y);
+  daxpy(ctx, 2.0, x.data(), y.data(), row);
   (void)ctx.take_counts();
   const auto delta = perfmon::MemoCacheStats::of(ctx).since(before);
   EXPECT_EQ(delta.hits, 1u);
@@ -653,7 +658,7 @@ TEST(MemoCache, CountersTrackHitsAndMisses) {
 TEST(MemoCache, InterpretModeNeverProbes) {
   Context ctx(VectorArch(512), VlaExecMode::Interpret);
   std::vector<double> x(64, 1.0), y(64, 2.0);
-  daxpy(ctx, 2.0, x, y);
+  daxpy(ctx, 2.0, x.data(), y.data(), Tile::row(64));
   (void)ctx.take_counts();
   EXPECT_EQ(ctx.memo_hits() + ctx.memo_misses(), 0u);
 }

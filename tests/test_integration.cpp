@@ -187,7 +187,7 @@ TEST(PaperShapes, VlaSweepLongerVectorsFasterComputeBound) {
   for (unsigned bits : {128u, 256u, 512u, 1024u, 2048u}) {
     vla::Context ctx{vla::VectorArch(bits)};
     std::vector<double> x(4096, 1.0), y(4096, 2.0);
-    linalg::daxpy(ctx, 1.5, x, y);
+    linalg::daxpy(ctx, 1.5, x.data(), y.data(), linalg::Tile::row(4096));
     const auto counts = ctx.take_counts();
     const double cycles =
         cm.compute_cycles(counts, sim::ExecMode::SVE, f);

@@ -43,7 +43,7 @@ TEST_P(KernelSweep, Daxpy) {
   const auto x = random_vec(n(), rng);
   auto y = random_vec(n(), rng);
   const auto y0 = y;
-  daxpy(ctx, 1.7, x, y);
+  daxpy(ctx, 1.7, x.data(), y.data(), Tile::row(n()));
   for (std::size_t i = 0; i < n(); ++i)
     EXPECT_DOUBLE_EQ(y[i], 1.7 * x[i] + y0[i]);
 }
@@ -53,7 +53,7 @@ TEST_P(KernelSweep, DscalIsCMinusDy) {
   Rng rng(3);
   auto y = random_vec(n(), rng);
   const auto y0 = y;
-  dscal(ctx, 0.75, 2.0, y);
+  dscal(ctx, 0.75, 2.0, y.data(), Tile::row(n()));
   for (std::size_t i = 0; i < n(); ++i)
     EXPECT_DOUBLE_EQ(y[i], 0.75 - 2.0 * y0[i]);
 }
@@ -64,7 +64,7 @@ TEST_P(KernelSweep, Ddaxpy) {
   const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
   auto z = random_vec(n(), rng);
   const auto z0 = z;
-  ddaxpy(ctx, 1.25, x, -0.5, y, z);
+  ddaxpy(ctx, 1.25, x.data(), -0.5, y.data(), z.data(), Tile::row(n()));
   // The kernel evaluates (x*a + z) then (y*b + t); the reference below may
   // round differently, so compare to a few ulps.
   for (std::size_t i = 0; i < n(); ++i)
@@ -74,24 +74,25 @@ TEST_P(KernelSweep, Ddaxpy) {
 TEST_P(KernelSweep, XpbyCopySubHadamardFill) {
   Context ctx((VectorArch(bits())));
   Rng rng(5);
+  const Tile row = Tile::row(n());
   const auto x = random_vec(n(), rng);
   auto y = random_vec(n(), rng);
   const auto y0 = y;
-  xpby(ctx, x, 0.3, y);
+  xpby(ctx, x.data(), 0.3, y.data(), row);
   for (std::size_t i = 0; i < n(); ++i)
     EXPECT_DOUBLE_EQ(y[i], x[i] + 0.3 * y0[i]);
 
   std::vector<double> z(n());
-  copy(ctx, x, z);
+  copy(ctx, x.data(), z.data(), row);
   EXPECT_EQ(z, x);
 
-  sub(ctx, x, y, z);
+  sub(ctx, x.data(), y.data(), z.data(), row);
   for (std::size_t i = 0; i < n(); ++i) EXPECT_DOUBLE_EQ(z[i], x[i] - y[i]);
 
-  hadamard(ctx, x, y, z);
+  hadamard(ctx, x.data(), y.data(), z.data(), row);
   for (std::size_t i = 0; i < n(); ++i) EXPECT_DOUBLE_EQ(z[i], x[i] * y[i]);
 
-  fill(ctx, -2.5, z);
+  fill(ctx, -2.5, z.data(), row);
   for (std::size_t i = 0; i < n(); ++i) EXPECT_DOUBLE_EQ(z[i], -2.5);
 }
 
@@ -112,8 +113,8 @@ TEST(StencilRow, MatchesReference) {
   const auto xc_buf = random_vec(n + 2, rng);
   const auto xs = random_vec(n, rng), xn = random_vec(n, rng);
   std::vector<double> y(n);
-  stencil_row(ctx, cc, cw, ce, cs, cn, xc_buf.data() + 1, xs.data(), xn.data(),
-              y);
+  stencil_rows(ctx, cc.data(), cw.data(), ce.data(), cs.data(), cn.data(),
+               xc_buf.data() + 1, xs.data(), xn.data(), y.data(), Tile::row(n));
   for (std::size_t i = 0; i < n; ++i) {
     const double want = cc[i] * xc_buf[i + 1] + cw[i] * xc_buf[i] +
                         ce[i] * xc_buf[i + 2] + cs[i] * xs[i] + cn[i] * xn[i];
@@ -128,7 +129,7 @@ TEST(CouplingRow, AddsOtherSpecies) {
   const auto csp = random_vec(n, rng), xo = random_vec(n, rng);
   auto y = random_vec(n, rng);
   const auto y0 = y;
-  coupling_row(ctx, csp, xo.data(), y);
+  coupling_rows(ctx, csp.data(), xo.data(), y.data(), Tile::row(n));
   for (std::size_t i = 0; i < n; ++i)
     EXPECT_DOUBLE_EQ(y[i], y0[i] + csp[i] * xo[i]);
 }
@@ -136,7 +137,7 @@ TEST(CouplingRow, AddsOtherSpecies) {
 TEST(KernelRecording, DaxpyOpMix) {
   Context ctx((VectorArch(512)));
   std::vector<double> x(64, 1.0), y(64, 2.0);
-  daxpy(ctx, 2.0, x, y);
+  daxpy(ctx, 2.0, x.data(), y.data(), Tile::row(64));
   const auto c = ctx.take_counts();
   const auto idx = [](sim::OpClass o) { return static_cast<std::size_t>(o); };
   EXPECT_EQ(c.lanes[idx(sim::OpClass::LoadContig)], 128u);  // x and y
@@ -158,8 +159,6 @@ TEST(Kernels, LengthMismatchRejected) {
   Context ctx((VectorArch(512)));
   std::vector<double> a(4), b(5);
   EXPECT_THROW(dprod(ctx, a, b), Error);
-  EXPECT_THROW(daxpy(ctx, 1.0, a, b), Error);
-  EXPECT_THROW(copy(ctx, a, b), Error);
 }
 
 }  // namespace

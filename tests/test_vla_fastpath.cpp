@@ -98,478 +98,6 @@ struct TransferIndex {
 constexpr std::size_t kNumShapes =
     static_cast<std::size_t>(KernelShape::StencilDotWCoupled) + 1;
 
-/// One call of the kernel or fused composite behind `shape` over n
-/// elements, on fresh random operands.  Every operand row is 2n + 4 wide
-/// and passed one element in, so shifted, ghost and fine-row reads stay in
-/// bounds.  Returns the operands as the call left them (any dot results
-/// appended).
-std::vector<std::vector<double>> call_kernel(KernelShape shape, Context& ctx,
-                                             std::size_t n) {
-  Rng rng(40 + static_cast<int>(shape));
-  std::vector<std::vector<double>> buf(12);
-  for (auto& b : buf) b = random_vec(2 * n + 4, rng);
-  const auto ptr = [&](int k) { return buf[k].data() + 1; };
-  const auto in = [&](int k) { return std::span<const double>(ptr(k), n); };
-  const auto out = [&](int k) { return std::span<double>(ptr(k), n); };
-  const TransferIndex idx(n);
-  switch (shape) {
-    case KernelShape::Dprod: buf.push_back({dprod(ctx, in(0), in(1))}); break;
-    case KernelShape::Daxpy: daxpy(ctx, 1.5, in(0), out(1)); break;
-    case KernelShape::Dscal: dscal(ctx, 0.5, 2.0, out(0)); break;
-    case KernelShape::Ddaxpy:
-      ddaxpy(ctx, 1.5, in(0), -0.5, in(1), out(2));
-      break;
-    case KernelShape::Xpby: xpby(ctx, in(0), 0.3, out(1)); break;
-    case KernelShape::Copy: copy(ctx, in(0), out(1)); break;
-    case KernelShape::Fill: fill(ctx, -2.5, out(0)); break;
-    case KernelShape::Sub: sub(ctx, in(0), in(1), out(2)); break;
-    case KernelShape::Hadamard: hadamard(ctx, in(0), in(1), out(2)); break;
-    case KernelShape::StencilRow:
-      stencil_row(ctx, in(0), in(1), in(2), in(3), in(4), ptr(5), ptr(6),
-                  ptr(7), out(8));
-      break;
-    case KernelShape::CouplingRow:
-      coupling_row(ctx, in(0), ptr(1), out(2));
-      break;
-    case KernelShape::DiagCorrectRow:
-      mg::diag_correct_row(ctx, 0.8, in(0), in(1), out(2));
-      break;
-    case KernelShape::DiagScaleRow:
-      mg::diag_scale_row(ctx, 1.25, in(0), in(1), out(2));
-      break;
-    case KernelShape::RestrictRow: {
-      const double* const fine[4] = {ptr(0), ptr(1), ptr(2), ptr(3)};
-      mg::restrict_rows(ctx, fine, 0, idx.tables(), ptr(4), Tile::row(n));
-      break;
-    }
-    case KernelShape::ProlongRow:
-      // Fine row 0 reads coarse row 0 (parent) and row −1, both in
-      // operand 0, n + 2 apart.
-      mg::prolong_rows_add(ctx, ptr(0) + n + 2, static_cast<std::ptrdiff_t>(n + 2),
-                           idx.tables(), ptr(2), Tile::row(n));
-      break;
-    case KernelShape::Daxpy2:
-      fusion::daxpy2(ctx, 0.7, in(0), out(1), -0.7, in(2), out(3));
-      break;
-    case KernelShape::AxpyOut:
-      fusion::axpy_out(ctx, in(0), -1.3, in(1), out(2));
-      break;
-    case KernelShape::PUpdate:
-      fusion::p_update(ctx, in(0), 0.8, 0.45, in(1), out(2));
-      break;
-    case KernelShape::HadamardDot2: {
-      ExactSum rz, rr;
-      fusion::hadamard_dot2(ctx, in(0), in(1), out(2), rz, rr);
-      buf.push_back({rz.value(), rr.value()});
-      break;
-    }
-    case KernelShape::HadamardUpdateDot2: {
-      ExactSum rz, rr;
-      fusion::hadamard_update_dot2(ctx, in(0), -0.6, in(1), out(2), out(3), rz,
-                                   rr);
-      buf.push_back({rz.value(), rr.value()});
-      break;
-    }
-    case KernelShape::StencilSub:
-    case KernelShape::StencilSubCoupled:
-    case KernelShape::StencilDot:
-    case KernelShape::StencilDotW:
-    case KernelShape::StencilDotCoupled:
-    case KernelShape::StencilDotWCoupled: {
-      const bool coupled = shape == KernelShape::StencilSubCoupled ||
-                           shape == KernelShape::StencilDotCoupled ||
-                           shape == KernelShape::StencilDotWCoupled;
-      const bool sub = shape == KernelShape::StencilSub ||
-                       shape == KernelShape::StencilSubCoupled;
-      const bool self = shape == KernelShape::StencilDot ||
-                        shape == KernelShape::StencilDotCoupled;
-      ExactSum dot;
-      fusion::stencil_row_fused(
-          ctx, in(0), in(1), in(2), in(3), in(4), ptr(5), ptr(6), ptr(7),
-          coupled ? ptr(8) : nullptr, coupled ? ptr(9) : nullptr,
-          sub ? ptr(10) : nullptr,
-          sub ? nullptr : (self ? ptr(5) : ptr(10)), sub ? nullptr : &dot,
-          out(11));
-      if (!sub) buf.push_back({dot.value()});
-      break;
-    }
-  }
-  return buf;
-}
-
-/// Parameterized over (vector bits, length): all five architectural VL
-/// octaves crossed with lengths hitting empty (0), sub-strip, exact-strip,
-/// one-past, multi-strip, and ragged-tail predicates.
-class FastPathSweep
-    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {
-protected:
-  unsigned bits() const { return std::get<0>(GetParam()); }
-  unsigned lanes() const { return bits() / 64; }
-  std::size_t n() const {
-    // Lengths are scaled in units of the VL so each entry keeps its
-    // tail-shape meaning at every vector length.
-    const std::size_t vl = lanes();
-    switch (std::get<1>(GetParam())) {
-      case 0: return 0;            // empty: loop never runs
-      case 1: return 1;            // single partial strip
-      case 2: return vl - 1;       // partial strip, all-but-one lane
-      case 3: return vl;           // one full strip, no tail
-      case 4: return vl + 1;       // full strip + 1-lane tail
-      case 5: return 3 * vl;       // multi-strip, no tail
-      case 6: return 3 * vl + vl / 2;  // multi-strip, half tail
-      default: return 257;         // fixed ragged length
-    }
-  }
-
-  Context interp_ctx() const {
-    return Context(VectorArch(bits()), VlaExecMode::Interpret);
-  }
-  Context native_ctx() const {
-    return Context(VectorArch(bits()), VlaExecMode::Native);
-  }
-};
-
-TEST_P(FastPathSweep, Dprod) {
-  Rng rng(11);
-  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
-  Context ci = interp_ctx(), cn = native_ctx();
-  const double a = dprod(ci, x, y);
-  const double b = dprod(cn, x, y);
-  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-      << "dprod not bit-identical: " << a << " vs " << b;
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, Daxpy) {
-  Rng rng(12);
-  const auto x = random_vec(n(), rng);
-  auto yi = random_vec(n(), rng), yn = yi;
-  Context ci = interp_ctx(), cn = native_ctx();
-  daxpy(ci, 1.7, x, yi);
-  daxpy(cn, 1.7, x, yn);
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, Dscal) {
-  Rng rng(13);
-  auto yi = random_vec(n(), rng), yn = yi;
-  Context ci = interp_ctx(), cn = native_ctx();
-  dscal(ci, 0.75, 2.0, yi);
-  dscal(cn, 0.75, 2.0, yn);
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, Ddaxpy) {
-  Rng rng(14);
-  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
-  auto zi = random_vec(n(), rng), zn = zi;
-  Context ci = interp_ctx(), cn = native_ctx();
-  ddaxpy(ci, 1.25, x, -0.5, y, zi);
-  ddaxpy(cn, 1.25, x, -0.5, y, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, Xpby) {
-  Rng rng(15);
-  const auto x = random_vec(n(), rng);
-  auto yi = random_vec(n(), rng), yn = yi;
-  Context ci = interp_ctx(), cn = native_ctx();
-  xpby(ci, x, 0.3, yi);
-  xpby(cn, x, 0.3, yn);
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, CopyFillSubHadamard) {
-  Rng rng(16);
-  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
-  std::vector<double> zi(n()), zn(n());
-  Context ci = interp_ctx(), cn = native_ctx();
-
-  copy(ci, x, zi);
-  copy(cn, x, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-
-  fill(ci, -2.5, zi);
-  fill(cn, -2.5, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-
-  sub(ci, x, y, zi);
-  sub(cn, x, y, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-
-  hadamard(ci, x, y, zi);
-  hadamard(cn, x, y, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cn.take_counts());
-}
-
-TEST_P(FastPathSweep, StencilRow) {
-  Rng rng(17);
-  const auto cc = random_vec(n(), rng), cw = random_vec(n(), rng),
-             ce = random_vec(n(), rng), cs = random_vec(n(), rng),
-             cn_ = random_vec(n(), rng);
-  const auto xc = random_vec(n() + 2, rng), xs = random_vec(n(), rng),
-             xn = random_vec(n(), rng);
-  std::vector<double> yi(n()), yn(n());
-  Context ci = interp_ctx(), cx = native_ctx();
-  stencil_row(ci, cc, cw, ce, cs, cn_, xc.data() + 1, xs.data(), xn.data(),
-              yi);
-  stencil_row(cx, cc, cw, ce, cs, cn_, xc.data() + 1, xs.data(), xn.data(),
-              yn);
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-}
-
-TEST_P(FastPathSweep, CouplingRow) {
-  Rng rng(18);
-  const auto csp = random_vec(n(), rng), xo = random_vec(n(), rng);
-  auto yi = random_vec(n(), rng), yn = yi;
-  Context ci = interp_ctx(), cx = native_ctx();
-  coupling_row(ci, csp, xo.data(), yi);
-  coupling_row(cx, csp, xo.data(), yn);
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-}
-
-TEST_P(FastPathSweep, DiagRows) {
-  Rng rng(19);
-  const auto d = random_vec(n(), rng), r = random_vec(n(), rng);
-  auto xi = random_vec(n(), rng), xn = xi;
-  Context ci = interp_ctx(), cx = native_ctx();
-  mg::diag_correct_row(ci, 0.8, d, r, xi);
-  mg::diag_correct_row(cx, 0.8, d, r, xn);
-  expect_bits_equal(xi, xn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-
-  std::vector<double> zi(n()), zn(n());
-  mg::diag_scale_row(ci, 1.25, d, r, zi);
-  mg::diag_scale_row(cx, 1.25, d, r, zn);
-  expect_bits_equal(zi, zn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-}
-
-TEST_P(FastPathSweep, RestrictRow) {
-  Rng rng(20);
-  const std::size_t nc = n();
-  // Fine rows are 2·nc wide with one readable ghost on each side.
-  std::vector<std::vector<double>> fine;
-  const double* frows[4];
-  for (int dj = 0; dj < 4; ++dj) {
-    fine.push_back(random_vec(2 * nc + 2, rng));
-    frows[dj] = fine.back().data() + 1;
-  }
-  const TransferIndex idx(nc);
-  const mg::TransferTables tab = idx.tables();
-  std::vector<double> yi(nc), yn(nc);
-  Context ci = interp_ctx(), cx = native_ctx();
-  mg::restrict_rows(ci, frows, 0, tab, yi.data(), Tile::row(nc));
-  mg::restrict_rows(cx, frows, 0, tab, yn.data(), Tile::row(nc));
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-}
-
-TEST_P(FastPathSweep, ProlongRow) {
-  Rng rng(21);
-  const std::size_t nf = n();
-  // Coarse rows are ⌈nf/2⌉ wide with one readable ghost on each side;
-  // fine row 0 reads coarse row 0 (parent) and the row below it.
-  const std::size_t ncw = nf / 2 + 4;
-  const auto coarse = random_vec(2 * ncw, rng);
-  const double* cnear = coarse.data() + ncw + 1;
-  const auto cstride = static_cast<std::ptrdiff_t>(ncw);
-  const TransferIndex idx(nf);
-  const mg::TransferTables tab = idx.tables();
-  auto yi = random_vec(nf, rng), yn = yi;
-  Context ci = interp_ctx(), cx = native_ctx();
-  mg::prolong_rows_add(ci, cnear, cstride, tab, yi.data(), Tile::row(nf));
-  mg::prolong_rows_add(cx, cnear, cstride, tab, yn.data(), Tile::row(nf));
-  expect_bits_equal(yi, yn);
-  expect_counts_equal(ci.take_counts(), cx.take_counts());
-}
-
-/// The op mix of one kernel or fused composite call in the strip-mined
-/// form every whilelt kernel shares: per call `dups` broadcasts; per strip
-/// `loads` contiguous loads, `gathers` gather loads, `stores` stores, `fmas`
-/// FMAs (merging dot FMAs included), `muls` multiplies, `adds`
-/// adds/subtracts and `selects` in-strip dup broadcasts (one lane each);
-/// and, when it reduces, one ptrue plus `reduces` full-width horizontal
-/// reduces at the end.  The interpreter is the only definition of these
-/// kernels, so this table is what pins their recorded streams from outside
-/// it.  Rows follow KernelShape order.
-struct KernelMix {
-  KernelShape shape;
-  std::uint64_t dups, loads, gathers, stores, fmas, muls, adds, selects,
-      reduces;
-};
-
-constexpr KernelMix kKernelMixes[] = {
-    //                               dup  ld  ga  st fma mul add sel red
-    {KernelShape::Dprod,               1,  2,  0,  0,  1,  0,  0,  0,  1},
-    {KernelShape::Daxpy,               1,  2,  0,  1,  1,  0,  0,  0,  0},
-    {KernelShape::Dscal,               2,  1,  0,  1,  1,  0,  0,  0,  0},
-    {KernelShape::Ddaxpy,              2,  3,  0,  1,  2,  0,  0,  0,  0},
-    {KernelShape::Xpby,                1,  2,  0,  1,  1,  0,  0,  0,  0},
-    {KernelShape::Copy,                0,  1,  0,  1,  0,  0,  0,  0,  0},
-    {KernelShape::Fill,                1,  0,  0,  1,  0,  0,  0,  0,  0},
-    {KernelShape::Sub,                 0,  2,  0,  1,  0,  0,  1,  0,  0},
-    {KernelShape::Hadamard,            0,  2,  0,  1,  0,  1,  0,  0,  0},
-    // 5 coefficient + 5 solution loads, one mul, four chained FMAs.
-    {KernelShape::StencilRow,          0, 10,  0,  1,  4,  1,  0,  0,  0},
-    {KernelShape::CouplingRow,         0,  3,  0,  1,  1,  0,  0,  0,  0},
-    {KernelShape::DiagCorrectRow,      1,  3,  0,  1,  1,  1,  0,  0,  0},
-    {KernelShape::DiagScaleRow,        1,  2,  0,  1,  0,  2,  0,  0,  0},
-    // Per strip a zeroed accumulator, then per fine row {4 gathers, mul,
-    // 3 FMAs, dup(weight), merging FMA}.
-    {KernelShape::RestrictRow,         2,  0, 16,  1, 16,  4,  0,  5,  0},
-    // 4 gathers, 2 muls, the fine-row load, 4 FMAs.
-    {KernelShape::ProlongRow,          2,  1,  4,  1,  4,  2,  0,  0,  0},
-    // z ← x + a·p twice; z ← x + a·y with the COPY elided; p ← r + b·t
-    // with t = p − w·v kept in a register.
-    {KernelShape::Daxpy2,              2,  4,  0,  2,  2,  0,  0,  0,  0},
-    {KernelShape::AxpyOut,             1,  2,  0,  1,  1,  0,  0,  0,  0},
-    {KernelShape::PUpdate,             2,  3,  0,  1,  2,  0,  0,  0,  0},
-    // z ← m ⊙ r (after r ← r + a·q) with two zeroed accumulators and two
-    // merging FMAs on in-register values per strip.
-    {KernelShape::HadamardDot2,        2,  2,  0,  1,  2,  1,  0,  0,  2},
-    {KernelShape::HadamardUpdateDot2,  3,  3,  0,  2,  3,  1,  0,  0,  2},
-    // The stencil row, then the coupling FMA (2 loads), and b − y (1 load)
-    // or the dot's merging FMA (w loaded unless it is the center operand).
-    {KernelShape::StencilSub,          0, 11,  0,  1,  4,  1,  1,  0,  0},
-    {KernelShape::StencilSubCoupled,   0, 13,  0,  1,  5,  1,  1,  0,  0},
-    {KernelShape::StencilDot,          1, 10,  0,  1,  5,  1,  0,  0,  1},
-    {KernelShape::StencilDotW,         1, 11,  0,  1,  5,  1,  0,  0,  1},
-    {KernelShape::StencilDotCoupled,   1, 12,  0,  1,  6,  1,  0,  0,  1},
-    {KernelShape::StencilDotWCoupled,  1, 13,  0,  1,  6,  1,  0,  0,  1},
-};
-
-sim::KernelCounts expected_counts(const KernelMix& m, std::uint64_t n,
-                                  unsigned vl) {
-  const std::uint64_t strips = (n + vl - 1) / vl;
-  sim::KernelCounts c;
-  const auto op = [&c](sim::OpClass cls, std::uint64_t instr,
-                       std::uint64_t lanes) {
-    c.instr[static_cast<std::size_t>(cls)] += instr;
-    c.lanes[static_cast<std::size_t>(cls)] += lanes;
-  };
-  op(sim::OpClass::Select, m.dups, m.dups);
-  // Loop control per strip: a whilelt over all VL lanes, then a counter
-  // update and a branch over the strip's active lanes.
-  op(sim::OpClass::Predicate, strips, strips * vl);
-  op(sim::OpClass::IntOp, strips, n);
-  op(sim::OpClass::Branch, strips, n);
-  op(sim::OpClass::LoadContig, m.loads * strips, m.loads * n);
-  op(sim::OpClass::LoadGather, m.gathers * strips, m.gathers * n);
-  op(sim::OpClass::StoreContig, m.stores * strips, m.stores * n);
-  op(sim::OpClass::FlopFma, m.fmas * strips, m.fmas * n);
-  op(sim::OpClass::FlopMul, m.muls * strips, m.muls * n);
-  op(sim::OpClass::FlopAdd, m.adds * strips, m.adds * n);
-  op(sim::OpClass::Select, m.selects * strips, m.selects * strips);
-  if (m.reduces > 0) {
-    op(sim::OpClass::Predicate, 1, vl);
-    op(sim::OpClass::Reduce, m.reduces, m.reduces * vl);
-  }
-  c.bytes_read = 8 * (m.loads + m.gathers) * n;
-  c.bytes_written = 8 * m.stores * n;
-  return c;
-}
-
-TEST_P(FastPathSweep, BothBackendsRecordTheKernelMixTable) {
-  ASSERT_EQ(std::size(kKernelMixes), kNumShapes);
-  for (std::size_t i = 0; i < std::size(kKernelMixes); ++i) {
-    const KernelMix& m = kKernelMixes[i];
-    ASSERT_EQ(m.shape, static_cast<KernelShape>(i)) << "row " << i;
-    SCOPED_TRACE("shape " + std::to_string(i));
-    const sim::KernelCounts want = expected_counts(m, n(), lanes());
-    Context ci = interp_ctx(), cx = native_ctx();
-    call_kernel(m.shape, ci, n());
-    call_kernel(m.shape, cx, n());
-    expect_counts_equal(want, ci.take_counts());
-    expect_counts_equal(want, cx.take_counts());
-  }
-}
-
-/// Every native kernel and fused composite, dot tails included, and the
-/// exact block kernel give the same bits at the generic width and at AVX2
-/// (support/simd.hpp).
-TEST_P(FastPathSweep, WidthEquivalence) {
-  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
-  const simd::Width host = simd::width();
-  const simd::Width widths[] = {simd::Width::Generic, simd::Width::Avx2};
-  const auto at_width = [&](simd::Width w, auto&& run) {
-    simd::set_width(w);
-    auto result = run();
-    simd::set_width(host);
-    return result;
-  };
-  for (std::size_t i = 0; i < std::size(kKernelMixes); ++i) {
-    const auto shape = static_cast<KernelShape>(i);
-    SCOPED_TRACE("shape " + std::to_string(i));
-    std::vector<std::vector<double>> got[2];
-    for (int w = 0; w < 2; ++w) {
-      got[w] = at_width(widths[w], [&] {
-        Context ctx = native_ctx();
-        return call_kernel(shape, ctx, n());
-      });
-    }
-    ASSERT_EQ(got[0].size(), got[1].size());
-    for (std::size_t b = 0; b < got[0].size(); ++b)
-      expect_bits_equal(got[0][b], got[1][b]);
-  }
-
-  // The block kernel, as one row and as 3-wide rows.  First, cancelling
-  // ±2^40 products over others 26 to 66 binades below them, which all
-  // three folds carry and whose lowest bits reach the result; then
-  // products spanning 300 binades, which fall back to product-by-product
-  // sums.
-  Rng rng(77);
-  for (const bool wide : {false, true}) {
-    std::vector<double> x = random_vec(3 * n() + 3, rng);
-    std::vector<double> y = random_vec(3 * n() + 3, rng);
-    for (std::size_t k = 0; k < x.size(); ++k) {
-      const int e = static_cast<int>(rng.below(wide ? 301 : 26));
-      if (wide) {
-        x[k] = std::ldexp(x[k], e - 150);
-      } else if (k % 64 < 2) {
-        x[k] = 0x1p20;
-        y[k] = k % 2 == 0 ? 0x1p20 : -0x1p20;
-      } else {
-        x[k] = std::ldexp(1.5 + 0.5 * x[k], e / 2 - 13);
-        y[k] = std::ldexp(y[k] < 0.0 ? y[k] - 1.0 : y[k] + 1.0, e - e / 2);
-      }
-    }
-    for (const std::size_t ni : {std::size_t{3}, x.size()}) {
-      double dot[2];
-      for (int w = 0; w < 2; ++w) {
-        dot[w] = at_width(widths[w], [&] {
-          ExactSum s;
-          s.add_dot_rows(x.data(), static_cast<std::ptrdiff_t>(ni), y.data(),
-                         static_cast<std::ptrdiff_t>(ni), ni, x.size() / ni);
-          return s.value();
-        });
-      }
-      EXPECT_EQ(std::memcmp(&dot[0], &dot[1], sizeof dot[0]), 0)
-          << (wide ? "wide" : "folded") << " ni " << ni;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllVlsAndTails, FastPathSweep,
-    ::testing::Combine(::testing::Values(128u, 256u, 512u, 1024u, 2048u),
-                       ::testing::Values(std::size_t{0}, std::size_t{1},
-                                         std::size_t{2}, std::size_t{3},
-                                         std::size_t{4}, std::size_t{5},
-                                         std::size_t{6}, std::size_t{7})));
-
-// --- tile entries --------------------------------------------------------------
-
 /// Operands for one tile entry of any KernelShape: twelve buffers laid out
 /// as ghosted tiles at row stride 2·ni + 4, the tile's row 0 starting two
 /// rows and one column in, so shifted, ghost, fine-row (restriction) and
@@ -684,6 +212,397 @@ void call_tile(KernelShape shape, Context& ctx, TileOperands& o, Tile t,
     }
   }
 }
+
+/// The row call of `shape` over n elements: call_tile on a one-row tile of
+/// fresh operands.  Returns the operands as the call left them.
+TileOperands call_row(KernelShape shape, Context& ctx, std::size_t n) {
+  TileOperands o(n, 1, 40 + static_cast<int>(shape));
+  call_tile(shape, ctx, o, Tile::row(n), 0);
+  return o;
+}
+
+/// Parameterized over (vector bits, length): all five architectural VL
+/// octaves crossed with lengths hitting empty (0), sub-strip, exact-strip,
+/// one-past, multi-strip, and ragged-tail predicates.
+class FastPathSweep
+    : public ::testing::TestWithParam<std::tuple<unsigned, std::size_t>> {
+protected:
+  unsigned bits() const { return std::get<0>(GetParam()); }
+  unsigned lanes() const { return bits() / 64; }
+  std::size_t n() const {
+    // Lengths are scaled in units of the VL so each entry keeps its
+    // tail-shape meaning at every vector length.
+    const std::size_t vl = lanes();
+    switch (std::get<1>(GetParam())) {
+      case 0: return 0;            // empty: loop never runs
+      case 1: return 1;            // single partial strip
+      case 2: return vl - 1;       // partial strip, all-but-one lane
+      case 3: return vl;           // one full strip, no tail
+      case 4: return vl + 1;       // full strip + 1-lane tail
+      case 5: return 3 * vl;       // multi-strip, no tail
+      case 6: return 3 * vl + vl / 2;  // multi-strip, half tail
+      default: return 257;         // fixed ragged length
+    }
+  }
+  Tile row() const { return Tile::row(n()); }
+
+  Context interp_ctx() const {
+    return Context(VectorArch(bits()), VlaExecMode::Interpret);
+  }
+  Context native_ctx() const {
+    return Context(VectorArch(bits()), VlaExecMode::Native);
+  }
+};
+
+TEST_P(FastPathSweep, Dprod) {
+  Rng rng(11);
+  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
+  Context ci = interp_ctx(), cn = native_ctx();
+  const double a = dprod(ci, x, y);
+  const double b = dprod(cn, x, y);
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+      << "dprod not bit-identical: " << a << " vs " << b;
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, Daxpy) {
+  Rng rng(12);
+  const auto x = random_vec(n(), rng);
+  auto yi = random_vec(n(), rng), yn = yi;
+  Context ci = interp_ctx(), cn = native_ctx();
+  daxpy(ci, 1.7, x.data(), yi.data(), row());
+  daxpy(cn, 1.7, x.data(), yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, Dscal) {
+  Rng rng(13);
+  auto yi = random_vec(n(), rng), yn = yi;
+  Context ci = interp_ctx(), cn = native_ctx();
+  dscal(ci, 0.75, 2.0, yi.data(), row());
+  dscal(cn, 0.75, 2.0, yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, Ddaxpy) {
+  Rng rng(14);
+  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
+  auto zi = random_vec(n(), rng), zn = zi;
+  Context ci = interp_ctx(), cn = native_ctx();
+  ddaxpy(ci, 1.25, x.data(), -0.5, y.data(), zi.data(), row());
+  ddaxpy(cn, 1.25, x.data(), -0.5, y.data(), zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, Xpby) {
+  Rng rng(15);
+  const auto x = random_vec(n(), rng);
+  auto yi = random_vec(n(), rng), yn = yi;
+  Context ci = interp_ctx(), cn = native_ctx();
+  xpby(ci, x.data(), 0.3, yi.data(), row());
+  xpby(cn, x.data(), 0.3, yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, CopyFillSubHadamard) {
+  Rng rng(16);
+  const auto x = random_vec(n(), rng), y = random_vec(n(), rng);
+  std::vector<double> zi(n()), zn(n());
+  Context ci = interp_ctx(), cn = native_ctx();
+
+  copy(ci, x.data(), zi.data(), row());
+  copy(cn, x.data(), zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+
+  fill(ci, -2.5, zi.data(), row());
+  fill(cn, -2.5, zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+
+  sub(ci, x.data(), y.data(), zi.data(), row());
+  sub(cn, x.data(), y.data(), zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+
+  hadamard(ci, x.data(), y.data(), zi.data(), row());
+  hadamard(cn, x.data(), y.data(), zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cn.take_counts());
+}
+
+TEST_P(FastPathSweep, StencilRow) {
+  Rng rng(17);
+  const auto cc = random_vec(n(), rng), cw = random_vec(n(), rng),
+             ce = random_vec(n(), rng), cs = random_vec(n(), rng),
+             cn_ = random_vec(n(), rng);
+  const auto xc = random_vec(n() + 2, rng), xs = random_vec(n(), rng),
+             xn = random_vec(n(), rng);
+  std::vector<double> yi(n()), yn(n());
+  Context ci = interp_ctx(), cx = native_ctx();
+  stencil_rows(ci, cc.data(), cw.data(), ce.data(), cs.data(), cn_.data(),
+               xc.data() + 1, xs.data(), xn.data(), yi.data(), row());
+  stencil_rows(cx, cc.data(), cw.data(), ce.data(), cs.data(), cn_.data(),
+               xc.data() + 1, xs.data(), xn.data(), yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+TEST_P(FastPathSweep, CouplingRow) {
+  Rng rng(18);
+  const auto csp = random_vec(n(), rng), xo = random_vec(n(), rng);
+  auto yi = random_vec(n(), rng), yn = yi;
+  Context ci = interp_ctx(), cx = native_ctx();
+  coupling_rows(ci, csp.data(), xo.data(), yi.data(), row());
+  coupling_rows(cx, csp.data(), xo.data(), yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+TEST_P(FastPathSweep, DiagRows) {
+  Rng rng(19);
+  const auto d = random_vec(n(), rng), r = random_vec(n(), rng);
+  auto xi = random_vec(n(), rng), xn = xi;
+  Context ci = interp_ctx(), cx = native_ctx();
+  mg::diag_correct_rows(ci, 0.8, d.data(), r.data(), xi.data(), row());
+  mg::diag_correct_rows(cx, 0.8, d.data(), r.data(), xn.data(), row());
+  expect_bits_equal(xi, xn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+
+  std::vector<double> zi(n()), zn(n());
+  mg::diag_scale_rows(ci, 1.25, d.data(), r.data(), zi.data(), row());
+  mg::diag_scale_rows(cx, 1.25, d.data(), r.data(), zn.data(), row());
+  expect_bits_equal(zi, zn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+TEST_P(FastPathSweep, RestrictRow) {
+  Rng rng(20);
+  const std::size_t nc = n();
+  // Fine rows are 2·nc wide with one readable ghost on each side.
+  std::vector<std::vector<double>> fine;
+  const double* frows[4];
+  for (int dj = 0; dj < 4; ++dj) {
+    fine.push_back(random_vec(2 * nc + 2, rng));
+    frows[dj] = fine.back().data() + 1;
+  }
+  const TransferIndex idx(nc);
+  const mg::TransferTables tab = idx.tables();
+  std::vector<double> yi(nc), yn(nc);
+  Context ci = interp_ctx(), cx = native_ctx();
+  mg::restrict_rows(ci, frows, 0, tab, yi.data(), row());
+  mg::restrict_rows(cx, frows, 0, tab, yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+TEST_P(FastPathSweep, ProlongRow) {
+  Rng rng(21);
+  const std::size_t nf = n();
+  // Coarse rows are ⌈nf/2⌉ wide with one readable ghost on each side;
+  // fine row 0 reads coarse row 0 (parent) and the row below it.
+  const std::size_t ncw = nf / 2 + 4;
+  const auto coarse = random_vec(2 * ncw, rng);
+  const double* cnear = coarse.data() + ncw + 1;
+  const auto cstride = static_cast<std::ptrdiff_t>(ncw);
+  const TransferIndex idx(nf);
+  const mg::TransferTables tab = idx.tables();
+  auto yi = random_vec(nf, rng), yn = yi;
+  Context ci = interp_ctx(), cx = native_ctx();
+  mg::prolong_rows_add(ci, cnear, cstride, tab, yi.data(), row());
+  mg::prolong_rows_add(cx, cnear, cstride, tab, yn.data(), row());
+  expect_bits_equal(yi, yn);
+  expect_counts_equal(ci.take_counts(), cx.take_counts());
+}
+
+/// The op mix of one kernel or fused composite call in the strip-mined
+/// form every whilelt kernel shares: per call `dups` broadcasts; per strip
+/// `loads` contiguous loads, `gathers` gather loads, `stores` stores, `fmas`
+/// FMAs (merging dot FMAs included), `muls` multiplies, `adds`
+/// adds/subtracts and `selects` in-strip dup broadcasts (one lane each);
+/// and, when it reduces, one ptrue plus `reduces` full-width horizontal
+/// reduces at the end.  The interpreter is the only definition of these
+/// kernels, so this table is what pins their recorded streams from outside
+/// it.  Rows follow KernelShape order.
+struct KernelMix {
+  KernelShape shape;
+  std::uint64_t dups, loads, gathers, stores, fmas, muls, adds, selects,
+      reduces;
+};
+
+constexpr KernelMix kKernelMixes[] = {
+    //                               dup  ld  ga  st fma mul add sel red
+    {KernelShape::Dprod,               1,  2,  0,  0,  1,  0,  0,  0,  1},
+    {KernelShape::Daxpy,               1,  2,  0,  1,  1,  0,  0,  0,  0},
+    {KernelShape::Dscal,               2,  1,  0,  1,  1,  0,  0,  0,  0},
+    {KernelShape::Ddaxpy,              2,  3,  0,  1,  2,  0,  0,  0,  0},
+    {KernelShape::Xpby,                1,  2,  0,  1,  1,  0,  0,  0,  0},
+    {KernelShape::Copy,                0,  1,  0,  1,  0,  0,  0,  0,  0},
+    {KernelShape::Fill,                1,  0,  0,  1,  0,  0,  0,  0,  0},
+    {KernelShape::Sub,                 0,  2,  0,  1,  0,  0,  1,  0,  0},
+    {KernelShape::Hadamard,            0,  2,  0,  1,  0,  1,  0,  0,  0},
+    // 5 coefficient + 5 solution loads, one mul, four chained FMAs.
+    {KernelShape::StencilRow,          0, 10,  0,  1,  4,  1,  0,  0,  0},
+    {KernelShape::CouplingRow,         0,  3,  0,  1,  1,  0,  0,  0,  0},
+    {KernelShape::DiagCorrectRow,      1,  3,  0,  1,  1,  1,  0,  0,  0},
+    {KernelShape::DiagScaleRow,        1,  2,  0,  1,  0,  2,  0,  0,  0},
+    // Per strip a zeroed accumulator, then per fine row {4 gathers, mul,
+    // 3 FMAs, dup(weight), merging FMA}.
+    {KernelShape::RestrictRow,         2,  0, 16,  1, 16,  4,  0,  5,  0},
+    // 4 gathers, 2 muls, the fine-row load, 4 FMAs.
+    {KernelShape::ProlongRow,          2,  1,  4,  1,  4,  2,  0,  0,  0},
+    // z ← x + a·p twice; z ← x + a·y with the COPY elided; p ← r + b·t
+    // with t = p − w·v kept in a register.
+    {KernelShape::Daxpy2,              2,  4,  0,  2,  2,  0,  0,  0,  0},
+    {KernelShape::AxpyOut,             1,  2,  0,  1,  1,  0,  0,  0,  0},
+    {KernelShape::PUpdate,             2,  3,  0,  1,  2,  0,  0,  0,  0},
+    // z ← m ⊙ r (after r ← r + a·q) with two zeroed accumulators and two
+    // merging FMAs on in-register values per strip.
+    {KernelShape::HadamardDot2,        2,  2,  0,  1,  2,  1,  0,  0,  2},
+    {KernelShape::HadamardUpdateDot2,  3,  3,  0,  2,  3,  1,  0,  0,  2},
+    // The stencil row, then the coupling FMA (2 loads), and b − y (1 load)
+    // or the dot's merging FMA (w loaded unless it is the center operand).
+    {KernelShape::StencilSub,          0, 11,  0,  1,  4,  1,  1,  0,  0},
+    {KernelShape::StencilSubCoupled,   0, 13,  0,  1,  5,  1,  1,  0,  0},
+    {KernelShape::StencilDot,          1, 10,  0,  1,  5,  1,  0,  0,  1},
+    {KernelShape::StencilDotW,         1, 11,  0,  1,  5,  1,  0,  0,  1},
+    {KernelShape::StencilDotCoupled,   1, 12,  0,  1,  6,  1,  0,  0,  1},
+    {KernelShape::StencilDotWCoupled,  1, 13,  0,  1,  6,  1,  0,  0,  1},
+};
+
+sim::KernelCounts expected_counts(const KernelMix& m, std::uint64_t n,
+                                  unsigned vl) {
+  const std::uint64_t strips = (n + vl - 1) / vl;
+  sim::KernelCounts c;
+  const auto op = [&c](sim::OpClass cls, std::uint64_t instr,
+                       std::uint64_t lanes) {
+    c.instr[static_cast<std::size_t>(cls)] += instr;
+    c.lanes[static_cast<std::size_t>(cls)] += lanes;
+  };
+  op(sim::OpClass::Select, m.dups, m.dups);
+  // Loop control per strip: a whilelt over all VL lanes, then a counter
+  // update and a branch over the strip's active lanes.
+  op(sim::OpClass::Predicate, strips, strips * vl);
+  op(sim::OpClass::IntOp, strips, n);
+  op(sim::OpClass::Branch, strips, n);
+  op(sim::OpClass::LoadContig, m.loads * strips, m.loads * n);
+  op(sim::OpClass::LoadGather, m.gathers * strips, m.gathers * n);
+  op(sim::OpClass::StoreContig, m.stores * strips, m.stores * n);
+  op(sim::OpClass::FlopFma, m.fmas * strips, m.fmas * n);
+  op(sim::OpClass::FlopMul, m.muls * strips, m.muls * n);
+  op(sim::OpClass::FlopAdd, m.adds * strips, m.adds * n);
+  op(sim::OpClass::Select, m.selects * strips, m.selects * strips);
+  if (m.reduces > 0) {
+    op(sim::OpClass::Predicate, 1, vl);
+    op(sim::OpClass::Reduce, m.reduces, m.reduces * vl);
+  }
+  c.bytes_read = 8 * (m.loads + m.gathers) * n;
+  c.bytes_written = 8 * m.stores * n;
+  return c;
+}
+
+TEST_P(FastPathSweep, BothBackendsRecordTheKernelMixTable) {
+  ASSERT_EQ(std::size(kKernelMixes), kNumShapes);
+  for (std::size_t i = 0; i < std::size(kKernelMixes); ++i) {
+    const KernelMix& m = kKernelMixes[i];
+    ASSERT_EQ(m.shape, static_cast<KernelShape>(i)) << "row " << i;
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const sim::KernelCounts want = expected_counts(m, n(), lanes());
+    Context ci = interp_ctx(), cx = native_ctx();
+    call_row(m.shape, ci, n());
+    call_row(m.shape, cx, n());
+    expect_counts_equal(want, ci.take_counts());
+    expect_counts_equal(want, cx.take_counts());
+  }
+}
+
+/// Every native kernel and fused composite, dot tails included, and the
+/// exact block kernel give the same bits at the generic width and at AVX2
+/// (support/simd.hpp).
+TEST_P(FastPathSweep, WidthEquivalence) {
+  if (!simd::avx2_supported()) GTEST_SKIP() << "this CPU has no AVX2";
+  const simd::Width host = simd::width();
+  const simd::Width widths[] = {simd::Width::Generic, simd::Width::Avx2};
+  const auto at_width = [&](simd::Width w, auto&& run) {
+    simd::set_width(w);
+    auto result = run();
+    simd::set_width(host);
+    return result;
+  };
+  for (std::size_t i = 0; i < kNumShapes; ++i) {
+    const auto shape = static_cast<KernelShape>(i);
+    SCOPED_TRACE("shape " + std::to_string(i));
+    const auto run = [&](simd::Width w) {
+      return at_width(w, [&] {
+        Context ctx = native_ctx();
+        return call_row(shape, ctx, n());
+      });
+    };
+    expect_operands_equal(run(widths[0]), run(widths[1]), "generic vs AVX2");
+  }
+
+  // DPROD's tile entry only records; its plain entry returns the sum.
+  Rng drng(40);
+  const auto x = random_vec(n(), drng), y = random_vec(n(), drng);
+  double dot[2];
+  for (int w = 0; w < 2; ++w) {
+    dot[w] = at_width(widths[w], [&] {
+      Context ctx = native_ctx();
+      return dprod(ctx, x, y);
+    });
+  }
+  EXPECT_EQ(std::memcmp(&dot[0], &dot[1], sizeof dot[0]), 0) << "dprod";
+
+  // The block kernel, as one row and as 3-wide rows.  First, cancelling
+  // ±2^40 products over others 26 to 66 binades below them, which all
+  // three folds carry and whose lowest bits reach the result; then
+  // products spanning 300 binades, which fall back to product-by-product
+  // sums.
+  Rng rng(77);
+  for (const bool wide : {false, true}) {
+    std::vector<double> x = random_vec(3 * n() + 3, rng);
+    std::vector<double> y = random_vec(3 * n() + 3, rng);
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      const int e = static_cast<int>(rng.below(wide ? 301 : 26));
+      if (wide) {
+        x[k] = std::ldexp(x[k], e - 150);
+      } else if (k % 64 < 2) {
+        x[k] = 0x1p20;
+        y[k] = k % 2 == 0 ? 0x1p20 : -0x1p20;
+      } else {
+        x[k] = std::ldexp(1.5 + 0.5 * x[k], e / 2 - 13);
+        y[k] = std::ldexp(y[k] < 0.0 ? y[k] - 1.0 : y[k] + 1.0, e - e / 2);
+      }
+    }
+    for (const std::size_t ni : {std::size_t{3}, x.size()}) {
+      double dot[2];
+      for (int w = 0; w < 2; ++w) {
+        dot[w] = at_width(widths[w], [&] {
+          ExactSum s;
+          s.add_dot_rows(x.data(), static_cast<std::ptrdiff_t>(ni), y.data(),
+                         static_cast<std::ptrdiff_t>(ni), ni, x.size() / ni);
+          return s.value();
+        });
+      }
+      EXPECT_EQ(std::memcmp(&dot[0], &dot[1], sizeof dot[0]), 0)
+          << (wide ? "wide" : "folded") << " ni " << ni;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllVlsAndTails, FastPathSweep,
+    ::testing::Combine(::testing::Values(128u, 256u, 512u, 1024u, 2048u),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}, std::size_t{3},
+                                         std::size_t{4}, std::size_t{5},
+                                         std::size_t{6}, std::size_t{7})));
+
+// --- tile entries --------------------------------------------------------------
 
 /// Parameterized over (vector bits, tile shape): rows shorter than one
 /// vector and rows of two vectors plus a ragged tail, each as one row and
@@ -848,9 +767,10 @@ TEST(ExactSumWidthEquivalence, GangSpecialValues) {
 TEST(FastPathCache, RepeatedCallsAccumulateExactly) {
   Context ctx(VectorArch(512), VlaExecMode::Native);
   std::vector<double> x(100, 1.0), y(100, 2.0);
-  daxpy(ctx, 2.0, x, y);
+  const Tile row = Tile::row(100);
+  daxpy(ctx, 2.0, x.data(), y.data(), row);
   const auto once = ctx.take_counts();
-  for (int i = 0; i < 7; ++i) daxpy(ctx, 2.0, x, y);
+  for (int i = 0; i < 7; ++i) daxpy(ctx, 2.0, x.data(), y.data(), row);
   const auto seven = ctx.take_counts();
   for (std::size_t i = 0; i < sim::kNumOpClasses; ++i) {
     EXPECT_EQ(seven.instr[i], 7 * once.instr[i]);
@@ -870,8 +790,8 @@ TEST(FastPathCache, DistinctShapesWithSameLengthDoNotCollide) {
     const auto shape = static_cast<KernelShape>(i);
     SCOPED_TRACE("shape " + std::to_string(i));
     Context interp(VectorArch(512), VlaExecMode::Interpret);
-    call_kernel(shape, interp, n);
-    call_kernel(shape, native, n);
+    call_row(shape, interp, n);
+    call_row(shape, native, n);
     expect_counts_equal(interp.take_counts(), native.take_counts());
   }
   EXPECT_EQ(native.memo_misses(), kNumShapes);
@@ -890,14 +810,14 @@ TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
   };
   const auto interpreted = [&](KernelShape s) {
     Context ci(VectorArch(512), VlaExecMode::Interpret);
-    call_kernel(s, ci, n_of(s));
+    call_row(s, ci, n_of(s));
     return ci.take_counts();
   };
   sim::KernelCounts expected;
   for (const KernelShape s : shapes) expected += interpreted(s);
 
   Context batched(VectorArch(512), VlaExecMode::Native);
-  for (const KernelShape s : shapes) call_kernel(s, batched, n_of(s));
+  for (const KernelShape s : shapes) call_row(s, batched, n_of(s));
   EXPECT_EQ(batched.counts(), expected);
   EXPECT_EQ(batched.take_counts(), expected);
   EXPECT_EQ(batched.memo_misses(), 2u);
@@ -906,7 +826,7 @@ TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
   Context stepwise(VectorArch(512), VlaExecMode::Native);
   sim::KernelCounts so_far;
   for (const KernelShape s : shapes) {
-    call_kernel(s, stepwise, n_of(s));
+    call_row(s, stepwise, n_of(s));
     so_far += interpreted(s);
     EXPECT_EQ(stepwise.counts(), so_far);
   }
@@ -919,7 +839,9 @@ TEST(FastPathCache, RunsRecordTheSumOfEveryCall) {
 TEST(FastPathCache, CopiesAndMovesNeverFoldHitsTwice) {
   const std::uint64_t process0 = vla::process_memo_hits();
   std::vector<double> x(100, 1.0), y(100, 2.0);
-  const auto daxpy100 = [&](Context& c) { daxpy(c, 2.0, x, y); };
+  const auto daxpy100 = [&](Context& c) {
+    daxpy(c, 2.0, x.data(), y.data(), Tile::row(100));
+  };
   Context ctx(VectorArch(512), VlaExecMode::Native);
   daxpy100(ctx);  // miss
   daxpy100(ctx);  // hit 1, pending in ctx
@@ -948,14 +870,15 @@ TEST(FastPathCache, CopiesAndMovesNeverFoldHitsTwice) {
 TEST(FastPathCache, ConcurrentMissOfOneKeyCountsOnce) {
   constexpr int kThreads = 4;
   std::vector<double> x(1000, 1.0), y(1000, 2.0);
+  const Tile row = Tile::row(1000);
   Context ci(VectorArch(512), VlaExecMode::Interpret);
-  daxpy(ci, 2.0, x, y);
+  daxpy(ci, 2.0, x.data(), y.data(), row);
   const sim::KernelCounts want = ci.take_counts();
   Context proto(VectorArch(512), VlaExecMode::Native);
   std::latch all_missed(kThreads);
   const auto body = [&](Context& dry) {
     all_missed.arrive_and_wait();
-    daxpy(dry, 2.0, x, y);
+    daxpy(dry, 2.0, x.data(), y.data(), row);
   };
   std::vector<sim::KernelCounts> recorded(kThreads);
   {
@@ -984,7 +907,7 @@ TEST(DryRun, BodyRunsOncePerKeyPerFamilyOnlyOnAMiss) {
     EXPECT_TRUE(dry.dry());
     EXPECT_EQ(dry.exec_mode(), VlaExecMode::Interpret);
     EXPECT_EQ(dry.lanes(), 4u);
-    daxpy(dry, 2.0, x, y);
+    daxpy(dry, 2.0, x.data(), y.data(), Tile::row(50));
   };
   Context ctx(VectorArch(256), VlaExecMode::Native);
   EXPECT_FALSE(ctx.dry());
@@ -1018,8 +941,9 @@ TEST(DryRun, WritesNoOperandMemory) {
   const auto untouched = [&](const char* what) {
     for (const double v : out) ASSERT_EQ(v, kSentinel) << what;
   };
-  const std::span<const double> in(x.data() + 1, n), in2(w.data() + 1, n);
-  const std::span<double> y(out.data() + 1, n);
+  const double *in = x.data() + 1, *in2 = w.data() + 1;
+  double* y = out.data() + 1;
+  const Tile row = Tile::row(n);
   const TransferIndex idx(n);
   const double* const fine[4] = {x.data() + 1, w.data() + 1, x.data() + 1,
                                  w.data() + 1};
@@ -1032,31 +956,29 @@ TEST(DryRun, WritesNoOperandMemory) {
   const auto check = [&](const char* what, auto&& kernel) {
     Context ci(VectorArch(512), VlaExecMode::Interpret);
     std::vector<double> scratch = out;  // the interpreter's own output
-    kernel(ci, std::span<double>(scratch.data() + 1, n));
+    kernel(ci, scratch.data() + 1);
     Context cx(VectorArch(512), VlaExecMode::Native);
     cx.record_dry(1, 1, [&](Context& dry) { kernel(dry, y); });
     untouched(what);
     EXPECT_EQ(cx.take_counts(), ci.take_counts()) << what;
   };
-  check("daxpy", [&](Context& c, std::span<double> o) {
-    daxpy(c, 1.5, in, o);
+  check("daxpy", [&](Context& c, double* o) { daxpy(c, 1.5, in, o, row); });
+  check("stencil_rows", [&](Context& c, double* o) {
+    stencil_rows(c, in, in2, in, in2, in, x.data() + 1, w.data() + 1,
+                 x.data() + 1, o, row);
   });
-  check("stencil_row", [&](Context& c, std::span<double> o) {
-    stencil_row(c, in, in2, in, in2, in, x.data() + 1, w.data() + 1,
-                x.data() + 1, o);
+  check("restrict_rows", [&](Context& c, double* o) {
+    mg::restrict_rows(c, fine, 0, idx.tables(), o, row);
   });
-  check("restrict_rows", [&](Context& c, std::span<double> o) {
-    mg::restrict_rows(c, fine, 0, idx.tables(), o.data(), Tile::row(n));
-  });
-  check("prolong_rows_add", [&](Context& c, std::span<double> o) {
+  check("prolong_rows_add", [&](Context& c, double* o) {
     mg::prolong_rows_add(c, x.data() + n + 3, static_cast<std::ptrdiff_t>(n + 2),
-                         idx.tables(), o.data(), Tile::row(n));
+                         idx.tables(), o, row);
   });
 
   // One fused dot group: z ← m ⊙ r with rz += Σ z·r and rr += Σ r·r.
   Context cx(VectorArch(512), VlaExecMode::Native);
   cx.record_dry(2, 1, [&](Context& dry) {
-    fusion::hadamard_dot2(dry, in, in2, y, rz, rr);
+    fusion::hadamard_dot2(dry, in, in2, y, rz, rr, row);
   });
   untouched("hadamard_dot2");
   EXPECT_EQ(rz, rz0);
@@ -1064,7 +986,7 @@ TEST(DryRun, WritesNoOperandMemory) {
   Context ci(VectorArch(512), VlaExecMode::Interpret);
   std::vector<double> z(n);
   ExactSum a, b;
-  fusion::hadamard_dot2(ci, in, in2, z, a, b);
+  fusion::hadamard_dot2(ci, in, in2, z.data(), a, b, row);
   EXPECT_EQ(cx.take_counts(), ci.take_counts());
 }
 
