@@ -29,17 +29,41 @@ std::uint64_t DistVector::working_set(int rank, int arrays) const {
          static_cast<std::uint64_t>(e.ni) * e.nj * sizeof(double);
 }
 
-// Each op below is one sweep_tiles call; its operand list is the op's
+// Each op below is one rank loop over its operands, listed as the op's
 // working set, outputs last.  A tile op's `p` holds the operands' tile
 // bases in list order.
 
 using sim::Region;
 
+namespace {
+
+// The passes of the kernels that also make up a composite's Off sequence.
+
+auto daxpy_pass(double a, const grid::DistField& x, grid::DistField& y) {
+  return tile_pass(KernelFamily::Daxpy, Region::Daxpy, {&x, &y},
+                   [a](vla::Context& v, int, const auto& p, const Tile& t) {
+                     linalg::daxpy(v, a, p[0], p[1], t);
+                   });
+}
+
+auto xpby_pass(const grid::DistField& x, double b, grid::DistField& y) {
+  return tile_pass(KernelFamily::VecMisc, Region::Xpby, {&x, &y},
+                   [b](vla::Context& v, int, const auto& p, const Tile& t) {
+                     linalg::xpby(v, p[0], b, p[1], t);
+                   });
+}
+
+auto copy_pass(const grid::DistField& x, grid::DistField& y) {
+  return tile_pass(KernelFamily::VecMisc, Region::Copy, {&x, &y},
+                   [](vla::Context& v, int, const auto& p, const Tile& t) {
+                     linalg::copy(v, p[0], p[1], t);
+                   });
+}
+
+}  // namespace
+
 void DistVector::daxpy(ExecContext& ctx, double a, const DistVector& x) {
-  sweep_tiles(ctx, KernelFamily::Daxpy, Region::Daxpy, {&x.field_, &field_},
-              [a](vla::Context& v, int, const auto& p, const Tile& t) {
-                linalg::daxpy(v, a, p[0], p[1], t);
-              });
+  sweep_pass(ctx, field_, daxpy_pass(a, x.field_, field_));
 }
 
 void DistVector::dscal(ExecContext& ctx, double c, double d) {
@@ -59,17 +83,11 @@ void DistVector::ddaxpy(ExecContext& ctx, double a, const DistVector& x,
 }
 
 void DistVector::xpby(ExecContext& ctx, const DistVector& x, double b) {
-  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Xpby, {&x.field_, &field_},
-              [b](vla::Context& v, int, const auto& p, const Tile& t) {
-                linalg::xpby(v, p[0], b, p[1], t);
-              });
+  sweep_pass(ctx, field_, xpby_pass(x.field_, b, field_));
 }
 
 void DistVector::copy_from(ExecContext& ctx, const DistVector& x) {
-  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Copy, {&x.field_, &field_},
-              [](vla::Context& v, int, const auto& p, const Tile& t) {
-                linalg::copy(v, p[0], p[1], t);
-              });
+  sweep_pass(ctx, field_, copy_pass(x.field_, field_));
 }
 
 void DistVector::fill(ExecContext& ctx, double a) {
@@ -91,44 +109,38 @@ void DistVector::assign_sub(ExecContext& ctx, const DistVector& x,
 void DistVector::daxpy2(ExecContext& ctx, DistVector& x, double a,
                         const DistVector& p, DistVector& r, double b,
                         const DistVector& q) {
-  if (!ctx.fused()) {
-    x.daxpy(ctx, a, p);
-    r.daxpy(ctx, b, q);
-    return;
-  }
-  sweep_tiles(ctx, KernelFamily::Daxpy, Region::Daxpy2,
-              {&p.field_, &q.field_, &x.field_, &r.field_},
-              [a, b](vla::Context& v, int, const auto& o, const Tile& t) {
-                fusion::daxpy2(v, a, o[0], o[2], b, o[1], o[3], t);
-              });
+  sweep_composite(
+      ctx, x.field_,
+      tile_pass(KernelFamily::Daxpy, Region::Daxpy2,
+                {&p.field_, &q.field_, &x.field_, &r.field_},
+                [a, b](vla::Context& v, int, const auto& o, const Tile& t) {
+                  fusion::daxpy2(v, a, o[0], o[2], b, o[1], o[3], t);
+                }),
+      daxpy_pass(a, p.field_, x.field_), daxpy_pass(b, q.field_, r.field_));
 }
 
 void DistVector::assign_axpy(ExecContext& ctx, const DistVector& x, double a,
                              const DistVector& z) {
-  if (!ctx.fused()) {
-    copy_from(ctx, x);
-    daxpy(ctx, a, z);
-    return;
-  }
-  sweep_tiles(ctx, KernelFamily::VecMisc, Region::Axpy,
-              {&x.field_, &z.field_, &field_},
-              [a](vla::Context& v, int, const auto& p, const Tile& t) {
-                fusion::axpy_out(v, p[0], a, p[1], p[2], t);
-              });
+  sweep_composite(
+      ctx, field_,
+      tile_pass(KernelFamily::VecMisc, Region::Axpy,
+                {&x.field_, &z.field_, &field_},
+                [a](vla::Context& v, int, const auto& p, const Tile& t) {
+                  fusion::axpy_out(v, p[0], a, p[1], p[2], t);
+                }),
+      copy_pass(x.field_, field_), daxpy_pass(a, z.field_, field_));
 }
 
 void DistVector::p_update(ExecContext& ctx, const DistVector& x, double b,
                           double w, const DistVector& v) {
-  if (!ctx.fused()) {
-    daxpy(ctx, -w, v);
-    xpby(ctx, x, b);
-    return;
-  }
-  sweep_tiles(ctx, KernelFamily::VecMisc, Region::PUpdate,
-              {&x.field_, &v.field_, &field_},
-              [b, w](vla::Context& vc, int, const auto& p, const Tile& t) {
-                fusion::p_update(vc, p[0], b, w, p[1], p[2], t);
-              });
+  sweep_composite(
+      ctx, field_,
+      tile_pass(KernelFamily::VecMisc, Region::PUpdate,
+                {&x.field_, &v.field_, &field_},
+                [b, w](vla::Context& vc, int, const auto& p, const Tile& t) {
+                  fusion::p_update(vc, p[0], b, w, p[1], p[2], t);
+                }),
+      daxpy_pass(-w, v.field_, field_), xpby_pass(x.field_, b, field_));
 }
 
 double DistVector::dot(ExecContext& ctx, const DistVector& x,

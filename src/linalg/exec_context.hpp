@@ -20,21 +20,29 @@
 
 namespace v2d::linalg {
 
-/// Whether the solvers' composite operations (MATVEC+DPROD, fused
-/// residual, DAXPY₂, COPY+DAXPY, the BiCGSTAB p-update, precond+ganged-dot)
-/// run as one fused pass or as the kernel-per-pass Table II sequence.  Each
-/// composite owns both forms, so the solvers read as one algorithm.
+/// What the simulated machine runs for the solvers' composite operations
+/// (MATVEC+DPROD, fused residual, DAXPY₂, COPY+DAXPY, the BiCGSTAB
+/// p-update, precond+ganged-dot): one fused pass, or the kernel-per-pass
+/// Table II sequence.  The mode chooses only what is recorded.  Natively
+/// the host runs each composite's fused tile body (src/linalg/fusion/) in
+/// both modes, one pass per composite, and the interpreter executes what
+/// it records (see sweep_composite).  Each composite owns both recordings,
+/// so the solvers read as one algorithm.
 ///
-///   Off  — every composite issues the original kernel sequence; results,
-///          recorded counts, ledgers and simulated clocks are bit-identical
-///          to a build without the fusion layer.
-///   Plan — each composite runs as one fused kernel (src/linalg/fusion/):
-///          an interpreter row, or a native tile body whose recording is a
-///          memoized dry run of that row — fewer memory passes, fewer
-///          kernel calls, reduced bytes_moved in the priced stream.
-///          Numerics are pinned to Off (same per-element expressions in the
-///          same association order, reductions are the same exact sums),
-///          so the Krylov trajectory is unchanged — only the price is.
+///   Off  — every composite records and commits the original kernel
+///          sequence; results, recorded counts, ledgers and simulated
+///          clocks are bit-identical to a build without the fusion layer.
+///   Plan — each composite records one fused kernel: its interpreter row,
+///          or natively a memoized dry run of that row — fewer memory
+///          passes, fewer kernel calls, reduced bytes_moved in the priced
+///          stream.
+///
+/// Numerics are the same in both modes (same per-element expressions in
+/// the same association order, reductions are the same exact sums), so the
+/// Krylov trajectory is unchanged — only the price is.  One composite
+/// keeps an Off branch: the diagonal preconditioners' apply_dot2 (CG's
+/// tail) declines under Off, because its Off sequence commits x's DAXPY
+/// before the gang's allreduce and its fused form after it.
 enum class FuseMode : std::uint8_t {
   Off,
   Plan,
@@ -66,7 +74,7 @@ struct ExecContext {
               FuseMode fuse_mode = FuseMode::Off)
       : vctx(std::move(v)), em(model), fuse(fuse_mode) {}
 
-  /// True when composite operations should run their fused form.
+  /// True when composite operations record their fused form.
   bool fused() const { return fuse == FuseMode::Plan; }
 
   /// Rank-local child context for par_ranks: shares the pricer and the

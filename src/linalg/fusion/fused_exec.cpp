@@ -217,6 +217,9 @@ V2D_SIMD_BODY void p_update_body(const double* r, double b, double w,
 // Bodies with optional operands index rows by element offset, so that an
 // absent (null) operand is never advanced.
 
+/// The update runs as its own loop over each row, whose r is still in
+/// cache for the product: one loop storing both r and z ran about 1.5x
+/// slower than DAXPY + HADAMARD on cache-resident tiles (256², AVX2).
 template <bool Update>
 V2D_SIMD_BODY void hadamard_dot2_body(const double* m, double a,
                                       const double* q, double* r, double* z,
@@ -224,14 +227,9 @@ V2D_SIMD_BODY void hadamard_dot2_body(const double* m, double a,
   const auto ni = static_cast<std::ptrdiff_t>(t.ni);
   for (std::size_t j = 0; j < t.nj; ++j) {
     const std::ptrdiff_t o = t.offset(j);
-    for (std::ptrdiff_t i = o; i < o + ni; ++i) {
-      double ri = r[i];
-      if constexpr (Update) {
-        ri = q[i] * a + ri;
-        r[i] = ri;
-      }
-      z[i] = m[i] * ri;
-    }
+    if constexpr (Update)
+      for (std::ptrdiff_t i = o; i < o + ni; ++i) r[i] = q[i] * a + r[i];
+    for (std::ptrdiff_t i = o; i < o + ni; ++i) z[i] = m[i] * r[i];
   }
 }
 

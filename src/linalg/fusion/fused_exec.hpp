@@ -1,6 +1,7 @@
 #pragma once
 /// \file fused_exec.hpp
-/// \brief The fused composites of --fuse plan.
+/// \brief The fused composites: one host pass per composite in every fuse
+/// mode, and what --fuse plan records.
 ///
 /// Each entry point below is a tile entry (linalg::Tile: base pointers,
 /// nj rows of ni elements at a row stride) that runs one solver hot-loop
@@ -15,8 +16,12 @@
 /// sequence bit for bit.  A row call is the tile entry with Tile::row(n).
 ///
 /// The composite operations (StencilOperator::apply_dot/apply_residual*,
-/// DistVector::daxpy2/assign_axpy/p_update, the diagonal preconditioners'
-/// apply_dot2) call them under FuseMode::Plan.
+/// DistVector::daxpy2/assign_axpy/p_update) call them through
+/// sweep_composite in both fuse modes: under FuseMode::Plan as they are,
+/// and natively under FuseMode::Off with the recording switched off
+/// (vla::NativeWork::RunOnly), while the Table II kernels they stand for
+/// record without running.  The diagonal preconditioners' apply_dot2 calls
+/// the hadamard composites under FuseMode::Plan only.
 
 #include "linalg/tile.hpp"
 #include "support/exact_sum.hpp"

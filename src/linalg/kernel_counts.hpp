@@ -77,14 +77,17 @@ inline void record_native(vla::Context& ctx, KernelShape shape, const Tile& t,
 
 /// Run one tile entry in the context's exec mode.  Native: record the tile
 /// (record_native, dry-running `row(dry, 0)`) and run `native()`, the one
-/// dispatched body with the row loop inside.  Interpret: run `row(ctx, j)`
-/// for every row j — the reference, and the source of every recording.
+/// dispatched body with the row loop inside — or only one of the two when
+/// the context splits its calls (vla::NativeWork): a RecordOnly call is the
+/// entry's record-only form, and a RunOnly call records nothing.
+/// Interpret: run `row(ctx, j)` for every row j — the reference, and the
+/// source of every recording.
 template <typename Row, typename Native>
 inline void run_tile(vla::Context& ctx, KernelShape shape, const Tile& t,
                      Row&& row, Native&& native) {
   if (ctx.native()) {
     record_native(ctx, shape, t, [&](vla::Context& dry) { row(dry, 0); });
-    native();
+    if (ctx.runs()) native();
     return;
   }
   for (std::size_t j = 0; j < t.nj; ++j) row(ctx, j);

@@ -234,26 +234,29 @@ MgHierarchy::MgHierarchy(ExecContext& ctx, const StencilOperator& A,
   // each rank.
   const MgLevel& coarsest = *levels_.back();
   if (coarsest.grid->zones() > opt_.max_direct_zones) {
+    const int nx1 = coarsest.grid->nx1(), nx2 = coarsest.grid->nx2();
     std::string cause;
     if (nlevels() >= opt_.max_levels) {
-      cause = "the max_levels cap (" + std::to_string(opt_.max_levels) +
-              ") was reached — raise mg-levels";
-    } else if (std::min(coarsest.grid->nx1(), coarsest.grid->nx2()) <=
-               opt_.coarse_size) {
-      cause = "coarse_size (" + std::to_string(opt_.coarse_size) +
-              ") was reached — lower mg-coarse-size";
+      cause = "the level cap (--mg-levels " +
+              std::to_string(opt_.max_levels) +
+              ") was reached — raise --mg-levels";
+    } else if (std::min(nx1, nx2) <= opt_.coarse_size) {
+      cause = "the coarse size (--mg-coarse-size " +
+              std::to_string(opt_.coarse_size) +
+              ") was reached — lower --mg-coarse-size";
+    } else if (nx1 % 2 != 0 || nx2 % 2 != 0) {
+      cause = "the grid has an odd extent, which cannot be halved — choose "
+              "--nx1 and --nx2 with more factors of two";
     } else {
       cause =
           "a tile boundary sits on an odd zone index, which would break "
-          "parent alignment — choose NPRX1/NPRX2 that split the grid "
+          "parent alignment — choose --nprx1/--nprx2 that split the grid "
           "into even tiles (powers of two work best)";
     }
-    throw Error("multigrid coarsening stalled at " +
-                std::to_string(coarsest.grid->nx1()) + "x" +
-                std::to_string(coarsest.grid->nx2()) +
-                " zones (> max_direct_zones = " +
+    throw Error("multigrid coarsening stalled at " + std::to_string(nx1) +
+                "x" + std::to_string(nx2) + " zones (> --mg-max-direct-zones " +
                 std::to_string(opt_.max_direct_zones) + "): " + cause +
-                ", or raise max_direct_zones if a large direct solve is "
+                ", or raise --mg-max-direct-zones if a large direct solve is "
                 "intended");
   }
   coarse_lu_ = std::make_unique<BandedLU>(coarsest.op->assemble());

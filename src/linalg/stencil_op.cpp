@@ -66,42 +66,51 @@ void StencilOperator::apply(ExecContext& ctx, DistVector& x,
 
 void StencilOperator::apply_as(ExecContext& ctx, DistVector& x, DistVector& y,
                                KernelFamily family, Region region) const {
-  sweep(ctx, x, y, nullptr, nullptr, nullptr, family, region);
+  sweep(ctx, x, y, nullptr, nullptr, nullptr, family, region, region);
 }
 
 double StencilOperator::apply_dot(ExecContext& ctx, DistVector& x,
                                   DistVector& y, const DistVector* w) const {
-  if (!ctx.fused()) {
-    apply(ctx, x, y);
-    return DistVector::dot(ctx, w != nullptr ? *w : x, y);
-  }
   ExactSum dot;
-  sweep(ctx, x, y, nullptr, w, &dot, KernelFamily::Matvec, Region::MatvecDot);
+  sweep(ctx, x, y, nullptr, w, &dot, KernelFamily::Matvec, Region::Matvec,
+        Region::MatvecDot);
   return dot.value();
 }
 
 void StencilOperator::apply_residual(ExecContext& ctx, DistVector& x,
                                      const DistVector& b, DistVector& r) const {
-  apply_residual_as(ctx, x, b, r, KernelFamily::Matvec,
-                    ctx.fused() ? Region::MatvecResidual : Region::Matvec);
+  sweep(ctx, x, r, &b, nullptr, nullptr, KernelFamily::Matvec, Region::Matvec,
+        Region::MatvecResidual);
 }
 
 void StencilOperator::apply_residual_as(ExecContext& ctx, DistVector& x,
                                         const DistVector& b, DistVector& r,
                                         KernelFamily family,
                                         Region region) const {
-  if (ctx.fused()) {
-    sweep(ctx, x, r, &b, nullptr, nullptr, family, region);
-    return;
-  }
-  apply_as(ctx, x, r, family, region);
-  r.assign_sub(ctx, b, r);
+  sweep(ctx, x, r, &b, nullptr, nullptr, family, region, region);
 }
+
+namespace {
+
+/// One (rank, species) tile of a product form's operands: the five
+/// coefficients, x with the rows below and above, y, and, where the form
+/// has them, the coupling band (csp and the other species' x), b and the
+/// dot's other operand w.
+struct ProductTile {
+  const double *cc, *cw, *ce, *cs, *cn;
+  const double *xc, *xs, *xn;
+  const double *sp, *xo;
+  const double *b, *w;
+  double* y;
+  Tile t;
+};
+
+}  // namespace
 
 void StencilOperator::sweep(ExecContext& ctx, DistVector& x, DistVector& y,
                             const DistVector* b, const DistVector* w,
-                            ExactSum* dot, KernelFamily family,
-                            Region region) const {
+                            ExactSum* dot, KernelFamily family, Region region,
+                            Region fused_region) const {
   V2D_REQUIRE(x.ns() == ns_ && y.ns() == ns_ &&
                   (b == nullptr || b->ns() == ns_),
               "species count mismatch");
@@ -111,66 +120,93 @@ void StencilOperator::sweep(ExecContext& ctx, DistVector& x, DistVector& y,
   xf.apply_bc(grid::BcKind::Dirichlet0);  // BCs are folded into coefficients
   ctx.exchange(transfers);
 
-  auto* self = const_cast<StencilOperator*>(this);
-  auto* bf = b != nullptr ? &const_cast<DistVector*>(b)->field() : nullptr;
-  auto* wf = w != nullptr ? &const_cast<DistVector*>(w)->field() : nullptr;
-  const bool fused = b != nullptr || dot != nullptr;
-  // Per-rank exact partials of the dot, merged below — the same exact sum
-  // dot_ganged forms, so the result is bit-identical to the unfused
-  // apply() + dot() and independent of the tiling and host-thread count.
+  // The dot's other operand: w, or x itself (the CG p·Ap case, whose fused
+  // sweep reuses the center tap).
+  const DistVector& wv = w != nullptr ? *w : x;
+  const auto tile = [&](int r, int s) {
+    const auto base = [r, s](const grid::DistField& f) {
+      return const_cast<grid::DistField&>(f).view(r, s).base;
+    };
+    const grid::TileView xv = xf.view(r, s);
+    return ProductTile{base(cc_), base(cw_), base(ce_), base(cs_), base(cn_),
+                       xv.base, xv.row(-1), xv.row(1),
+                       csp_ ? base(*csp_) : nullptr,
+                       csp_ ? xf.view(r, 1 - s).base : nullptr,
+                       b != nullptr ? base(b->field()) : nullptr,
+                       dot != nullptr ? base(wv.field()) : nullptr,
+                       y.field().view(r, s).base, tile_of(xv)};
+  };
+  // On-the-fly coefficient evaluation: mostly state/table reads plus a
+  // little arithmetic, per element (see kMatvecEval* docs).  Those reads
+  // revisit the same zones every sweep, so they add traffic (bytes_moved)
+  // but not footprint.
+  const auto evaluate = [&](vla::Context& v, int r) {
+    if (eval_doubles_read_ == 0 && eval_flops_ == 0) return;
+    const grid::TileExtent& e = dec_->extent(r);
+    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
+    v.record_external(sim::OpClass::LoadContig, elements * eval_doubles_read_,
+                      elements * eval_doubles_read_ * sizeof(double), 0);
+    v.record_external(sim::OpClass::FlopFma, elements * eval_flops_ / 2, 0, 0);
+  };
+
+  // y ← A·x: the stencil tile entry, then the coupling tile entry.  Working
+  // set: x (with ghosts), y, five coefficients and the coupling band.
+  const int arrays = 7 + (csp_ ? 1 : 0);
+  const TilePass matvec{family, region, arrays, [&](vla::Context& v, int r) {
+                          for (int s = 0; s < ns_; ++s) {
+                            const ProductTile o = tile(r, s);
+                            stencil_rows(v, o.cc, o.cw, o.ce, o.cs, o.cn, o.xc,
+                                         o.xs, o.xn, o.y, o.t);
+                            if (csp_) coupling_rows(v, o.sp, o.xo, o.y, o.t);
+                          }
+                          evaluate(v, r);
+                        }};
+  if (b == nullptr && dot == nullptr) return sweep_pass(ctx, y.field(), matvec);
+
+  // The fused form: y ← b − A·x, or y ← A·x with *dot += w·y, in one tile
+  // entry.  It also streams b or a distinct w; the dot itself streams
+  // nothing extra.  Per-rank exact partials of the dot, merged below, are
+  // the same exact sum dot_ganged forms, so the result is bit-identical in
+  // both fuse modes and independent of the tiling and host-thread count.
   std::vector<ExactSum> partial(
       dot != nullptr ? static_cast<std::size_t>(dec_->nranks()) : 0);
-  par_ranks(ctx, *dec_, [&](int r, ExecContext& rctx) {
-    const grid::TileExtent& e = dec_->extent(r);
-    ExactSum* acc = dot != nullptr ? &partial[static_cast<std::size_t>(r)]
-                                   : nullptr;
-    for (int s = 0; s < ns_; ++s) {
-      grid::TileView xv = xf.view(r, s), yv = y.field().view(r, s);
-      const double* cc = self->cc_.view(r, s).base;
-      const double* cw = self->cw_.view(r, s).base;
-      const double* ce = self->ce_.view(r, s).base;
-      const double* cs = self->cs_.view(r, s).base;
-      const double* cn = self->cn_.view(r, s).base;
-      // Coupling band: csp and the other species' x; residual b; dot w.
-      const double* sp = csp_ ? self->csp_->view(r, s).base : nullptr;
-      const double* xo = csp_ ? xf.view(r, 1 - s).base : nullptr;
-      const double* bv = bf != nullptr ? bf->view(r, s).base : nullptr;
-      const double* wv = acc == nullptr ? nullptr
-                         : wf != nullptr ? wf->view(r, s).base
-                                         : xv.base;
-      const Tile t = tile_of(xv);
-      if (fused) {
-        fusion::stencil_rows_fused(rctx.vctx, cc, cw, ce, cs, cn, xv.base,
-                                   xv.row(-1), xv.row(1), sp, xo, bv, wv, acc,
-                                   yv.base, t);
-        continue;
-      }
-      stencil_rows(rctx.vctx, cc, cw, ce, cs, cn, xv.base, xv.row(-1),
-                   xv.row(1), yv.base, t);
-      if (csp_) coupling_rows(rctx.vctx, sp, xo, yv.base, t);
-    }
-    const auto elements = static_cast<std::uint64_t>(e.ni) * e.nj * ns_;
-    if (eval_doubles_read_ > 0 || eval_flops_ > 0) {
-      // On-the-fly coefficient evaluation: mostly state/table reads plus
-      // a little arithmetic, per element (see kMatvecEval* docs).
-      rctx.vctx.record_external(sim::OpClass::LoadContig,
-                                elements * eval_doubles_read_,
-                                elements * eval_doubles_read_ * sizeof(double),
-                                0);
-      rctx.vctx.record_external(sim::OpClass::FlopFma,
-                                elements * eval_flops_ / 2, 0, 0);
-    }
-    // Working set: x (with ghosts), y, five coefficient arrays, plus the
-    // coupling, b and a distinct w when present; the dot itself streams
-    // nothing extra.  The on-the-fly evaluation's table/state reads
-    // revisit the same zones every sweep, so they add traffic
-    // (bytes_moved) but not footprint.
-    const int arrays = 7 + (csp_ ? 1 : 0) + (b != nullptr ? 1 : 0) +
-                       (w != nullptr ? 1 : 0);
-    rctx.commit(r, family, region, elements, y.working_set(r, arrays));
-  });
-  if (dot == nullptr) return;
-  // The folded dot still pays its single global reduction.
+  const TilePass fused{
+      family, fused_region, arrays + (b != nullptr || w != nullptr ? 1 : 0),
+      [&](vla::Context& v, int r) {
+        ExactSum* acc =
+            dot != nullptr ? &partial[static_cast<std::size_t>(r)] : nullptr;
+        for (int s = 0; s < ns_; ++s) {
+          const ProductTile o = tile(r, s);
+          fusion::stencil_rows_fused(v, o.cc, o.cw, o.ce, o.cs, o.cn, o.xc,
+                                     o.xs, o.xn, o.sp, o.xo, o.b, o.w, acc,
+                                     o.y, o.t);
+        }
+        evaluate(v, r);
+      }};
+  if (b != nullptr) {
+    // Off: the product into y, then SUB y ← b − y.
+    sweep_composite(
+        ctx, y.field(), fused, matvec,
+        tile_pass(KernelFamily::VecMisc, Region::Sub,
+                  {&b->field(), &y.field(), &y.field()},
+                  [](vla::Context& v, int, const auto& p, const Tile& t) {
+                    sub(v, p[0], p[1], p[2], t);
+                  }));
+    return;
+  }
+  // Off: the product, then dot_ganged's DPROD of the one pair w·y.  Its
+  // exact sum is added here only where the fused body did not run.
+  sweep_composite(
+      ctx, y.field(), fused, matvec,
+      tile_pass(KernelFamily::Dprod, Region::Dprod, {&wv.field(), &y.field()},
+                [&](vla::Context& v, int r, const auto& p, const Tile& t) {
+                  dprod_record_only(v, p[0], p[1], t);
+                  if (!v.runs()) return;
+                  ExactSum::Gang gang(t.stride, t.ni, t.nj);
+                  gang.add(p[0], p[1], &partial[static_cast<std::size_t>(r)]);
+                  gang.sweep();
+                }));
+  // The dot pays its single global reduction.
   ctx.allreduce(sizeof(double));
   for (const ExactSum& p : partial) dot->add(p);
 }

@@ -23,12 +23,13 @@
 /// the coupling — exactly the Fig. 1 pattern.
 ///
 /// Every product form (apply, apply_dot, apply_residual and their
-/// attributed variants) is one halo exchange plus one private sweep that
-/// fetches each operand's tile view once per (rank, species), hands the
-/// whole tile to the kernels' tile entries and commits one priced call
-/// per rank.  Under FuseMode::Off the dot and residual
-/// forms run the plain product followed by the separate Table II kernel;
-/// under FuseMode::Plan they fold it into the sweep.
+/// attributed variants) is one halo exchange plus one private rank loop
+/// that fetches each operand's tile view once per (rank, species) and
+/// hands the whole tile to the kernels' tile entries.  The dot and
+/// residual forms are composites (sweep_composite): natively they run the
+/// fused tile entry in both fuse modes, and the fuse mode chooses what is
+/// recorded — under FuseMode::Plan the fused call, under FuseMode::Off the
+/// plain product followed by the separate Table II kernel.
 
 #include <cstdint>
 #include <memory>
@@ -106,23 +107,23 @@ public:
                 compiler::KernelFamily family, sim::Region region) const;
 
   /// MATVEC+DPROD: y ← A·x returning w·y (w null ⇒ x·y, the CG p·Ap
-  /// case), with the reduction priced as one allreduce.  When fused, the
-  /// dot rides the stencil rows as one extra FMA (plus a load when w is a
-  /// distinct vector), so neither w nor y is re-streamed: one kernel call
-  /// per rank ("matvec-dot").  Otherwise apply() + DistVector::dot.
-  /// Bit-identical either way: the global value is the same exact sum
-  /// dot_ganged computes.
+  /// case), with the reduction priced as one allreduce.  Under
+  /// FuseMode::Plan the recorded dot rides the stencil rows as one extra
+  /// FMA (plus a load when w is a distinct vector), so neither w nor y is
+  /// re-streamed: one kernel call per rank ("matvec-dot").  Under Off the
+  /// recording is apply()'s, then DistVector::dot's.  Bit-identical either
+  /// way: the global value is the same exact sum dot_ganged computes.
   double apply_dot(ExecContext& ctx, DistVector& x, DistVector& y,
                    const DistVector* w = nullptr) const;
 
-  /// Residual r ← b − A·x.  When fused, one sweep ("matvec-residual": the
-  /// b load and subtraction replace the separate A·x write-back + SUB
-  /// pass); otherwise apply() + assign_sub ("matvec", then "sub").
+  /// Residual r ← b − A·x.  Plan records one sweep ("matvec-residual":
+  /// the b load and subtraction replace the separate A·x write-back + SUB
+  /// pass); Off records apply() + assign_sub ("matvec", then "sub").
   void apply_residual(ExecContext& ctx, DistVector& x, const DistVector& b,
                       DistVector& r) const;
 
   /// Residual with explicit attribution (the multigrid smoother and V-cycle
-  /// price their residuals under KernelFamily::Precond).  When not fused,
+  /// price their residuals under KernelFamily::Precond).  Off records
   /// apply_as() under the same family and region, then assign_sub.
   void apply_residual_as(ExecContext& ctx, DistVector& x, const DistVector& b,
                          DistVector& r, compiler::KernelFamily family,
@@ -137,16 +138,18 @@ public:
   BandedMatrix assemble() const;
 
 private:
-  /// The one stencil sweep behind every product form: exchange x's halo,
-  /// then per rank and species tile run y ← A·x (the stencil tile entry,
-  /// then the coupling tile entry) — or, with `b`, y ← b − A·x, or with
-  /// `dot`, y ← A·x and *dot += w·y (w null ⇒ x), priced as one
-  /// allreduce — as one fused tile entry, and commit one call.  Working
-  /// set: x, y, five coefficients, plus the coupling, b and a distinct w
-  /// when present.
+  /// The one stencil rank loop behind every product form: exchange x's
+  /// halo, then per rank and species tile run y ← A·x (the stencil tile
+  /// entry, then the coupling tile entry) and commit one call in `region`.
+  /// With `b` (y ← b − A·x) or `dot` (y ← A·x and *dot += w·y, w null ⇒ x,
+  /// priced as one allreduce) it is a composite whose fused tile entry is
+  /// recorded in `fused_region` and whose Off sequence is that product
+  /// followed by SUB or DPROD.  Working set: x, y, five coefficients, plus
+  /// the coupling, b and a distinct w when present.
   void sweep(ExecContext& ctx, DistVector& x, DistVector& y,
              const DistVector* b, const DistVector* w, ExactSum* dot,
-             compiler::KernelFamily family, sim::Region region) const;
+             compiler::KernelFamily family, sim::Region region,
+             sim::Region fused_region) const;
 
   const grid::Grid2D* grid_;
   const grid::Decomposition* dec_;

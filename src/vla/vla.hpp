@@ -49,6 +49,20 @@ enum class VlaExecMode : std::uint8_t {
   Native,
 };
 
+/// What a native kernel call does.  A native tile entry
+/// (linalg::run_tile) records its memoized stream and runs its host body;
+/// a native context can be set to do only one of the two.  RecordOnly
+/// records the call without running its body, for a kernel whose result
+/// another body has produced.  RunOnly runs the body and records nothing,
+/// external estimates included, for a body whose recording is another
+/// kernel sequence's.  The interpreter computes and records each op
+/// together, so only native contexts take the split forms.
+enum class NativeWork : std::uint8_t {
+  RecordAndRun,
+  RecordOnly,
+  RunOnly,
+};
+
 inline const char* vla_exec_mode_name(VlaExecMode m) {
   return m == VlaExecMode::Native ? "native" : "interpret";
 }
@@ -137,11 +151,11 @@ public:
   /// but none of its unfolded memo hits, so no probe is counted twice; a
   /// move takes the hits along.
   Context(const Context& o)
-      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts()),
-        count_cache_(o.count_cache_) {}
+      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), work_(o.work_),
+        counts_(o.counts()), count_cache_(o.count_cache_) {}
   Context(Context&& o) noexcept
-      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), counts_(o.counts_),
-        count_cache_(std::move(o.count_cache_)),
+      : arch_(o.arch_), mode_(o.mode_), dry_(o.dry_), work_(o.work_),
+        counts_(o.counts_), count_cache_(std::move(o.count_cache_)),
         front_(std::exchange(o.front_, {})),
         run_(std::exchange(o.run_, 0)), hits_(std::exchange(o.hits_, 0)) {}
   /// The overwritten context's unfolded hits go to its own family first.
@@ -150,6 +164,7 @@ public:
     arch_ = o.arch_;
     mode_ = o.mode_;
     dry_ = o.dry_;
+    work_ = o.work_;
     counts_ = o.counts_;
     count_cache_ = std::move(o.count_cache_);
     front_ = std::exchange(o.front_, {});
@@ -175,6 +190,14 @@ public:
   bool native() const { return mode_ == VlaExecMode::Native; }
   /// True inside record_dry: memory ops record but neither read nor write.
   bool dry() const { return dry_; }
+  /// Split what this native context's kernel calls do (see NativeWork).
+  void set_native_work(NativeWork w) {
+    V2D_REQUIRE(w == NativeWork::RecordAndRun || native(),
+                "only a native context splits its kernel calls");
+    work_ = w;
+  }
+  /// False while native kernel calls only record (NativeWork::RecordOnly).
+  bool runs() const { return work_ != NativeWork::RecordOnly; }
 
   /// Memoized count lookup.  `key` identifies (kernel shape, n);
   /// the factory runs once per distinct key and its result is cached for
@@ -220,10 +243,11 @@ public:
   /// own interpreter path over live operands.  The body must not branch on
   /// a loaded value (loads yield zeros).  A hit runs nothing; the pending
   /// run is folded in as run × counts (exact: counts are integers) on the
-  /// next key change or when the recording is read.
+  /// next key change or when the recording is read.  A RunOnly context
+  /// (NativeWork) records and probes nothing.
   template <typename Body>
   void record_dry(std::uint64_t key, std::uint64_t times, Body&& body) {
-    if (times == 0) return;
+    if (times == 0 || work_ == NativeWork::RunOnly) return;
     if (front_.counts != nullptr && front_.key == key) {
       run_ += times;
       return;
@@ -257,9 +281,10 @@ public:
   /// (used for work the kernel does that is not expressed through VLA
   /// calls, e.g. V2D's on-the-fly coefficient evaluation).  `lanes` is the
   /// scalar-equivalent op count; vector instructions are derived at the
-  /// configured VL.
+  /// configured VL.  A RunOnly context (NativeWork) records nothing.
   void record_external(sim::OpClass c, std::uint64_t scalar_ops,
                        std::uint64_t bytes_read, std::uint64_t bytes_written) {
+    if (work_ == NativeWork::RunOnly) return;
     const auto i = static_cast<std::size_t>(c);
     counts_.lanes[i] += scalar_ops;
     counts_.instr[i] += (scalar_ops + lanes() - 1) / lanes();
@@ -532,6 +557,7 @@ private:
   VectorArch arch_;
   VlaExecMode mode_ = VlaExecMode::Interpret;
   bool dry_ = false;  ///< set only by record_dry
+  NativeWork work_ = NativeWork::RecordAndRun;
   // counts_, run_ and hits_ are mutable so counts() can flush the pending
   // run; a context is only ever used by one thread at a time.
   mutable sim::KernelCounts counts_;

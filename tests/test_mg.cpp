@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "linalg/banded.hpp"
 #include "linalg/cg.hpp"
@@ -159,14 +161,67 @@ TEST(MgHierarchy, RejectsUncoarsenableLargeGrids) {
     mg::MgHierarchy h(ctx, prob.A, {});
     FAIL() << "expected v2d::Error";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("even"), std::string::npos)
-        << e.what();
+    // The grid is even, so the message blames the tiling and names the
+    // options that move it.
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("stalled at 200x100"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("tile boundary"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--nprx1/--nprx2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("even"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--mg-max-direct-zones"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("odd extent"), std::string::npos) << msg;
   }
   // The same decomposition is fine when the caller raises the budget.
   mg::MgOptions opt;
   opt.max_direct_zones = 200 * 100;
   mg::MgHierarchy h2(ctx, prob.A, opt);
   EXPECT_EQ(h2.nlevels(), 1);
+}
+
+/// The stall message names the cause and the options that move it.  On a
+/// 1×1 tiling 200×100 halves to 100×50 and 50×25, where the odd 25 stops
+/// coarsening; there is no tile boundary to blame.
+TEST(MgHierarchy, StallOnAnOddGridNamesTheGrid) {
+  Problem prob(200, 100, 1);
+  fill_poisson(prob.A);
+  ExecContext ctx;
+  mg::MgOptions opt;
+  opt.max_direct_zones = 1000;
+  try {
+    mg::MgHierarchy h(ctx, prob.A, opt);
+    FAIL() << "expected v2d::Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("stalled at 50x25"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("odd extent"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--mg-max-direct-zones 1000"), std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("tile boundary"), std::string::npos) << msg;
+  }
+}
+
+/// The level cap and the coarse size name their own options.
+TEST(MgHierarchy, StallAtACapNamesItsOption) {
+  Problem prob(64, 64, 1);
+  fill_poisson(prob.A);
+  ExecContext ctx;
+  mg::MgOptions levels;
+  levels.max_levels = 2;
+  levels.max_direct_zones = 100;
+  mg::MgOptions coarse;
+  coarse.coarse_size = 16;
+  coarse.max_direct_zones = 100;
+  for (const auto& [opt, name] :
+       {std::pair{levels, "--mg-levels 2"},
+        std::pair{coarse, "--mg-coarse-size 16"}}) {
+    try {
+      mg::MgHierarchy h(ctx, prob.A, opt);
+      FAIL() << "expected v2d::Error for " << name;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MgHierarchy, CoarseTilesAreParentAligned) {

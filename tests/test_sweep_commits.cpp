@@ -14,17 +14,25 @@
 /// share holds N but not N+1, so a wrong array count moves the level and
 /// the ledger's overhead cycles.  CG and the CG tail (apply_dot2 with an
 /// update) run in no `v2d` problem, so nothing else checks their commits.
+///
+/// On the same tiling, every composite must also give the same bits under
+/// both backends and both fuse modes, and record the same stream under
+/// both backends in each fuse mode: natively it runs its fused body in
+/// both modes, and under Off records the kernel sequence without running
+/// it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "ledger_testutil.hpp"
 #include "linalg/dist_vector.hpp"
 #include "linalg/mg/hierarchy.hpp"
 #include "linalg/mg/smoother.hpp"
@@ -33,6 +41,7 @@
 #include "mpisim/exec_model.hpp"
 #include "sim/cache.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace v2d {
 namespace {
@@ -312,6 +321,143 @@ TEST(SweepCommits, MultigridDiagonalSweeps) {
                  [&](ExecContext& c) {
                    jacobi.smooth(c, lvl, x, b, 1, /*zero_guess=*/false);
                  });
+}
+
+/// Fill each field with seeded values that vary zone by zone.
+void randomize(std::initializer_list<grid::DistField*> fs, std::uint64_t seed) {
+  Rng rng(seed);
+  for (grid::DistField* f : fs) {
+    for (int r = 0; r < f->nranks(); ++r) {
+      const grid::TileExtent& e = f->decomp().extent(r);
+      for (int s = 0; s < f->ns(); ++s) {
+        grid::TileView v = f->view(r, s);
+        for (int lj = 0; lj < e.nj; ++lj)
+          for (int li = 0; li < e.ni; ++li) v(li, lj) = rng.uniform(-1.0, 1.0);
+      }
+    }
+  }
+}
+
+/// The operands of one composite run: five vectors and an operator, all
+/// filled from the same seeds on every run.
+struct CompositeOperands {
+  DistVector x, y, z, w, b;
+  linalg::StencilOperator A;
+
+  CompositeOperands(const Tiling& t, bool coupled)
+      : x(t.g, t.dec, kNs),
+        y(t.g, t.dec, kNs),
+        z(t.g, t.dec, kNs),
+        w(t.g, t.dec, kNs),
+        b(t.g, t.dec, kNs),
+        A(make_operator(t, coupled)) {
+    randomize({&x.field(), &y.field(), &z.field(), &w.field(), &b.field()}, 5);
+    // Diagonally dominant, zone-varying coefficients.
+    randomize({&A.cw(), &A.ce(), &A.cs(), &A.cn()}, 6);
+    A.cc().fill(4.5);
+    A.zero_boundary_coefficients();
+    if (coupled) randomize({&A.csp()}, 7);
+  }
+};
+
+/// What one composite run leaves: every vector's values and the returned
+/// dots, plus each rank's ledger.
+struct CompositeRun {
+  std::vector<std::vector<double>> vectors;
+  std::vector<double> dots;
+  std::vector<sim::CostLedger> ledgers;
+};
+
+void expect_same_bits(const std::vector<double>& a,
+                      const std::vector<double>& b, const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  if (a.empty()) return;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << where;
+}
+
+/// Run `op` from the same inputs under each backend and fuse mode.  All
+/// four runs must leave the same bits, and within each fuse mode the two
+/// backends must record the same ledgers.
+void expect_composite_agrees(
+    const Tiling& t, bool coupled, const std::string& what,
+    const std::function<std::vector<double>(ExecContext&,
+                                            CompositeOperands&)>& op) {
+  std::vector<CompositeRun> runs;
+  std::vector<std::string> tags;
+  for (const FuseMode fuse : {FuseMode::Off, FuseMode::Plan}) {
+    for (const vla::VlaExecMode mode :
+         {vla::VlaExecMode::Interpret, vla::VlaExecMode::Native}) {
+      tags.push_back(what + (coupled ? " coupled" : "") + " [" +
+                     vla::vla_exec_mode_name(mode) + ", " +
+                     linalg::fuse_mode_name(fuse) + "]");
+      mpisim::ExecModel em(sim::MachineSpec::a64fx(), {compiler::cray_2103()},
+                           t.dec.nranks());
+      ExecContext ctx(vla::VectorArch(512), &em, mode, fuse);
+      CompositeOperands o(t, coupled);
+      CompositeRun run;
+      run.dots = op(ctx, o);
+      for (const DistVector* v : {&o.x, &o.y, &o.z, &o.w, &o.b})
+        run.vectors.push_back(v->field().gather_global());
+      for (int r = 0; r < t.dec.nranks(); ++r)
+        run.ledgers.push_back(em.ledger(0, r));
+      runs.push_back(std::move(run));
+    }
+  }
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const std::string where = tags[k] + " vs " + tags[0];
+    ASSERT_EQ(runs[k].vectors.size(), runs[0].vectors.size()) << where;
+    for (std::size_t i = 0; i < runs[0].vectors.size(); ++i)
+      expect_same_bits(runs[k].vectors[i], runs[0].vectors[i],
+                       where + " vector " + std::to_string(i));
+    expect_same_bits(runs[k].dots, runs[0].dots, where + " dots");
+  }
+  for (std::size_t k = 0; k < runs.size(); k += 2) {
+    for (int r = 0; r < t.dec.nranks(); ++r) {
+      testutil::expect_ledgers_identical(
+          runs[k].ledgers[static_cast<std::size_t>(r)],
+          runs[k + 1].ledgers[static_cast<std::size_t>(r)],
+          tags[k + 1] + " rank " + std::to_string(r));
+    }
+  }
+}
+
+TEST(SweepCommits, CompositesAgreeAcrossBackendsAndFuseModes) {
+  const Tiling t;
+  using Ops = CompositeOperands;
+  expect_composite_agrees(t, false, "daxpy2", [](ExecContext& c, Ops& o) {
+    DistVector::daxpy2(c, o.x, 0.5, o.y, o.z, -0.75, o.w);
+    return std::vector<double>{};
+  });
+  expect_composite_agrees(t, false, "assign_axpy", [](ExecContext& c, Ops& o) {
+    o.z.assign_axpy(c, o.x, -0.3, o.y);
+    return std::vector<double>{};
+  });
+  expect_composite_agrees(t, false, "p_update", [](ExecContext& c, Ops& o) {
+    o.z.p_update(c, o.x, 0.7, 0.45, o.y);
+    return std::vector<double>{};
+  });
+  for (const bool coupled : {false, true}) {
+    expect_composite_agrees(t, coupled, "apply_dot", [](ExecContext& c, Ops& o) {
+      return std::vector<double>{o.A.apply_dot(c, o.x, o.y)};
+    });
+    expect_composite_agrees(t, coupled, "apply_dot(w)",
+                            [](ExecContext& c, Ops& o) {
+                              return std::vector<double>{
+                                  o.A.apply_dot(c, o.x, o.y, &o.w)};
+                            });
+    expect_composite_agrees(t, coupled, "apply_residual",
+                            [](ExecContext& c, Ops& o) {
+                              o.A.apply_residual(c, o.x, o.b, o.y);
+                              return std::vector<double>{};
+                            });
+    expect_composite_agrees(
+        t, coupled, "apply_residual_as", [](ExecContext& c, Ops& o) {
+          o.A.apply_residual_as(c, o.x, o.b, o.y, KernelFamily::Precond,
+                                sim::Region::MgSmooth);
+          return std::vector<double>{};
+        });
+  }
 }
 
 // Operands must share the tiling, not just the rank and zone counts: a

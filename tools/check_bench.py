@@ -5,9 +5,9 @@ Compares a freshly produced bench JSON against the baseline committed
 under bench/baselines/, row by row.  Two kinds of checks run:
 
   * absolute floors — the properties a PR must never regress past
-    (fusion >= 1.3x host speedup on memory-bound sizes, reduced simulated
-    memory cycles/bytes, pinned trajectories; native fast path >= 5x on
-    the hot Table II kernels);
+    (fusion >= 1.3x fused tile-entry host speedup on memory-bound sizes,
+    reduced simulated memory cycles/bytes, pinned trajectories; native
+    fast path >= 5x on the hot Table II kernels);
   * relative-to-baseline — each row's speedup may not drop below
     (1 - tol) x its committed value.  Host timings on shared CI runners
     are noisy, so the default tolerance is generous; the floors do the
@@ -112,18 +112,21 @@ def check_fusion(current, baseline, tol):
         gated = row["n"] >= FUSION_GATE_SIZE
         check_gate_marker(row, tag, "enforced" if gated else "n/a",
                           errors, field="plan_gate")
-        if gated and row["plan_host_speedup"] < FUSION_GATE_SPEEDUP:
+        # Both solves run the same fused host bodies, so the host floor is
+        # on the fused tile entries against the primitive ones they replace.
+        speedup = row["tile_fused_speedup"]
+        if gated and speedup < FUSION_GATE_SPEEDUP:
             errors.append(
-                f"{tag}: host speedup {row['plan_host_speedup']:.2f} "
+                f"{tag}: fused tile-entry host speedup {speedup:.2f} "
                 f"< floor {FUSION_GATE_SPEEDUP}")
         ref = base.get(key)
         if ref is None:
             continue
-        floor = ref["plan_host_speedup"] * (1.0 - tol)
-        if row["plan_host_speedup"] < floor:
+        floor = ref["tile_fused_speedup"] * (1.0 - tol)
+        if speedup < floor:
             errors.append(
-                f"{tag}: host speedup {row['plan_host_speedup']:.2f} < "
-                f"baseline {ref['plan_host_speedup']:.2f} - {tol:.0%}")
+                f"{tag}: fused tile-entry host speedup {speedup:.2f} < "
+                f"baseline {ref['tile_fused_speedup']:.2f} - {tol:.0%}")
         for field in ("iters", "bytes_unfused", "bytes_plan"):
             a, b = row[field], ref[field]
             if abs(a - b) > SIM_REL_TOL * max(abs(b), 1):
